@@ -142,6 +142,7 @@ bool relay_until(int fd, bool quiet, DonePredicate done,
         std::fputs(snap.to_prometheus().c_str(), stdout);
       } else if (!quiet || !is_event) {
         std::puts(line.c_str());
+        std::fflush(stdout);  // streamed: visible even through a pipe/file
       }
       if (done(reply)) return ok;
     }

@@ -6,8 +6,10 @@
 # resource-governance path (a node-budgeted check answers a typed
 # resource_exhausted result, then the same daemon serves a normal check),
 # round-trip a cancel, scrape the metrics op (cumulative + per-session,
-# JSON and Prometheus renderings), and shut the daemon down cleanly (the
-# process must exit 0 on its own).
+# JSON and Prometheus renderings, the daemon latency histograms), and
+# shut the daemon down cleanly (the process must exit 0 on its own).
+# A second daemon at --threads 2 then checks on the wire that a small
+# check is not queued behind a slow batch net.
 #
 # Usage: checkd_integration.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -28,15 +30,20 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# wait_for_daemon SOCKET: blocks until the daemon in DAEMON_PID listens.
+wait_for_daemon() {
+  for _ in $(seq 1 100); do
+    [[ -S "$1" ]] && return 0
+    kill -0 "$DAEMON_PID" 2> /dev/null || { echo "daemon died on startup" >&2; exit 1; }
+    sleep 0.1
+  done
+  echo "daemon socket never appeared" >&2
+  exit 1
+}
+
 "$BUILD_DIR/stg_checkd" --socket "$SOCKET" --threads 4 &
 DAEMON_PID=$!
-
-for _ in $(seq 1 100); do
-  [[ -S "$SOCKET" ]] && break
-  kill -0 "$DAEMON_PID" 2> /dev/null || { echo "daemon died on startup" >&2; exit 1; }
-  sleep 0.1
-done
-[[ -S "$SOCKET" ]] || { echo "daemon socket never appeared" >&2; exit 1; }
+wait_for_daemon "$SOCKET"
 
 echo "== ping"
 "$BUILD_DIR/stg_checkd_client" --socket "$SOCKET" --ping
@@ -181,15 +188,23 @@ counters = reply["metrics"]["counters"]
 for name in ("op_calls_reach", "op_calls_rel_next"):
     if counters.get(name, 0) <= 0:
         sys.exit(f"cumulative scrape lacks a nonzero {name}: {counters}")
+histograms = reply["metrics"]["histograms"]
+for name in ("server_queue_wait_seconds", "server_session_run_seconds"):
+    if histograms.get(name, {}).get("count", 0) <= 0:
+        sys.exit(f"cumulative scrape lacks a nonzero {name}_count: {histograms}")
 
 prom = (work / "metrics.prom").read_text()
-for needle in ("# TYPE op_calls_reach counter", "op_calls_rel_next "):
+for needle in ("# TYPE op_calls_reach counter", "op_calls_rel_next ",
+               "# TYPE server_queue_wait_seconds histogram",
+               "server_session_run_seconds_count "):
     if needle not in prom:
         sys.exit(f"Prometheus rendering lacks {needle!r}:\n{prom}")
 
 print(f"  cumulative: {reply['sessions']} sessions folded, "
       f"reach={int(counters['op_calls_reach'])} "
       f"rel_next={int(counters['op_calls_rel_next'])} "
+      f"queue_wait_count={int(histograms['server_queue_wait_seconds']['count'])} "
+      f"run_count={int(histograms['server_session_run_seconds']['count'])} "
       f"(per-session lookup target: {session})")
 (work / "session_id").write_text(session)
 PY
@@ -212,6 +227,61 @@ PY
 echo "== status + shutdown"
 "$BUILD_DIR/stg_checkd_client" --socket "$SOCKET" --status
 "$BUILD_DIR/stg_checkd_client" --socket "$SOCKET" --shutdown
+wait "$DAEMON_PID"
+DAEMON_PID=
+
+echo "== 2 threads: a small check is not queued behind a slow batch net"
+# One worker takes a batch holding one slow net (a default-config
+# muller64 runs for minutes); a small check sent once that net has
+# started must get its result from the other worker before the batch's
+# batch_done. The slow net is then cancelled, so this pass stays short
+# on any build; a scheduler that queues the small check behind it fails
+# at the client timeout instead.
+"$BUILD_DIR/stg_check_tool" --family muller64 --write-back --max-steps 1 \
+  > "$WORK_DIR/muller64.out" || [[ $? -eq 3 ]]
+sed '/^\.end/q' "$WORK_DIR/muller64.out" > "$WORK_DIR/muller64.g"
+SOCKET2="$WORK_DIR/checkd2.sock"
+"$BUILD_DIR/stg_checkd" --socket "$SOCKET2" --threads 2 &
+DAEMON_PID=$!
+wait_for_daemon "$SOCKET2"
+"$BUILD_DIR/stg_checkd_client" --socket "$SOCKET2" --batch \
+  "$WORK_DIR/muller64.g" > "$WORK_DIR/slow_batch.jsonl" &
+BATCH_PID=$!
+for _ in $(seq 1 300); do
+  grep -q '"event":"session_start"' "$WORK_DIR/slow_batch.jsonl" && break
+  sleep 0.1
+done
+timeout 60 "$BUILD_DIR/stg_checkd_client" --socket "$SOCKET2" \
+  "$NETS_DIR/muller4.g" > "$WORK_DIR/small.jsonl" || true
+"$BUILD_DIR/stg_checkd_client" --socket "$SOCKET2" --quiet \
+  --cancel "$WORK_DIR/muller64.g" > /dev/null || true
+wait "$BATCH_PID" || true  # exit 1: the cancelled net has no report
+python3 - "$WORK_DIR" <<'PY'
+import json, pathlib, sys
+
+work = pathlib.Path(sys.argv[1])
+def load(name):
+    return [json.loads(l) for l in (work / name).read_text().splitlines() if l.strip()]
+
+small, batch = load("small.jsonl"), load("slow_batch.jsonl")
+if not any(d.get("event") == "session_start" for d in batch):
+    sys.exit(f"the slow net never started: {batch}")
+results = [d for d in small if d.get("reply") == "result" and "report" in d]
+if len(results) != 1:
+    sys.exit(f"the small check got no result while the slow net ran: {small}")
+done = [d for d in batch if d.get("reply") == "batch_done"]
+slow = [d for d in batch if d.get("reply") == "result"]
+if len(done) != 1 or len(slow) != 1 or slow[0].get("outcome") != "cancelled":
+    sys.exit(f"the slow batch did not end cancelled: {batch[-3:]}")
+# Both streams carry the daemon's clock: the small check's last event
+# precedes its result line, which must precede the batch's batch_done.
+small_end = max(d["at"] for d in small if "event" in d)
+if not small_end < done[0]["at"]:
+    sys.exit(f"small check ended at {small_end}, after batch_done at {done[0]['at']}")
+print(f"  small check done at {small_end:.3f} s, slow batch_done at "
+      f"{done[0]['at']:.3f} s (cancelled)")
+PY
+"$BUILD_DIR/stg_checkd_client" --socket "$SOCKET2" --shutdown
 wait "$DAEMON_PID"
 DAEMON_PID=
 echo "checkd integration: OK"

@@ -26,7 +26,13 @@ namespace {
   throw Error("stg_checkd: " + what + ": " + std::strerror(errno));
 }
 
-constexpr std::size_t kMaxSchedulerThreads = 64;  // bdd::Manager::kMaxThreads
+constexpr std::size_t kMaxSchedulerThreads = 64;  // sanity cap on --threads
+
+/// Bucket upper bounds (seconds) of the daemon latency histograms: an
+/// interactive check is milliseconds, a default-config muller64 minutes.
+std::vector<double> latency_edges() {
+  return {0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100, 300};
+}
 
 /// Decodes a kPass record's named metrics into the registry's gauge
 /// struct (started_at is the registry's own, preserved by note_pass).
@@ -92,6 +98,10 @@ struct CheckServer::Connection {
 
 CheckServer::CheckServer(ServerOptions options)
     : options_(std::move(options)),
+      queue_wait_seconds_(
+          metrics_.histogram("server_queue_wait_seconds", latency_edges())),
+      session_run_seconds_(
+          metrics_.histogram("server_session_run_seconds", latency_edges())),
       scheduler_(options_.threads < 1 ? 1
                  : options_.threads > kMaxSchedulerThreads
                      ? kMaxSchedulerThreads
@@ -380,9 +390,14 @@ void CheckServer::handle_metrics(const std::shared_ptr<Connection>& conn,
 }
 
 void CheckServer::record_session_metrics(const std::string& id,
-                                         const metrics::MetricsSnapshot& snap) {
+                                         const metrics::MetricsSnapshot& snap,
+                                         double queue_wait_s, double run_s) {
   const std::lock_guard<std::mutex> lock(metrics_mu_);
   metrics_.merge(snap);
+  // Histogram shards are keyed by TaskPool::worker_index(), which is 0 on
+  // every scheduler worker: metrics_mu_ is what serializes these writes.
+  queue_wait_seconds_.observe(queue_wait_s);
+  session_run_seconds_.observe(run_s);
   ++metrics_sessions_;
   // Reusing a finished id (clients key sessions by file path) evicts the
   // stale snapshot, mirroring the registry's finished-ring semantics.
@@ -402,6 +417,7 @@ void CheckServer::submit_checks(const std::shared_ptr<Connection>& conn,
   struct Accepted {
     std::string id;
     core::CheckSession* session;
+    double accepted_at;
   };
   std::vector<Accepted> accepted;
 
@@ -417,8 +433,8 @@ void CheckServer::submit_checks(const std::shared_ptr<Connection>& conn,
       continue;
     }
 
-    // The scheduler/quiescence rule (server/scheduler.hpp): in-daemon
-    // sessions never spin up an inner kernel pool.
+    // In-daemon sessions never spin up an inner kernel pool: concurrency
+    // comes from the scheduler's workers running whole sessions.
     check.options.check.engine_options.threads = 1;
 
     // Every in-daemon session gets a cancel token, whatever its other
@@ -447,7 +463,7 @@ void CheckServer::submit_checks(const std::shared_ptr<Connection>& conn,
     ack.set("session", Value(id));
     if (is_batch) ack.set("batch", Value(batch_id));
     conn->write_line(ack.dump());
-    accepted.push_back({std::move(id), raw});
+    accepted.push_back({std::move(id), raw, clock_.seconds()});
   }
 
   const auto remaining =
@@ -478,23 +494,18 @@ void CheckServer::submit_checks(const std::shared_ptr<Connection>& conn,
 
   for (Accepted& entry : accepted) {
     scheduler_.submit([this, conn, id = entry.id, session = entry.session,
-                       batch_done_if_last] {
-      registry_.mark_running(id, clock_.seconds());
+                       accepted_at = entry.accepted_at, batch_done_if_last] {
+      const double picked_at = clock_.seconds();
+      registry_.mark_running(id, picked_at);
+      Value result = Value::object();
+      result.set("reply", Value("result"));
+      result.set("session", Value(id));
+      SessionState state = SessionState::kDone;
+      std::string error;
       try {
         const core::ImplementabilityReport& report = session->run();
-        // Snapshot before finish(): finish destroys the session, and the
-        // fold is how the "metrics" op sees this session ever ran.
-        record_session_metrics(id, session->metrics_snapshot());
-        Value result = Value::object();
-        result.set("reply", Value("result"));
-        result.set("session", Value(id));
-        // Render first, finish second, write last: once a client reads a
-        // result line, the slot is already freed and the status counters
-        // already reflect the ending. (finish() destroys the session, so
-        // the JSON must be fully built before it.)
         if (session->outcome() == core::SessionOutcome::kCompleted) {
           result.set("report", report_to_json(session->stg(), report));
-          registry_.finish(id, SessionState::kDone);
         } else {
           // A governed stop: the session already streamed the typed
           // record; the result carries the outcome + trip gauges instead
@@ -502,24 +513,28 @@ void CheckServer::submit_checks(const std::shared_ptr<Connection>& conn,
           result.set("outcome",
                      Value(std::string(core::to_string(session->outcome()))));
           result.set("trip", trip_to_json(*session->trip()));
-          registry_.finish(
-              id, session->outcome() == core::SessionOutcome::kCancelled
+          state = session->outcome() == core::SessionOutcome::kCancelled
                       ? SessionState::kCancelled
-                      : SessionState::kExhausted);
+                      : SessionState::kExhausted;
         }
-        conn->write_line(result.dump());
       } catch (const std::exception& e) {
         // The session already streamed a kError record from inside run().
-        record_session_metrics(id, session->metrics_snapshot());
-        Value result = Value::object();
-        result.set("reply", Value("result"));
-        result.set("session", Value(id));
         result.set("code",
                    Value(std::string(to_string(ErrorCode::kSessionFailed))));
         result.set("error", Value(std::string(e.what())));
-        registry_.finish(id, SessionState::kFailed, e.what());
-        conn->write_line(result.dump());
+        state = SessionState::kFailed;
+        error = e.what();
       }
+      // Render first, fold and finish second, write last: once a client
+      // reads a result line, the metrics op has seen the session, the slot
+      // is already freed and the status counters already reflect the
+      // ending. (finish() destroys the session, so everything read from
+      // it comes before.)
+      record_session_metrics(id, session->metrics_snapshot(),
+                             picked_at - accepted_at,
+                             clock_.seconds() - picked_at);
+      registry_.finish(id, state, std::move(error));
+      conn->write_line(result.dump());
       batch_done_if_last();
     });
   }

@@ -5,29 +5,28 @@
 //   * the AF_UNIX listening socket and an accept-loop thread,
 //   * one reader thread per client connection,
 //   * the SessionRegistry (id -> session lifecycle),
-//   * the SessionScheduler (N concurrent sessions on a TaskPool),
+//   * the SessionScheduler (a FIFO queue served by N worker threads),
 //   * one SteadyClock shared by every session, so all streamed timestamps
 //     are seconds since server start on a single axis.
 //
 // Data flow of one check: the connection thread parses the request and
 // the net, registers a CheckSession whose event sink serializes each
 // record as one JSON line through the connection's write mutex, answers
-// "accepted", and submits a job. A scheduler thread later runs the
+// "accepted", and submits a job. The first free scheduler worker runs the
 // session start to finish -- events stream as they happen -- then writes
 // the "result" line and releases the session from the registry. The
-// session itself never leaves that one scheduler thread; the only shared
-// touchpoints are the registry, the connection (mutexed), and the
-// scheduler queue.
+// session itself never leaves that one worker; the only shared
+// touchpoints are the registry, the connection (mutexed), the metrics
+// fold (mutexed), and the scheduler queue.
 //
 // In-daemon sessions run with kernel threads = 1, always: concurrency
-// comes from the scheduler running whole sessions in parallel. See
-// server/scheduler.hpp for why nesting kernel pools under scheduler
-// workers is forbidden.
+// comes from workers running whole sessions side by side, never from an
+// inner kernel pool per session.
 //
 // Shutdown: stop() only signals (a self-pipe every poll() watches plus a
 // listener close) so it is safe from any thread -- including a connection
 // thread handling the "shutdown" op. wait() joins the accept loop and
-// every connection thread, then drains the scheduler; sessions already
+// every connection thread, then stops the scheduler; sessions already
 // accepted complete and their result lines are written (to sockets that
 // may be gone -- writes to dead connections are dropped, not errors).
 #pragma once
@@ -53,8 +52,7 @@ struct ServerOptions {
   /// Filesystem path of the AF_UNIX socket; at most ~100 chars (sun_path).
   /// An existing socket file at the path is replaced.
   std::string socket_path;
-  /// Max concurrently running sessions; clamped to [1, 64] (the kernel's
-  /// per-manager worker-stat arrays are sized for 64 thread ids).
+  /// Max concurrently running sessions; clamped to [1, 64].
   std::size_t threads = 4;
 };
 
@@ -73,9 +71,10 @@ class CheckServer {
   /// Signals every loop to wind down. Safe from any thread; idempotent.
   void stop();
 
-  /// Joins the accept loop and all connection threads, drains the
-  /// scheduler. Returns once the server is fully quiescent. Call from the
-  /// owning thread (not from a connection).
+  /// Joins the accept loop and all connection threads, then stops the
+  /// scheduler (every accepted session still runs). Returns once the
+  /// server is fully quiescent. Call from the owning thread (not from a
+  /// connection).
   void wait();
 
   /// True once a client issued the "shutdown" op (or stop() was called).
@@ -101,15 +100,17 @@ class CheckServer {
                      std::vector<CheckRequest> checks, bool is_batch,
                      std::string batch_id);
   /// Folds a finished session's snapshot into the server-cumulative
-  /// registry and the bounded per-session ring. Called by scheduler jobs
-  /// just before registry_.finish() destroys the session.
+  /// registry and the bounded per-session ring, and observes its queue
+  /// wait (accepted -> picked up by a worker) and run time (picked up ->
+  /// result ready). Called by scheduler jobs just before
+  /// registry_.finish() destroys the session.
   void record_session_metrics(const std::string& id,
-                              const metrics::MetricsSnapshot& snap);
+                              const metrics::MetricsSnapshot& snap,
+                              double queue_wait_s, double run_s);
 
   ServerOptions options_;
   core::SteadyClock clock_;  // one time axis for every session
   SessionRegistry registry_;
-  SessionScheduler scheduler_;
 
   int listen_fd_ = -1;
   int stop_pipe_[2] = {-1, -1};  // [0] polled by every loop, [1] written by stop()
@@ -129,6 +130,12 @@ class CheckServer {
   std::size_t metrics_sessions_ = 0;  ///< sessions folded in
   std::deque<std::pair<std::string, metrics::MetricsSnapshot>>
       session_metrics_;
+  metrics::Histogram& queue_wait_seconds_;   ///< in metrics_
+  metrics::Histogram& session_run_seconds_;  ///< in metrics_
+
+  /// Declared last: its workers start after, and are joined before, every
+  /// member a job touches.
+  SessionScheduler scheduler_;
 };
 
 }  // namespace stgcheck::server

@@ -1,30 +1,16 @@
 #include "server/scheduler.hpp"
 
 #include <utility>
-#include <vector>
 
 namespace stgcheck::server {
 
-namespace {
-
-struct JobTask final : TaskPool::Task {
-  SessionScheduler::Job* job = nullptr;
-  void run() override {
-    try {
-      (*job)();
-    } catch (...) {
-      // Jobs are contractually non-throwing (scheduler.hpp); swallowing
-      // here keeps a violation from skipping the sibling joins.
-    }
+SessionScheduler::SessionScheduler(std::size_t threads) {
+  const std::size_t n = threads < 1 ? 1 : threads;
+  workers_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
-};
-
-}  // namespace
-
-SessionScheduler::SessionScheduler(std::size_t threads)
-    : threads_(threads < 1 ? 1 : threads),
-      pool_(threads_ >= 2 ? std::make_unique<TaskPool>(threads_) : nullptr),
-      dispatcher_([this] { dispatcher_loop(); }) {}
+}
 
 SessionScheduler::~SessionScheduler() { stop(); }
 
@@ -34,12 +20,7 @@ void SessionScheduler::submit(Job job) {
     if (stopping_) return;
     queue_.push_back(std::move(job));
   }
-  wake_cv_.notify_one();
-}
-
-void SessionScheduler::drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
+  cv_.notify_one();
 }
 
 void SessionScheduler::stop() {
@@ -50,53 +31,27 @@ void SessionScheduler::stop() {
     join_here = !join_claimed_;
     join_claimed_ = true;
   }
-  wake_cv_.notify_all();
-  if (join_here) dispatcher_.join();
+  cv_.notify_all();
+  if (!join_here) return;
+  for (std::thread& worker : workers_) worker.join();
 }
 
-void SessionScheduler::dispatcher_loop() {
+void SessionScheduler::worker_loop() {
   for (;;) {
-    std::vector<Job> wave;
+    Job job;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      wake_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) break;  // stopping_ and nothing left to run
-      wave.assign(std::make_move_iterator(queue_.begin()),
-                  std::make_move_iterator(queue_.end()));
-      queue_.clear();
-      running_ = wave.size();
+      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping_ and nothing left to run
+      job = std::move(queue_.front());
+      queue_.pop_front();
     }
-
-    if (pool_ != nullptr) {
-      pool_->run_root([&] {
-        // Tasks live on this frame; every fork is joined below, so none
-        // outlives the region (the TaskPool contract).
-        std::vector<JobTask> tasks(wave.size());
-        for (std::size_t i = 0; i < wave.size(); ++i) {
-          tasks[i].job = &wave[i];
-          pool_->fork(&tasks[i]);
-        }
-        // Reverse order: the newest fork is the likeliest to still be on
-        // our own deque, so it runs inline instead of being waited on.
-        for (std::size_t i = wave.size(); i-- > 0;) {
-          pool_->join(&tasks[i]);
-        }
-      });
-    } else {
-      for (Job& job : wave) {
-        try {
-          job();
-        } catch (...) {
-          // See JobTask::run.
-        }
-      }
+    try {
+      job();
+    } catch (...) {
+      // Jobs are contractually non-throwing (scheduler.hpp); swallowing
+      // here keeps a violation from killing the worker.
     }
-
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      running_ = 0;
-    }
-    idle_cv_.notify_all();
   }
 }
 

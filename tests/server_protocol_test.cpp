@@ -21,6 +21,7 @@
 #include "server/check_server.hpp"
 #include "server/protocol.hpp"
 #include "stg/astg_io.hpp"
+#include "stg/generators.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -191,8 +192,9 @@ class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
-  /// Next line, or nullopt on EOF/timeout.
-  std::optional<std::string> next() {
+  /// Next line, or nullopt on EOF or when no data arrives for
+  /// `timeout_ms`.
+  std::optional<std::string> next(int timeout_ms = 120000) {
     for (;;) {
       const std::size_t eol = buffer_.find('\n');
       if (eol != std::string::npos) {
@@ -201,7 +203,7 @@ class LineReader {
         return line;
       }
       pollfd pfd{fd_, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, /*timeout_ms=*/120000);
+      const int ready = ::poll(&pfd, 1, timeout_ms);
       if (ready <= 0) return std::nullopt;
       char chunk[4096];
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -661,6 +663,101 @@ TEST(ServerDaemon, CancelAndPerSessionStatusLifecycle) {
   EXPECT_TRUE(Value::parse(*line).at("finished").as_bool());
 
   ::close(fd);
+  server.stop();
+  server.wait();
+}
+
+TEST(ServerDaemon, SmallCheckIsNotQueuedBehindALongBatchNet) {
+  // Head-of-line regression over the wire: with two workers, a small
+  // check sent while a long batch net runs must get its result while
+  // that net is still running, not after it.
+  ServerOptions options;
+  options.socket_path = test_socket_path("hol");
+  options.threads = 2;
+  CheckServer server(options);
+  server.start();
+
+  const int fd_a = connect_client(options.socket_path);
+  const int fd_b = connect_client(options.socket_path);
+  LineReader reader_a(fd_a);
+  LineReader reader_b(fd_b);
+
+  // Connection A: a batch holding one long net. A default-config
+  // muller64 runs for minutes; it is cancelled below.
+  Value slow = Value::object();
+  slow.set("id", Value("slow"));
+  slow.set("net", Value(stg::write_astg_string(
+                      stg::make_family_instance("muller64"))));
+  Value nets = Value::array();
+  nets.push_back(std::move(slow));
+  Value batch = Value::object();
+  batch.set("op", Value("batch"));
+  batch.set("nets", std::move(nets));
+  send_line(fd_a, batch.dump());
+  for (;;) {
+    const auto line = reader_a.next();
+    ASSERT_TRUE(line.has_value());
+    const Value reply = Value::parse(*line);
+    const Value* event = reply.find("event");
+    if (event != nullptr && event->as_string() == "session_start") break;
+  }
+
+  // Connection B: a small check. The read is bounded well below the long
+  // net's run time, so a scheduler that queues B behind A fails here
+  // instead of hanging.
+  Value check = Value::object();
+  check.set("op", Value("check"));
+  check.set("id", Value("small"));
+  check.set("net", Value(stg::write_astg_string(testutil::example_net(0))));
+  send_line(fd_b, check.dump());
+  bool small_done = false;
+  for (;;) {
+    const auto line = reader_b.next(/*timeout_ms=*/30000);
+    if (!line.has_value()) break;
+    const Value reply = Value::parse(*line);
+    if (reply.find("event") != nullptr) continue;
+    if (reply.at("reply").as_string() == "accepted") continue;
+    ASSERT_EQ(reply.at("reply").as_string(), "result");
+    EXPECT_NE(reply.find("report"), nullptr);
+    small_done = true;
+    break;
+  }
+  EXPECT_TRUE(small_done) << "the small check waited behind the long net";
+
+  // The long net is still running; cancel it and expect the governed
+  // result, then the batch's completion.
+  send_line(fd_a, R"({"op":"status","session":"slow"})");
+  send_line(fd_a, R"({"op":"cancel","session":"slow"})");
+  bool saw_status = false;
+  bool saw_cancel_ack = false;
+  bool saw_result = false;
+  for (;;) {
+    const auto line = reader_a.next();
+    ASSERT_TRUE(line.has_value());
+    const Value reply = Value::parse(*line);
+    if (reply.find("event") != nullptr) continue;
+    const std::string kind = reply.at("reply").as_string();
+    if (kind == "status") {
+      EXPECT_EQ(reply.at("state").as_string(), "running");
+      saw_status = true;
+    } else if (kind == "cancelled") {
+      saw_cancel_ack = true;
+    } else if (kind == "result") {
+      EXPECT_EQ(reply.at("session").as_string(), "slow");
+      EXPECT_EQ(reply.find("report"), nullptr);
+      EXPECT_EQ(reply.at("outcome").as_string(), "cancelled");
+      saw_result = true;
+    } else {
+      ASSERT_EQ(kind, "batch_done");
+      break;
+    }
+  }
+  EXPECT_TRUE(saw_status);
+  EXPECT_TRUE(saw_cancel_ack);
+  EXPECT_TRUE(saw_result);
+
+  ::close(fd_a);
+  ::close(fd_b);
   server.stop();
   server.wait();
 }

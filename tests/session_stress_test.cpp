@@ -2,11 +2,15 @@
 // produce bit-identical results to one-at-a-time serial runs. This is the
 // isolation guarantee the daemon rests on -- no mutable state is shared
 // between sessions -- exercised both with raw threads and through the
-// server's SessionScheduler. Runs under TSan in CI (unit label).
+// server's SessionScheduler, whose work-queue contract (no head-of-line
+// blocking, FIFO order, stop() finishes the queue) is pinned here too.
+// Runs under TSan in CI (unit label).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,33 +99,95 @@ TEST(SessionStress, RacingThreadsMatchSerialBitForBit) {
   expect_identical(racing, serial);
 }
 
-TEST(SessionStress, SchedulerWavesMatchSerialBitForBit) {
+TEST(SessionStress, WorkQueueMatchesSerialBitForBit) {
   const std::vector<Fingerprint> serial = serial_baseline();
 
-  // The daemon's path: sessions as fire-and-forget jobs on the wave
-  // scheduler, submitted from outside while waves run.
+  // The daemon's path: sessions as fire-and-forget jobs on the work
+  // queue, submitted from outside while workers run.
   server::SessionScheduler scheduler(4);
   std::vector<Fingerprint> racing(serial.size());
   for (int i = 0; i < testutil::kExampleNetCount; ++i) {
     scheduler.submit(
         [&racing, i] { racing[static_cast<std::size_t>(i)] = run_one(i); });
   }
-  scheduler.drain();
+  scheduler.stop();
 
   expect_identical(racing, serial);
 }
 
-TEST(SessionStress, SingleThreadSchedulerRunsInline) {
+TEST(SessionStress, SingleWorkerQueueRunsEveryJob) {
   server::SessionScheduler scheduler(1);
   EXPECT_EQ(scheduler.thread_count(), 1u);
   std::atomic<int> done{0};
   for (int i = 0; i < 3; ++i) {
     scheduler.submit([&done] { done.fetch_add(1); });
   }
-  scheduler.drain();
-  EXPECT_EQ(done.load(), 3);
   scheduler.stop();
+  EXPECT_EQ(done.load(), 3);
   scheduler.stop();  // idempotent
+  scheduler.submit([&done] { done.fetch_add(1); });  // dropped after stop
+  EXPECT_EQ(done.load(), 3);
+}
+
+TEST(SessionStress, FreeWorkerRunsJobQueuedBehindABlockedOne) {
+  // Head-of-line regression: with two workers, a job submitted while
+  // another job is blocked must run on the free worker at once, not wait
+  // for the blocked job to finish.
+  server::SessionScheduler scheduler(2);
+  std::promise<void> a_started;
+  std::promise<void> release_a;
+  std::shared_future<void> a_gate = release_a.get_future().share();
+  std::promise<void> b_done;
+  std::atomic<bool> a_finished{false};
+
+  scheduler.submit([&, a_gate] {
+    a_started.set_value();
+    a_gate.wait();
+    a_finished.store(true);
+  });
+  a_started.get_future().wait();
+  scheduler.submit([&b_done] { b_done.set_value(); });
+
+  // Bounded: a scheduler that holds B behind A fails here instead of
+  // hanging, because A is released below either way.
+  const bool b_ran = b_done.get_future().wait_for(std::chrono::seconds(10)) ==
+                     std::future_status::ready;
+  EXPECT_TRUE(b_ran) << "job B waited behind the blocked job A";
+  EXPECT_FALSE(a_finished.load());
+  release_a.set_value();
+  scheduler.stop();
+  EXPECT_TRUE(a_finished.load());
+}
+
+TEST(SessionStress, SingleWorkerRunsJobsInSubmissionOrder) {
+  server::SessionScheduler scheduler(1);
+  std::vector<int> order;  // touched by the one worker only until stop()
+  constexpr int kJobs = 64;
+  for (int i = 0; i < kJobs; ++i) {
+    scheduler.submit([&order, i] { order.push_back(i); });
+  }
+  scheduler.stop();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kJobs));
+  for (int i = 0; i < kJobs; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(SessionStress, StopRunsEveryQueuedJob) {
+  // Both workers start on a slow job, so the rest are still queued when
+  // stop() is called; stop() must run them all before it returns.
+  server::SessionScheduler scheduler(2);
+  std::atomic<int> done{0};
+  for (int i = 0; i < 2; ++i) {
+    scheduler.submit([&done] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      done.fetch_add(1);
+    });
+  }
+  constexpr int kQueued = 100;
+  for (int i = 0; i < kQueued; ++i) {
+    scheduler.submit([&done] { done.fetch_add(1); });
+  }
+  scheduler.stop();
+  EXPECT_EQ(done.load(), 2 + kQueued);
 }
 
 TEST(SessionStress, RepeatedSessionsOnOneNetAreDeterministic) {
