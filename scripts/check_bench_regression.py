@@ -59,6 +59,15 @@ def load_rows(path):
     return table
 
 
+def direction(base, cur):
+    """The drift of an exact gauge as words: "rose 12.5%" / "fell 62%"."""
+    if base == 0:
+        return "rose from 0" if cur > base else "unchanged"
+    change = (cur - base) / base
+    word = "rose" if change > 0 else "fell"
+    return f"{word} {abs(change):.1%}"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline")
@@ -129,7 +138,8 @@ def main():
             if args.exact_sequential_peaks and b_peak != c_peak:
                 failures.append(
                     f"{fmt(key)}: peak_live_nodes {b_peak} -> {c_peak} "
-                    f"(threads=1 must be bit-identical)")
+                    f"({direction(b_peak, c_peak)}; threads=1 must be "
+                    f"bit-identical)")
             else:
                 peak_ratio = c_peak / b_peak if b_peak else 1.0
                 if peak_ratio > 1.0 + args.peak_threshold:
@@ -144,7 +154,8 @@ def main():
             if args.exact_sequential_peaks and b_inter != c_inter:
                 failures.append(
                     f"{fmt(key)}: peak_intermediate_nodes {b_inter} -> "
-                    f"{c_inter} (threads=1 must be bit-identical)")
+                    f"{c_inter} ({direction(b_inter, c_inter)}; threads=1 "
+                    f"must be bit-identical)")
             else:
                 inter_ratio = c_inter / b_inter if b_inter else 1.0
                 if inter_ratio > 1.0 + args.peak_threshold:

@@ -154,11 +154,14 @@ class Bdd {
   /// f & !g — set difference when the functions are characteristic functions.
   Bdd minus(const Bdd& other) const;
 
-  /// True iff f & g == 0. Cheaper than computing the conjunction when the
-  /// answer is "yes" high in the recursion.
+  /// True iff f & g == 0, decided without building the conjunction: the
+  /// recursion creates no nodes and stops at the first common minterm.
+  /// Verdicts are memoized in the shared computed cache (Manager::disjoint),
+  /// so repeated tests against the same sets are lookups.
   bool disjoint_with(const Bdd& other) const;
 
-  /// True iff this implies other (f <= g as sets).
+  /// True iff this implies other (f <= g as sets): disjoint_with(!other),
+  /// node-free like it (negation is a complement flag).
   bool implies(const Bdd& other) const;
 
  private:
@@ -203,14 +206,15 @@ struct Literal {
 using CubeLiterals = std::vector<Literal>;
 
 /// Aggregate statistics for reporting and the benches.
-/// Per-operation profile slot names (ManagerProfile::ops index). The
-/// first ten mirror the kernel's internal computed-cache op tags; kPermute
-/// is the cross-call permute memo, which has no cache tag of its own.
+/// Per-operation profile slot names (ManagerProfile::ops index). Every
+/// slot but kPermute mirrors the kernel's internal computed-cache op tag of
+/// the same value; kPermute is the cross-call permute memo, which has no
+/// cache tag of its own, and stays last so the tags stay dense.
 enum class OpKind : std::uint8_t {
   kAnd, kXor, kIte, kExists, kAndExists, kCofactor, kRestrict,
-  kAndExistsMulti, kRelNext, kReach, kPermute,
+  kAndExistsMulti, kRelNext, kReach, kDisjoint, kPermute,
 };
-constexpr std::size_t kOpKindCount = 11;
+constexpr std::size_t kOpKindCount = 12;
 const char* to_string(OpKind kind);
 
 struct ManagerStats {
@@ -228,7 +232,7 @@ struct ManagerStats {
   // multi-operand cache and the permute memo were indistinguishable from
   // binary-op traffic, which skewed cache_hit_rate() on scheduled and
   // templated runs.
-  std::size_t binary_cache_lookups = 0;  ///< And..Restrict in the main cache
+  std::size_t binary_cache_lookups = 0;  ///< And..Restrict + Disjoint
   std::size_t binary_cache_hits = 0;
   std::size_t reach_cache_lookups = 0;  ///< RelNext + Reach traffic: the
   std::size_t reach_cache_hits = 0;     ///< main cache's RelNext entries,
@@ -415,6 +419,13 @@ class Manager {
   /// Coudert-Madre restrict: simplifies f using `care` as a care set; the
   /// result agrees with f on `care`.
   Bdd restrict(const Bdd& f, const Bdd& care);
+  /// True iff f & g == 0 (Bdd::disjoint_with). Creates no nodes: the
+  /// recursion only walks the two graphs and returns at the first
+  /// satisfiable pair of cofactors. Verdicts are memoized in the shared
+  /// computed cache under their own tag (Op::kDisjoint) and dropped with it
+  /// at every GC and reorder, so no verdict outlives its operands. Always
+  /// sequential, whatever thread_count() says.
+  bool disjoint(const Bdd& f, const Bdd& g);
   /// Variable substitution f[v := perm[v]], valid for any variable order.
   /// `perm` must cover f's support, map into existing variables, and be
   /// injective on the support (a duplicated target would not be a
@@ -646,7 +657,7 @@ class Manager {
 
   enum class Op : std::uint8_t {
     kAnd, kXor, kIte, kExists, kAndExists, kCofactor, kRestrict,
-    kAndExistsMulti, kRelNext, kReach
+    kAndExistsMulti, kRelNext, kReach, kDisjoint
   };
 
   struct CacheEntry {
@@ -853,8 +864,7 @@ class Manager {
                       std::unordered_map<NodeRef, NodeRef>& memo);
   NodeRef permute_general_rec(NodeRef f, const std::vector<Var>& perm,
                               std::unordered_map<NodeRef, NodeRef>& memo);
-  bool disjoint_rec(NodeRef f, NodeRef g,
-                    std::unordered_map<std::uint64_t, bool>& memo) const;
+  bool disjoint_rec(NodeRef f, NodeRef g);
 
   // Parallel kernel (parallel.cpp). The *_par recursions mirror their
   // sequential twins exactly but fork the two cofactor branches onto the
@@ -1012,6 +1022,10 @@ class Manager {
   static constexpr std::size_t op_slot(Op op) {
     return static_cast<std::size_t>(op);  // Op and OpKind tags align
   }
+  static_assert(static_cast<std::size_t>(Op::kDisjoint) ==
+                    static_cast<std::size_t>(OpKind::kDisjoint) &&
+                static_cast<std::size_t>(OpKind::kPermute) + 1 == kOpKindCount,
+                "every Op tag must share its OpKind slot; kPermute is last");
   static constexpr std::size_t op_slot(OpKind kind) {
     return static_cast<std::size_t>(kind);
   }

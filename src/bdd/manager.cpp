@@ -80,10 +80,6 @@ Bdd Bdd::minus(const Bdd& other) const {
   return manager_->apply_and(*this, manager_->apply_not(other));
 }
 
-bool Bdd::implies(const Bdd& other) const {
-  return minus(other).is_false();
-}
-
 // ---------------------------------------------------------------------------
 // Construction
 // ---------------------------------------------------------------------------
@@ -741,6 +737,7 @@ const char* to_string(OpKind kind) {
     case OpKind::kAndExistsMulti: return "and_exists_multi";
     case OpKind::kRelNext: return "rel_next";
     case OpKind::kReach: return "reach";
+    case OpKind::kDisjoint: return "disjoint";
     case OpKind::kPermute: return "permute";
   }
   return "?";

@@ -343,9 +343,20 @@ NodeRef Manager::permute_general_rec(NodeRef f, const std::vector<Var>& perm,
   return r ^ flag;
 }
 
+bool Manager::disjoint(const Bdd& f, const Bdd& g) {
+  poll_budget();
+  ++hot().calls[op_slot(OpKind::kDisjoint)];
+  ProfileTimer timer(*this, OpKind::kDisjoint);
+  // No nodes are created, so there is nothing to protect and no GC to run.
+  return disjoint_rec(f.ref(), g.ref());
+}
+
 bool Bdd::disjoint_with(const Bdd& other) const {
-  std::unordered_map<std::uint64_t, bool> memo;
-  return manager_->disjoint_rec(ref_, other.ref_, memo);
+  return manager_->disjoint(*this, other);
+}
+
+bool Bdd::implies(const Bdd& other) const {
+  return manager_->disjoint(*this, manager_->apply_not(other));
 }
 
 // ---------------------------------------------------------------------------
@@ -683,20 +694,19 @@ NodeRef Manager::restrict_rec(NodeRef f, NodeRef care) {
 }
 
 // ---------------------------------------------------------------------------
-// Disjointness (no new nodes are created; memoized locally)
+// Disjointness (no new nodes are created; verdicts live in the computed
+// cache as the terminal kTrue = disjoint / kFalse = intersecting)
 // ---------------------------------------------------------------------------
 
-bool Manager::disjoint_rec(NodeRef f, NodeRef g,
-                           std::unordered_map<std::uint64_t, bool>& memo) const {
+bool Manager::disjoint_rec(NodeRef f, NodeRef g) {
   if (f == kFalse || g == kFalse) return true;
   if (f == kTrue || g == kTrue) return false;  // both non-false
   if (f == g) return false;
   if (f == bdd_not(g)) return true;  // f & !f == 0
   if (f > g) std::swap(f, g);
 
-  const std::uint64_t key = (static_cast<std::uint64_t>(f) << 32) | g;
-  auto it = memo.find(key);
-  if (it != memo.end()) return it->second;
+  const NodeRef cached = cache_lookup(Op::kDisjoint, f, g, kFalse);
+  if (cached != kInvalidRef) return cached == kTrue;
 
   const std::size_t lf = level(f);
   const std::size_t lg = level(g);
@@ -706,8 +716,8 @@ bool Manager::disjoint_rec(NodeRef f, NodeRef g,
   const NodeRef g0 = lg == top ? low_of(g) : g;
   const NodeRef g1 = lg == top ? high_of(g) : g;
 
-  const bool result = disjoint_rec(f0, g0, memo) && disjoint_rec(f1, g1, memo);
-  memo.emplace(key, result);
+  const bool result = disjoint_rec(f0, g0) && disjoint_rec(f1, g1);
+  cache_store(Op::kDisjoint, f, g, kFalse, result ? kTrue : kFalse);
   return result;
 }
 

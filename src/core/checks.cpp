@@ -50,11 +50,10 @@ std::vector<SymTransitionPersistencyViolation> transition_persistency(
       const Bdd enabled = reached & sym.enabling_cube(victim);
       if (enabled.is_false()) continue;
       const Bdd after = engine.image_via(enabled, disabler);
-      const Bdd bad = after.minus(sym.enabling_cube(victim));
-      if (!bad.is_false()) {
-        result.push_back(SymTransitionPersistencyViolation{
-            victim, disabler, witness_cube(sym, bad)});
-      }
+      const Bdd& still = sym.enabling_cube(victim);
+      if (after.implies(still)) continue;
+      result.push_back(SymTransitionPersistencyViolation{
+          victim, disabler, witness_cube(sym, after.minus(still))});
     }
   }
   return result;
@@ -74,11 +73,13 @@ std::vector<SymPersistencyViolation> signal_persistency(
   const stg::Stg& stg = sym.stg();
   const pn::PetriNet& net = stg.net();
 
+  // Declared arbitration pairs, unordered: resolved once, not per check.
+  std::set<std::pair<SignalId, SignalId>> arbitrated;
+  for (const auto& [x, y] : options.arbitration_pairs) {
+    arbitrated.insert({std::min(x, y), std::max(x, y)});
+  }
   const auto arbitration_allowed = [&](SignalId a, SignalId b) {
-    for (const auto& [x, y] : options.arbitration_pairs) {
-      if ((x == a && y == b) || (x == b && y == a)) return true;
-    }
-    return false;
+    return arbitrated.count({std::min(a, b), std::max(a, b)}) != 0;
   };
 
   // Avoid duplicate reports for the same (victim signal, disabler).
@@ -107,12 +108,10 @@ std::vector<SymPersistencyViolation> signal_persistency(
       if (enabled.is_false()) continue;
       const Bdd after = engine.image_via(enabled, tj);
       const Bdd still = sym.enabled_signal(victim, li.dir);
-      const Bdd bad = after.minus(still);
-      if (!bad.is_false()) {
-        reported.insert({victim, tj});
-        result.push_back(SymPersistencyViolation{victim, tj, victim_input,
-                                                 witness_cube(sym, bad)});
-      }
+      if (after.implies(still)) continue;
+      reported.insert({victim, tj});
+      result.push_back(SymPersistencyViolation{
+          victim, tj, victim_input, witness_cube(sym, after.minus(still))});
     }
   }
   return result;
@@ -156,11 +155,13 @@ SignalRegions signal_regions(SymbolicStg& sym, const Bdd& reached,
   const Bdd e_plus = sym.enabled_signal(signal, Dir::kPlus);
   const Bdd e_minus = sym.enabled_signal(signal, Dir::kMinus);
 
+  // One relational product per region: the full-state region inside
+  // `reached` is never materialized.
   SignalRegions r;
-  r.er_plus = m.exists(reached & e_plus, places);
-  r.er_minus = m.exists(reached & e_minus, places);
-  r.qr_plus = m.exists((reached & sig).minus(e_minus), places);
-  r.qr_minus = m.exists((reached & !sig).minus(e_plus), places);
+  r.er_plus = m.and_exists(reached, e_plus, places);
+  r.er_minus = m.and_exists(reached, e_minus, places);
+  r.qr_plus = m.and_exists(reached, sig & !e_minus, places);
+  r.qr_minus = m.and_exists(reached, (!sig) & !e_plus, places);
   return r;
 }
 
@@ -174,11 +175,13 @@ SymCscResult check_csc(SymbolicStg& sym, const Bdd& reached) {
 
   for (SignalId a : stg.noninput_signals()) {
     const SignalRegions r = signal_regions(sym, reached, a);
-    const Bdd clash = (r.er_plus & r.qr_minus) | (r.er_minus & r.qr_plus);
-    if (!clash.is_false()) {
-      result.complete_state_coding = false;
-      result.conflicts.push_back(SymCscResult::Conflict{a, clash});
+    if (r.er_plus.disjoint_with(r.qr_minus) &&
+        r.er_minus.disjoint_with(r.qr_plus)) {
+      continue;
     }
+    result.complete_state_coding = false;
+    result.conflicts.push_back(SymCscResult::Conflict{
+        a, (r.er_plus & r.qr_minus) | (r.er_minus & r.qr_plus)});
   }
   return result;
 }
@@ -224,9 +227,8 @@ SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
       changed = false;
       for (pn::TransitionId t : input_transitions) {
         const Bdd pre = engine.preimage_via(frozen, t) & reached;
-        const Bdd fresh = pre.minus(frozen);
-        if (!fresh.is_false()) {
-          frozen |= fresh;
+        if (!pre.implies(frozen)) {
+          frozen |= pre;
           changed = true;
         }
       }
@@ -237,16 +239,14 @@ SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
       changed = false;
       for (pn::TransitionId t : input_transitions) {
         const Bdd post = engine.image_via(frozen, t) & reached;
-        const Bdd fresh = post.minus(frozen);
-        if (!fresh.is_false()) {
-          frozen |= fresh;
+        if (!post.implies(frozen)) {
+          frozen |= post;
           changed = true;
         }
       }
     }
 
-    const Bdd hit = frozen & excited & conflict.codes;
-    if (!hit.is_false()) {
+    if (!(frozen & excited).disjoint_with(conflict.codes)) {
       result.reducible = false;
       result.irreducible_signals.push_back(a);
     }
@@ -283,11 +283,12 @@ std::vector<SymFakeConflictReport> analyze_fake_conflicts(ImageEngine& engine,
     const Bdd after = engine.image_via(enabled, tj);
     for (pn::TransitionId tk : stg.transitions_of(li.signal, li.dir)) {
       if (tk == ti || tk == tj) continue;
-      if (!(after & sym.enabling_cube(tk)).is_false()) fake = true;
+      if (!after.disjoint_with(sym.enabling_cube(tk))) {
+        fake = true;
+        break;
+      }
     }
-    if (!after.minus(sym.enabled_signal_any(li.signal)).is_false()) {
-      disables = true;
-    }
+    if (!after.implies(sym.enabled_signal_any(li.signal))) disables = true;
   };
 
   for (const auto& [t1, t2] : conflict_pairs(net)) {

@@ -215,8 +215,7 @@ Bdd cofactor_preimage(const SymbolicStg& sym, const Bdd& states,
 
 ImageEngine::ImageEngine(SymbolicStg& sym)
     : sym_(sym),
-      marked_successor_(sym.stg().net().transition_count()),
-      marked_successor_built_(sym.stg().net().transition_count(), false),
+      unsafe_guard_(sym.stg().net().transition_count()),
       order_epoch_(sym.manager().reorder_epoch()) {}
 
 void ImageEngine::sync_with_order() {
@@ -272,16 +271,13 @@ Bdd ImageEngine::reach_fixpoint(const Bdd&) {
 }
 
 Bdd ImageEngine::unsafe_states(const Bdd& states, pn::TransitionId t) {
-  if (!marked_successor_built_[t]) {
-    marked_successor_[t] = marked_successor_cube(sym_, t);
-    marked_successor_built_[t] = true;
+  Bdd& guard = unsafe_guard_[t];
+  if (!guard.valid()) {
+    guard = sym_.enabling_cube(t) & marked_successor_cube(sym_, t);
   }
-  const Bdd& ms = marked_successor_[t];
-  if (ms.is_false()) return sym_.manager().bdd_false();
-  if (states.disjoint_with(sym_.enabling_cube(t))) {
-    return sym_.manager().bdd_false();
-  }
-  return states & sym_.enabling_cube(t) & ms;
+  // The usual answer is "none": decide that without building anything.
+  if (states.disjoint_with(guard)) return sym_.manager().bdd_false();
+  return states & guard;
 }
 
 // ---------------------------------------------------------------------------

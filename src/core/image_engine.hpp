@@ -264,9 +264,10 @@ class ImageEngine {
 
  private:
   std::size_t gauge_depth_ = 0;
-  /// Lazily built per transition: OR of strict-postset place literals.
-  std::vector<bdd::Bdd> marked_successor_;
-  std::vector<bool> marked_successor_built_;
+  /// Lazily built per transition (invalid until first use): E(t) & (OR
+  /// of strict-postset place literals), the states unsafe_states()
+  /// intersects with.
+  std::vector<bdd::Bdd> unsafe_guard_;
   std::size_t order_epoch_;
 };
 

@@ -85,15 +85,18 @@ void check_consistency_on(SymbolicStg& sym, const Bdd& states,
   const stg::Stg& stg = sym.stg();
   for (stg::SignalId s = 0; s < stg.signal_count(); ++s) {
     const Bdd sig = sym.signal(s);
-    // Inconsistent(a+) = E(a+) & a, Inconsistent(a-) = E(a-) & a'.
-    const Bdd bad_rise = sym.enabled_signal(s, stg::Dir::kPlus) & sig & states;
-    const Bdd bad_fall = sym.enabled_signal(s, stg::Dir::kMinus) & !sig & states;
-    if (!bad_rise.is_false()) {
+    // Inconsistent(a+) = E(a+) & a, Inconsistent(a-) = E(a-) & a'. Only
+    // their emptiness within `states` matters, so neither is built.
+    const bool bad_rise =
+        !states.disjoint_with(sym.enabled_signal(s, stg::Dir::kPlus) & sig);
+    const bool bad_fall =
+        !states.disjoint_with(sym.enabled_signal(s, stg::Dir::kMinus) & !sig);
+    if (bad_rise) {
       result.consistent = false;
       result.consistency_violations.push_back(
           stg.signal_name(s) + "+ enabled while " + stg.signal_name(s) + " = 1");
     }
-    if (!bad_fall.is_false()) {
+    if (bad_fall) {
       result.consistent = false;
       result.consistency_violations.push_back(
           stg.signal_name(s) + "- enabled while " + stg.signal_name(s) + " = 0");

@@ -1,8 +1,17 @@
-// Correctness of the Boolean operations on hand-checked formulas.
+// Correctness of the Boolean operations on hand-checked formulas, plus a
+// property test of the node-free emptiness tests (disjoint_with / implies)
+// against their node-building definitions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bdd/bdd.hpp"
+#include "core/encoding.hpp"
+#include "core/traversal.hpp"
+#include "random_stg.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace stgcheck::bdd {
 namespace {
@@ -290,6 +299,142 @@ TEST_F(BddOps, PermuteAgreesWithEvalUnderReorderedManager) {
     for (int v = 0; v < 4; ++v) pulled[v] = x[perm[v]];
     EXPECT_EQ(m.eval(after, x), m.eval(f, pulled)) << "row " << row;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Emptiness tests: f.disjoint_with(g) == (f & g).is_false() and
+// f.implies(g) == f.minus(g).is_false() on every ordered pair of a pool of
+// functions, with the computed cache warm, flushed by GC, flushed by a
+// reorder, and on a multi-threaded manager. The tests themselves must
+// create no node and leave the table invariant-clean.
+// ---------------------------------------------------------------------------
+
+/// A random function of the manager's variables (depth-bounded expression
+/// over and / or / xor / ite of literals).
+Bdd random_function(Manager& m, Rng& rng, int depth) {
+  if (depth == 0 || rng.below(6) == 0) {
+    const Bdd v = m.var(static_cast<Var>(rng.below(m.var_count())));
+    return rng.flip() ? v : !v;
+  }
+  const Bdd x = random_function(m, rng, depth - 1);
+  const Bdd y = random_function(m, rng, depth - 1);
+  switch (rng.below(4)) {
+    case 0: return x & y;
+    case 1: return x | y;
+    case 2: return x ^ y;
+    default: return m.ite(random_function(m, rng, depth - 1), x, y);
+  }
+}
+
+/// Checks both emptiness tests on every ordered pair of `fs` against the
+/// node-building definitions, and that the tests add no node.
+void expect_emptiness_agrees(Manager& m, const std::vector<Bdd>& fs) {
+  const std::size_t n = fs.size();
+  // Reference verdicts first: they build the conjunctions the tests avoid.
+  std::vector<char> disjoint(n * n);
+  std::vector<char> implies(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      disjoint[i * n + j] = (fs[i] & fs[j]).is_false();
+      implies[i * n + j] = fs[i].minus(fs[j]).is_false();
+    }
+  }
+  const std::size_t nodes = m.stats().node_count;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(fs[i].disjoint_with(fs[j]), disjoint[i * n + j] != 0)
+          << "pair " << i << ", " << j;
+      EXPECT_EQ(fs[i].implies(fs[j]), implies[i * n + j] != 0)
+          << "pair " << i << ", " << j;
+    }
+  }
+  EXPECT_EQ(m.stats().node_count, nodes);
+  EXPECT_NO_THROW(m.check_invariants());
+}
+
+/// Runs the agreement check warm, after GC, after a sift and after a
+/// reversing reorder.
+void expect_emptiness_agrees_across_flushes(Manager& m,
+                                            const std::vector<Bdd>& fs) {
+  expect_emptiness_agrees(m, fs);
+  expect_emptiness_agrees(m, fs);  // second round: verdicts come from cache
+  m.collect_garbage();
+  expect_emptiness_agrees(m, fs);
+  m.sift();
+  expect_emptiness_agrees(m, fs);
+  std::vector<Var> reversed = m.current_order();
+  std::reverse(reversed.begin(), reversed.end());
+  m.reorder(reversed);
+  expect_emptiness_agrees(m, fs);
+}
+
+class EmptinessProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EmptinessProperty, RandomFunctions) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    Manager m;
+    // Enough variables that the threads = 4 manager forks its products.
+    for (int v = 0; v < 16; ++v) m.new_var();
+    m.set_thread_count(threads);
+    Rng rng(GetParam());
+    std::vector<Bdd> fs = {m.bdd_false(), m.bdd_true()};
+    while (fs.size() < 14) fs.push_back(random_function(m, rng, 4));
+    // Related pairs, so both verdicts occur: subsets, complements.
+    fs.push_back(fs[2] & fs[3]);
+    fs.push_back(!fs[4]);
+    fs.push_back(fs[5] | fs[6]);
+    expect_emptiness_agrees_across_flushes(m, fs);
+  }
+}
+
+TEST_P(EmptinessProperty, RandomStgReachedSets) {
+  Rng rng(GetParam());
+  const stg::Stg net = testutil::random_stg(rng);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    core::SymbolicStg sym(net);
+    core::TraversalOptions options;
+    options.abort_on_violation = false;
+    options.engine_options.threads = threads;
+    const core::TraversalResult r = core::traverse(sym, options);
+    // The sets the checks test: the reached set, enabling cubes, signal
+    // regions and their intersections with the reached set.
+    std::vector<Bdd> fs = {r.reached, sym.place_cube()};
+    for (pn::TransitionId t = 0; t < net.net().transition_count(); ++t) {
+      fs.push_back(sym.enabling_cube(t));
+      fs.push_back(r.reached & sym.enabling_cube(t));
+    }
+    for (stg::SignalId s = 0; s < net.signal_count(); ++s) {
+      fs.push_back(sym.signal(s));
+      fs.push_back(sym.enabled_signal(s, stg::Dir::kPlus) & !sym.signal(s));
+      fs.push_back(sym.enabled_signal_any(s));
+    }
+    expect_emptiness_agrees_across_flushes(sym.manager(), fs);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EmptinessProperty,
+                         ::testing::Range(std::uint64_t{1}, std::uint64_t{9}));
+
+TEST_F(BddOps, EmptinessTestsCountAsOneOpAndUseTheCache) {
+  const Bdd f = (a ^ b) | (c & d);
+  const Bdd g = (a & b) ^ (c | !d);
+  const ManagerProfile before = m.profile();
+  const bool first = f.disjoint_with(g);
+  const ManagerProfile warm = m.profile();
+  EXPECT_EQ(f.disjoint_with(g), first);
+  EXPECT_EQ(f.implies(!g), first);  // f <= !g iff f & g == 0
+  const ManagerProfile after = m.profile();
+  const OpProfile& b0 = before.op(OpKind::kDisjoint);
+  const OpProfile& w = warm.op(OpKind::kDisjoint);
+  const OpProfile& a1 = after.op(OpKind::kDisjoint);
+  EXPECT_EQ(w.calls, b0.calls + 1);
+  EXPECT_EQ(a1.calls, w.calls + 2);
+  // The repeats are answered by one cached verdict each at the root.
+  EXPECT_GT(w.cache_lookups, b0.cache_lookups);
+  EXPECT_EQ(a1.cache_lookups, w.cache_lookups + 2);
+  EXPECT_EQ(a1.cache_hits, w.cache_hits + 2);
+  // implies() no longer builds f & !g.
+  EXPECT_EQ(after.op(OpKind::kAnd).calls, warm.op(OpKind::kAnd).calls);
 }
 
 }  // namespace

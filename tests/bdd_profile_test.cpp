@@ -21,8 +21,8 @@ namespace {
 
 /// A manager with `pairs` interleaved twin pairs (state var 2i, its
 /// next-state twin 2i + 1) and a workload that exercises every cache
-/// group: binary ops, n-ary and_exists_multi, permute, and the REACH
-/// saturation with its in-kernel rel_next firings.
+/// group: binary ops and emptiness tests, n-ary and_exists_multi, permute,
+/// and the REACH saturation with its in-kernel rel_next firings.
 struct Workload {
   Manager m;
   std::vector<Bdd> vars;
@@ -43,6 +43,12 @@ struct Workload {
     Bdd f = vars[0] ^ vars[2];
     f = m.ite(f, vars[4], !vars[0]);
     f = m.exists(f & vars[2], m.positive_cube({0}));
+    // Node-free emptiness tests (the binary group's disjoint traffic),
+    // repeated so the second round hits the cache.
+    for (int round = 0; round < 2; ++round) {
+      (void)f.disjoint_with(vars[2] ^ vars[4]);
+      (void)(vars[0] & vars[2]).implies(vars[0] | vars[4]);
+    }
     // n-ary multi-operand product (its own striped cache; two conjuncts
     // would delegate to the binary and_exists path, so pass three).
     const Bdd multi = m.and_exists_multi(
@@ -113,6 +119,7 @@ TEST(Profile, PerOpCallCountsAreUnconditional) {
   // ...including the in-saturation rule firings on the rel_next slot,
   // even though the public rel_next wrapper never ran.
   EXPECT_GT(prof.op(OpKind::kRelNext).calls, 0u);
+  EXPECT_GT(prof.op(OpKind::kDisjoint).calls, 0u);
   // ...but the disarmed kernel reads no clock.
   for (std::size_t k = 0; k < kOpKindCount; ++k) {
     EXPECT_EQ(prof.ops[k].seconds, 0.0);
@@ -155,6 +162,32 @@ TEST(Profile, OpKindNamesAreStable) {
   EXPECT_STREQ(to_string(OpKind::kRelNext), "rel_next");
   EXPECT_STREQ(to_string(OpKind::kReach), "reach");
   EXPECT_STREQ(to_string(OpKind::kPermute), "permute");
+  EXPECT_STREQ(to_string(OpKind::kDisjoint), "disjoint");
+}
+
+TEST(Profile, DisjointTrafficCountsInBinaryGroup) {
+  // The emptiness tests memoize in the main computed cache, so their
+  // lookups and hits belong to the binary group and the partition law
+  // above keeps holding with them in the mix.
+  Workload w(4);
+  w.run_all_ops();
+  const ManagerProfile prof = w.m.profile();
+  const OpProfile& disjoint = prof.op(OpKind::kDisjoint);
+  EXPECT_EQ(disjoint.calls, 4u);
+  EXPECT_GT(disjoint.cache_lookups, 0u);
+  EXPECT_GT(disjoint.cache_hits, 0u);  // the second round is cached
+  const ManagerStats s = w.m.stats();
+  std::size_t binary_lookups = 0;
+  std::size_t binary_hits = 0;
+  for (const OpKind kind : {OpKind::kAnd, OpKind::kXor, OpKind::kIte,
+                            OpKind::kExists, OpKind::kAndExists,
+                            OpKind::kCofactor, OpKind::kRestrict,
+                            OpKind::kDisjoint}) {
+    binary_lookups += prof.op(kind).cache_lookups;
+    binary_hits += prof.op(kind).cache_hits;
+  }
+  EXPECT_EQ(s.binary_cache_lookups, binary_lookups);
+  EXPECT_EQ(s.binary_cache_hits, binary_hits);
 }
 
 TEST(Profile, PoolTelemetryEmptyWithoutPool) {

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "core/checks.hpp"
 #include "core/session.hpp"
 #include "server/protocol.hpp"
 #include "stg/generators.hpp"
@@ -99,6 +101,61 @@ TEST(Budget, NodeCapCarriesGaugesAndLeavesManagerClean) {
     g &= (vars[i] ^ vars[i + 1]);
   }
   EXPECT_FALSE(g.is_false());
+  EXPECT_NO_THROW(m.check_invariants());
+}
+
+TEST(Budget, TripInsideEmptinessTestLeavesManagerClean) {
+  // The check phases decide most questions with node-free emptiness tests
+  // (disjoint_with / implies). Those poll the budget like every other
+  // wrapper: a cancel or an expired deadline landing while they run
+  // unwinds cleanly, and the manager answers the same questions the same
+  // way once disarmed.
+  const stg::Stg net = stg::mutex_arbiter(3);
+  SymbolicStg sym(net);
+  CofactorEngine engine(sym);
+  TraversalOptions options;
+  options.abort_on_violation = false;
+  const TraversalResult r = traverse(engine, options);
+  Manager& m = sym.manager();
+  const Bdd& reached = r.reached;
+  const Bdd e0 = sym.enabling_cube(0);
+  const Bdd any0 = sym.enabled_signal_any(net.label(0).signal);
+  const bool disjoint = reached.disjoint_with(e0);
+  const bool implies = reached.implies(any0);
+  const bool unsafe = !engine.unsafe_states(reached, 0).is_false();
+
+  for (const LimitKind kind : {LimitKind::kCancelled, LimitKind::kDeadline}) {
+    ResourceBudget budget;
+    if (kind == LimitKind::kCancelled) {
+      budget.token = std::make_shared<CancelToken>();
+      budget.token->cancel();
+    } else {
+      budget.max_seconds = 1e-9;  // expired by the first safe point
+    }
+    const auto expect_trip = [&](const auto& emptiness_test) {
+      m.set_budget(budget);
+      const std::size_t nodes = m.stats().node_count;
+      try {
+        emptiness_test();
+        FAIL() << "expected CancelledError";
+      } catch (const CancelledError& e) {
+        EXPECT_EQ(e.trip().kind, kind);
+      }
+      m.clear_budget();
+      EXPECT_EQ(m.stats().node_count, nodes);
+      EXPECT_NO_THROW(m.check_invariants());
+    };
+    expect_trip([&] { (void)reached.disjoint_with(e0); });
+    expect_trip([&] { (void)reached.implies(any0); });
+    expect_trip([&] { (void)engine.unsafe_states(reached, 0); });
+  }
+
+  // Reusable: the same verdicts, and a full check suite still runs.
+  EXPECT_EQ(reached.disjoint_with(e0), disjoint);
+  EXPECT_EQ(reached.implies(any0), implies);
+  EXPECT_EQ(!engine.unsafe_states(reached, 0).is_false(), unsafe);
+  EXPECT_FALSE(signal_persistency(engine, reached).empty());
+  EXPECT_TRUE(check_csc(sym, reached).complete_state_coding);
   EXPECT_NO_THROW(m.check_invariants());
 }
 
@@ -206,6 +263,37 @@ TEST(Budget, GenerousLimitsAreBitIdenticalToNoLimits) {
     EXPECT_EQ(with_budget.outcome(), SessionOutcome::kCompleted);
     EXPECT_EQ(fingerprint(unlimited), fingerprint(with_budget))
         << "budget perturbed the report on net " << net;
+  }
+}
+
+TEST(Budget, CancelDuringCheckPhasesIsGovernedAndClean) {
+  // A cancel landing as each check phase starts (the event sink flips the
+  // token on the previous phase's phase_done record) stops the session at
+  // the next safe point inside that phase: governed outcome, no verdict
+  // from the phase, manager invariant-clean.
+  for (const std::string phase : {"traversal", "persistency", "commutativity"}) {
+    SessionOptions options;
+    options.limits.token = std::make_shared<CancelToken>();
+    const std::shared_ptr<CancelToken> token = options.limits.token;
+    bool cancelled = false;
+    CheckSession session(
+        stg::mutex_arbiter(4), std::move(options), nullptr,
+        [&](const EventRecord& r) {
+          if (r.kind == EventKind::kPhaseDone && r.label == phase) {
+            token->cancel();
+            cancelled = true;
+          }
+        });
+    EXPECT_NO_THROW(session.run());
+    ASSERT_TRUE(cancelled) << phase;
+    EXPECT_EQ(session.outcome(), SessionOutcome::kCancelled) << phase;
+    ASSERT_TRUE(session.trip().has_value());
+    EXPECT_EQ(session.trip()->kind, LimitKind::kCancelled);
+    for (const EventRecord& r : session.events().records()) {
+      EXPECT_FALSE(r.kind == EventKind::kVerdict && r.label == "csc") << phase;
+    }
+    ASSERT_NE(session.encoding(), nullptr);
+    EXPECT_NO_THROW(session.encoding()->manager().check_invariants());
   }
 }
 

@@ -6,12 +6,18 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/checks.hpp"
 #include "core/image_engine.hpp"
+#include "core/implementability.hpp"
 #include "core/saturation.hpp"
 #include "core/traversal.hpp"
 #include "example_nets.hpp"
+#include "random_stg.hpp"
 #include "sg/explicit_checks.hpp"
 #include "sg/state_graph.hpp"
 #include "stg/generators.hpp"
@@ -277,6 +283,165 @@ TEST_P(TemplatedSaturationCrossValidation, VerdictsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Nets, TemplatedSaturationCrossValidation,
                          ::testing::Range(0, kNetCount));
+
+// ---------------------------------------------------------------------------
+// Report parity: every engine must report the same numbers and lists, not
+// only reach the same BDD. Two layers per net and engine, all on one shared
+// primed encoding (so Bdd-valued details -- witness cubes, CSC conflict
+// code sets -- compare as handles):
+//   * the full check_implementability pipeline: level and verdict flags;
+//   * every check run directly on a non-aborting traversal: counts,
+//     consistency, persistency, transition-conflict, fake-conflict and CSC
+//     lists, irreducible signals. (The pipeline stops at the first
+//     consistency or safeness violation, at a point that depends on each
+//     engine's firing order, so its partial lists are not comparable.)
+// Each witness must also lie inside its violation's bad set, recomputed
+// from its definition. Nets: every example net, then random STGs (seeds
+// 1..kRandomNets).
+// ---------------------------------------------------------------------------
+
+constexpr int kRandomNets = 12;
+
+stg::Stg parity_net(int index) {
+  if (index < kNetCount) return net_by_index(index);
+  Rng rng(static_cast<std::uint64_t>(index - kNetCount + 1));
+  return testutil::random_stg(rng);
+}
+
+/// Everything one engine reports about a net, in comparable containers.
+struct ReportDigest {
+  ImplementabilityLevel level = ImplementabilityLevel::kNotImplementable;
+  std::vector<bool> pipeline_verdicts;
+  std::vector<bool> verdicts;  // the direct checks' flags
+  std::vector<std::string> consistency_violations;
+  std::vector<stg::SignalId> unbound_signals;
+  std::vector<double> counts;  // states, markings, codes, deadlock states
+  std::vector<std::tuple<stg::SignalId, pn::TransitionId, bool, bdd::Bdd>>
+      persistency;
+  std::vector<std::tuple<pn::TransitionId, pn::TransitionId, bdd::Bdd>>
+      transition_conflicts;
+  std::vector<std::tuple<pn::TransitionId, pn::TransitionId, bool, bool, bool,
+                         bool>>
+      fake_conflicts;  // every structural conflict pair, not only offenders
+  std::vector<std::pair<stg::SignalId, bdd::Bdd>> csc_conflicts;
+  std::vector<stg::SignalId> irreducible_signals;
+};
+
+/// Every witness cube is a non-empty subset of its violation's bad set.
+void expect_witnesses_inside_bad_sets(
+    SymbolicStg& sym, const bdd::Bdd& reached,
+    const std::vector<SymPersistencyViolation>& persistency,
+    const std::vector<SymTransitionPersistencyViolation>& transitions,
+    const SymCscResult& csc) {
+  const stg::Stg& net = sym.stg();
+  CofactorEngine engine(sym);
+  const auto inside = [](const bdd::Bdd& w, const bdd::Bdd& bad) {
+    return !w.is_false() && w.minus(bad).is_false();
+  };
+  for (const SymTransitionPersistencyViolation& v : transitions) {
+    // Fig. 6(a): the victim enabled, the disabler fired, the victim gone.
+    const bdd::Bdd& e = sym.enabling_cube(v.victim);
+    const bdd::Bdd bad = engine.image_via(reached & e, v.disabler).minus(e);
+    EXPECT_TRUE(inside(v.witness, bad)) << net.format_label(v.victim);
+  }
+  for (const SymPersistencyViolation& v : persistency) {
+    // Fig. 6(b): some transition of the victim signal enabled, the
+    // disabler fired, that direction of the signal no longer enabled.
+    bdd::Bdd bad = sym.manager().bdd_false();
+    for (const stg::Dir dir : {stg::Dir::kPlus, stg::Dir::kMinus}) {
+      for (const pn::TransitionId ti : net.transitions_of(v.victim, dir)) {
+        bad |= engine.image_via(reached & sym.enabling_cube(ti), v.disabler)
+                   .minus(sym.enabled_signal(v.victim, dir));
+      }
+    }
+    EXPECT_TRUE(inside(v.witness, bad)) << net.signal_name(v.victim);
+  }
+  const bdd::Bdd codes = sym.manager().exists(reached, sym.place_cube());
+  for (const SymCscResult::Conflict& c : csc.conflicts) {
+    EXPECT_TRUE(inside(c.codes, codes)) << net.signal_name(c.signal);
+  }
+}
+
+ReportDigest digest(SymbolicStg& sym, EngineKind kind) {
+  ReportDigest d;
+  CheckOptions pipeline;
+  pipeline.engine = kind;
+  const ImplementabilityReport r = check_implementability(sym, pipeline);
+  d.level = r.level;
+  d.pipeline_verdicts = {r.safe,          r.consistent, r.signal_persistent,
+                         r.deterministic, r.fake_free,  r.usc,
+                         r.csc,           r.csc_reducible, r.deadlock_free};
+
+  const std::unique_ptr<ImageEngine> engine = make_engine(kind, sym);
+  TraversalOptions options;
+  options.abort_on_violation = false;
+  const TraversalResult t = traverse(*engine, options);
+  const bdd::Bdd& reached = t.reached;
+  const auto persistency = signal_persistency(*engine, reached);
+  const auto transitions = transition_persistency(*engine, reached);
+  const SymCscResult csc = check_csc(sym, reached);
+  const SymReducibilityResult reducibility =
+      check_csc_reducibility(*engine, reached);
+  expect_witnesses_inside_bad_sets(sym, reached, persistency, transitions, csc);
+
+  d.verdicts = {t.consistent, t.safe, t.complete,
+                determinism_violations(sym, reached).is_false(),
+                csc.unique_state_coding, csc.complete_state_coding,
+                reducibility.csc_satisfied, reducibility.reducible};
+  d.consistency_violations = t.consistency_violations;
+  d.unbound_signals = t.unbound_signals;
+  d.counts = {t.stats.states, t.stats.markings, sym.count_codes(reached),
+              sym.count_states(deadlock_states(sym, reached))};
+  for (const SymPersistencyViolation& v : persistency) {
+    d.persistency.emplace_back(v.victim, v.disabler, v.victim_is_input,
+                               v.witness);
+  }
+  for (const SymTransitionPersistencyViolation& v : transitions) {
+    d.transition_conflicts.emplace_back(v.victim, v.disabler, v.witness);
+  }
+  for (const SymFakeConflictReport& f :
+       analyze_fake_conflicts(*engine, reached)) {
+    d.fake_conflicts.emplace_back(f.t1, f.t2, f.fake_against_t1,
+                                  f.fake_against_t2, f.disables_t1,
+                                  f.disables_t2);
+  }
+  for (const SymCscResult::Conflict& c : csc.conflicts) {
+    d.csc_conflicts.emplace_back(c.signal, c.codes);
+  }
+  d.irreducible_signals = reducibility.irreducible_signals;
+  return d;
+}
+
+class ReportParity : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReportParity, EveryEngineReportsTheSameFacts) {
+  const stg::Stg net = parity_net(GetParam());
+  SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14,
+                  /*with_primed_vars=*/true);
+  const ReportDigest expected = digest(sym, EngineKind::kCofactor);
+  for (const EngineKind kind :
+       {EngineKind::kMonolithicRelation, EngineKind::kPartitionedRelation,
+        EngineKind::kSaturation}) {
+    const ReportDigest got = digest(sym, kind);
+    const std::string engine = to_string(kind);
+    EXPECT_EQ(got.level, expected.level) << engine;
+    EXPECT_EQ(got.pipeline_verdicts, expected.pipeline_verdicts) << engine;
+    EXPECT_EQ(got.verdicts, expected.verdicts) << engine;
+    EXPECT_EQ(got.consistency_violations, expected.consistency_violations)
+        << engine;
+    EXPECT_EQ(got.unbound_signals, expected.unbound_signals) << engine;
+    EXPECT_EQ(got.counts, expected.counts) << engine;
+    EXPECT_EQ(got.persistency, expected.persistency) << engine;
+    EXPECT_EQ(got.transition_conflicts, expected.transition_conflicts)
+        << engine;
+    EXPECT_EQ(got.fake_conflicts, expected.fake_conflicts) << engine;
+    EXPECT_EQ(got.csc_conflicts, expected.csc_conflicts) << engine;
+    EXPECT_EQ(got.irreducible_signals, expected.irreducible_signals) << engine;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ExampleAndRandomNets, ReportParity,
+                         ::testing::Range(0, kNetCount + kRandomNets));
 
 }  // namespace
 }  // namespace stgcheck::core
