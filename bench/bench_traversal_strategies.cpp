@@ -47,16 +47,9 @@
 // and cache work move: the computed-cache hit rate and the unique-table
 // load factor, both read from ManagerStats at the end of the arm.
 //
-// The parallel-kernel axis reruns the two winner arms (saturation and the
-// scheduled monolithic product) with the work-stealing pool attached
-// ("saturation t4", "monolithic sched. t8", ...); their rows carry a
-// "threads" field, and threads=1 rows are the bit-identical reference the
-// regression gate holds the thread arms' state counts to.
-//
 // Results are printed and also written to BENCH_traversal.json.
 // Usage: bench_traversal_strategies [--sift | --no-sift]
 //                                   [--family <name>]... [--out <path>]
-//                                   [--threads <n>]...
 //   --sift     only the sift-on arms  (writes BENCH_traversal.sift.json)
 //   --no-sift  only the sift-off arms (writes BENCH_traversal.nosift.json)
 //   --family   run only the named instance (classic: muller16, mread8,
@@ -64,8 +57,6 @@
 //              select48/96 -- the scaled tiers run only the saturation
 //              pair, classic vs templated); repeatable. The CI
 //              bench-smoke job uses this to gate on the fast families.
-//   --threads  thread counts for the parallel-kernel axis; repeatable
-//              (default 1, 4, 8). "1" alone suppresses the thread arms.
 //   --out      override the output JSON path.
 //   (default: both arms, all families, written to BENCH_traversal.json)
 #include <algorithm>
@@ -73,7 +64,6 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,7 +81,6 @@ struct Row {
   std::string arm;
   bool sift = false;
   std::string schedule = "none";  // conjunct schedule of the engine
-  std::size_t threads = 1;        // BDD kernel worker threads
   std::size_t passes = 0;
   std::size_t images = 0;
   std::size_t peak_reached = 0;   // BDD size of Reached (Table 1 "peak")
@@ -107,13 +96,12 @@ struct Row {
   double unique_load = 0;         // unique-table nodes per bucket
   double seconds = 0;
   double states = 0;
-  // Observability extras (profiling armed on every arm): phase timings,
-  // the pool's steal-rate, and the per-group cache hit rates that split
-  // the aggregate cache_hit_rate (binary ops / REACH / n-ary multi /
-  // permute memo -- the groups partition the aggregate exactly).
+  // Observability extras (profiling armed on every arm): phase timings
+  // and the per-group cache hit rates that split the aggregate
+  // cache_hit_rate (binary ops / REACH / n-ary multi / permute memo --
+  // the groups partition the aggregate exactly).
   double gc_time_ms = 0;
   double sift_time_ms = 0;
-  double steal_rate = 0;
   double cache_hit_binary = 0;
   double cache_hit_reach = 0;
   double cache_hit_multi = 0;
@@ -124,10 +112,10 @@ std::vector<Row> g_rows;
 
 void record(const Row& row) {
   std::printf(
-      "  %-22s thr=%zu passes=%4zu images=%6zu peak=%8zu live-peak=%8zu "
+      "  %-22s passes=%4zu images=%6zu peak=%8zu live-peak=%8zu "
       "inter=%8zu rel=%6zu units=%4zu conj=%3zu tgrp=%3zu tsave=%6zu "
       "reorders=%2zu hit=%.3f load=%.2f time=%7.3fs states=%.3e\n",
-      row.arm.c_str(), row.threads, row.passes, row.images, row.peak_reached,
+      row.arm.c_str(), row.passes, row.images, row.peak_reached,
       row.peak_live, row.peak_intermediate, row.relation_nodes, row.units,
       row.scheduled_conjuncts, row.template_groups, row.template_saved_nodes,
       row.reorders, row.cache_hit_rate, row.unique_load, row.seconds,
@@ -158,7 +146,7 @@ void run_cofactor_arm(const stg::Stg& s, const std::string& name,
       engine, arm_options(strategy, sift, core::ScheduleKind::kNone));
   const bdd::ManagerStats ms = sym.manager().stats();
   const bdd::ManagerProfile prof = sym.manager().profile();
-  record(Row{s.name(), name, sift, "none", /*threads=*/1, r.stats.passes,
+  record(Row{s.name(), name, sift, "none", r.stats.passes,
              r.stats.image_computations, r.stats.peak_reached_nodes,
              sym.manager().peak_live_nodes(),
              engine.stats().peak_intermediate_nodes,
@@ -168,7 +156,6 @@ void run_cofactor_arm(const stg::Stg& s, const std::string& name,
              sym.manager().reorder_epoch(), ms.cache_hit_rate(),
              ms.unique_load_factor(), watch.seconds(), r.stats.states,
              prof.gc_seconds * 1e3, prof.sift_seconds * 1e3,
-             sym.manager().pool_telemetry().steal_rate,
              ms.binary_cache_hit_rate(), ms.reach_cache_hit_rate(),
              ms.multi_cache_hit_rate(), ms.permute_cache_hit_rate()});
 }
@@ -177,28 +164,24 @@ void run_relation_arm(const stg::Stg& s, const std::string& name,
                       core::EngineKind kind, core::TraversalStrategy strategy,
                       bool sift,
                       core::ScheduleKind schedule = core::ScheduleKind::kNone,
-                      std::size_t threads = 1,
                       core::TemplateMode templates = core::TemplateMode::kOff) {
   Stopwatch watch;
   core::SymbolicStg sym(s, core::Ordering::kInterleaved, 1 << 14,
                         /*with_primed_vars=*/true);
   core::EngineOptions engine_options;
   engine_options.schedule = schedule;
-  engine_options.threads = threads;
   engine_options.relation_templates = templates;
   sym.manager().set_profiling(true);  // arm GC/sift phase timings
   const std::unique_ptr<core::ImageEngine> engine =
       core::make_engine(kind, sym, engine_options);
-  core::TraversalOptions options = arm_options(strategy, sift, schedule);
-  options.engine_options.threads = threads;
-  core::TraversalResult r = core::traverse(*engine, options);
+  core::TraversalResult r =
+      core::traverse(*engine, arm_options(strategy, sift, schedule));
   const bdd::ManagerStats ms = sym.manager().stats();
   const bdd::ManagerProfile prof = sym.manager().profile();
   // The *effective* schedule: the self-tuning monolithic engine may have
   // fallen back to none (EngineOptions::monolithic_fallback_nodes).
   record(Row{s.name(), name, sift, core::to_string(engine->schedule_kind()),
-             threads, r.stats.passes,
-             r.stats.image_computations, r.stats.peak_reached_nodes,
+             r.stats.passes, r.stats.image_computations, r.stats.peak_reached_nodes,
              sym.manager().peak_live_nodes(),
              engine->stats().peak_intermediate_nodes,
              engine->stats().relation_nodes, engine->stats().units,
@@ -209,13 +192,11 @@ void run_relation_arm(const stg::Stg& s, const std::string& name,
              ms.cache_hit_rate(), ms.unique_load_factor(), watch.seconds(),
              r.stats.states,
              prof.gc_seconds * 1e3, prof.sift_seconds * 1e3,
-             sym.manager().pool_telemetry().steal_rate,
              ms.binary_cache_hit_rate(), ms.reach_cache_hit_rate(),
              ms.multi_cache_hit_rate(), ms.permute_cache_hit_rate()});
 }
 
-void run(const stg::Stg& s, bool sift_off, bool sift_on,
-         const std::vector<std::size_t>& thread_axis, bool scaled) {
+void run(const stg::Stg& s, bool sift_off, bool sift_on, bool scaled) {
   std::printf("--- %s ---\n", s.name().c_str());
   std::vector<bool> toggles;
   if (sift_off) toggles.push_back(false);
@@ -234,8 +215,7 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on,
       run_relation_arm(s, std::string("saturation tmpl") + suffix,
                        core::EngineKind::kSaturation,
                        core::TraversalStrategy::kChaining, sift,
-                       core::ScheduleKind::kNone, /*threads=*/1,
-                       core::TemplateMode::kOn);
+                       core::ScheduleKind::kNone, core::TemplateMode::kOn);
     }
     return;
   }
@@ -277,25 +257,7 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on,
     run_relation_arm(s, std::string("saturation tmpl") + suffix,
                      core::EngineKind::kSaturation,
                      core::TraversalStrategy::kChaining, sift,
-                     core::ScheduleKind::kNone, /*threads=*/1,
-                     core::TemplateMode::kOn);
-  }
-  // The parallel-kernel axis: the two winner arms (in-kernel saturation
-  // and the scheduled monolithic product) rerun with the work-stealing
-  // pool attached. Sift stays off so the row isolates the kernel's
-  // threading; the 1-thread rows above are the bit-identical reference
-  // the regression gate compares state counts against.
-  if (!sift_off) return;
-  for (const std::size_t threads : thread_axis) {
-    if (threads == 1) continue;  // the plain arms above are the t1 rows
-    const std::string suffix = " t" + std::to_string(threads);
-    run_relation_arm(s, "saturation" + suffix, core::EngineKind::kSaturation,
-                     core::TraversalStrategy::kChaining, /*sift=*/false,
-                     core::ScheduleKind::kNone, threads);
-    run_relation_arm(s, "monolithic sched." + suffix,
-                     core::EngineKind::kMonolithicRelation,
-                     core::TraversalStrategy::kFrontierBfs, /*sift=*/false,
-                     core::ScheduleKind::kBoundedLookahead, threads);
+                     core::ScheduleKind::kNone, core::TemplateMode::kOn);
   }
 }
 
@@ -320,7 +282,7 @@ void write_json(const char* path) {
     }
     std::fprintf(f,
                  "  {\"family\": \"%s\", \"arm\": \"%s\", \"sift\": %s, "
-                 "\"schedule\": \"%s\", \"threads\": %zu, \"passes\": %zu, "
+                 "\"schedule\": \"%s\", \"passes\": %zu, "
                  "\"images\": %zu, \"peak_reached_nodes\": %zu, "
                  "\"peak_live_nodes\": %zu, \"peak_intermediate_nodes\": %zu, "
                  "\"relation_nodes\": %zu, "
@@ -329,17 +291,16 @@ void write_json(const char* path) {
                  "\"reorders\": %zu, "
                  "\"cache_hit_rate\": %.4f, \"unique_table_load\": %.4f, "
                  "\"gc_time_ms\": %.3f, \"sift_time_ms\": %.3f, "
-                 "\"steal_rate\": %.4f, "
                  "\"cache_hit_binary\": %.4f, \"cache_hit_reach\": %.4f, "
                  "\"cache_hit_multi\": %.4f, \"cache_hit_permute\": %.4f, "
                  "\"seconds\": %.6f, \"states\": %s}%s\n",
                  r.family.c_str(), r.arm.c_str(), r.sift ? "true" : "false",
-                 r.schedule.c_str(), r.threads, r.passes, r.images,
+                 r.schedule.c_str(), r.passes, r.images,
                  r.peak_reached,
                  r.peak_live, r.peak_intermediate, r.relation_nodes, r.units,
                  r.scheduled_conjuncts, r.template_groups,
                  r.template_saved_nodes, r.reorders, r.cache_hit_rate,
-                 r.unique_load, r.gc_time_ms, r.sift_time_ms, r.steal_rate,
+                 r.unique_load, r.gc_time_ms, r.sift_time_ms,
                  r.cache_hit_binary, r.cache_hit_reach, r.cache_hit_multi,
                  r.cache_hit_permute, r.seconds, states_buf,
                  i + 1 < g_rows.size() ? "," : "");
@@ -364,7 +325,6 @@ int main(int argc, char** argv) {
   bool sift_off = true;
   bool sift_on = true;
   std::vector<std::string> families;
-  std::vector<std::size_t> thread_axis;
   const char* out_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sift") == 0) {
@@ -373,26 +333,16 @@ int main(int argc, char** argv) {
       sift_on = false;
     } else if (std::strcmp(argv[i], "--family") == 0 && i + 1 < argc) {
       families.emplace_back(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const std::optional<std::size_t> n =
-          core::parse_thread_count(argv[++i]);
-      if (!n.has_value()) {
-        std::fprintf(stderr, "bad thread count '%s' (valid: %s)\n",
-                     argv[i], core::valid_thread_count_range().c_str());
-        return 1;
-      }
-      thread_axis.push_back(*n);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--sift | --no-sift] [--family <name>]... "
-                   "[--threads <n>]... [--out <path>]\n",
+                   "[--out <path>]\n",
                    argv[0]);
       return 1;
     }
   }
-  if (thread_axis.empty()) thread_axis = {1, 4, 8};
   if (!sift_off && !sift_on) {
     // Both flags together would run nothing and clobber the JSON with [].
     std::fprintf(stderr, "--sift and --no-sift are mutually exclusive\n");
@@ -418,7 +368,7 @@ int main(int argc, char** argv) {
   std::puts("=== Traversal strategy ablation (Fig. 5) ===");
   for (const stg::FamilyInstance& fam : stg::family_instances()) {
     if (family_selected(families, fam.name)) {
-      run(fam.make(fam.n), sift_off, sift_on, thread_axis,
+      run(fam.make(fam.n), sift_off, sift_on,
           /*scaled=*/!is_classic(fam.name));
     }
   }

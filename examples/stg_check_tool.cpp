@@ -19,8 +19,8 @@
 //                       cluster firing order + n-ary relational products;
 //                       bounded-lookahead self-tunes the monolithic engine
 //                       back to none when its relation is cheap to build)
-//     --threads   N     BDD kernel worker threads (1 = exact sequential
-//                       kernel, bit-identical results at any count)
+//     --threads   1     accepted and ignored (the BDD kernel is
+//                       sequential; other counts are an error)
 //     --relation-templates M  off | on | auto (saturation backend: share
 //                       one template BDD across structurally isomorphic
 //                       transition relations, fired in place by the
@@ -86,7 +86,7 @@ void usage() {
       "  --strategy  S     chaining | bfs | fixpoint\n"
       "  --engine    E     cofactor | monolithic | partitioned | saturation\n"
       "  --schedule  C     none | support-overlap | bounded-lookahead\n"
-      "  --threads   N     BDD kernel worker threads (1 = sequential)\n"
+      "  --threads   1     accepted and ignored (the kernel is sequential)\n"
       "  --relation-templates M  off | on | auto (share isomorphic\n"
       "                    transition relations in the saturation backend)\n"
       "  --initial-nodes N   initial BDD manager capacity\n"
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
         doc.set("report", server::report_to_json(spec, report));
       }
       if (session.options().profile || session.trace() != nullptr) {
-        // Observability armed: attach the kernel/pool metrics snapshot.
+        // Observability armed: attach the kernel metrics snapshot.
         // Plain runs keep the pre-existing document schema.
         doc.set("metrics", session.metrics_snapshot().to_json());
       }

@@ -20,10 +20,11 @@
 //     --quiet          print only result/batch_done/error lines, not the
 //                      per-session event stream
 //     plus every core::CheckConfig flag (--ordering, --strategy,
-//     --engine, --schedule, --threads, --relation-templates,
-//     --arbitrate, --initial-nodes, --max-live-nodes, --max-seconds,
-//     --max-steps) -- parsed by the unified config and forwarded as the
-//     wire "options" object
+//     --engine, --schedule, --relation-templates, --arbitrate,
+//     --initial-nodes, --max-live-nodes, --max-seconds, --max-steps) --
+//     parsed by the unified config and forwarded as the wire "options"
+//     object. --threads 1 is accepted and dropped: the BDD kernel is
+//     sequential, and the daemon's worker count is stg_checkd --threads.
 //
 // Exit status: 0 on success, 1 on connection/protocol errors or any
 // error reply.
@@ -57,7 +58,7 @@ void usage() {
       "  --batch          force the batch op for a single file\n"
       "  --quiet          suppress streamed event lines\n"
       "  --ordering O  --strategy S  --engine E  --schedule C\n"
-      "  --threads N  --relation-templates M  --arbitrate A,B\n"
+      "  --relation-templates M  --arbitrate A,B\n"
       "  --initial-nodes N  --max-live-nodes N  --max-seconds S\n"
       "  --max-steps N\n",
       stderr);

@@ -4,25 +4,18 @@
 Usage:
     check_bench_regression.py BASELINE.json FRESH.json [options]
 
-Compares every (family, arm, sift, threads) row present in both files
-(rows without a "threads" field -- older baselines -- count as threads=1):
+Compares every (family, arm, sift) row present in both files:
 
   * states must match exactly -- a drifting state count is a correctness
-    bug, not a perf regression, and fails regardless of thresholds; this
-    holds for the parallel-kernel arms too, whose reached sets must be
-    bit-identical to the one-thread reference;
-  * peak_live_nodes may grow by at most --peak-threshold (default 25%)
-    on threads=1 rows. The sequential kernel is deterministic, so with
+    bug, not a perf regression, and fails regardless of thresholds;
+  * peak_live_nodes may grow by at most --peak-threshold (default 25%).
+    The kernel is sequential and deterministic, so with
     --exact-sequential-peaks the budget tightens to bit-identical: any
-    drift means the kernel's recursion order changed, which the parallel
-    work must never do at one thread. Rows with threads > 1 skip the
-    peak checks entirely -- their gauges are sampled while workers race,
-    so the numbers are honest approximations, not reproducible values;
+    drift means the kernel's recursion order changed;
   * peak_intermediate_nodes (the worst transient live-node overhead of a
     single image step, where and_exists intermediates live) follows the
-    same rules -- budgeted on threads=1 rows, exact under
-    --exact-sequential-peaks, skipped on thread arms; rows missing the
-    field on either side (older baselines) are skipped;
+    same rules; rows missing the field on either side (older baselines)
+    are skipped;
   * seconds may grow by at most --time-threshold (default 25%), but only
     for rows whose baseline is at least --min-seconds (default 0.5s):
     shorter rows are timer noise on shared CI runners.
@@ -52,7 +45,7 @@ def load_rows(path):
         rows = json.load(fh)
     table = {}
     for row in rows:
-        key = (row["family"], row["arm"], row["sift"], row.get("threads", 1))
+        key = (row["family"], row["arm"], row["sift"])
         if key in table:
             raise SystemExit(f"{path}: duplicate row {key}")
         table[key] = row
@@ -83,11 +76,11 @@ def main():
                         help="fail unless the fresh run has a row for this "
                              "arm (prefix match, so NAME covers NAME+sift)")
     parser.add_argument("--exact-sequential-peaks", action="store_true",
-                        help="require bit-identical peak node counts on "
-                             "threads=1 rows instead of the percentage "
-                             "budget (the sequential kernel is "
-                             "deterministic; any drift is a recursion-"
-                             "order change, not noise)")
+                        help="require bit-identical peak node counts "
+                             "instead of the percentage budget (the "
+                             "sequential kernel is deterministic; any "
+                             "drift is a recursion-order change, not "
+                             "noise)")
     args = parser.parse_args()
 
     baseline = load_rows(args.baseline)
@@ -95,7 +88,7 @@ def main():
 
     missing_arms = [name for name in args.require_arm
                     if not any(arm.startswith(name)
-                               for _, arm, _, _ in fresh)]
+                               for _, arm, _ in fresh)]
     if missing_arms:
         print("error: required arm(s) missing from the fresh run: "
               + ", ".join(missing_arms))
@@ -110,13 +103,8 @@ def main():
     failures = []
 
     def fmt(key):
-        family, arm, sift, threads = key
-        label = f"{family} / {arm}" + (" [sift]" if sift else "")
-        # Thread arms already carry " tN" in the arm name; only annotate
-        # when the name does not say so (hand-edited baselines).
-        if threads != 1 and f"t{threads}" not in arm:
-            label += f" [t{threads}]"
-        return label
+        family, arm, sift = key
+        return f"{family} / {arm}" + (" [sift]" if sift else "")
 
     print(f"comparing {len(shared)} rows "
           f"(peak +{args.peak_threshold:.0%}, time +{args.time_threshold:.0%} "
@@ -133,29 +121,25 @@ def main():
             continue
 
         b_peak, c_peak = base["peak_live_nodes"], cur["peak_live_nodes"]
-        threads = key[3]
-        if threads == 1:
-            if args.exact_sequential_peaks and b_peak != c_peak:
+        if args.exact_sequential_peaks and b_peak != c_peak:
+            failures.append(
+                f"{fmt(key)}: peak_live_nodes {b_peak} -> {c_peak} "
+                f"({direction(b_peak, c_peak)}; must be bit-identical)")
+        else:
+            peak_ratio = c_peak / b_peak if b_peak else 1.0
+            if peak_ratio > 1.0 + args.peak_threshold:
                 failures.append(
                     f"{fmt(key)}: peak_live_nodes {b_peak} -> {c_peak} "
-                    f"({direction(b_peak, c_peak)}; threads=1 must be "
-                    f"bit-identical)")
-            else:
-                peak_ratio = c_peak / b_peak if b_peak else 1.0
-                if peak_ratio > 1.0 + args.peak_threshold:
-                    failures.append(
-                        f"{fmt(key)}: peak_live_nodes {b_peak} -> {c_peak} "
-                        f"(+{peak_ratio - 1.0:.1%})")
+                    f"(+{peak_ratio - 1.0:.1%})")
 
-        if (threads == 1 and "peak_intermediate_nodes" in base
-                and "peak_intermediate_nodes" in cur):
+        if "peak_intermediate_nodes" in base and "peak_intermediate_nodes" in cur:
             b_inter = base["peak_intermediate_nodes"]
             c_inter = cur["peak_intermediate_nodes"]
             if args.exact_sequential_peaks and b_inter != c_inter:
                 failures.append(
                     f"{fmt(key)}: peak_intermediate_nodes {b_inter} -> "
-                    f"{c_inter} ({direction(b_inter, c_inter)}; threads=1 "
-                    f"must be bit-identical)")
+                    f"{c_inter} ({direction(b_inter, c_inter)}; must be "
+                    f"bit-identical)")
             else:
                 inter_ratio = c_inter / b_inter if b_inter else 1.0
                 if inter_ratio > 1.0 + args.peak_threshold:

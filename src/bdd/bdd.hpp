@@ -38,44 +38,31 @@
 // OR/NOT/FORALL are derived from AND/EXISTS through De Morgan instead of
 // holding cache space of their own.
 //
-// Nodes live in a chunked arena (stable chunk pointers, so concurrent
-// readers are never invalidated by growth). Reference counts include both
-// parent edges and external references and are kept per node (both
-// polarities of an edge pin the same node); `Bdd` is the RAII external
-// handle. Dead nodes stay in the unique table (they may be resurrected by
-// a lookup) until garbage collection sweeps them, which only happens
-// between top-level operations, never inside a recursion.
+// Nodes live in a chunked arena: a chunk never moves once allocated, so
+// a `Node&` taken before an mk() stays valid when the table grows.
+// Reference counts include both parent edges and external references and
+// are kept per node (both polarities of an edge pin the same node); `Bdd`
+// is the RAII external handle. Dead nodes stay in the unique table (they
+// may be resurrected by a lookup) until garbage collection sweeps them,
+// which only happens between top-level operations, never inside a
+// recursion.
 //
-// Parallel kernel: set_thread_count(n > 1) attaches a work-stealing
-// TaskPool and the handle-level wrappers of the heavy operations (apply /
-// ITE / quantification / relational products / REACH) fork their cofactor
-// branches as tasks. Inside such a parallel region the unique table
-// inserts with a lock-free bucket-head CAS (duplicate-insert races
-// resolve to the same canonical NodeRef; the loser's slot is recycled at
-// region end), the computed caches publish entries through per-entry
-// seqlocks, reference counts and the node/dead gauges use atomics, and
-// the hot hit/lookup counters are kept per worker and merged on read.
-// GC, table growth and sifting only ever run between top-level operations
-// -- exactly the kernel's existing quiescent points -- so they need no
-// synchronization of their own. With thread_count() == 1 every operation
-// takes the identical sequential code path as before (bit-identical
-// results, counters and peaks). The external API stays single-threaded:
-// one user thread drives the manager, the pool fans out underneath it.
+// Threading: the manager is single-threaded and needs no synchronization.
+// One thread drives it at a time; every daemon session owns its own
+// manager, so the daemon's concurrency lives above the kernel, in the
+// scheduler workers that run whole sessions.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "util/budget.hpp"
-#include "util/task_pool.hpp"
 
 namespace stgcheck {
 class TraceRecorder;  // util/trace.hpp; the kernel only holds a pointer
@@ -228,7 +215,7 @@ struct ManagerStats {
   std::size_t cache_lookups = 0;
   // The aggregate above, split by cache group; the four groups partition
   // cache_lookups/cache_hits exactly (binary + reach + multi + permute ==
-  // total, pinned by a regression test). Before the split, the striped
+  // total, pinned by a regression test). Before the split, the
   // multi-operand cache and the permute memo were indistinguishable from
   // binary-op traffic, which skewed cache_hit_rate() on scheduled and
   // templated runs.
@@ -237,7 +224,7 @@ struct ManagerStats {
   std::size_t reach_cache_lookups = 0;  ///< RelNext + Reach traffic: the
   std::size_t reach_cache_hits = 0;     ///< main cache's RelNext entries,
                                         ///< the REACH cache, the shift cache
-  std::size_t multi_cache_lookups = 0;  ///< n-ary striped cache
+  std::size_t multi_cache_lookups = 0;  ///< n-ary product cache
   std::size_t multi_cache_hits = 0;
   std::size_t permute_cache_lookups = 0;  ///< cross-call permute memo
   std::size_t permute_cache_hits = 0;
@@ -291,8 +278,8 @@ struct OpProfile {
 };
 
 /// Per-op and per-phase kernel profile. Call/lookup/hit counts are always
-/// collected (they ride the per-worker hot counters the kernel maintains
-/// anyway); wall-clock phase timings cost two steady_clock reads per
+/// collected (they ride the hot counters the kernel maintains anyway);
+/// wall-clock phase timings cost two steady_clock reads per
 /// outermost call and are armed separately via Manager::set_profiling.
 struct ManagerProfile {
   std::array<OpProfile, kOpKindCount> ops{};
@@ -423,8 +410,7 @@ class Manager {
   /// recursion only walks the two graphs and returns at the first
   /// satisfiable pair of cofactors. Verdicts are memoized in the shared
   /// computed cache under their own tag (Op::kDisjoint) and dropped with it
-  /// at every GC and reorder, so no verdict outlives its operands. Always
-  /// sequential, whatever thread_count() says.
+  /// at every GC and reorder, so no verdict outlives its operands.
   bool disjoint(const Bdd& f, const Bdd& g);
   /// Variable substitution f[v := perm[v]], valid for any variable order.
   /// `perm` must cover f's support, map into existing variables, and be
@@ -522,32 +508,15 @@ class Manager {
   /// this against their recorded epoch to know when to refresh.
   std::size_t reorder_epoch() const { return reorder_epoch_; }
 
-  // ---- Threads -----------------------------------------------------------
-
-  /// Cap on set_thread_count (also the size of the per-worker counter
-  /// blocks).
-  static constexpr std::size_t kMaxThreads = 64;
-
-  /// Sets how many threads the kernel's operations may use, clamped to
-  /// [1, kMaxThreads]. With 1 (the default) every operation runs the
-  /// exact sequential code path -- bit-identical results, counters and
-  /// peaks. With n > 1 a work-stealing pool of n threads (including the
-  /// caller) is attached and the heavy recursions fork their cofactor
-  /// branches near the root. Results are still canonical, so a parallel
-  /// run returns the very same NodeRef a sequential run would. Must be
-  /// called between top-level operations (like sift / collect_garbage).
-  void set_thread_count(std::size_t n);
-  std::size_t thread_count() const { return thread_count_; }
-
   // ---- Resource governance ------------------------------------------------
 
   /// Arms `budget` on this manager: from now on the handle-level entry of
   /// every heavy operation (and REACH's rule loop) polls the limits and
-  /// throws stgcheck::CancelledError when one trips. Arming resets the
-  /// step counter and starts the wall clock. The unwind happens only at
-  /// safe points where no recursion is on the stack and no parallel
-  /// region is active, so the manager stays consistent
-  /// (check_invariants() clean) and fully reusable afterwards. An
+  /// throws stgcheck::CancelledError when one trips; sift() polls between
+  /// block moves as well. Arming resets the step counter and starts the
+  /// wall clock. The unwind happens only at safe points where the table
+  /// is canonical, so the manager stays consistent (check_invariants()
+  /// clean, every group contiguous) and fully reusable afterwards. An
   /// unlimited budget (ResourceBudget::unlimited()) disarms, same as
   /// clear_budget().
   void set_budget(const ResourceBudget& budget);
@@ -583,35 +552,20 @@ class Manager {
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
   TraceRecorder* trace() const { return trace_; }
 
-  /// Merged per-op call/cache counters and per-phase timings. Counts are
-  /// summed over the per-worker hot blocks; timings are zero unless
-  /// set_profiling(true) armed the clocks.
+  /// Per-op call/cache counters and per-phase timings. Timings are zero
+  /// unless set_profiling(true) armed the clocks.
   ManagerProfile profile() const;
 
-  /// The work-stealing pool's scheduling counters; a default (empty,
-  /// zero-rate) snapshot when the kernel runs sequentially (threads = 1).
-  PoolTelemetry pool_telemetry() const {
-    return pool_ != nullptr ? pool_->telemetry() : PoolTelemetry{};
-  }
-  std::size_t live_nodes() const {
-    return node_count_.load(std::memory_order_relaxed) -
-           dead_count_.load(std::memory_order_relaxed);
-  }
-  std::size_t peak_live_nodes() const {
-    return peak_live_.load(std::memory_order_relaxed);
-  }
+  std::size_t live_nodes() const { return node_count_ - dead_count_; }
+  std::size_t peak_live_nodes() const { return peak_live_; }
   /// Resets the step-local live-node watermark to the current live count.
   /// Unlike peak_live_nodes() -- a monotone manager-lifetime high-water
   /// mark -- the window watermark can be rearmed around a single operation
   /// (an image step, one relational product) to measure its transient
   /// intermediates in isolation.
-  void reset_peak_window() {
-    window_peak_live_.store(live_nodes(), std::memory_order_relaxed);
-  }
+  void reset_peak_window() { window_peak_live_ = live_nodes(); }
   /// High-water mark of live nodes since the last reset_peak_window().
-  std::size_t window_peak_live() const {
-    return window_peak_live_.load(std::memory_order_relaxed);
-  }
+  std::size_t window_peak_live() const { return window_peak_live_; }
   /// Rearms the lifetime peak-live gauge (and the step window) to the
   /// current live count. peak_live_nodes() is otherwise a monotone
   /// manager-lifetime high-water mark, which is the wrong scope for a
@@ -620,11 +574,7 @@ class Manager {
   /// the largest peak any earlier check hit. CheckSession calls this at
   /// the start of every run so reported gauges are per-check. Like GC and
   /// sifting, call only between top-level operations.
-  void reset_peak_stats() {
-    const std::size_t live = live_nodes();
-    peak_live_.store(live, std::memory_order_relaxed);
-    window_peak_live_.store(live, std::memory_order_relaxed);
-  }
+  void reset_peak_stats() { peak_live_ = window_peak_live_ = live_nodes(); }
 
   // ---- Diagnostics -------------------------------------------------------
 
@@ -666,10 +616,6 @@ class Manager {
     NodeRef h = kInvalidRef;
     Op op = Op::kAnd;
     NodeRef result = kInvalidRef;
-    /// Seqlock word for parallel regions: odd while a writer owns the
-    /// slot, bumped to the next even value when the entry is published.
-    /// Sequential lookups and stores ignore it entirely.
-    std::uint32_t version = 0;
   };
 
   /// One slot of the n-ary relational product cache. The fixed-width
@@ -710,7 +656,6 @@ class Manager {
     NodeRef cube = kInvalidRef;
     std::int32_t shift = 0;
     NodeRef result = kInvalidRef;
-    std::uint32_t version = 0;  ///< seqlock word, as in CacheEntry
   };
 
   /// One slot of the cross-call permute memo. The key is the root edge
@@ -733,7 +678,6 @@ class Manager {
     NodeRef states = kInvalidRef;
     std::uint32_t rule = 0;
     NodeRef result = kInvalidRef;
-    std::uint32_t version = 0;  ///< seqlock word, as in CacheEntry
   };
 
   static constexpr std::uint32_t kNilIndex =
@@ -743,10 +687,10 @@ class Manager {
   static constexpr std::size_t kRelNextShiftCacheSize = std::size_t{1} << 14;
   static constexpr std::size_t kPermuteCacheSize = std::size_t{1} << 12;
 
-  // Node storage: a chunked arena instead of one flat vector. Chunk
-  // pointers never move once published, so growth during a parallel
-  // region cannot invalidate a concurrent reader's Node& (the std::vector
-  // reallocation hazard). The extra indirection is one dependent load.
+  // Node storage: a chunked arena instead of one flat vector. Chunks never
+  // move once allocated, so table growth inside mk() cannot invalidate a
+  // Node& the caller still holds (the std::vector reallocation hazard).
+  // The extra indirection is one dependent load.
   static constexpr unsigned kChunkBits = 16;
   static constexpr std::size_t kChunkCapacity = std::size_t{1} << kChunkBits;
   static constexpr std::size_t kMaxChunks = std::size_t{1} << (31 - kChunkBits);
@@ -755,18 +699,14 @@ class Manager {
   // an edge share the node. low_of()/high_of() apply the flag, so they
   // return the true cofactors of the *function* the edge denotes.
   const Node& node_at(std::uint32_t idx) const {
-    return chunks_[idx >> kChunkBits].load(std::memory_order_relaxed)
-        [idx & (kChunkCapacity - 1)];
+    return chunks_[idx >> kChunkBits][idx & (kChunkCapacity - 1)];
   }
   Node& node_at(std::uint32_t idx) {
-    return chunks_[idx >> kChunkBits].load(std::memory_order_relaxed)
-        [idx & (kChunkCapacity - 1)];
+    return chunks_[idx >> kChunkBits][idx & (kChunkCapacity - 1)];
   }
   const Node& deref(NodeRef e) const { return node_at(edge_index(e)); }
   Node& deref(NodeRef e) { return node_at(edge_index(e)); }
-  std::uint32_t nodes_size() const {
-    return nodes_size_.load(std::memory_order_relaxed);
-  }
+  std::uint32_t nodes_size() const { return nodes_size_; }
   bool is_term(NodeRef e) const { return edge_index(e) == 0; }
   NodeRef low_of(NodeRef e) const {
     return deref(e).low ^ (e & 1u);
@@ -792,15 +732,13 @@ class Manager {
   // Reference counting (per node: both edge polarities pin the target).
   void inc_ref(NodeRef e);
   void dec_ref(NodeRef e);
+  /// Raises the lifetime and window peak-live watermarks to the current
+  /// live count.
+  void bump_peaks();
 
   // Unique table.
   NodeRef mk(Var v, NodeRef low, NodeRef high);
   NodeRef alloc_node(Var v, NodeRef low, NodeRef high);
-  /// Lock-free insert for parallel regions: bump-allocates a slot, fills
-  /// it, then publishes it with a CAS on the bucket head. A racing insert
-  /// of the same triple resolves to the first-published node; the loser's
-  /// slot is remembered and recycled at region end.
-  NodeRef alloc_node_par(Var v, NodeRef low, NodeRef high, std::size_t slot);
   /// Grows the chunk directory until at least `needed` slots exist.
   void ensure_chunks(std::uint32_t needed);
   void unique_insert(std::uint32_t idx);
@@ -833,7 +771,6 @@ class Manager {
                                 std::int32_t shift) const;
   void rel_next_shift_store(NodeRef s, NodeRef r, NodeRef cube,
                             std::int32_t shift, NodeRef result);
-  void ensure_rel_next_shift_cache();
   /// Per-relation layout checks; accumulates the twin variables into
   /// `twin_mask` for the one-pass state-set check below. A non-zero shift
   /// checks the displaced template layout instead of the in-place one.
@@ -866,48 +803,6 @@ class Manager {
                               std::unordered_map<NodeRef, NodeRef>& memo);
   bool disjoint_rec(NodeRef f, NodeRef g);
 
-  // Parallel kernel (parallel.cpp). The *_par recursions mirror their
-  // sequential twins exactly but fork the two cofactor branches onto the
-  // task pool while `depth` > 0; once the fork budget is spent (or the
-  // subproblem is within kSeqLevelCutoff levels of the bottom) they fall
-  // through to the sequential cores, which are parallel-safe because every
-  // shared-state access branches on parallel_active_. Canonicity makes the
-  // merge trivial: whichever thread builds a function first publishes the
-  // node every other thread then finds.
-  void begin_parallel_op();
-  void end_parallel_op();
-  struct ParallelRegion {
-    Manager& m;
-    explicit ParallelRegion(Manager& mgr) : m(mgr) { m.begin_parallel_op(); }
-    ~ParallelRegion() { m.end_parallel_op(); }
-  };
-  /// Below this many remaining levels a subproblem is too small to fork.
-  static constexpr std::size_t kSeqLevelCutoff = 10;
-  bool fork_worthwhile(int depth, std::size_t top) const {
-    return depth > 0 && top + kSeqLevelCutoff < level2var_.size();
-  }
-  NodeRef and_par(NodeRef f, NodeRef g, int depth);
-  NodeRef or_par(NodeRef f, NodeRef g, int depth) {
-    return bdd_not(and_par(bdd_not(f), bdd_not(g), depth));
-  }
-  NodeRef xor_par(NodeRef f, NodeRef g, int depth);
-  NodeRef ite_par(NodeRef f, NodeRef g, NodeRef h, int depth);
-  NodeRef exists_par(NodeRef f, NodeRef cube, int depth);
-  NodeRef and_exists_par(NodeRef f, NodeRef g, NodeRef cube, int depth);
-  NodeRef and_exists_multi_par(std::vector<NodeRef> ops, NodeRef cube,
-                               int depth);
-  NodeRef rel_next_par(NodeRef s, NodeRef r, NodeRef cube, std::int32_t shift,
-                       int depth);
-  NodeRef reach_par(NodeRef s, std::size_t rule);
-  /// Fires rules [begin, end) -- a maximal run with the same top level --
-  /// on `cur` concurrently (binary split over the pool) and returns the
-  /// union of cur with every rule's image.
-  NodeRef fire_group(NodeRef cur, std::size_t begin, std::size_t end,
-                     int depth);
-  /// Raises the lifetime and window peak-live watermarks to the current
-  /// live count (CAS max; plain monotone store semantics when sequential).
-  void bump_peaks();
-
   // ISOP core. Returns the BDD of the cover and appends cubes (sharing the
   // current prefix passed by the caller).
   NodeRef isop_rec(NodeRef on, NodeRef upper, CubeLiterals& prefix,
@@ -921,6 +816,11 @@ class Manager {
   // block moves every group is contiguous in its registered order.
   std::size_t swap_levels(std::size_t upper_level);
   void gather_var_nodes();
+  /// Leaves reorder mode after sift() or reorder() -- normally or on a
+  /// budget trip -- and collects the garbage the swaps left behind.
+  /// Bumps reorder_epoch_ when `order_changed`.
+  void finish_reorder(bool order_changed,
+                      std::chrono::steady_clock::time_point start);
   std::size_t sift_one_block(const std::vector<Var>& block, double max_growth);
   std::size_t move_block_up(const std::vector<Var>& block);
   std::size_t move_block_down(const std::vector<Var>& block);
@@ -930,39 +830,27 @@ class Manager {
   Bdd make_handle(NodeRef r) { return Bdd(this, r); }
 
   // Budget safe point: one predictable branch when no budget is armed.
-  // Polls only outside parallel regions -- an exception from a worker (or
-  // from the inline branch of a fork) while sibling tasks are still queued
-  // would unwind past stack-allocated Tasks a thief may still run. With
-  // threads > 1 a running top-level operation therefore always completes;
-  // the trip throws at the next wrapper entry (in-daemon sessions run
-  // threads = 1, where every safe point is live).
   void poll_budget() {
-    if (budget_armed_ && !parallel_active_) poll_budget_slow();
+    if (budget_armed_) poll_budget_slow();
   }
   void poll_budget_slow();
   [[noreturn]] void trip_budget(LimitKind kind);
 
   // Data.
   //
-  // Node arena: chunk pointers are published with release stores and never
-  // change afterwards, so node_at() needs only a relaxed load (any index a
-  // thread legitimately holds was obtained through a synchronizing read of
-  // the bucket head or of nodes_size_). Slots are bump-allocated from
-  // nodes_size_; the free list recycles slots in sequential mode only.
-  std::unique_ptr<std::atomic<Node*>[]> chunks_;  // kMaxChunks slots
-  std::size_t chunk_count_ = 0;                   // guarded by chunk_mu_
-  std::mutex chunk_mu_;
-  std::atomic<std::uint32_t> nodes_size_{0};  // bump high-water mark
+  // Node arena: at most kMaxChunks chunks of kChunkCapacity nodes. Fresh
+  // slots are bump-allocated from nodes_size_; the free list recycles the
+  // slots garbage collection released.
+  std::vector<std::unique_ptr<Node[]>> chunks_;
+  std::uint32_t nodes_size_ = 0;  // bump high-water mark
   std::uint32_t free_list_ = kNilIndex;
-  std::atomic<std::size_t> node_count_{0};  // nodes in table (live + dead)
-  std::atomic<std::size_t> dead_count_{0};
-  std::atomic<std::size_t> peak_live_{0};
-  std::atomic<std::size_t> window_peak_live_{0};  // reset_peak_window()
+  std::size_t node_count_ = 0;  // nodes in table (live + dead)
+  std::size_t dead_count_ = 0;
+  std::size_t peak_live_ = 0;
+  std::size_t window_peak_live_ = 0;  // reset_peak_window()
   std::size_t gc_runs_ = 0;
 
-  // Profiling state (see set_profiling). The seconds accumulators and the
-  // nesting depth are owner-thread-only: wrappers, GC and sift all run on
-  // the thread driving the manager, never inside a parallel region.
+  // Profiling state (see set_profiling).
   bool profiling_ = false;
   int profile_depth_ = 0;  // only the outermost wrapper accumulates
   std::array<double, kOpKindCount> op_seconds_{};
@@ -994,31 +882,23 @@ class Manager {
     std::chrono::steady_clock::time_point start_;
   };
 
-  // Unique-table buckets: head node index per bucket. Parallel insertion
-  // CAS-publishes a new head with release order; chain scans start from an
-  // acquire load of the head, which (insertions being RMWs that continue
-  // the release sequence) covers every node in the chain.
-  std::vector<std::atomic<std::uint32_t>> buckets_;
+  // Unique-table buckets: head node index per bucket.
+  std::vector<std::uint32_t> buckets_;
   std::size_t bucket_mask_ = 0;
 
   std::vector<CacheEntry> cache_;
   std::size_t cache_mask_ = 0;
 
-  // Hot-path statistics, kept per worker (cache-line separated) so the
-  // parallel recursions never contend on a shared counter; stats() and
-  // profile() sum the blocks. Worker 0 is the sequential path, so
-  // threads=1 touches exactly one block -- same values as the old scalar
-  // counters. Cache traffic and call counts are arrays indexed by OpKind,
-  // which is what makes the per-op profile free: the increment the old
-  // scalar counter paid anyway just lands in a distinguished slot.
-  struct alignas(64) HotCounters {
+  // Hot-path statistics. Cache traffic and call counts are arrays indexed
+  // by OpKind, which is what makes the per-op profile free: the increment
+  // a scalar counter would pay anyway just lands in a distinguished slot.
+  struct HotCounters {
     std::size_t unique_hits = 0;
     std::array<std::size_t, kOpKindCount> cache_hits{};
     std::array<std::size_t, kOpKindCount> cache_lookups{};
     std::array<std::size_t, kOpKindCount> calls{};
   };
-  mutable std::array<HotCounters, kMaxThreads> hot_{};
-  HotCounters& hot() const { return hot_[TaskPool::worker_index()]; }
+  mutable HotCounters counters_{};
   static constexpr std::size_t op_slot(Op op) {
     return static_cast<std::size_t>(op);  // Op and OpKind tags align
   }
@@ -1031,12 +911,8 @@ class Manager {
   }
 
   // Allocated lazily on the first n-ary product; cleared with cache_.
-  // Entries hold heap-allocated keys, so parallel access is striped-locked
-  // (multi_stripes_, allocated with the pool) instead of seqlocked.
   std::vector<MultiCacheEntry> multi_cache_;
   std::size_t multi_cache_mask_ = 0;
-  static constexpr std::size_t kMultiStripes = 256;
-  mutable std::unique_ptr<std::mutex[]> multi_stripes_;
 
   // REACH state: the rule list of the running reach() (sorted by top
   // level), its cache (allocated lazily on the first reach) and the
@@ -1052,8 +928,7 @@ class Manager {
   std::size_t rel_next_shift_cache_mask_ = 0;
 
   // Cross-call permute memo (allocated lazily; cleared with the computed
-  // caches). Only ever touched by the owner thread: permute is a
-  // top-level operation, never entered from a parallel region.
+  // caches).
   std::vector<PermuteCacheEntry> permute_cache_;
   std::size_t permute_cache_mask_ = 0;
 
@@ -1074,26 +949,11 @@ class Manager {
 
   bool gc_enabled_ = true;
 
-  // Parallel kernel state. pool_ exists only while thread_count_ > 1.
-  // parallel_active_ is written by the owner thread strictly before the
-  // pool wakes and after every task is joined, so workers always observe
-  // it through the pool's activation fences -- a plain bool suffices.
-  std::size_t thread_count_ = 1;
-  int fork_depth_ = 0;  // per-op fork budget, ~log2(threads) + slack
-  bool parallel_active_ = false;
-  std::unique_ptr<TaskPool> pool_;
-  // Slots lost in duplicate-insert races, recycled at region end.
-  std::vector<std::uint32_t> abandoned_;
-  std::mutex abandoned_mu_;
-
-  // Resource governance (set_budget). budget_steps_ is atomic because
-  // REACH's parallel core counts saturation iterations from workers; the
-  // trip check itself only ever runs on the owner thread outside parallel
-  // regions.
+  // Resource governance (set_budget).
   ResourceBudget budget_;
   bool budget_armed_ = false;
   std::chrono::steady_clock::time_point budget_start_{};
-  std::atomic<std::size_t> budget_steps_{0};
+  std::size_t budget_steps_ = 0;
 };
 
 }  // namespace stgcheck::bdd

@@ -86,50 +86,33 @@ Bdd Bdd::minus(const Bdd& other) const {
 
 Manager::Manager(std::size_t initial_capacity) {
   const std::size_t cap = std::max<std::size_t>(initial_capacity, 1024);
-  chunks_ = std::make_unique<std::atomic<Node*>[]>(kMaxChunks);
   ensure_chunks(static_cast<std::uint32_t>(
       std::min<std::size_t>(cap, kMaxChunks * kChunkCapacity)));
 
   // The single terminal (constant 1) occupies index 0 and is permanently
   // referenced; constant 0 is the complemented edge to it.
-  nodes_size_.store(1, std::memory_order_relaxed);
+  nodes_size_ = 1;
   node_at(0) = Node{kInvalidVar, kTrue, kTrue, kNilIndex, 1, 0};
 
-  buckets_ = std::vector<std::atomic<std::uint32_t>>(round_up_pow2(cap));
-  for (std::atomic<std::uint32_t>& b : buckets_) {
-    b.store(kNilIndex, std::memory_order_relaxed);
-  }
+  buckets_.assign(round_up_pow2(cap), kNilIndex);
   bucket_mask_ = buckets_.size() - 1;
 
   cache_.assign(round_up_pow2(cap / 2), CacheEntry{});
   cache_mask_ = cache_.size() - 1;
 }
 
-Manager::~Manager() {
-  pool_.reset();  // workers down before the arena they may still reference
-  for (std::size_t i = 0; i < chunk_count_; ++i) {
-    delete[] chunks_[i].load(std::memory_order_relaxed);
-  }
-}
+Manager::~Manager() = default;
 
 void Manager::ensure_chunks(std::uint32_t needed) {
   const std::size_t want =
       (static_cast<std::size_t>(needed) + kChunkCapacity - 1) >> kChunkBits;
-  if (want == 0) return;
-  // Fast path: the last chunk we need is already published. The acquire
-  // pairs with the release store below, so the chunk's storage is visible.
-  if (want <= kMaxChunks &&
-      chunks_[want - 1].load(std::memory_order_acquire) != nullptr) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(chunk_mu_);
-  while (chunk_count_ < want) {
-    if (chunk_count_ >= kMaxChunks) {
+  while (chunks_.size() < want) {
+    if (chunks_.size() >= kMaxChunks) {
       throw ModelError("BDD node table exhausted");
     }
-    chunks_[chunk_count_].store(new Node[kChunkCapacity],
-                                std::memory_order_release);
-    ++chunk_count_;
+    // Default-initialized: a slot is written before it is first read, and
+    // untouched pages of a fresh chunk stay out of the resident set.
+    chunks_.push_back(std::unique_ptr<Node[]>(new Node[kChunkCapacity]));
   }
 }
 
@@ -221,29 +204,15 @@ CubeLiterals Manager::cube_literals(const Bdd& c) const {
 
 void Manager::bump_peaks() {
   const std::size_t live = live_nodes();
-  for (std::atomic<std::size_t>* peak : {&peak_live_, &window_peak_live_}) {
-    std::size_t p = peak->load(std::memory_order_relaxed);
-    while (p < live &&
-           !peak->compare_exchange_weak(p, live, std::memory_order_relaxed)) {
-    }
-  }
+  peak_live_ = std::max(peak_live_, live);
+  window_peak_live_ = std::max(window_peak_live_, live);
 }
 
 void Manager::inc_ref(NodeRef e) {
   const std::uint32_t idx = edge_index(e);
   if (idx == 0) return;  // the terminal is permanent
   Node& n = node_at(idx);
-  if (parallel_active_) {
-    // Only the winning branch of alloc_node_par increments refs inside a
-    // region, so the 0 -> 1 transition is claimed by exactly one thread.
-    if (std::atomic_ref<std::uint32_t>(n.refs).fetch_add(
-            1, std::memory_order_relaxed) == 0) {
-      dead_count_.fetch_sub(1, std::memory_order_relaxed);
-      bump_peaks();
-    }
-    return;
-  }
-  if (n.refs == 0) dead_count_.fetch_sub(1, std::memory_order_relaxed);
+  if (n.refs == 0) --dead_count_;
   ++n.refs;
   if (n.refs == 1) bump_peaks();
 }
@@ -252,16 +221,9 @@ void Manager::dec_ref(NodeRef e) {
   const std::uint32_t idx = edge_index(e);
   if (idx == 0) return;  // the terminal is permanent
   Node& n = node_at(idx);
-  if (parallel_active_) {
-    if (std::atomic_ref<std::uint32_t>(n.refs).fetch_sub(
-            1, std::memory_order_relaxed) == 1) {
-      dead_count_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return;
-  }
   assert(n.refs > 0);
   --n.refs;
-  if (n.refs == 0) dead_count_.fetch_add(1, std::memory_order_relaxed);
+  if (n.refs == 0) ++dead_count_;
 }
 
 // ---------------------------------------------------------------------------
@@ -285,26 +247,11 @@ NodeRef Manager::mk(Var v, NodeRef low, NodeRef high) {
   }
   assert(var2level_[v] < level(low) && var2level_[v] < level(high));
 
-  const std::size_t slot = hash_triple(v, low, high);
-  if (parallel_active_) {
-    // The acquire on the head covers the whole chain: every insertion is
-    // an RMW on the head, so the release sequence reaches each node's
-    // pre-publication field writes.
-    for (std::uint32_t idx = buckets_[slot].load(std::memory_order_acquire);
-         idx != kNilIndex; idx = node_at(idx).next) {
-      const Node& n = node_at(idx);
-      if (n.var == v && n.low == low && n.high == high) {
-        ++hot().unique_hits;
-        return make_edge(idx, false);
-      }
-    }
-    return alloc_node_par(v, low, high, slot);
-  }
-  for (std::uint32_t idx = buckets_[slot].load(std::memory_order_relaxed);
+  for (std::uint32_t idx = buckets_[hash_triple(v, low, high)];
        idx != kNilIndex; idx = node_at(idx).next) {
     const Node& n = node_at(idx);
     if (n.var == v && n.low == low && n.high == high) {
-      ++hot().unique_hits;
+      ++counters_.unique_hits;
       // Possibly a dead node being resurrected; refs handled by caller.
       return make_edge(idx, false);
     }
@@ -318,9 +265,9 @@ NodeRef Manager::alloc_node(Var v, NodeRef low, NodeRef high) {
     idx = free_list_;
     free_list_ = node_at(idx).next;
   } else {
-    idx = nodes_size_.load(std::memory_order_relaxed);
+    idx = nodes_size_;
     ensure_chunks(idx + 1);
-    nodes_size_.store(idx + 1, std::memory_order_relaxed);
+    nodes_size_ = idx + 1;
   }
   Node& n = node_at(idx);
   n.var = v;
@@ -328,84 +275,32 @@ NodeRef Manager::alloc_node(Var v, NodeRef low, NodeRef high) {
   n.high = high;
   n.refs = 0;
   n.stamp = 0;
-  node_count_.fetch_add(1, std::memory_order_relaxed);
+  ++node_count_;
   // Born dead; the caller or a parent node will reference it.
-  dead_count_.fetch_add(1, std::memory_order_relaxed);
+  ++dead_count_;
   inc_ref(low);
   inc_ref(high);
 
   if (sift_tracking_) nodes_at_var_[v].push_back(idx);
 
   unique_insert(idx);
-  if (node_count_.load(std::memory_order_relaxed) > buckets_.size()) {
-    grow_buckets();
-  }
-  return make_edge(idx, false);
-}
-
-NodeRef Manager::alloc_node_par(Var v, NodeRef low, NodeRef high,
-                                std::size_t slot) {
-  // Bump-allocate: the free list is a sequential-only structure, and
-  // bucket growth is deferred to end_parallel_op(), so this path touches
-  // nothing but the arena high-water mark and one bucket head.
-  const std::uint32_t idx = nodes_size_.fetch_add(1, std::memory_order_relaxed);
-  ensure_chunks(idx + 1);
-  Node& n = node_at(idx);
-  n.var = v;
-  n.low = low;
-  n.high = high;
-  n.refs = 0;
-  n.stamp = 0;
-
-  std::atomic<std::uint32_t>& head = buckets_[slot];
-  std::uint32_t expect = head.load(std::memory_order_acquire);
-  for (;;) {
-    // Another thread may have published the same triple since our scan
-    // (or since the last CAS failure): re-scan from the current head.
-    for (std::uint32_t cur = expect; cur != kNilIndex;
-         cur = node_at(cur).next) {
-      const Node& c = node_at(cur);
-      if (c.var == v && c.low == low && c.high == high) {
-        // Duplicate race lost: abandon our slot (recycled at region end)
-        // and adopt the canonical winner -- same NodeRef everywhere.
-        n.var = kInvalidVar;
-        {
-          std::lock_guard<std::mutex> lock(abandoned_mu_);
-          abandoned_.push_back(idx);
-        }
-        ++hot().unique_hits;
-        return make_edge(cur, false);
-      }
-    }
-    n.next = expect;
-    if (head.compare_exchange_weak(expect, idx, std::memory_order_release,
-                                   std::memory_order_acquire)) {
-      break;
-    }
-  }
-  // Counters only after winning the publication race: the losing path
-  // above needs no rollback.
-  node_count_.fetch_add(1, std::memory_order_relaxed);
-  dead_count_.fetch_add(1, std::memory_order_relaxed);
-  inc_ref(low);
-  inc_ref(high);
-  // sift_tracking_ is never set here: sifting only runs at quiescence.
+  if (node_count_ > buckets_.size()) grow_buckets();
   return make_edge(idx, false);
 }
 
 void Manager::unique_insert(std::uint32_t idx) {
   Node& n = node_at(idx);
   const std::size_t slot = hash_triple(n.var, n.low, n.high);
-  n.next = buckets_[slot].load(std::memory_order_relaxed);
-  buckets_[slot].store(idx, std::memory_order_relaxed);
+  n.next = buckets_[slot];
+  buckets_[slot] = idx;
 }
 
 void Manager::unique_remove(std::uint32_t idx) {
   Node& n = node_at(idx);
   const std::size_t slot = hash_triple(n.var, n.low, n.high);
-  std::uint32_t cur = buckets_[slot].load(std::memory_order_relaxed);
+  std::uint32_t cur = buckets_[slot];
   if (cur == idx) {
-    buckets_[slot].store(n.next, std::memory_order_relaxed);
+    buckets_[slot] = n.next;
     return;
   }
   while (cur != kNilIndex) {
@@ -420,12 +315,7 @@ void Manager::unique_remove(std::uint32_t idx) {
 }
 
 void Manager::grow_buckets() {
-  assert(!parallel_active_ && "bucket growth is deferred to region end");
-  std::vector<std::atomic<std::uint32_t>> grown(buckets_.size() * 2);
-  for (std::atomic<std::uint32_t>& b : grown) {
-    b.store(kNilIndex, std::memory_order_relaxed);
-  }
-  buckets_ = std::move(grown);
+  buckets_.assign(buckets_.size() * 2, kNilIndex);
   bucket_mask_ = buckets_.size() - 1;
   // Re-chain every node in the table (live and dead).
   const std::uint32_t size = nodes_size();
@@ -460,65 +350,20 @@ std::size_t cache_key(std::uint8_t op, NodeRef f, NodeRef g, NodeRef h) {
 }  // namespace
 
 NodeRef Manager::cache_lookup(Op op, NodeRef f, NodeRef g, NodeRef h) const {
-  ++hot().cache_lookups[op_slot(op)];
+  ++counters_.cache_lookups[op_slot(op)];
   const CacheEntry& e =
       cache_[cache_key(static_cast<std::uint8_t>(op), f, g, h) & cache_mask_];
-  if (!parallel_active_) {
-    if (e.op == op && e.f == f && e.g == g && e.h == h &&
-        e.result != kInvalidRef) {
-      ++hot().cache_hits[op_slot(op)];
-      return e.result;
-    }
-    return kInvalidRef;
-  }
-  // Seqlock read: version even and unchanged across the field reads means
-  // the snapshot is a published entry, never a torn one. A torn read is
-  // simply a miss -- the cache is lossy by design. (atomic_ref requires a
-  // mutable lvalue pre-C++26, hence the const_cast; the entry object
-  // itself is never const.)
-  CacheEntry& me = const_cast<CacheEntry&>(e);
-  const std::uint32_t v1 =
-      std::atomic_ref<std::uint32_t>(me.version).load(std::memory_order_acquire);
-  if ((v1 & 1u) != 0) return kInvalidRef;
-  const NodeRef ef = std::atomic_ref<NodeRef>(me.f).load(std::memory_order_relaxed);
-  const NodeRef eg = std::atomic_ref<NodeRef>(me.g).load(std::memory_order_relaxed);
-  const NodeRef eh = std::atomic_ref<NodeRef>(me.h).load(std::memory_order_relaxed);
-  const Op eop = std::atomic_ref<Op>(me.op).load(std::memory_order_relaxed);
-  const NodeRef er =
-      std::atomic_ref<NodeRef>(me.result).load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  const std::uint32_t v2 =
-      std::atomic_ref<std::uint32_t>(me.version).load(std::memory_order_relaxed);
-  if (v1 != v2) return kInvalidRef;
-  if (eop == op && ef == f && eg == g && eh == h && er != kInvalidRef) {
-    ++hot().cache_hits[op_slot(op)];
-    return er;
+  if (e.op == op && e.f == f && e.g == g && e.h == h &&
+      e.result != kInvalidRef) {
+    ++counters_.cache_hits[op_slot(op)];
+    return e.result;
   }
   return kInvalidRef;
 }
 
 void Manager::cache_store(Op op, NodeRef f, NodeRef g, NodeRef h, NodeRef result) {
-  CacheEntry& e =
-      cache_[cache_key(static_cast<std::uint8_t>(op), f, g, h) & cache_mask_];
-  if (!parallel_active_) {
-    e = CacheEntry{f, g, h, op, result};
-    return;
-  }
-  // Seqlock write: claim the slot by bumping the version to odd; if
-  // another writer holds it, skip -- losing a cache store is harmless.
-  std::atomic_ref<std::uint32_t> ver(e.version);
-  std::uint32_t v = ver.load(std::memory_order_relaxed);
-  if ((v & 1u) != 0) return;
-  if (!ver.compare_exchange_strong(v, v + 1, std::memory_order_acquire,
-                                   std::memory_order_relaxed)) {
-    return;
-  }
-  std::atomic_ref<NodeRef>(e.f).store(f, std::memory_order_relaxed);
-  std::atomic_ref<NodeRef>(e.g).store(g, std::memory_order_relaxed);
-  std::atomic_ref<NodeRef>(e.h).store(h, std::memory_order_relaxed);
-  std::atomic_ref<Op>(e.op).store(op, std::memory_order_relaxed);
-  std::atomic_ref<NodeRef>(e.result).store(result, std::memory_order_relaxed);
-  ver.store(v + 2, std::memory_order_release);
+  cache_[cache_key(static_cast<std::uint8_t>(op), f, g, h) & cache_mask_] =
+      CacheEntry{f, g, h, op, result};
 }
 
 void Manager::clear_cache() {
@@ -561,16 +406,10 @@ std::size_t Manager::multi_hash(const std::vector<NodeRef>& ops,
 
 NodeRef Manager::multi_cache_lookup(const std::vector<NodeRef>& ops,
                                     NodeRef cube) const {
-  ++hot().cache_lookups[op_slot(Op::kAndExistsMulti)];
+  ++counters_.cache_lookups[op_slot(Op::kAndExistsMulti)];
   if (multi_cache_.empty()) return kInvalidRef;
-  const std::size_t slot = multi_hash(ops, cube) & multi_cache_mask_;
-  // Entries own heap-allocated keys, so parallel regions serialize access
-  // per slot stripe instead of seqlocking (a torn vector is not readable).
-  std::unique_lock<std::mutex> lock;
-  if (parallel_active_) {
-    lock = std::unique_lock<std::mutex>(multi_stripes_[slot % kMultiStripes]);
-  }
-  const MultiCacheEntry& e = multi_cache_[slot];
+  const MultiCacheEntry& e =
+      multi_cache_[multi_hash(ops, cube) & multi_cache_mask_];
   // The stored key is exact (operands plus trailing cube): a slot collision
   // misses rather than returning a wrong product.
   if (e.result == kInvalidRef || e.key.size() != ops.size() + 1) {
@@ -580,25 +419,17 @@ NodeRef Manager::multi_cache_lookup(const std::vector<NodeRef>& ops,
       !std::equal(ops.begin(), ops.end(), e.key.begin())) {
     return kInvalidRef;
   }
-  ++hot().cache_hits[op_slot(Op::kAndExistsMulti)];
+  ++counters_.cache_hits[op_slot(Op::kAndExistsMulti)];
   return e.result;
 }
 
 void Manager::multi_cache_store(const std::vector<NodeRef>& ops, NodeRef cube,
                                 NodeRef result) {
   if (multi_cache_.empty()) {
-    // Never reached inside a parallel region: begin_parallel_op()
-    // pre-allocates the table so no thread resizes it concurrently.
-    assert(!parallel_active_);
     multi_cache_.resize(kMultiCacheSize);
     multi_cache_mask_ = kMultiCacheSize - 1;
   }
-  const std::size_t slot = multi_hash(ops, cube) & multi_cache_mask_;
-  std::unique_lock<std::mutex> lock;
-  if (parallel_active_) {
-    lock = std::unique_lock<std::mutex>(multi_stripes_[slot % kMultiStripes]);
-  }
-  MultiCacheEntry& e = multi_cache_[slot];
+  MultiCacheEntry& e = multi_cache_[multi_hash(ops, cube) & multi_cache_mask_];
   e.key.assign(ops.begin(), ops.end());
   e.key.push_back(cube);
   e.result = result;
@@ -613,23 +444,19 @@ void Manager::free_node(std::uint32_t idx) {
   n.var = kInvalidVar;
   n.next = free_list_;
   free_list_ = idx;
-  node_count_.fetch_sub(1, std::memory_order_relaxed);
-  dead_count_.fetch_sub(1, std::memory_order_relaxed);
+  --node_count_;
+  --dead_count_;
 }
 
 void Manager::maybe_gc() {
   if (!gc_enabled_) return;
-  const std::size_t count = node_count_.load(std::memory_order_relaxed);
-  if (count < 4096) return;
-  const std::size_t dead = dead_count_.load(std::memory_order_relaxed);
-  if (dead * 4 < count) return;  // < 25% dead: not worth it
+  if (node_count_ < 4096) return;
+  if (dead_count_ * 4 < node_count_) return;  // < 25% dead: not worth it
   collect_garbage();
 }
 
 void Manager::collect_garbage() {
-  assert(!parallel_active_ && "GC only runs at quiescence");
-  const std::size_t dead_at_entry =
-      dead_count_.load(std::memory_order_relaxed);
+  const std::size_t dead_at_entry = dead_count_;
   if (dead_at_entry == 0) return;
   TraceSpan span(trace_, "gc", "kernel");
   span.arg("dead_nodes", static_cast<double>(dead_at_entry));
@@ -660,7 +487,7 @@ void Manager::collect_garbage() {
         assert(c.refs > 0);
         --c.refs;
         if (c.refs == 0) {
-          dead_count_.fetch_add(1, std::memory_order_relaxed);
+          ++dead_count_;
           worklist.push_back(cidx);
         }
       }
@@ -681,44 +508,42 @@ void Manager::collect_garbage() {
 
 ManagerStats Manager::stats() const {
   ManagerStats s;
-  s.node_count = node_count_.load(std::memory_order_relaxed);
-  s.dead_count = dead_count_.load(std::memory_order_relaxed);
+  s.node_count = node_count_;
+  s.dead_count = dead_count_;
   s.live_count = s.node_count - s.dead_count;
-  s.peak_live = peak_live_.load(std::memory_order_relaxed);
+  s.peak_live = peak_live_;
   s.gc_runs = gc_runs_;
-  // Merge the per-worker counter blocks; with threads=1 only block 0 is
-  // ever touched, so the sums equal the old scalar counters exactly. The
-  // per-op slots fold into four groups whose sums partition the aggregate
-  // (the cache_hit_rate() split of ISSUE 10's satellite (b)).
-  for (const HotCounters& h : hot_) {
-    s.unique_hits += h.unique_hits;
-    for (std::size_t k = 0; k < kOpKindCount; ++k) {
-      s.cache_hits += h.cache_hits[k];
-      s.cache_lookups += h.cache_lookups[k];
-      std::size_t* hits = nullptr;
-      std::size_t* lookups = nullptr;
-      switch (static_cast<OpKind>(k)) {
-        case OpKind::kAndExistsMulti:
-          hits = &s.multi_cache_hits;
-          lookups = &s.multi_cache_lookups;
-          break;
-        case OpKind::kRelNext:
-        case OpKind::kReach:
-          hits = &s.reach_cache_hits;
-          lookups = &s.reach_cache_lookups;
-          break;
-        case OpKind::kPermute:
-          hits = &s.permute_cache_hits;
-          lookups = &s.permute_cache_lookups;
-          break;
-        default:
-          hits = &s.binary_cache_hits;
-          lookups = &s.binary_cache_lookups;
-          break;
-      }
-      *hits += h.cache_hits[k];
-      *lookups += h.cache_lookups[k];
+  s.unique_hits = counters_.unique_hits;
+  // The per-op slots fold into four groups whose sums partition the
+  // aggregate.
+  for (std::size_t k = 0; k < kOpKindCount; ++k) {
+    const std::size_t k_hits = counters_.cache_hits[k];
+    const std::size_t k_lookups = counters_.cache_lookups[k];
+    s.cache_hits += k_hits;
+    s.cache_lookups += k_lookups;
+    std::size_t* hits = nullptr;
+    std::size_t* lookups = nullptr;
+    switch (static_cast<OpKind>(k)) {
+      case OpKind::kAndExistsMulti:
+        hits = &s.multi_cache_hits;
+        lookups = &s.multi_cache_lookups;
+        break;
+      case OpKind::kRelNext:
+      case OpKind::kReach:
+        hits = &s.reach_cache_hits;
+        lookups = &s.reach_cache_lookups;
+        break;
+      case OpKind::kPermute:
+        hits = &s.permute_cache_hits;
+        lookups = &s.permute_cache_lookups;
+        break;
+      default:
+        hits = &s.binary_cache_hits;
+        lookups = &s.binary_cache_lookups;
+        break;
     }
+    *hits += k_hits;
+    *lookups += k_lookups;
   }
   s.bucket_count = buckets_.size();
   s.var_count = var2level_.size();
@@ -745,14 +570,10 @@ const char* to_string(OpKind kind) {
 
 ManagerProfile Manager::profile() const {
   ManagerProfile p;
-  for (const HotCounters& h : hot_) {
-    for (std::size_t k = 0; k < kOpKindCount; ++k) {
-      p.ops[k].calls += h.calls[k];
-      p.ops[k].cache_lookups += h.cache_lookups[k];
-      p.ops[k].cache_hits += h.cache_hits[k];
-    }
-  }
   for (std::size_t k = 0; k < kOpKindCount; ++k) {
+    p.ops[k].calls = counters_.calls[k];
+    p.ops[k].cache_lookups = counters_.cache_lookups[k];
+    p.ops[k].cache_hits = counters_.cache_hits[k];
     p.ops[k].seconds = op_seconds_[k];
   }
   p.gc_runs = gc_runs_;
@@ -771,13 +592,13 @@ void Manager::set_budget(const ResourceBudget& budget) {
   budget_ = budget;
   budget_armed_ = !budget.unlimited();
   budget_start_ = std::chrono::steady_clock::now();
-  budget_steps_.store(0, std::memory_order_relaxed);
+  budget_steps_ = 0;
 }
 
 void Manager::clear_budget() {
   budget_ = ResourceBudget{};
   budget_armed_ = false;
-  budget_steps_.store(0, std::memory_order_relaxed);
+  budget_steps_ = 0;
 }
 
 double Manager::budget_elapsed_seconds() const {
@@ -789,10 +610,8 @@ double Manager::budget_elapsed_seconds() const {
 
 void Manager::count_budget_step() {
   if (!budget_armed_) return;
-  const std::size_t steps =
-      budget_steps_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (parallel_active_) return;  // see poll_budget(): no unwind mid-region
-  if (budget_.max_steps != 0 && steps > budget_.max_steps) {
+  ++budget_steps_;
+  if (budget_.max_steps != 0 && budget_steps_ > budget_.max_steps) {
     trip_budget(LimitKind::kStepCap);
   }
   poll_budget_slow();
@@ -816,7 +635,7 @@ void Manager::trip_budget(LimitKind kind) {
   trip.kind = kind;
   trip.live_nodes = live_nodes();
   trip.elapsed_seconds = budget_elapsed_seconds();
-  trip.steps = budget_steps_.load(std::memory_order_relaxed);
+  trip.steps = budget_steps_;
   // Disarm before unwinding: the catch site (CheckSession) reads final
   // gauges and may run further kernel calls (count_nodes on surviving
   // handles, GC) that must not re-trip.
@@ -862,8 +681,7 @@ void Manager::check_invariants() const {
     const std::size_t slot = hash_triple(n.var, n.low, n.high);
     bool found = false;
     std::size_t matches = 0;
-    for (std::uint32_t cur = buckets_[slot].load(std::memory_order_relaxed);
-         cur != kNilIndex; cur = node_at(cur).next) {
+    for (std::uint32_t cur = buckets_[slot]; cur != kNilIndex; cur = node_at(cur).next) {
       if (cur == idx) found = true;
       const Node& c = node_at(cur);
       if (c.var == n.var && c.low == n.low && c.high == n.high) ++matches;
@@ -871,12 +689,8 @@ void Manager::check_invariants() const {
     if (!found) fail("node missing from its unique-table bucket" + where);
     if (matches != 1) fail("duplicate triple in the unique table" + where);
   }
-  if (in_table != node_count_.load(std::memory_order_relaxed)) {
-    fail("node_count out of sync");
-  }
-  if (dead != dead_count_.load(std::memory_order_relaxed)) {
-    fail("dead_count out of sync");
-  }
+  if (in_table != node_count_) fail("node_count out of sync");
+  if (dead != dead_count_) fail("dead_count out of sync");
   if (live != live_nodes()) fail("live count out of sync");
 }
 

@@ -19,65 +19,31 @@ namespace stgcheck::bdd {
 
 // ---------------------------------------------------------------------------
 // Handle-level wrappers
-//
-// With threads > 1 each wrapper opens a parallel region (unique table and
-// caches switch to their concurrent protocols), wakes the pool and runs
-// the *_par recursion -- unless the operands are so shallow that even the
-// first fork would fail the cutoff, in which case the region overhead is
-// skipped entirely. With threads == 1 (pool_ == nullptr) every line below
-// is exactly the pre-parallel sequential kernel.
 // ---------------------------------------------------------------------------
 
 Bdd Manager::apply_and(const Bdd& f, const Bdd& g) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kAnd)];
+  ++counters_.calls[op_slot(OpKind::kAnd)];
   ProfileTimer timer(*this, OpKind::kAnd);
-  NodeRef raw;
-  if (pool_ != nullptr &&
-      fork_worthwhile(fork_depth_, std::min(level(f.ref()), level(g.ref())))) {
-    ParallelRegion region(*this);
-    raw = pool_->run_root(
-        [&] { return and_par(f.ref(), g.ref(), fork_depth_); });
-  } else {
-    raw = and_rec(f.ref(), g.ref());
-  }
-  Bdd result = make_handle(raw);
+  Bdd result = make_handle(and_rec(f.ref(), g.ref()));
   maybe_gc();
   return result;
 }
 
 Bdd Manager::apply_or(const Bdd& f, const Bdd& g) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kAnd)];
+  ++counters_.calls[op_slot(OpKind::kAnd)];
   ProfileTimer timer(*this, OpKind::kAnd);
-  NodeRef raw;
-  if (pool_ != nullptr &&
-      fork_worthwhile(fork_depth_, std::min(level(f.ref()), level(g.ref())))) {
-    ParallelRegion region(*this);
-    raw = pool_->run_root(
-        [&] { return or_par(f.ref(), g.ref(), fork_depth_); });
-  } else {
-    raw = or_rec(f.ref(), g.ref());
-  }
-  Bdd result = make_handle(raw);
+  Bdd result = make_handle(or_rec(f.ref(), g.ref()));
   maybe_gc();
   return result;
 }
 
 Bdd Manager::apply_xor(const Bdd& f, const Bdd& g) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kXor)];
+  ++counters_.calls[op_slot(OpKind::kXor)];
   ProfileTimer timer(*this, OpKind::kXor);
-  NodeRef raw;
-  if (pool_ != nullptr &&
-      fork_worthwhile(fork_depth_, std::min(level(f.ref()), level(g.ref())))) {
-    ParallelRegion region(*this);
-    raw = pool_->run_root(
-        [&] { return xor_par(f.ref(), g.ref(), fork_depth_); });
-  } else {
-    raw = xor_rec(f.ref(), g.ref());
-  }
-  Bdd result = make_handle(raw);
+  Bdd result = make_handle(xor_rec(f.ref(), g.ref()));
   maybe_gc();
   return result;
 }
@@ -89,26 +55,16 @@ Bdd Manager::apply_not(const Bdd& f) {
 
 Bdd Manager::ite(const Bdd& f, const Bdd& g, const Bdd& h) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kIte)];
+  ++counters_.calls[op_slot(OpKind::kIte)];
   ProfileTimer timer(*this, OpKind::kIte);
-  NodeRef raw;
-  if (pool_ != nullptr &&
-      fork_worthwhile(fork_depth_, std::min({level(f.ref()), level(g.ref()),
-                                             level(h.ref())}))) {
-    ParallelRegion region(*this);
-    raw = pool_->run_root(
-        [&] { return ite_par(f.ref(), g.ref(), h.ref(), fork_depth_); });
-  } else {
-    raw = ite_rec(f.ref(), g.ref(), h.ref());
-  }
-  Bdd result = make_handle(raw);
+  Bdd result = make_handle(ite_rec(f.ref(), g.ref(), h.ref()));
   maybe_gc();
   return result;
 }
 
 Bdd Manager::cofactor(const Bdd& f, const Bdd& cube) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kCofactor)];
+  ++counters_.calls[op_slot(OpKind::kCofactor)];
   ProfileTimer timer(*this, OpKind::kCofactor);
   Bdd result = make_handle(cofactor_rec(f.ref(), cube.ref()));
   maybe_gc();
@@ -117,55 +73,28 @@ Bdd Manager::cofactor(const Bdd& f, const Bdd& cube) {
 
 Bdd Manager::exists(const Bdd& f, const Bdd& cube) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kExists)];
+  ++counters_.calls[op_slot(OpKind::kExists)];
   ProfileTimer timer(*this, OpKind::kExists);
-  NodeRef raw;
-  if (pool_ != nullptr && fork_worthwhile(fork_depth_, level(f.ref()))) {
-    ParallelRegion region(*this);
-    raw = pool_->run_root(
-        [&] { return exists_par(f.ref(), cube.ref(), fork_depth_); });
-  } else {
-    raw = exists_rec(f.ref(), cube.ref());
-  }
-  Bdd result = make_handle(raw);
+  Bdd result = make_handle(exists_rec(f.ref(), cube.ref()));
   maybe_gc();
   return result;
 }
 
 Bdd Manager::forall(const Bdd& f, const Bdd& cube) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kExists)];
+  ++counters_.calls[op_slot(OpKind::kExists)];
   ProfileTimer timer(*this, OpKind::kExists);
   // De Morgan: forall x. f == not exists x. not f -- shares the EXISTS cache.
-  NodeRef raw;
-  if (pool_ != nullptr && fork_worthwhile(fork_depth_, level(f.ref()))) {
-    ParallelRegion region(*this);
-    raw = pool_->run_root([&] {
-      return bdd_not(exists_par(bdd_not(f.ref()), cube.ref(), fork_depth_));
-    });
-  } else {
-    raw = bdd_not(exists_rec(bdd_not(f.ref()), cube.ref()));
-  }
-  Bdd result = make_handle(raw);
+  Bdd result = make_handle(bdd_not(exists_rec(bdd_not(f.ref()), cube.ref())));
   maybe_gc();
   return result;
 }
 
 Bdd Manager::and_exists(const Bdd& f, const Bdd& g, const Bdd& cube) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kAndExists)];
+  ++counters_.calls[op_slot(OpKind::kAndExists)];
   ProfileTimer timer(*this, OpKind::kAndExists);
-  NodeRef raw;
-  if (pool_ != nullptr &&
-      fork_worthwhile(fork_depth_, std::min(level(f.ref()), level(g.ref())))) {
-    ParallelRegion region(*this);
-    raw = pool_->run_root([&] {
-      return and_exists_par(f.ref(), g.ref(), cube.ref(), fork_depth_);
-    });
-  } else {
-    raw = and_exists_rec(f.ref(), g.ref(), cube.ref());
-  }
-  Bdd result = make_handle(raw);
+  Bdd result = make_handle(and_exists_rec(f.ref(), g.ref(), cube.ref()));
   maybe_gc();
   return result;
 }
@@ -173,41 +102,24 @@ Bdd Manager::and_exists(const Bdd& f, const Bdd& g, const Bdd& cube) {
 Bdd Manager::and_exists_multi(const std::vector<Bdd>& conjuncts,
                               const Bdd& cube) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kAndExistsMulti)];
+  ++counters_.calls[op_slot(OpKind::kAndExistsMulti)];
   ProfileTimer timer(*this, OpKind::kAndExistsMulti);
   std::vector<NodeRef> ops;
   ops.reserve(conjuncts.size());
-  std::size_t top = kTerminalLevel;
   for (const Bdd& f : conjuncts) {
     if (f.manager() != this) {
       throw ModelError("and_exists_multi: operand from a different manager");
     }
     ops.push_back(f.ref());
-    top = std::min(top, level(f.ref()));
   }
-  NodeRef raw;
-  if (pool_ != nullptr && fork_worthwhile(fork_depth_, top)) {
-    // The multi cache lazily resizes on the sequential path; pre-allocate
-    // it here so no thread does that inside the region.
-    if (multi_cache_.empty()) {
-      multi_cache_.resize(kMultiCacheSize);
-      multi_cache_mask_ = kMultiCacheSize - 1;
-    }
-    ParallelRegion region(*this);
-    raw = pool_->run_root([&] {
-      return and_exists_multi_par(std::move(ops), cube.ref(), fork_depth_);
-    });
-  } else {
-    raw = and_exists_multi_rec(std::move(ops), cube.ref());
-  }
-  Bdd result = make_handle(raw);
+  Bdd result = make_handle(and_exists_multi_rec(std::move(ops), cube.ref()));
   maybe_gc();
   return result;
 }
 
 Bdd Manager::restrict(const Bdd& f, const Bdd& care) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kRestrict)];
+  ++counters_.calls[op_slot(OpKind::kRestrict)];
   ProfileTimer timer(*this, OpKind::kRestrict);
   Bdd result = make_handle(restrict_rec(f.ref(), care.ref()));
   maybe_gc();
@@ -221,7 +133,7 @@ std::string Manager::var_desc(Var v) const {
 
 Bdd Manager::permute(const Bdd& f, const std::vector<Var>& perm) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kPermute)];
+  ++counters_.calls[op_slot(OpKind::kPermute)];
   ProfileTimer timer(*this, OpKind::kPermute);
   // Validate over f's support (sorted by current level): every variable
   // mapped, every target known, no two variables sharing a target. A
@@ -277,12 +189,12 @@ Bdd Manager::permute(const Bdd& f, const std::vector<Var>& perm) {
     h = (h << 13) | (h >> 51);
   }
   h ^= h >> 33;
-  ++hot().cache_lookups[op_slot(OpKind::kPermute)];
+  ++counters_.cache_lookups[op_slot(OpKind::kPermute)];
   if (!permute_cache_.empty()) {
     const PermuteCacheEntry& e =
         permute_cache_[static_cast<std::size_t>(h) & permute_cache_mask_];
     if (e.result != kInvalidRef && e.key == key) {
-      ++hot().cache_hits[op_slot(OpKind::kPermute)];
+      ++counters_.cache_hits[op_slot(OpKind::kPermute)];
       return make_handle(e.result);
     }
   }
@@ -345,7 +257,7 @@ NodeRef Manager::permute_general_rec(NodeRef f, const std::vector<Var>& perm,
 
 bool Manager::disjoint(const Bdd& f, const Bdd& g) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kDisjoint)];
+  ++counters_.calls[op_slot(OpKind::kDisjoint)];
   ProfileTimer timer(*this, OpKind::kDisjoint);
   // No nodes are created, so there is nothing to protect and no GC to run.
   return disjoint_rec(f.ref(), g.ref());

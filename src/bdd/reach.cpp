@@ -32,7 +32,6 @@
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "util/error.hpp"
 #include "util/trace.hpp"
@@ -132,28 +131,13 @@ void Manager::validate_reach_states(const Bdd& states,
 Bdd Manager::rel_next(const Bdd& states, const Bdd& rel, const Bdd& support,
                       std::ptrdiff_t shift) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kRelNext)];
+  ++counters_.calls[op_slot(OpKind::kRelNext)];
   ProfileTimer timer(*this, OpKind::kRelNext);
   std::vector<char> twin_mask(var2level_.size(), 0);
   validate_reach_relation(rel, support, twin_mask, shift);
   validate_reach_states(states, twin_mask);
-  const std::int32_t sh = static_cast<std::int32_t>(shift);
-  NodeRef raw;
-  if (pool_ != nullptr &&
-      fork_worthwhile(fork_depth_, std::min(level(states.ref()),
-                                            level_shifted(rel.ref(), sh)))) {
-    // The shifted cache resizes lazily on the sequential path only;
-    // allocate it before any worker could want a store.
-    if (sh != 0) ensure_rel_next_shift_cache();
-    ParallelRegion region(*this);
-    raw = pool_->run_root([&] {
-      return rel_next_par(states.ref(), rel.ref(), support.ref(), sh,
-                          fork_depth_);
-    });
-  } else {
-    raw = rel_next_rec(states.ref(), rel.ref(), support.ref(), sh);
-  }
-  Bdd result = make_handle(raw);
+  Bdd result = make_handle(rel_next_rec(states.ref(), rel.ref(), support.ref(),
+                                        static_cast<std::int32_t>(shift)));
   maybe_gc();
   return result;
 }
@@ -227,12 +211,11 @@ NodeRef Manager::rel_next_rec(NodeRef s, NodeRef r, NodeRef cube,
 Bdd Manager::reach(const Bdd& states,
                    const std::vector<ReachRelation>& relations) {
   poll_budget();
-  ++hot().calls[op_slot(OpKind::kReach)];
+  ++counters_.calls[op_slot(OpKind::kReach)];
   ProfileTimer timer(*this, OpKind::kReach);
   std::vector<ReachRule> rules;
   rules.reserve(relations.size());
   std::vector<char> twin_mask(var2level_.size(), 0);
-  bool any_shifted = false;
   for (const ReachRelation& r : relations) {
     validate_reach_relation(r.rel, r.support, twin_mask, r.shift);
     // A false relation fires nothing; a relation with an empty support
@@ -244,7 +227,6 @@ Bdd Manager::reach(const Bdd& states,
     rules.push_back(ReachRule{r.rel.ref(), r.support.ref(),
                               level(r.support.ref()),
                               static_cast<std::int32_t>(r.shift)});
-    any_shifted = any_shifted || r.shift != 0;
   }
   // One pass over the state set's support against every relation's twins
   // (per-relation checks would walk the whole seed BDD once per rule).
@@ -273,19 +255,7 @@ Bdd Manager::reach(const Bdd& states,
   reach_rules_ = std::move(rules);
   NodeRef raw;
   try {
-    if (pool_ != nullptr && !reach_rules_.empty() && !is_term(states.ref())) {
-      // The REACH cache lazily resizes on the sequential path; pre-allocate
-      // it here so no thread does that inside the region.
-      if (reach_cache_.empty()) {
-        reach_cache_.resize(kReachCacheSize);
-        reach_cache_mask_ = kReachCacheSize - 1;
-      }
-      if (any_shifted) ensure_rel_next_shift_cache();
-      ParallelRegion region(*this);
-      raw = pool_->run_root([&] { return reach_par(states.ref(), 0); });
-    } else {
-      raw = reach_rec(states.ref(), 0);
-    }
+    raw = reach_rec(states.ref(), 0);
   } catch (...) {
     // A budget trip unwinds out of reach_rec's rule loop: the rule list
     // holds raw edges owned by the caller's handles, so it must not
@@ -335,7 +305,7 @@ NodeRef Manager::reach_rec(NodeRef s, std::size_t rule) {
       const std::int32_t shift = reach_rules_[rule].shift;
       // One saturation rule firing: an in-kernel rel_next application,
       // counted on the kRelNext slot and spanned when tracing is armed.
-      ++hot().calls[op_slot(OpKind::kRelNext)];
+      ++counters_.calls[op_slot(OpKind::kRelNext)];
       TraceSpan firing(trace_, "reach_rule", "kernel");
       firing.arg("rule", static_cast<double>(rule));
       const NodeRef step = rel_next_rec(cur, rel, cube, shift);
@@ -363,35 +333,13 @@ std::size_t Manager::reach_hash(NodeRef states, std::size_t rule) const {
 }
 
 NodeRef Manager::reach_cache_lookup(NodeRef states, std::size_t rule) const {
-  ++hot().cache_lookups[op_slot(Op::kReach)];
+  ++counters_.cache_lookups[op_slot(Op::kReach)];
   if (reach_cache_.empty()) return kInvalidRef;
   const ReachCacheEntry& e =
       reach_cache_[reach_hash(states, rule) & reach_cache_mask_];
-  if (!parallel_active_) {
-    if (e.result != kInvalidRef && e.states == states && e.rule == rule) {
-      ++hot().cache_hits[op_slot(Op::kReach)];
-      return e.result;
-    }
-    return kInvalidRef;
-  }
-  // Seqlock read, exactly as in cache_lookup(): a torn snapshot is a miss.
-  ReachCacheEntry& me = const_cast<ReachCacheEntry&>(e);
-  const std::uint32_t v1 =
-      std::atomic_ref<std::uint32_t>(me.version).load(std::memory_order_acquire);
-  if ((v1 & 1u) != 0) return kInvalidRef;
-  const NodeRef es =
-      std::atomic_ref<NodeRef>(me.states).load(std::memory_order_relaxed);
-  const std::uint32_t er =
-      std::atomic_ref<std::uint32_t>(me.rule).load(std::memory_order_relaxed);
-  const NodeRef eres =
-      std::atomic_ref<NodeRef>(me.result).load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  const std::uint32_t v2 =
-      std::atomic_ref<std::uint32_t>(me.version).load(std::memory_order_relaxed);
-  if (v1 != v2) return kInvalidRef;
-  if (eres != kInvalidRef && es == states && er == rule) {
-    ++hot().cache_hits[op_slot(Op::kReach)];
-    return eres;
+  if (e.result != kInvalidRef && e.states == states && e.rule == rule) {
+    ++counters_.cache_hits[op_slot(Op::kReach)];
+    return e.result;
   }
   return kInvalidRef;
 }
@@ -399,40 +347,16 @@ NodeRef Manager::reach_cache_lookup(NodeRef states, std::size_t rule) const {
 void Manager::reach_cache_store(NodeRef states, std::size_t rule,
                                 NodeRef result) {
   if (reach_cache_.empty()) {
-    // Never reached inside a parallel region: reach() pre-allocates.
-    assert(!parallel_active_);
     reach_cache_.resize(kReachCacheSize);
     reach_cache_mask_ = kReachCacheSize - 1;
   }
-  ReachCacheEntry& e = reach_cache_[reach_hash(states, rule) & reach_cache_mask_];
-  if (!parallel_active_) {
-    e = ReachCacheEntry{states, static_cast<std::uint32_t>(rule), result};
-    return;
-  }
-  // Seqlock write, exactly as in cache_store(): claim or skip (lossy).
-  std::atomic_ref<std::uint32_t> ver(e.version);
-  std::uint32_t v = ver.load(std::memory_order_relaxed);
-  if ((v & 1u) != 0) return;
-  if (!ver.compare_exchange_strong(v, v + 1, std::memory_order_acquire,
-                                   std::memory_order_relaxed)) {
-    return;
-  }
-  std::atomic_ref<NodeRef>(e.states).store(states, std::memory_order_relaxed);
-  std::atomic_ref<std::uint32_t>(e.rule).store(
-      static_cast<std::uint32_t>(rule), std::memory_order_relaxed);
-  std::atomic_ref<NodeRef>(e.result).store(result, std::memory_order_relaxed);
-  ver.store(v + 2, std::memory_order_release);
+  reach_cache_[reach_hash(states, rule) & reach_cache_mask_] =
+      ReachCacheEntry{states, static_cast<std::uint32_t>(rule), result};
 }
 
 // ---------------------------------------------------------------------------
 // The shifted-product cache (template firings; see RelNextShiftEntry)
 // ---------------------------------------------------------------------------
-
-void Manager::ensure_rel_next_shift_cache() {
-  if (!rel_next_shift_cache_.empty()) return;
-  rel_next_shift_cache_.resize(kRelNextShiftCacheSize);
-  rel_next_shift_cache_mask_ = kRelNextShiftCacheSize - 1;
-}
 
 std::size_t Manager::rel_next_shift_hash(NodeRef s, NodeRef r, NodeRef cube,
                                          std::int32_t shift) const {
@@ -449,41 +373,15 @@ std::size_t Manager::rel_next_shift_hash(NodeRef s, NodeRef r, NodeRef cube,
 
 NodeRef Manager::rel_next_shift_lookup(NodeRef s, NodeRef r, NodeRef cube,
                                        std::int32_t shift) const {
-  ++hot().cache_lookups[op_slot(Op::kRelNext)];
+  ++counters_.cache_lookups[op_slot(Op::kRelNext)];
   if (rel_next_shift_cache_.empty()) return kInvalidRef;
   const RelNextShiftEntry& e =
       rel_next_shift_cache_[rel_next_shift_hash(s, r, cube, shift) &
                             rel_next_shift_cache_mask_];
-  if (!parallel_active_) {
-    if (e.result != kInvalidRef && e.states == s && e.rel == r &&
-        e.cube == cube && e.shift == shift) {
-      ++hot().cache_hits[op_slot(Op::kRelNext)];
-      return e.result;
-    }
-    return kInvalidRef;
-  }
-  // Seqlock read, exactly as in cache_lookup(): a torn snapshot is a miss.
-  RelNextShiftEntry& me = const_cast<RelNextShiftEntry&>(e);
-  const std::uint32_t v1 =
-      std::atomic_ref<std::uint32_t>(me.version).load(std::memory_order_acquire);
-  if ((v1 & 1u) != 0) return kInvalidRef;
-  const NodeRef es =
-      std::atomic_ref<NodeRef>(me.states).load(std::memory_order_relaxed);
-  const NodeRef er =
-      std::atomic_ref<NodeRef>(me.rel).load(std::memory_order_relaxed);
-  const NodeRef ec =
-      std::atomic_ref<NodeRef>(me.cube).load(std::memory_order_relaxed);
-  const std::int32_t esh =
-      std::atomic_ref<std::int32_t>(me.shift).load(std::memory_order_relaxed);
-  const NodeRef eres =
-      std::atomic_ref<NodeRef>(me.result).load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  const std::uint32_t v2 =
-      std::atomic_ref<std::uint32_t>(me.version).load(std::memory_order_relaxed);
-  if (v1 != v2) return kInvalidRef;
-  if (eres != kInvalidRef && es == s && er == r && ec == cube && esh == shift) {
-    ++hot().cache_hits[op_slot(Op::kRelNext)];
-    return eres;
+  if (e.result != kInvalidRef && e.states == s && e.rel == r &&
+      e.cube == cube && e.shift == shift) {
+    ++counters_.cache_hits[op_slot(Op::kRelNext)];
+    return e.result;
   }
   return kInvalidRef;
 }
@@ -491,32 +389,12 @@ NodeRef Manager::rel_next_shift_lookup(NodeRef s, NodeRef r, NodeRef cube,
 void Manager::rel_next_shift_store(NodeRef s, NodeRef r, NodeRef cube,
                                    std::int32_t shift, NodeRef result) {
   if (rel_next_shift_cache_.empty()) {
-    // Never reached inside a parallel region: the wrappers pre-allocate.
-    assert(!parallel_active_);
-    ensure_rel_next_shift_cache();
+    rel_next_shift_cache_.resize(kRelNextShiftCacheSize);
+    rel_next_shift_cache_mask_ = kRelNextShiftCacheSize - 1;
   }
-  RelNextShiftEntry& e =
-      rel_next_shift_cache_[rel_next_shift_hash(s, r, cube, shift) &
-                            rel_next_shift_cache_mask_];
-  if (!parallel_active_) {
-    e = RelNextShiftEntry{s, r, cube, shift, result};
-    return;
-  }
-  // Seqlock write, exactly as in cache_store(): claim or skip (lossy).
-  std::atomic_ref<std::uint32_t> ver(e.version);
-  std::uint32_t v = ver.load(std::memory_order_relaxed);
-  if ((v & 1u) != 0) return;
-  if (!ver.compare_exchange_strong(v, v + 1, std::memory_order_acquire,
-                                   std::memory_order_relaxed)) {
-    return;
-  }
-  std::atomic_ref<NodeRef>(e.states).store(s, std::memory_order_relaxed);
-  std::atomic_ref<NodeRef>(e.rel).store(r, std::memory_order_relaxed);
-  std::atomic_ref<NodeRef>(e.cube).store(cube, std::memory_order_relaxed);
-  std::atomic_ref<std::int32_t>(e.shift).store(shift,
-                                               std::memory_order_relaxed);
-  std::atomic_ref<NodeRef>(e.result).store(result, std::memory_order_relaxed);
-  ver.store(v + 2, std::memory_order_release);
+  rel_next_shift_cache_[rel_next_shift_hash(s, r, cube, shift) &
+                        rel_next_shift_cache_mask_] =
+      RelNextShiftEntry{s, r, cube, shift, result};
 }
 
 }  // namespace stgcheck::bdd

@@ -28,6 +28,12 @@
 // adjacent swaps (each variable of one block crosses each variable of the
 // other); mid-move a neighbour is temporarily split, but every block move
 // restores all groups before the position is scored.
+//
+// sift() polls the armed budget (set_budget) after every block move: a
+// sift of a large table runs for seconds, and a deadline or cancel must
+// not wait for it to finish. The table is canonical after every swap and
+// every group is contiguous between block moves, so a trip there leaves
+// a valid, merely less optimized order behind.
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
@@ -101,6 +107,7 @@ std::size_t Manager::sift(double max_growth) {
   gc_enabled_ = false;
   sift_tracking_ = true;
   gather_var_nodes();
+  const std::vector<Var> order_before = level2var_;
 
   // One block per group plus one per ungrouped variable, sifted in
   // decreasing order of node population: big layers first.
@@ -120,21 +127,34 @@ std::size_t Manager::sift(double max_growth) {
               return population(a) > population(b);
             });
 
-  for (const std::vector<Var>& block : blocks) {
-    sift_one_block(block, max_growth);
+  try {
+    for (const std::vector<Var>& block : blocks) {
+      sift_one_block(block, max_growth);
+    }
+  } catch (const CancelledError&) {
+    // A budget trip between two block moves. Nothing cached may survive
+    // the half-finished reorder, and engines must resync if the order
+    // moved at all.
+    clear_cache();
+    finish_reorder(level2var_ != order_before, sift_start);
+    throw;
   }
+  finish_reorder(true, sift_start);
+  return live_nodes();
+}
 
+void Manager::finish_reorder(bool order_changed,
+                             std::chrono::steady_clock::time_point start) {
   sift_tracking_ = false;
   nodes_at_var_.clear();
   gc_enabled_ = true;
-  ++reorder_epoch_;
+  if (order_changed) ++reorder_epoch_;
   collect_garbage();
   if (profiling_) {
     sift_seconds_ += std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - sift_start)
+                         std::chrono::steady_clock::now() - start)
                          .count();
   }
-  return live_nodes();
 }
 
 std::size_t Manager::sift_one_block(const std::vector<Var>& block,
@@ -153,6 +173,7 @@ std::size_t Manager::sift_one_block(const std::vector<Var>& block,
                   : var2level_[block.front()] + k < levels) {
       const std::size_t size =
           upward ? move_block_up(block) : move_block_down(block);
+      poll_budget();
       if (size < best_size) {
         best_size = size;
         best_top = var2level_[block.front()];
@@ -168,8 +189,14 @@ std::size_t Manager::sift_one_block(const std::vector<Var>& block,
   const bool up_first = top < levels - k - top;
   sweep(up_first);
   sweep(!up_first);
-  while (var2level_[block.front()] > best_top) move_block_up(block);
-  while (var2level_[block.front()] < best_top) move_block_down(block);
+  while (var2level_[block.front()] > best_top) {
+    move_block_up(block);
+    poll_budget();
+  }
+  while (var2level_[block.front()] < best_top) {
+    move_block_down(block);
+    poll_budget();
+  }
   return best_size;
 }
 
@@ -273,16 +300,7 @@ std::size_t Manager::reorder(const std::vector<Var>& order) {
     while (var2level_[v] > target) swap_levels(var2level_[v] - 1);
   }
 
-  sift_tracking_ = false;
-  nodes_at_var_.clear();
-  gc_enabled_ = true;
-  ++reorder_epoch_;
-  collect_garbage();
-  if (profiling_) {
-    sift_seconds_ += std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - sift_start)
-                         .count();
-  }
+  finish_reorder(true, sift_start);
   return live_nodes();
 }
 
@@ -353,7 +371,6 @@ std::size_t Manager::swap_levels(std::size_t upper_level) {
 }
 
 void Manager::gather_var_nodes() {
-  assert(!parallel_active_ && "reordering only runs at quiescence");
   nodes_at_var_.assign(var2level_.size(), {});
   const std::uint32_t size = nodes_size();
   for (std::uint32_t idx = 1; idx < size; ++idx) {

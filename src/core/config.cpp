@@ -102,13 +102,16 @@ TemplateMode parse_templates_or_die(const std::string& name) {
   return *m;
 }
 
-std::size_t parse_threads_or_die(const std::string& text) {
-  const auto count = parse_thread_count(text);
-  if (!count) {
-    bad("bad thread count '" + text + "' (valid: " +
-        valid_thread_count_range() + ")");
+/// The "threads" key and --threads flag configure nothing (the kernel is
+/// sequential). They stay accepted with the value 1 so existing requests
+/// keep working; any other value fails loudly.
+void check_sequential_threads(std::size_t threads) {
+  if (threads != 1) {
+    bad("threads " + std::to_string(threads) +
+        " is not supported: the BDD kernel is sequential, so only 1 is "
+        "accepted (--threads is the daemon's worker count: stg_checkd "
+        "--threads N)");
   }
-  return *count;
 }
 
 std::pair<std::string, std::string> parse_arbitrate_pair(
@@ -126,11 +129,6 @@ void CheckConfig::validate() const {
   if (initial_nodes == 0) bad("initial_nodes must be at least 1");
   if (!(limits.max_seconds >= 0) || !std::isfinite(limits.max_seconds)) {
     bad("max_seconds must be a finite non-negative number");
-  }
-  const std::size_t threads = check.engine_options.threads;
-  if (!parse_thread_count(std::to_string(threads))) {
-    bad("thread count " + std::to_string(threads) + " out of range (valid: " +
-        valid_thread_count_range() + ")");
   }
   for (const auto& [a, b] : check.arbitration_pairs) {
     if (a.empty() || b.empty()) bad("arbitration pair with an empty name");
@@ -150,8 +148,7 @@ CheckConfig CheckConfig::from_json(const json::Value& obj) {
       config.check.engine_options.schedule =
           parse_schedule_or_die(value.as_string());
     } else if (key == "threads") {
-      config.check.engine_options.threads =
-          parse_threads_or_die(std::to_string(json_size(value, key)));
+      check_sequential_threads(json_size(value, key));
     } else if (key == "relation_templates") {
       config.check.engine_options.relation_templates =
           parse_templates_or_die(value.as_string());
@@ -197,9 +194,6 @@ json::Value CheckConfig::to_json() const {
   if (check.engine_options.schedule != defaults.check.engine_options.schedule) {
     obj.set("schedule",
             Value(std::string(to_string(check.engine_options.schedule))));
-  }
-  if (check.engine_options.threads != defaults.check.engine_options.threads) {
-    obj.set("threads", Value(check.engine_options.threads));
   }
   if (check.engine_options.relation_templates !=
       defaults.check.engine_options.relation_templates) {
@@ -254,7 +248,7 @@ bool CheckConfig::consume_flag(const std::vector<std::string>& args,
   } else if (arg == "--schedule") {
     check.engine_options.schedule = parse_schedule_or_die(value());
   } else if (arg == "--threads") {
-    check.engine_options.threads = parse_threads_or_die(value());
+    check_sequential_threads(arg_size(value(), arg));
   } else if (arg == "--relation-templates") {
     check.engine_options.relation_templates = parse_templates_or_die(value());
   } else if (arg == "--arbitrate") {
@@ -306,9 +300,6 @@ std::vector<std::string> CheckConfig::to_args() const {
   if (check.engine_options.schedule != defaults.check.engine_options.schedule) {
     flag("--schedule", to_string(check.engine_options.schedule));
   }
-  if (check.engine_options.threads != defaults.check.engine_options.threads) {
-    flag("--threads", std::to_string(check.engine_options.threads));
-  }
   if (check.engine_options.relation_templates !=
       defaults.check.engine_options.relation_templates) {
     flag("--relation-templates",
@@ -343,7 +334,6 @@ bool operator==(const CheckConfig& a, const CheckConfig& b) {
          a.check.strategy == b.check.strategy &&
          a.check.engine == b.check.engine &&
          a.check.engine_options.schedule == b.check.engine_options.schedule &&
-         a.check.engine_options.threads == b.check.engine_options.threads &&
          a.check.engine_options.relation_templates ==
              b.check.engine_options.relation_templates &&
          a.check.arbitration_pairs == b.check.arbitration_pairs &&

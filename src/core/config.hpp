@@ -10,9 +10,9 @@
 //
 // Layers:
 //   check          -- everything check_implementability takes (ordering,
-//                     strategy, engine, schedule, threads, relation
-//                     templates, arbitration pairs), minus the event log
-//                     the session injects;
+//                     strategy, engine, schedule, relation templates,
+//                     arbitration pairs), minus the event log the session
+//                     injects;
 //   initial_nodes  -- initial node capacity of the session's manager;
 //   limits         -- the resource budget (util/budget.hpp) the session
 //                     arms on its manager for the duration of the check.
@@ -20,9 +20,13 @@
 // Wire form (the daemon's "options" object and `stg_check --json` input;
 // all members optional, unknown keys rejected):
 //   {"ordering":"interleaved","strategy":"chaining","engine":"cofactor",
-//    "schedule":"none","threads":1,"relation_templates":"off",
+//    "schedule":"none","relation_templates":"off",
 //    "arbitrate":[["g1","g2"]],"initial_nodes":16384,"max_live_nodes":0,
 //    "max_seconds":0,"max_steps":0,"trace":"out.json","profile":true}
+//
+// The BDD kernel is sequential. For older clients, "threads":1 (and the
+// flag --threads 1) is still accepted and discarded; any other count
+// throws ModelError, and neither form is ever emitted.
 //
 // to_json()/to_args() emit only non-default members, so defaults
 // round-trip as the empty object / empty flag list and rendered requests
@@ -60,8 +64,7 @@ struct CheckConfig {
   bool profile = false;
 
   /// Throws ModelError when a member is out of range (zero initial_nodes,
-  /// negative or non-finite max_seconds, empty arbitration signal name,
-  /// thread count outside the kernel's range).
+  /// negative or non-finite max_seconds, empty arbitration signal name).
   void validate() const;
 
   // -- JSON round-trip (the wire "options" object) --------------------
@@ -78,7 +81,7 @@ struct CheckConfig {
   /// If args[i] is a config flag, consumes it (and its value, advancing
   /// i) and returns true; returns false on anything else. Throws
   /// ModelError on a missing or malformed value. Flags:
-  ///   --ordering --strategy --engine --schedule --threads
+  ///   --ordering --strategy --engine --schedule --threads (1 only)
   ///   --relation-templates --arbitrate --initial-nodes --max-live-nodes
   ///   --max-seconds --max-steps --trace --profile
   bool consume_flag(const std::vector<std::string>& args, std::size_t& i);

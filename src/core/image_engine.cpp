@@ -84,21 +84,6 @@ std::string valid_template_mode_names() {
   return names;
 }
 
-std::optional<std::size_t> parse_thread_count(std::string_view text) {
-  if (text.empty() || text.size() > 3) return std::nullopt;
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  if (value < 1 || value > bdd::Manager::kMaxThreads) return std::nullopt;
-  return value;
-}
-
-std::string valid_thread_count_range() {
-  return "1.." + std::to_string(bdd::Manager::kMaxThreads);
-}
-
 // ---------------------------------------------------------------------------
 // The delta_N pipeline
 // ---------------------------------------------------------------------------

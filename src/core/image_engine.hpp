@@ -126,24 +126,11 @@ struct EngineOptions {
   /// and mutex12's 103k (stays scheduled, measured peak 149k). 0 disables
   /// the fallback; other schedule kinds never fall back.
   std::size_t monolithic_fallback_nodes = 90'000;
-  /// Threads the BDD kernel may use (Manager::set_thread_count; traverse()
-  /// applies it to the encoding's manager before the first image). 1 -- the
-  /// default -- runs the exact sequential kernel, bit-identical to every
-  /// pre-parallel baseline; larger values attach a work-stealing pool and
-  /// the heavy recursions fork their cofactor branches. Canonicity keeps
-  /// the results identical at any thread count.
-  std::size_t threads = 1;
   /// Isomorphism-exploiting relation templates (saturation backend only;
   /// the other backends ignore it). kOff keeps the classic per-relation
   /// BDDs, bit-identical to every pre-template baseline.
   TemplateMode relation_templates = TemplateMode::kOff;
 };
-
-/// Parses a --threads value: an integer in [1, bdd::Manager::kMaxThreads].
-/// nullopt for malformed or out-of-range input.
-std::optional<std::size_t> parse_thread_count(std::string_view text);
-/// The accepted --threads range, for CLI error messages ("1..64").
-std::string valid_thread_count_range();
 
 struct ImageEngineStats {
   std::size_t image_calls = 0;     ///< image / image_via / image_unit calls

@@ -123,14 +123,6 @@ metrics::MetricsSnapshot CheckSession::metrics_snapshot() const {
   gauge("peak_live_nodes", static_cast<double>(stats.peak_live));
   gauge("cache_hit_rate", stats.cache_hit_rate());
 
-  const PoolTelemetry pool = manager.pool_telemetry();
-  counter("pool_tasks_run", pool.total.tasks_run);
-  counter("pool_steals_attempted", pool.total.steals_attempted);
-  counter("pool_steals_succeeded", pool.total.steals_succeeded);
-  counter("pool_inline_joins", pool.total.inline_joins);
-  counter("pool_idle_spins", pool.total.idle_spins);
-  gauge("pool_steal_rate", pool.steal_rate);
-
   if (trace_ != nullptr) {
     counter("trace_events", trace_->event_count());
     counter("trace_dropped", trace_->dropped_count());

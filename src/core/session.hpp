@@ -101,10 +101,10 @@ class CheckSession {
   TraceRecorder* trace() { return trace_.get(); }
 
   /// Post-run observability fold: the manager's per-op profile and cache
-  /// counters, GC/sift phase gauges and the pool's work-stealing telemetry
-  /// as one flat metrics snapshot (util/metrics.hpp). Counter names are
-  /// `op_calls_<kind>` / `op_cache_lookups_<kind>` / `op_cache_hits_<kind>`
-  /// per OpKind plus gc/sift/pool counters; wall-clock gauges are present
+  /// counters and GC/sift phase gauges as one flat metrics snapshot
+  /// (util/metrics.hpp). Counter names are `op_calls_<kind>` /
+  /// `op_cache_lookups_<kind>` / `op_cache_hits_<kind>` per OpKind plus
+  /// gc/sift counters; wall-clock gauges are present
   /// but zero unless options.profile armed the kernel clock. Empty before
   /// run() built the encoding.
   metrics::MetricsSnapshot metrics_snapshot() const;

@@ -109,7 +109,6 @@ void check_consistency_on(SymbolicStg& sym, const Bdd& states,
 TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
   Stopwatch watch;
   SymbolicStg& sym = engine.sym();
-  sym.manager().set_thread_count(options.engine_options.threads);
   const pn::PetriNet& net = sym.stg().net();
   TraversalResult result;
   LazyBinder binder(sym);

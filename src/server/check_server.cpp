@@ -394,8 +394,6 @@ void CheckServer::record_session_metrics(const std::string& id,
                                          double queue_wait_s, double run_s) {
   const std::lock_guard<std::mutex> lock(metrics_mu_);
   metrics_.merge(snap);
-  // Histogram shards are keyed by TaskPool::worker_index(), which is 0 on
-  // every scheduler worker: metrics_mu_ is what serializes these writes.
   queue_wait_seconds_.observe(queue_wait_s);
   session_run_seconds_.observe(run_s);
   ++metrics_sessions_;
@@ -432,10 +430,6 @@ void CheckServer::submit_checks(const std::shared_ptr<Connection>& conn,
       conn->write_line(error_line(ErrorCode::kBadNet, e.what(), id));
       continue;
     }
-
-    // In-daemon sessions never spin up an inner kernel pool: concurrency
-    // comes from the scheduler's workers running whole sessions.
-    check.options.check.engine_options.threads = 1;
 
     // Every in-daemon session gets a cancel token, whatever its other
     // limits: the "cancel" op reaches the session through it.

@@ -19,9 +19,8 @@
 // touchpoints are the registry, the connection (mutexed), the metrics
 // fold (mutexed), and the scheduler queue.
 //
-// In-daemon sessions run with kernel threads = 1, always: concurrency
-// comes from workers running whole sessions side by side, never from an
-// inner kernel pool per session.
+// The BDD kernel is sequential: concurrency comes from workers running
+// whole sessions side by side, each on its own manager.
 //
 // Shutdown: stop() only signals (a self-pipe every poll() watches plus a
 // listener close) so it is safe from any thread -- including a connection

@@ -3,11 +3,9 @@
 // is free, so a short check submitted behind a long one starts as soon
 // as any worker frees up -- it never waits for unrelated jobs to finish.
 //
-// Jobs are whole check sessions. Each session owns its bdd::Manager and
-// metrics registry exclusively, and the server runs every in-daemon
-// session at kernel threads = 1 (see docs/architecture.md), so workers
-// share no mutable kernel state and none of them is a TaskPool worker:
-// TaskPool::worker_index() reads 0 on every one of them.
+// Jobs are whole check sessions. Each session owns its single-threaded
+// bdd::Manager and its metrics registry exclusively, so workers share no
+// mutable kernel state.
 #pragma once
 
 #include <condition_variable>

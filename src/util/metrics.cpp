@@ -13,71 +13,35 @@ namespace stgcheck::metrics {
 // Counter / Histogram
 // ---------------------------------------------------------------------------
 
-std::uint64_t Counter::value() const {
-  std::uint64_t total = 0;
-  for (const Cell& c : cells_) total += c.v.load(std::memory_order_relaxed);
-  return total;
-}
-
-Histogram::Histogram(std::vector<double> edges) : edges_(std::move(edges)) {
-  // Pad each shard's bucket run to a cache-line multiple (8 u64 per line)
-  // so two workers' buckets never share a line.
-  const std::size_t buckets = edges_.size() + 1;
-  stride_ = (buckets + 7) / 8 * 8;
-  bucket_cells_ = std::vector<std::atomic<std::uint64_t>>(kShards * stride_);
-}
+Histogram::Histogram(std::vector<double> edges)
+    : edges_(std::move(edges)), buckets_(edges_.size() + 1) {}
 
 void Histogram::observe(double v) {
   // First edge >= v (inclusive upper bounds); past-the-end = +inf bucket.
   const std::size_t b = static_cast<std::size_t>(
       std::lower_bound(edges_.begin(), edges_.end(), v) - edges_.begin());
-  const std::size_t s = shard();
-  std::atomic<std::uint64_t>& cell = bucket_cells_[s * stride_ + b];
-  cell.store(cell.load(std::memory_order_relaxed) + 1,
-             std::memory_order_relaxed);
-  Cell& t = totals_[s];
-  t.count.store(t.count.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-  t.sum.store(t.sum.load(std::memory_order_relaxed) + v,
-              std::memory_order_relaxed);
+  buckets_[b].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
 void Histogram::merge_sample(const std::vector<std::uint64_t>& buckets,
                              std::uint64_t count, double sum) {
-  const std::size_t s = shard();
-  const std::size_t n = std::min(buckets.size(), edges_.size() + 1);
+  const std::size_t n = std::min(buckets.size(), buckets_.size());
   for (std::size_t b = 0; b < n; ++b) {
-    std::atomic<std::uint64_t>& cell = bucket_cells_[s * stride_ + b];
-    cell.store(cell.load(std::memory_order_relaxed) + buckets[b],
-               std::memory_order_relaxed);
+    buckets_[b].fetch_add(buckets[b], std::memory_order_relaxed);
   }
-  Cell& t = totals_[s];
-  t.count.store(t.count.load(std::memory_order_relaxed) + count,
-                std::memory_order_relaxed);
-  t.sum.store(t.sum.load(std::memory_order_relaxed) + sum,
-              std::memory_order_relaxed);
+  count_.fetch_add(count, std::memory_order_relaxed);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
 }
 
 std::vector<std::uint64_t> Histogram::buckets() const {
-  std::vector<std::uint64_t> out(edges_.size() + 1, 0);
-  for (std::size_t s = 0; s < kShards; ++s) {
-    for (std::size_t b = 0; b < out.size(); ++b) {
-      out[b] += bucket_cells_[s * stride_ + b].load(std::memory_order_relaxed);
-    }
+  std::vector<std::uint64_t> out;
+  out.reserve(buckets_.size());
+  for (const std::atomic<std::uint64_t>& b : buckets_) {
+    out.push_back(b.load(std::memory_order_relaxed));
   }
   return out;
-}
-
-std::uint64_t Histogram::count() const {
-  std::uint64_t total = 0;
-  for (const Cell& c : totals_) total += c.count.load(std::memory_order_relaxed);
-  return total;
-}
-
-double Histogram::sum() const {
-  double total = 0;
-  for (const Cell& c : totals_) total += c.sum.load(std::memory_order_relaxed);
-  return total;
 }
 
 // ---------------------------------------------------------------------------

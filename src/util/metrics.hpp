@@ -1,20 +1,15 @@
 // A lock-light metrics registry: named counters, gauges and histograms
-// with per-worker cache-line-padded shards, merged only when read.
+// the session layer and the daemon populate and scrape. Every metric is
+// one cell of relaxed atomics updated with fetch_add, so concurrent
+// writers (the daemon's scheduler and connection threads) never lose an
+// update; a concurrent read may miss in-flight updates but never tears.
 //
-// This is the kernel's hot-counter pattern (bdd::Manager's per-worker
-// HotCounters, PR 6) generalized into a reusable registry the session
-// layer and the daemon can populate and scrape:
-//
-//   * Counter   -- monotone u64. add() touches only the calling worker's
-//     padded cell (TaskPool::worker_index() picks it), so concurrent
-//     increments from a parallel region never share a cache line; value()
-//     sums the cells. Writes are relaxed atomics: a concurrent read may
-//     miss in-flight increments but never tears.
+//   * Counter   -- monotone u64.
 //   * Gauge     -- a single atomic double, last-write-wins (set/add).
 //   * Histogram -- fixed bucket upper bounds chosen at registration
-//     (inclusive, Prometheus "le" semantics, implicit +inf last), counts
-//     sharded per worker like Counter, plus a sharded sum so snapshots
-//     carry count/sum/mean.
+//     (inclusive, Prometheus "le" semantics, implicit +inf last), one
+//     count per bucket plus a total count and sum, so snapshots carry
+//     count/sum/mean.
 //   * ScopedTimer -- RAII: measures its own lifetime on a Stopwatch and,
 //     at destruction, observes the elapsed seconds into a Histogram
 //     and/or adds elapsed nanoseconds to a Counter.
@@ -29,7 +24,6 @@
 // per-server cumulative view.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -40,29 +34,21 @@
 
 #include "util/json.hpp"
 #include "util/stopwatch.hpp"
-#include "util/task_pool.hpp"
 
 namespace stgcheck::metrics {
 
-/// Shard count: one cell per possible pool worker (the kernel's
-/// bdd::Manager::kMaxThreads has the same value and the same reason).
-constexpr std::size_t kShards = 64;
-
-/// Monotone counter, sharded per worker (see file comment).
+/// Monotone counter.
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
-    std::atomic<std::uint64_t>& c = cells_[shard()].v;
-    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
-  std::uint64_t value() const;
+  std::uint64_t value() const {
+    return value_.load(std::memory_order_relaxed);
+  }
 
  private:
-  static std::size_t shard() { return TaskPool::worker_index() % kShards; }
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Cell, kShards> cells_{};
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-write-wins instantaneous value.
@@ -78,7 +64,7 @@ class Gauge {
 
 /// Fixed-bucket histogram; bucket i counts observations v <= edge[i]
 /// (inclusive upper bounds, Prometheus "le"), with an implicit +inf
-/// bucket after the last edge. Counts and the sum are sharded per worker.
+/// bucket after the last edge.
 class Histogram {
  public:
   /// `edges` must be strictly increasing (checked by the registry).
@@ -86,26 +72,20 @@ class Histogram {
 
   void observe(double v);
   /// Adds a pre-aggregated sample (a snapshot of another histogram with
-  /// identical edges) into the calling worker's shard; the registry's
-  /// merge() path.
+  /// identical edges); the registry's merge() path.
   void merge_sample(const std::vector<std::uint64_t>& buckets,
                     std::uint64_t count, double sum);
-  /// Merged bucket counts, edges.size() + 1 entries (last = +inf bucket).
+  /// Bucket counts, edges.size() + 1 entries (last = +inf bucket).
   std::vector<std::uint64_t> buckets() const;
-  std::uint64_t count() const;
-  double sum() const;
+  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  double sum() const { return sum_.load(std::memory_order_relaxed); }
   const std::vector<double>& edges() const { return edges_; }
 
  private:
-  static std::size_t shard() { return TaskPool::worker_index() % kShards; }
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0};
-  };
   std::vector<double> edges_;
-  std::size_t stride_;  // buckets per shard, padded to a cache-line multiple
-  std::vector<std::atomic<std::uint64_t>> bucket_cells_;  // kShards * stride_
-  std::array<Cell, kShards> totals_{};
+  std::vector<std::atomic<std::uint64_t>> buckets_;  // edges_.size() + 1
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<double> sum_{0};
 };
 
 /// Plain-data snapshot of a registry; the wire/report form.
@@ -152,7 +132,7 @@ class MetricsRegistry {
   /// histogram.
   Histogram& histogram(const std::string& name, std::vector<double> edges);
 
-  /// Merged point-in-time view, each kind in registration order.
+  /// Point-in-time view, each kind in registration order.
   MetricsSnapshot snapshot() const;
 
   /// Folds `snap` in: counters and histogram buckets/sums add, gauges take

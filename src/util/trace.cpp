@@ -14,7 +14,6 @@ void TraceRecorder::complete(std::string name, std::string cat,
   ev.cat = std::move(cat);
   ev.start_us = start_s * 1e6;
   ev.dur_us = (end_s - start_s) * 1e6;
-  ev.tid = static_cast<std::uint32_t>(TaskPool::worker_index());
   ev.args = std::move(args);
   std::lock_guard<std::mutex> lock(mu_);
   if (events_.size() >= kMaxEvents) {
@@ -35,7 +34,7 @@ json::Value TraceRecorder::to_json() const {
     e.set("ts", json::Value(ev.start_us));
     e.set("dur", json::Value(ev.dur_us));
     e.set("pid", json::Value(0));
-    e.set("tid", json::Value(static_cast<double>(ev.tid)));
+    e.set("tid", json::Value(0));
     if (!ev.args.empty()) {
       json::Value args = json::Value::object();
       for (const auto& [key, value] : ev.args) args.set(key, json::Value(value));

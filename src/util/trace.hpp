@@ -5,10 +5,9 @@
 // interesting work -- a traversal pass, an engine image call, a GC, a
 // sift, a REACH rule firing -- and the recorder turns each span into one
 // complete ("ph":"X") trace event: microsecond timestamp + duration,
-// pid 0, tid = the pool worker index that ran the span, optional numeric
-// args. Spans may be opened concurrently from parallel-region workers;
-// the recorder serializes appends behind one mutex, which is fine because
-// a span is recorded once at close, not per sample.
+// pid 0, tid 0 (a session runs on one thread), optional numeric args.
+// The recorder serializes appends behind one mutex, which is cheap
+// because a span is recorded once at close, not per sample.
 //
 // Cost model: a null recorder makes TraceSpan a no-op (two pointer
 // checks), so tracing is pay-only-when-armed -- the kernel keeps its
@@ -31,7 +30,6 @@
 
 #include "util/clock.hpp"
 #include "util/json.hpp"
-#include "util/task_pool.hpp"
 
 namespace stgcheck {
 
@@ -42,7 +40,6 @@ struct TraceEvent {
   std::string cat;
   double start_us = 0;
   double dur_us = 0;
-  std::uint32_t tid = 0;
   std::vector<std::pair<std::string, double>> args;
 };
 
@@ -58,7 +55,7 @@ class TraceRecorder {
   double now() const { return clock_->seconds(); }
 
   /// Records one complete event spanning [start_s, end_s] (seconds on the
-  /// recorder's clock) on the calling worker's tid.
+  /// recorder's clock).
   void complete(std::string name, std::string cat, double start_s,
                 double end_s,
                 std::vector<std::pair<std::string, double>> args = {});

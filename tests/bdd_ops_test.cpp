@@ -371,45 +371,38 @@ void expect_emptiness_agrees_across_flushes(Manager& m,
 class EmptinessProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EmptinessProperty, RandomFunctions) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    Manager m;
-    // Enough variables that the threads = 4 manager forks its products.
-    for (int v = 0; v < 16; ++v) m.new_var();
-    m.set_thread_count(threads);
-    Rng rng(GetParam());
-    std::vector<Bdd> fs = {m.bdd_false(), m.bdd_true()};
-    while (fs.size() < 14) fs.push_back(random_function(m, rng, 4));
-    // Related pairs, so both verdicts occur: subsets, complements.
-    fs.push_back(fs[2] & fs[3]);
-    fs.push_back(!fs[4]);
-    fs.push_back(fs[5] | fs[6]);
-    expect_emptiness_agrees_across_flushes(m, fs);
-  }
+  Manager m;
+  for (int v = 0; v < 16; ++v) m.new_var();
+  Rng rng(GetParam());
+  std::vector<Bdd> fs = {m.bdd_false(), m.bdd_true()};
+  while (fs.size() < 14) fs.push_back(random_function(m, rng, 4));
+  // Related pairs, so both verdicts occur: subsets, complements.
+  fs.push_back(fs[2] & fs[3]);
+  fs.push_back(!fs[4]);
+  fs.push_back(fs[5] | fs[6]);
+  expect_emptiness_agrees_across_flushes(m, fs);
 }
 
 TEST_P(EmptinessProperty, RandomStgReachedSets) {
   Rng rng(GetParam());
   const stg::Stg net = testutil::random_stg(rng);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    core::SymbolicStg sym(net);
-    core::TraversalOptions options;
-    options.abort_on_violation = false;
-    options.engine_options.threads = threads;
-    const core::TraversalResult r = core::traverse(sym, options);
-    // The sets the checks test: the reached set, enabling cubes, signal
-    // regions and their intersections with the reached set.
-    std::vector<Bdd> fs = {r.reached, sym.place_cube()};
-    for (pn::TransitionId t = 0; t < net.net().transition_count(); ++t) {
-      fs.push_back(sym.enabling_cube(t));
-      fs.push_back(r.reached & sym.enabling_cube(t));
-    }
-    for (stg::SignalId s = 0; s < net.signal_count(); ++s) {
-      fs.push_back(sym.signal(s));
-      fs.push_back(sym.enabled_signal(s, stg::Dir::kPlus) & !sym.signal(s));
-      fs.push_back(sym.enabled_signal_any(s));
-    }
-    expect_emptiness_agrees_across_flushes(sym.manager(), fs);
+  core::SymbolicStg sym(net);
+  core::TraversalOptions options;
+  options.abort_on_violation = false;
+  const core::TraversalResult r = core::traverse(sym, options);
+  // The sets the checks test: the reached set, enabling cubes, signal
+  // regions and their intersections with the reached set.
+  std::vector<Bdd> fs = {r.reached, sym.place_cube()};
+  for (pn::TransitionId t = 0; t < net.net().transition_count(); ++t) {
+    fs.push_back(sym.enabling_cube(t));
+    fs.push_back(r.reached & sym.enabling_cube(t));
   }
+  for (stg::SignalId s = 0; s < net.signal_count(); ++s) {
+    fs.push_back(sym.signal(s));
+    fs.push_back(sym.enabled_signal(s, stg::Dir::kPlus) & !sym.signal(s));
+    fs.push_back(sym.enabled_signal_any(s));
+  }
+  expect_emptiness_agrees_across_flushes(sym.manager(), fs);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EmptinessProperty,

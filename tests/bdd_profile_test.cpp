@@ -1,10 +1,10 @@
-// Kernel observability (PR 10): the per-op profile (Manager::profile()),
-// the ManagerStats cache-group split, and the pool telemetry surface.
+// Kernel observability: the per-op profile (Manager::profile()) and the
+// ManagerStats cache-group split.
 //
 // The load-bearing regression here is the partition law: the four cache
 // groups (binary ops / REACH / n-ary multi / permute memo) must sum to
 // exactly the aggregate cache_lookups / cache_hits. Before the split, the
-// striped multi-operand cache and the permute memo were folded into the
+// multi-operand cache and the permute memo were folded into the
 // binary totals, which skewed cache_hit_rate() on scheduled and templated
 // runs -- this test pins the accounting so no future cache can silently
 // fall outside the groups.
@@ -188,15 +188,6 @@ TEST(Profile, DisjointTrafficCountsInBinaryGroup) {
   }
   EXPECT_EQ(s.binary_cache_lookups, binary_lookups);
   EXPECT_EQ(s.binary_cache_hits, binary_hits);
-}
-
-TEST(Profile, PoolTelemetryEmptyWithoutPool) {
-  Workload w(4);  // run_all_ops needs at least three twin pairs
-  w.run_all_ops();
-  const PoolTelemetry t = w.m.pool_telemetry();
-  EXPECT_TRUE(t.workers.empty());
-  EXPECT_EQ(t.total.tasks_run, 0u);
-  EXPECT_EQ(t.steal_rate, 0.0);
 }
 
 TEST(Profile, TraceSpansRecordGcAndReachFirings) {

@@ -14,6 +14,7 @@
 
 #include "bdd/bdd.hpp"
 #include "core/checks.hpp"
+#include "core/implementability.hpp"
 #include "core/session.hpp"
 #include "server/protocol.hpp"
 #include "stg/generators.hpp"
@@ -156,6 +157,69 @@ TEST(Budget, TripInsideEmptinessTestLeavesManagerClean) {
   EXPECT_EQ(!engine.unsafe_states(reached, 0).is_false(), unsafe);
   EXPECT_FALSE(signal_persistency(engine, reached).empty());
   EXPECT_TRUE(check_csc(sym, reached).complete_state_coding);
+  EXPECT_NO_THROW(m.check_invariants());
+}
+
+TEST(Budget, TripInsideSiftLeavesOrderValidAndManagerClean) {
+  // A sift of a large table runs for seconds, so sift() polls the budget
+  // between block moves. An armed budget that has already expired trips
+  // at the first poll, after exactly one block move: the unwind must
+  // leave the table canonical, every twin-pair group contiguous, the
+  // caches and reorder epoch coherent, and a later full check on the same
+  // manager must reach the same verdicts.
+  const stg::Stg net = stg::mutex_arbiter(3);
+  SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14,
+                  /*with_primed_vars=*/true);
+  CheckOptions options;
+  options.engine = EngineKind::kSaturation;
+  const ImplementabilityReport before = check_implementability(sym, options);
+  Manager& m = sym.manager();
+  ASSERT_GT(m.group_count(), 0u);
+
+  for (const LimitKind kind : {LimitKind::kCancelled, LimitKind::kDeadline}) {
+    ResourceBudget budget;
+    if (kind == LimitKind::kCancelled) {
+      budget.token = std::make_shared<CancelToken>();
+      budget.token->cancel();
+    } else {
+      budget.max_seconds = 1e-9;
+    }
+    const std::vector<bdd::Var> order_before = m.current_order();
+    const std::size_t epoch_before = m.reorder_epoch();
+    m.set_budget(budget);
+    try {
+      m.sift();
+      FAIL() << "expected CancelledError";
+    } catch (const CancelledError& e) {
+      EXPECT_EQ(e.trip().kind, kind);
+    }
+    EXPECT_NO_THROW(m.check_invariants());
+    for (std::size_t g = 0; g < m.group_count(); ++g) {
+      const std::vector<bdd::Var>& members = m.group(g);
+      for (std::size_t i = 1; i < members.size(); ++i) {
+        EXPECT_EQ(m.level_of_var(members[i]),
+                  m.level_of_var(members[i - 1]) + 1)
+            << "group " << g << " split by the interrupted sift";
+      }
+    }
+    // Engines resync on an epoch bump; one must happen iff the order moved.
+    EXPECT_EQ(m.reorder_epoch() != epoch_before,
+              m.current_order() != order_before);
+  }
+
+  const ImplementabilityReport after = check_implementability(sym, options);
+  EXPECT_EQ(after.level, before.level);
+  EXPECT_EQ(after.traversal.reached, before.traversal.reached);
+  EXPECT_EQ(after.traversal.stats.states, before.traversal.stats.states);
+  EXPECT_EQ(after.safe, before.safe);
+  EXPECT_EQ(after.consistent, before.consistent);
+  EXPECT_EQ(after.signal_persistent, before.signal_persistent);
+  EXPECT_EQ(after.persistency_violations.size(),
+            before.persistency_violations.size());
+  EXPECT_EQ(after.fake_free, before.fake_free);
+  EXPECT_EQ(after.usc, before.usc);
+  EXPECT_EQ(after.csc, before.csc);
+  EXPECT_EQ(after.deadlock_free, before.deadlock_free);
   EXPECT_NO_THROW(m.check_invariants());
 }
 

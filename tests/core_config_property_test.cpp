@@ -28,7 +28,6 @@ CheckConfig random_config(std::mt19937& rng) {
   config.check.strategy = static_cast<TraversalStrategy>(pick(3));
   config.check.engine = static_cast<EngineKind>(pick(4));
   config.check.engine_options.schedule = static_cast<ScheduleKind>(pick(3));
-  config.check.engine_options.threads = 1 + static_cast<std::size_t>(pick(8));
   config.check.engine_options.relation_templates =
       static_cast<TemplateMode>(pick(3));
   const int pairs = pick(3);
@@ -79,6 +78,37 @@ TEST(CheckConfigProperty, RoundTripPreservesEquality) {
     const CheckConfig b = random_config(rng);
     EXPECT_EQ(a == b, a.to_json().dump() == b.to_json().dump());
   }
+}
+
+TEST(CheckConfigProperty, ThreadsKeyAcceptsOnlyTheSequentialKernel) {
+  // "threads":1 / --threads 1 stay accepted for older clients and are
+  // discarded: the config they yield is the default, which renders empty.
+  Value one = Value::object();
+  one.set("threads", Value(1.0));
+  EXPECT_EQ(CheckConfig::from_json(one), CheckConfig{});
+  EXPECT_EQ(CheckConfig::from_args({"--threads", "1"}), CheckConfig{});
+  EXPECT_TRUE(CheckConfig::from_json(one).to_json().as_object().empty());
+  EXPECT_TRUE(CheckConfig::from_args({"--threads", "1"}).to_args().empty());
+
+  // Any other count fails loudly and says why.
+  const auto expect_sequential_error = [](const auto& parse) {
+    try {
+      parse();
+      ADD_FAILURE() << "threads 4 was accepted";
+    } catch (const ModelError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("BDD kernel is sequential"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("--threads is the daemon's worker count"),
+                std::string::npos)
+          << what;
+    }
+  };
+  Value four = Value::object();
+  four.set("threads", Value(4.0));
+  expect_sequential_error([&] { return CheckConfig::from_json(four); });
+  expect_sequential_error(
+      [] { return CheckConfig::from_args({"--threads", "4"}); });
 }
 
 TEST(CheckConfigProperty, TokenNeverSerializes) {

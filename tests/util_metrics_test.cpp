@@ -1,20 +1,18 @@
-// The metrics registry (util/metrics.hpp): counter shard merge under
-// real pool workers, histogram bucket-edge semantics (inclusive "le"
-// upper bounds, implicit +inf), registry kind checking, the JSON and
-// Prometheus renderings, and the per-session -> cumulative merge() fold.
-// Runs under the unit label so TSan sees the sharded concurrent
-// increments.
+// The metrics registry (util/metrics.hpp): exact counts under concurrent
+// writer threads, histogram bucket-edge semantics (inclusive "le" upper
+// bounds, implicit +inf), registry kind checking, the JSON and Prometheus
+// renderings, and the per-session -> cumulative merge() fold. Runs under
+// the unit label so TSan sees the concurrent increments.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <deque>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
-#include "util/task_pool.hpp"
 
 namespace stgcheck::metrics {
 namespace {
@@ -27,30 +25,24 @@ TEST(Counter, SingleThreadAccumulates) {
   EXPECT_EQ(c.value(), 42u);
 }
 
-/// A fork unit that hammers one counter; each pool worker lands in its
-/// own shard (worker_index()), so the merged value is exact.
-struct BumpTask : TaskPool::Task {
-  Counter* counter;
-  std::size_t n;
-  BumpTask(Counter* c, std::size_t n_) : counter(c), n(n_) {}
-  void run() override {
-    for (std::size_t i = 0; i < n; ++i) counter->add();
-  }
-};
-
 TEST(Counter, ConcurrentIncrementsMergeExactly) {
-  constexpr std::size_t kTasks = 16;
-  constexpr std::size_t kPerTask = 10'000;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 10'000;
   Counter c;
-  TaskPool pool(4);
-  pool.run_root([&] {
-    std::deque<BumpTask> tasks;
-    for (std::size_t i = 0; i < kTasks; ++i) tasks.emplace_back(&c, kPerTask);
-    for (BumpTask& t : tasks) pool.fork(&t);
-    for (BumpTask& t : tasks) pool.join(&t);
-    return 0;
-  });
-  EXPECT_EQ(c.value(), kTasks * kPerTask);
+  Histogram h({1.0});
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        c.add();
+        h.observe(0.5);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(c.value(), kThreads * kPerThread);
+  EXPECT_EQ(h.count(), kThreads * kPerThread);
+  EXPECT_EQ(h.buckets()[0], kThreads * kPerThread);
 }
 
 TEST(Gauge, LastWriteWins) {

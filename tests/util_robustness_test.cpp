@@ -1,7 +1,6 @@
 // Utility helpers, parser robustness against malformed input, the CLI
-// name parsers for --engine/--schedule/--threads (unknown values must fail
-// with the full list of valid names, not a bare error), and a GC/cache
-// stress run
+// name parsers for --engine/--schedule (unknown values must fail with the
+// full list of valid names, not a bare error), and a GC/cache stress run
 // of the BDD manager.
 #include <gtest/gtest.h>
 
@@ -125,32 +124,6 @@ TEST(CliNames, ValidNameListsCoverEveryKind) {
   for (const char* name : {"none", "support-overlap", "bounded-lookahead"}) {
     EXPECT_NE(schedules.find(name), std::string::npos) << name;
   }
-}
-
-TEST(CliNames, ThreadCountsParseWithinKernelLimits) {
-  EXPECT_EQ(core::parse_thread_count("1"), std::size_t{1});
-  EXPECT_EQ(core::parse_thread_count("8"), std::size_t{8});
-  EXPECT_EQ(core::parse_thread_count(std::to_string(bdd::Manager::kMaxThreads)),
-            std::size_t{bdd::Manager::kMaxThreads});
-}
-
-TEST(CliNames, BadThreadCountsAreRejectedNotClamped) {
-  // The CLI must refuse, not silently clamp: a typo like "80" for "8"
-  // would otherwise oversubscribe without a word.
-  EXPECT_FALSE(core::parse_thread_count("0").has_value());
-  EXPECT_FALSE(core::parse_thread_count("").has_value());
-  EXPECT_FALSE(core::parse_thread_count("-1").has_value());
-  EXPECT_FALSE(core::parse_thread_count("4x").has_value());
-  EXPECT_FALSE(core::parse_thread_count("1e2").has_value());
-  EXPECT_FALSE(core::parse_thread_count("9999").has_value());
-  EXPECT_FALSE(
-      core::parse_thread_count(std::to_string(bdd::Manager::kMaxThreads + 1))
-          .has_value());
-  // The recovery string names the whole accepted range.
-  const std::string range = core::valid_thread_count_range();
-  EXPECT_NE(range.find("1"), std::string::npos);
-  EXPECT_NE(range.find(std::to_string(bdd::Manager::kMaxThreads)),
-            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
