@@ -198,6 +198,38 @@ Bdd Manager::pick_one_minterm(const Bdd& f, const std::vector<Var>& vars) {
   return cube(literals);
 }
 
+Bdd Manager::pick_one_minterm(const Bdd& f, const Bdd& g,
+                              const std::vector<Var>& vars) {
+  if (disjoint(f, g)) throw ModelError("pick_one_minterm: empty set");
+  CubeLiterals literals;
+  literals.reserve(vars.size());
+  // The walk of pick_one_minterm(f & g): the product's low branch is
+  // non-false iff the two low cofactors intersect. disjoint_rec memoizes
+  // its verdicts, so the steering tests share one walk.
+  std::vector<bool> chosen(var2level_.size(), false);
+  std::vector<bool> value(var2level_.size(), false);
+  NodeRef a = f.ref();
+  NodeRef b = g.ref();
+  while (!is_term(a) || !is_term(b)) {
+    const std::size_t top = std::min(level(a), level(b));
+    const Var v = level2var_[top];
+    const NodeRef a0 = level(a) == top ? low_of(a) : a;
+    const NodeRef a1 = level(a) == top ? high_of(a) : a;
+    const NodeRef b0 = level(b) == top ? low_of(b) : b;
+    const NodeRef b1 = level(b) == top ? high_of(b) : b;
+    const bool go_high = disjoint_rec(a0, b0);
+    chosen[v] = true;
+    value[v] = go_high;
+    a = go_high ? a1 : a0;
+    b = go_high ? b1 : b0;
+  }
+  assert(a == kTrue && b == kTrue);
+  for (Var v : vars) {
+    literals.push_back(Literal{v, chosen[v] ? value[v] : false});
+  }
+  return cube(literals);
+}
+
 std::vector<CubeLiterals> Manager::all_sat(const Bdd& f,
                                            const std::vector<Var>& vars,
                                            std::size_t limit) const {

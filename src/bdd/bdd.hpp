@@ -456,6 +456,11 @@ class Manager {
   /// One satisfying assignment of f as a cube over `vars` (f must not be
   /// false; variables outside f's support are set to 0).
   Bdd pick_one_minterm(const Bdd& f, const std::vector<Var>& vars);
+  /// pick_one_minterm(f & g, vars) without building f & g: the walk
+  /// descends both graphs together and steers by the node-free disjoint
+  /// test, so it picks the same minterm. f & g must not be false.
+  Bdd pick_one_minterm(const Bdd& f, const Bdd& g,
+                       const std::vector<Var>& vars);
   /// All satisfying assignments of f over `vars`, enumerated as literal
   /// vectors. Throws LimitError if there are more than `limit`.
   std::vector<CubeLiterals> all_sat(const Bdd& f, const std::vector<Var>& vars,

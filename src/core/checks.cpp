@@ -24,11 +24,28 @@ std::vector<std::pair<pn::TransitionId, pn::TransitionId>> conflict_pairs(
   return {pairs.begin(), pairs.end()};
 }
 
-Bdd witness_cube(SymbolicStg& sym, const Bdd& set) {
+/// States of `from` that `t` fires into a successor outside `target`:
+/// image_via(from, t) <= target iff `from` is disjoint from this.
+Bdd fires_outside(ImageEngine& engine, pn::TransitionId t, const Bdd& target) {
+  return engine.fire_guard(t).minus(engine.after_firing(target, t));
+}
+
+/// States that `t` fires into `target`: image_via(from, t) meets target iff
+/// `from` meets this.
+Bdd fires_into(ImageEngine& engine, pn::TransitionId t, const Bdd& target) {
+  return engine.fire_guard(t) & engine.after_firing(target, t);
+}
+
+/// One full state after `t` fires from `enabled & bad`: a single state of
+/// that set is picked, without building it, and only that state is imaged.
+Bdd witness_after(ImageEngine& engine, const Bdd& enabled, const Bdd& bad,
+                  pn::TransitionId t) {
+  SymbolicStg& sym = engine.sym();
   std::vector<bdd::Var> vars = sym.place_var_list();
   const std::vector<bdd::Var> signals = sym.signal_var_list();
   vars.insert(vars.end(), signals.begin(), signals.end());
-  return sym.manager().pick_one_minterm(set, vars);
+  return engine.image_via(sym.manager().pick_one_minterm(enabled, bad, vars),
+                          t);
 }
 
 }  // namespace
@@ -49,20 +66,14 @@ std::vector<SymTransitionPersistencyViolation> transition_persistency(
       // victim must still be enabled.
       const Bdd enabled = reached & sym.enabling_cube(victim);
       if (enabled.is_false()) continue;
-      const Bdd after = engine.image_via(enabled, disabler);
-      const Bdd& still = sym.enabling_cube(victim);
-      if (after.implies(still)) continue;
+      const Bdd bad =
+          fires_outside(engine, disabler, sym.enabling_cube(victim));
+      if (enabled.disjoint_with(bad)) continue;
       result.push_back(SymTransitionPersistencyViolation{
-          victim, disabler, witness_cube(sym, after.minus(still))});
+          victim, disabler, witness_after(engine, enabled, bad, disabler)});
     }
   }
   return result;
-}
-
-std::vector<SymTransitionPersistencyViolation> transition_persistency(
-    SymbolicStg& sym, const Bdd& reached) {
-  CofactorEngine engine(sym);
-  return transition_persistency(engine, reached);
 }
 
 std::vector<SymPersistencyViolation> signal_persistency(
@@ -106,21 +117,15 @@ std::vector<SymPersistencyViolation> signal_persistency(
       // whole signal (same direction, any instance) must still be enabled.
       const Bdd enabled = reached & sym.enabling_cube(ti);
       if (enabled.is_false()) continue;
-      const Bdd after = engine.image_via(enabled, tj);
-      const Bdd still = sym.enabled_signal(victim, li.dir);
-      if (after.implies(still)) continue;
+      const Bdd bad =
+          fires_outside(engine, tj, sym.enabled_signal(victim, li.dir));
+      if (enabled.disjoint_with(bad)) continue;
       reported.insert({victim, tj});
       result.push_back(SymPersistencyViolation{
-          victim, tj, victim_input, witness_cube(sym, after.minus(still))});
+          victim, tj, victim_input, witness_after(engine, enabled, bad, tj)});
     }
   }
   return result;
-}
-
-std::vector<SymPersistencyViolation> signal_persistency(
-    SymbolicStg& sym, const Bdd& reached, const SymPersistencyOptions& options) {
-  CofactorEngine engine(sym);
-  return signal_persistency(engine, reached, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -167,21 +172,25 @@ SignalRegions signal_regions(SymbolicStg& sym, const Bdd& reached,
 
 SymCscResult check_csc(SymbolicStg& sym, const Bdd& reached) {
   SymCscResult result;
-  const stg::Stg& stg = sym.stg();
+  bdd::Manager& m = sym.manager();
+  const Bdd& places = sym.place_cube();
 
   // USC: every full state has a unique code iff |states| == |codes|.
   result.unique_state_coding =
       sym.count_states(reached) == sym.count_codes(reached);
 
-  for (SignalId a : stg.noninput_signals()) {
-    const SignalRegions r = signal_regions(sym, reached, a);
-    if (r.er_plus.disjoint_with(r.qr_minus) &&
-        r.er_minus.disjoint_with(r.qr_plus)) {
-      continue;
-    }
+  for (SignalId a : sym.stg().noninput_signals()) {
+    // Exc_a: a is excited in its own direction. The code literal a is not
+    // quantified, so excited & quiet & !a == ER(a+) & QR(a-) and
+    // excited & quiet & a == ER(a-) & QR(a+): two products give the four
+    // regions' conflict set, on any reached set.
+    const Bdd exc = m.ite(sym.signal(a), sym.enabled_signal(a, Dir::kMinus),
+                          sym.enabled_signal(a, Dir::kPlus));
+    const Bdd excited = m.and_exists(reached, exc, places);
+    const Bdd quiet = m.and_exists(reached, !exc, places);
+    if (excited.disjoint_with(quiet)) continue;
     result.complete_state_coding = false;
-    result.conflicts.push_back(SymCscResult::Conflict{
-        a, (r.er_plus & r.qr_minus) | (r.er_minus & r.qr_plus)});
+    result.conflicts.push_back(SymCscResult::Conflict{a, excited & quiet});
   }
   return result;
 }
@@ -254,12 +263,6 @@ SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
   return result;
 }
 
-SymReducibilityResult check_csc_reducibility(SymbolicStg& sym,
-                                             const Bdd& reached) {
-  CofactorEngine engine(sym);
-  return check_csc_reducibility(engine, reached);
-}
-
 // ---------------------------------------------------------------------------
 // Fake conflicts
 // ---------------------------------------------------------------------------
@@ -273,22 +276,22 @@ std::vector<SymFakeConflictReport> analyze_fake_conflicts(ImageEngine& engine,
 
   // For one direction (ti stays, tj fires): is there another transition tk
   // with ti's label enabled after tj fires (fake), and can ti's whole
-  // signal die (real disabling)?
+  // signal die (real disabling)? The states with both enabled are those of
+  // `reached & E(ti)` inside fire_guard(tj), so the product the
+  // persistency checks already built serves here too.
   const auto analyze_direction = [&](pn::TransitionId ti, pn::TransitionId tj,
                                      bool& fake, bool& disables) {
     const TransitionLabel& li = stg.label(ti);
     if (li.is_dummy()) return;
-    const Bdd enabled = reached & sym.enabling_cube(ti) & sym.enabling_cube(tj);
+    const Bdd enabled = reached & sym.enabling_cube(ti);
     if (enabled.is_false()) return;
-    const Bdd after = engine.image_via(enabled, tj);
+    Bdd others = sym.manager().bdd_false();
     for (pn::TransitionId tk : stg.transitions_of(li.signal, li.dir)) {
-      if (tk == ti || tk == tj) continue;
-      if (!after.disjoint_with(sym.enabling_cube(tk))) {
-        fake = true;
-        break;
-      }
+      if (tk != ti && tk != tj) others |= sym.enabling_cube(tk);
     }
-    if (!after.implies(sym.enabled_signal_any(li.signal))) disables = true;
+    fake = !enabled.disjoint_with(fires_into(engine, tj, others));
+    disables = !enabled.disjoint_with(
+        fires_outside(engine, tj, sym.enabled_signal_any(li.signal)));
   };
 
   for (const auto& [t1, t2] : conflict_pairs(net)) {
@@ -300,12 +303,6 @@ std::vector<SymFakeConflictReport> analyze_fake_conflicts(ImageEngine& engine,
     result.push_back(report);
   }
   return result;
-}
-
-std::vector<SymFakeConflictReport> analyze_fake_conflicts(SymbolicStg& sym,
-                                                          const Bdd& reached) {
-  CofactorEngine engine(sym);
-  return analyze_fake_conflicts(engine, reached);
 }
 
 SymFakeFreedomResult check_fake_freedom(ImageEngine& engine, const Bdd& reached) {
@@ -325,11 +322,6 @@ SymFakeFreedomResult check_fake_freedom(ImageEngine& engine, const Bdd& reached)
     }
   }
   return result;
-}
-
-SymFakeFreedomResult check_fake_freedom(SymbolicStg& sym, const Bdd& reached) {
-  CofactorEngine engine(sym);
-  return check_fake_freedom(engine, reached);
 }
 
 }  // namespace stgcheck::core

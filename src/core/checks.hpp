@@ -13,10 +13,12 @@
 // identical semantics; the cross-validation tests enforce agreement.
 //
 // Checks that fire transitions (persistency, fake conflicts,
-// CSC-reducibility) take an ImageEngine&, so they run unchanged on any
-// backend (cofactor, monolithic relation, partitioned relations). The
-// SymbolicStg& overloads are conveniences that use the paper's cofactor
-// backend.
+// CSC-reducibility) take an ImageEngine&, so they run unchanged on every
+// backend (cofactor, monolithic relation, partitioned relations,
+// saturation). The pair checks never image a set of states: they test
+// `reached & E(ti)` against ImageEngine::fire_guard / after_firing
+// predicates over places and signals, and image only the one picked state
+// a violation's witness needs.
 #pragma once
 
 #include <string>
@@ -35,7 +37,8 @@ namespace stgcheck::core {
 struct SymTransitionPersistencyViolation {
   pn::TransitionId victim;
   pn::TransitionId disabler;
-  /// One witness state (a cube over place+signal variables).
+  /// One witness state after the disabler fired (a minterm over the
+  /// place+signal variables).
   bdd::Bdd witness;
 };
 
@@ -43,8 +46,6 @@ struct SymTransitionPersistencyViolation {
 /// victim still enabled after the disabler fires?
 std::vector<SymTransitionPersistencyViolation> transition_persistency(
     ImageEngine& engine, const bdd::Bdd& reached);
-std::vector<SymTransitionPersistencyViolation> transition_persistency(
-    SymbolicStg& sym, const bdd::Bdd& reached);
 
 struct SymPersistencyViolation {
   stg::SignalId victim;
@@ -64,9 +65,6 @@ struct SymPersistencyOptions {
 std::vector<SymPersistencyViolation> signal_persistency(
     ImageEngine& engine, const bdd::Bdd& reached,
     const SymPersistencyOptions& options = {});
-std::vector<SymPersistencyViolation> signal_persistency(
-    SymbolicStg& sym, const bdd::Bdd& reached,
-    const SymPersistencyOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // Determinism
@@ -81,7 +79,8 @@ bdd::Bdd determinism_violations(SymbolicStg& sym, const bdd::Bdd& reached);
 // ---------------------------------------------------------------------------
 
 /// The four region code-sets of one signal (functions of signal variables
-/// only; places are existentially abstracted).
+/// only; places are existentially abstracted). check_csc does not build
+/// them; logic synthesis and the CSC examples do.
 struct SignalRegions {
   bdd::Bdd er_plus;   ///< ER(a+): codes where some a+ is enabled
   bdd::Bdd er_minus;  ///< ER(a-)
@@ -104,7 +103,9 @@ struct SymCscResult {
 };
 
 /// CSC(a) for every non-input signal, plus the USC check
-/// (|states| == |codes|).
+/// (|states| == |codes|). Two relational products per signal: with
+/// Exc_a = ite(a, E(a-), E(a+)), the codes of excited and of quiet reached
+/// states; their intersection is exactly the conflict set below.
 SymCscResult check_csc(SymbolicStg& sym, const bdd::Bdd& reached);
 
 // ---------------------------------------------------------------------------
@@ -123,8 +124,6 @@ struct SymReducibilityResult {
 /// excited state is hit -- that is a mutually complementary input
 /// sequence, which no internal signal insertion can break.
 SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
-                                             const bdd::Bdd& reached);
-SymReducibilityResult check_csc_reducibility(SymbolicStg& sym,
                                              const bdd::Bdd& reached);
 
 // ---------------------------------------------------------------------------
@@ -145,8 +144,6 @@ struct SymFakeConflictReport {
 
 std::vector<SymFakeConflictReport> analyze_fake_conflicts(ImageEngine& engine,
                                                           const bdd::Bdd& reached);
-std::vector<SymFakeConflictReport> analyze_fake_conflicts(SymbolicStg& sym,
-                                                          const bdd::Bdd& reached);
 
 struct SymFakeFreedomResult {
   bool fake_free = true;
@@ -156,6 +153,5 @@ struct SymFakeFreedomResult {
 /// Sec. 3.5 acceptance rule: no symmetric fakes, no asymmetric fakes
 /// involving a non-input signal.
 SymFakeFreedomResult check_fake_freedom(ImageEngine& engine, const bdd::Bdd& reached);
-SymFakeFreedomResult check_fake_freedom(SymbolicStg& sym, const bdd::Bdd& reached);
 
 }  // namespace stgcheck::core

@@ -201,6 +201,8 @@ Bdd cofactor_preimage(const SymbolicStg& sym, const Bdd& states,
 ImageEngine::ImageEngine(SymbolicStg& sym)
     : sym_(sym),
       unsafe_guard_(sym.stg().net().transition_count()),
+      fire_guard_(sym.stg().net().transition_count()),
+      firing_cube_(sym.stg().net().transition_count()),
       order_epoch_(sym.manager().reorder_epoch()) {}
 
 void ImageEngine::sync_with_order() {
@@ -263,6 +265,43 @@ Bdd ImageEngine::unsafe_states(const Bdd& states, pn::TransitionId t) {
   // The usual answer is "none": decide that without building anything.
   if (states.disjoint_with(guard)) return sym_.manager().bdd_false();
   return states & guard;
+}
+
+const Bdd& ImageEngine::fire_guard(pn::TransitionId t) {
+  Bdd& guard = fire_guard_[t];
+  if (!guard.valid()) {
+    // The three selections of cofactor_image (E(t), NSM after the preset
+    // is emptied, the signal flip) and of the relations' core constraints.
+    guard = sym_.enabling_cube(t).minus(marked_successor_cube(sym_, t));
+    const stg::TransitionLabel& label = sym_.stg().label(t);
+    if (!label.is_dummy()) {
+      const Bdd sig = sym_.signal(label.signal);
+      guard &= label.dir == stg::Dir::kPlus ? !sig : sig;
+    }
+  }
+  return guard;
+}
+
+Bdd ImageEngine::after_firing(const Bdd& predicate, pn::TransitionId t) {
+  Bdd& cube = firing_cube_[t];
+  if (!cube.valid()) {
+    const pn::PetriNet& net = sym_.stg().net();
+    const std::vector<pn::PlaceId>& post = net.postset(t);
+    bdd::CubeLiterals literals;
+    for (pn::PlaceId p : net.preset(t)) {
+      if (std::find(post.begin(), post.end(), p) == post.end()) {
+        literals.push_back({sym_.place_var(p), false});
+      }
+    }
+    for (pn::PlaceId p : post) literals.push_back({sym_.place_var(p), true});
+    const stg::TransitionLabel& label = sym_.stg().label(t);
+    if (!label.is_dummy()) {
+      literals.push_back({sym_.signal_var(label.signal),
+                          label.dir == stg::Dir::kPlus});
+    }
+    cube = sym_.manager().cube(literals);
+  }
+  return sym_.manager().cofactor(predicate, cube);
 }
 
 // ---------------------------------------------------------------------------

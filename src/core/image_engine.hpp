@@ -212,6 +212,18 @@ class ImageEngine {
   /// image; this reports them so the traversal can flag the violation.
   bdd::Bdd unsafe_states(const bdd::Bdd& states, pn::TransitionId t);
 
+  /// The states every backend fires `t` from: E(t), no successor-only
+  /// place marked, and t's signal at its pre-firing value. Firings that
+  /// would be unsafe or inconsistent are never imaged, on any backend.
+  const bdd::Bdd& fire_guard(pn::TransitionId t);
+  /// `predicate` read one firing of `t` ahead: the states whose successor
+  /// under t satisfies it (the preset-only places fixed to 0, the postset
+  /// to 1, t's signal to its post-firing value). So a state predicate P is
+  /// tested against an image without computing it:
+  ///   image_via(S, t) <= P  iff  S disjoint from fire_guard(t) & !after_firing(P, t)
+  ///   image_via(S, t) & P   iff  S meets      fire_guard(t) &  after_firing(P, t)
+  bdd::Bdd after_firing(const bdd::Bdd& predicate, pn::TransitionId t);
+
   SymbolicStg& sym() { return sym_; }
   const ImageEngineStats& stats() const { return stats_; }
 
@@ -255,6 +267,10 @@ class ImageEngine {
   /// of strict-postset place literals), the states unsafe_states()
   /// intersects with.
   std::vector<bdd::Bdd> unsafe_guard_;
+  /// Lazily built per transition, like unsafe_guard_: fire_guard() and the
+  /// post-firing assignment cube after_firing() cofactors by.
+  std::vector<bdd::Bdd> fire_guard_;
+  std::vector<bdd::Bdd> firing_cube_;
   std::size_t order_epoch_;
 };
 

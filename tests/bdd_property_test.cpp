@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace stgcheck::bdd {
@@ -186,6 +187,21 @@ TEST_P(BddRandom, PickOneMintermSatisfies) {
   Bdd pick = m.pick_one_minterm(e.f, vars);
   EXPECT_TRUE(pick.implies(e.f));
   EXPECT_DOUBLE_EQ(m.sat_count(pick), 1.0);
+}
+
+TEST_P(BddRandom, PickOneCommonMintermMatchesConjunction) {
+  RandomExpr e1 = random_expr(m, rng, 4);
+  RandomExpr e2 = random_expr(m, rng, 4);
+  std::vector<Var> vars;
+  for (Var v = 0; v < kVars; ++v) vars.push_back(v);
+  const Bdd both = e1.f & e2.f;
+  if (both.is_false()) {
+    EXPECT_THROW(m.pick_one_minterm(e1.f, e2.f, vars), ModelError);
+    return;
+  }
+  // The same minterm the walk over the built conjunction picks.
+  EXPECT_EQ(m.pick_one_minterm(e1.f, e2.f, vars),
+            m.pick_one_minterm(both, vars));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddRandom,

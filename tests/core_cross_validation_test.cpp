@@ -34,15 +34,17 @@ class CrossValidation : public ::testing::TestWithParam<int> {
   void SetUp() override {
     net = std::make_unique<stg::Stg>(net_by_index(GetParam()));
     sym = std::make_unique<SymbolicStg>(*net);
+    engine = std::make_unique<CofactorEngine>(*sym);
     TraversalOptions options;
     options.abort_on_violation = false;  // keep exploring for comparisons
-    traversal = traverse(*sym, options);
+    traversal = traverse(*engine, options);
     graph = sg::build_state_graph(*net);
     ASSERT_TRUE(graph.complete);
   }
 
   std::unique_ptr<stg::Stg> net;
   std::unique_ptr<SymbolicStg> sym;
+  std::unique_ptr<CofactorEngine> engine;
   TraversalResult traversal;
   sg::StateGraph graph;
 };
@@ -62,14 +64,14 @@ TEST_P(CrossValidation, SignalPersistency) {
   if (!traversal.consistent) GTEST_SKIP() << "inconsistent: semantics differ";
   const bool explicit_ok = sg::check_signal_persistency(graph).persistent;
   const bool symbolic_ok =
-      signal_persistency(*sym, traversal.reached).empty();
+      signal_persistency(*engine, traversal.reached).empty();
   EXPECT_EQ(symbolic_ok, explicit_ok);
 }
 
 TEST_P(CrossValidation, TransitionPersistency) {
   if (!traversal.consistent) GTEST_SKIP();
   const bool explicit_ok = sg::check_transition_persistency(graph).empty();
-  const bool symbolic_ok = transition_persistency(*sym, traversal.reached).empty();
+  const bool symbolic_ok = transition_persistency(*engine, traversal.reached).empty();
   EXPECT_EQ(symbolic_ok, explicit_ok);
 }
 
@@ -98,7 +100,7 @@ TEST_P(CrossValidation, CscReducibility) {
   if (!traversal.consistent) GTEST_SKIP();
   sg::ReducibilityResult explicit_r = sg::check_csc_reducibility(graph);
   SymReducibilityResult symbolic_r =
-      check_csc_reducibility(*sym, traversal.reached);
+      check_csc_reducibility(*engine, traversal.reached);
   EXPECT_EQ(symbolic_r.csc_satisfied, explicit_r.csc_satisfied);
   EXPECT_EQ(symbolic_r.reducible, explicit_r.reducible);
   std::set<stg::SignalId> e(explicit_r.irreducible_signals.begin(),
@@ -111,7 +113,7 @@ TEST_P(CrossValidation, CscReducibility) {
 TEST_P(CrossValidation, FakeConflicts) {
   if (!traversal.consistent) GTEST_SKIP();
   auto explicit_r = sg::analyze_fake_conflicts(graph);
-  auto symbolic_r = analyze_fake_conflicts(*sym, traversal.reached);
+  auto symbolic_r = analyze_fake_conflicts(*engine, traversal.reached);
   ASSERT_EQ(symbolic_r.size(), explicit_r.size());
   // Both are generated from the same ordered structural-conflict pairs.
   for (std::size_t i = 0; i < symbolic_r.size(); ++i) {
@@ -122,7 +124,7 @@ TEST_P(CrossValidation, FakeConflicts) {
     EXPECT_EQ(symbolic_r[i].disables_t1, explicit_r[i].disables_t1) << i;
     EXPECT_EQ(symbolic_r[i].disables_t2, explicit_r[i].disables_t2) << i;
   }
-  EXPECT_EQ(check_fake_freedom(*sym, traversal.reached).fake_free,
+  EXPECT_EQ(check_fake_freedom(*engine, traversal.reached).fake_free,
             sg::check_fake_freedom(graph).fake_free);
 }
 
@@ -141,10 +143,11 @@ class OrderingInvariance : public ::testing::TestWithParam<Ordering> {};
 TEST_P(OrderingInvariance, VerdictsAreOrderIndependent) {
   stg::Stg s = stg::mutex_arbiter(3);
   SymbolicStg sym(s, GetParam());
-  TraversalResult r = traverse(sym);
+  CofactorEngine engine(sym);
+  TraversalResult r = traverse(engine);
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r.stats.states, 32.0);
-  EXPECT_FALSE(signal_persistency(sym, r.reached).empty());
+  EXPECT_FALSE(signal_persistency(engine, r.reached).empty());
   EXPECT_TRUE(check_csc(sym, r.reached).complete_state_coding);
 }
 
@@ -327,7 +330,8 @@ struct ReportDigest {
   std::vector<stg::SignalId> irreducible_signals;
 };
 
-/// Every witness cube is a non-empty subset of its violation's bad set.
+/// Every persistency witness is one full state of its violation's bad set;
+/// every CSC conflict code set is a non-empty set of reached codes.
 void expect_witnesses_inside_bad_sets(
     SymbolicStg& sym, const bdd::Bdd& reached,
     const std::vector<SymPersistencyViolation>& persistency,
@@ -338,11 +342,14 @@ void expect_witnesses_inside_bad_sets(
   const auto inside = [](const bdd::Bdd& w, const bdd::Bdd& bad) {
     return !w.is_false() && w.minus(bad).is_false();
   };
+  const auto one_state_inside = [&](const bdd::Bdd& w, const bdd::Bdd& bad) {
+    return sym.count_states(w) == 1.0 && w.implies(bad);
+  };
   for (const SymTransitionPersistencyViolation& v : transitions) {
     // Fig. 6(a): the victim enabled, the disabler fired, the victim gone.
     const bdd::Bdd& e = sym.enabling_cube(v.victim);
     const bdd::Bdd bad = engine.image_via(reached & e, v.disabler).minus(e);
-    EXPECT_TRUE(inside(v.witness, bad)) << net.format_label(v.victim);
+    EXPECT_TRUE(one_state_inside(v.witness, bad)) << net.format_label(v.victim);
   }
   for (const SymPersistencyViolation& v : persistency) {
     // Fig. 6(b): some transition of the victim signal enabled, the
@@ -354,7 +361,7 @@ void expect_witnesses_inside_bad_sets(
                    .minus(sym.enabled_signal(v.victim, dir));
       }
     }
-    EXPECT_TRUE(inside(v.witness, bad)) << net.signal_name(v.victim);
+    EXPECT_TRUE(one_state_inside(v.witness, bad)) << net.signal_name(v.victim);
   }
   const bdd::Bdd codes = sym.manager().exists(reached, sym.place_cube());
   for (const SymCscResult::Conflict& c : csc.conflicts) {
