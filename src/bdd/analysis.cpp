@@ -176,26 +176,7 @@ bool Manager::eval(const Bdd& f, const std::vector<bool>& assignment) const {
 }
 
 Bdd Manager::pick_one_minterm(const Bdd& f, const std::vector<Var>& vars) {
-  if (f.ref() == kFalse) throw ModelError("pick_one_minterm: empty set");
-  CubeLiterals literals;
-  literals.reserve(vars.size());
-  // Walk down the BDD once, then fill the remaining variables with 0.
-  std::vector<bool> chosen(var2level_.size(), false);
-  std::vector<bool> value(var2level_.size(), false);
-  NodeRef r = f.ref();
-  while (!is_term(r)) {
-    const Var v = deref(r).var;
-    const NodeRef low = low_of(r);
-    const bool go_high = low == kFalse;
-    chosen[v] = true;
-    value[v] = go_high;
-    r = go_high ? high_of(r) : low;
-  }
-  assert(r == kTrue);
-  for (Var v : vars) {
-    literals.push_back(Literal{v, chosen[v] ? value[v] : false});
-  }
-  return cube(literals);
+  return pick_one_minterm(f, bdd_true(), vars);
 }
 
 Bdd Manager::pick_one_minterm(const Bdd& f, const Bdd& g,

@@ -285,21 +285,15 @@ const Bdd& ImageEngine::fire_guard(pn::TransitionId t) {
 Bdd ImageEngine::after_firing(const Bdd& predicate, pn::TransitionId t) {
   Bdd& cube = firing_cube_[t];
   if (!cube.valid()) {
-    const pn::PetriNet& net = sym_.stg().net();
-    const std::vector<pn::PlaceId>& post = net.postset(t);
-    bdd::CubeLiterals literals;
-    for (pn::PlaceId p : net.preset(t)) {
-      if (std::find(post.begin(), post.end(), p) == post.end()) {
-        literals.push_back({sym_.place_var(p), false});
-      }
-    }
-    for (pn::PlaceId p : post) literals.push_back({sym_.place_var(p), true});
+    // The assignment cofactor_image leaves: postset full (ASM), preset
+    // empty (NPM) except for places the firing also produces into.
+    bdd::Manager& m = sym_.manager();
+    cube = sym_.asm_cube(t) & m.exists(sym_.npm_cube(t), sym_.asm_cube(t));
     const stg::TransitionLabel& label = sym_.stg().label(t);
     if (!label.is_dummy()) {
-      literals.push_back({sym_.signal_var(label.signal),
-                          label.dir == stg::Dir::kPlus});
+      const Bdd sig = sym_.signal(label.signal);
+      cube &= label.dir == stg::Dir::kPlus ? sig : !sig;
     }
-    cube = sym_.manager().cube(literals);
   }
   return sym_.manager().cofactor(predicate, cube);
 }

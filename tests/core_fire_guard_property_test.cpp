@@ -1,6 +1,6 @@
 // The pair checks and the CSC clash test never image a set of states. They
 // rest on identities this suite checks against the images themselves, on
-// every engine, every example net and random STGs:
+// every engine, every example net, random STGs and a net with a read arc:
 //   * for every transition t, state set S and state predicate P,
 //       image_via(S, t) <= P      iff  S disjoint from fire_guard(t) & !after_firing(P, t)
 //       image_via(S, t) meets P   iff  S meets fire_guard(t) & after_firing(P, t)
@@ -23,6 +23,7 @@
 #include "core/traversal.hpp"
 #include "example_nets.hpp"
 #include "random_stg.hpp"
+#include "stg/astg_io.hpp"
 
 namespace stgcheck::core {
 namespace {
@@ -31,8 +32,21 @@ using bdd::Bdd;
 
 constexpr int kRandomNets = 12;
 
+constexpr int kNetCount = testutil::kExampleNetCount + kRandomNets + 1;
+
+/// a+ reads r (r is in both its preset and its postset) while b+ consumes
+/// r: a firing that keeps a place marked, which no other net here has.
+stg::Stg read_arc_net() {
+  return stg::parse_astg_string(
+      ".inputs a\n.outputs b\n.graph\n"
+      "p0 a+\nr a+\na+ p1 r\np1 a-\na- p0\n"
+      "r b+\nb+ q\nq b-\nb- r\n"
+      ".marking { p0 r }\n.end\n");
+}
+
 stg::Stg net_by_index(int index) {
   if (index < testutil::kExampleNetCount) return testutil::example_net(index);
+  if (index == kNetCount - 1) return read_arc_net();
   Rng rng(static_cast<std::uint64_t>(index - testutil::kExampleNetCount + 1));
   return testutil::random_stg(rng);
 }
@@ -145,7 +159,7 @@ TEST_P(FireGuardProperties, TwoProductCscEqualsFourRegions) {
 INSTANTIATE_TEST_SUITE_P(
     NetsTimesEngines, FireGuardProperties,
     ::testing::Combine(
-        ::testing::Range(0, testutil::kExampleNetCount + kRandomNets),
+        ::testing::Range(0, kNetCount),
         ::testing::Values(EngineKind::kCofactor,
                           EngineKind::kMonolithicRelation,
                           EngineKind::kPartitionedRelation,
