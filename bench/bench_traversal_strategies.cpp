@@ -1,17 +1,9 @@
 // Fig. 5 ablation: the paper's chaining traversal against a classic
 // frontier BFS, a full-fixpoint recomputation, the two relational
 // ImageEngine backends, and the saturation backend -- each with dynamic
-// reordering off and on, and each relational backend additionally with
-// conjunct scheduling (cluster ordering + n-ary and_exists_multi
-// products; the scheduled monolithic arm never materializes its
-// relation). The "monolithic sched." arm runs the self-tuning
-// bounded-lookahead schedule: it predicts the relation-construction peak
-// from the cluster node counts and falls back to the unscheduled path
-// when the relation is cheap to build (mread8), so the row reports the
-// *effective* schedule, which may read "none". The "saturation" arm
-// computes the whole fixpoint with the in-kernel REACH operation
-// (level-partitioned clusters, no whole-space frontiers; see
-// docs/architecture.md).
+// reordering off and on. The "saturation" arm computes the whole fixpoint
+// with the in-kernel REACH operation (level-partitioned clusters, no
+// whole-space frontiers; see docs/architecture.md).
 //
 // Chaining lets transitions later in the pass fire from states discovered
 // earlier in the same pass, cutting the number of outer passes (and hence
@@ -38,10 +30,9 @@
 //
 // Every row reports peak_intermediate_nodes: the worst transient live-node
 // overhead of a single image/preimage step (peak inside the step minus
-// live entering it), sampled by the engines' step gauges. This is the
-// number conjunct scheduling attacks -- the select24 monolithic arm's
-// multi-million-node and_exists intermediates live here, not in any
-// stored BDD.
+// live entering it), sampled by the engines' step gauges. The select24
+// monolithic arm's multi-million-node and_exists intermediates live here,
+// not in any stored BDD.
 //
 // Every row also reports the kernel-health counters that complement-edge
 // and cache work move: the computed-cache hit rate and the unique-table
@@ -80,7 +71,6 @@ struct Row {
   std::string family;
   std::string arm;
   bool sift = false;
-  std::string schedule = "none";  // conjunct schedule of the engine
   std::size_t passes = 0;
   std::size_t images = 0;
   std::size_t peak_reached = 0;   // BDD size of Reached (Table 1 "peak")
@@ -88,7 +78,6 @@ struct Row {
   std::size_t peak_intermediate = 0;  // worst single-step transient overhead
   std::size_t relation_nodes = 0; // 0 for the cofactor arms
   std::size_t units = 0;
-  std::size_t scheduled_conjuncts = 0;  // factor positions (0 unscheduled)
   std::size_t template_groups = 0;      // shared isomorphism groups (tmpl arms)
   std::size_t template_saved_nodes = 0; // estimated nodes sharing avoided
   std::size_t reorders = 0;       // completed sift passes
@@ -98,13 +87,12 @@ struct Row {
   double states = 0;
   // Observability extras (profiling armed on every arm): phase timings
   // and the per-group cache hit rates that split the aggregate
-  // cache_hit_rate (binary ops / REACH / n-ary multi / permute memo --
-  // the groups partition the aggregate exactly).
+  // cache_hit_rate (binary ops / REACH / permute memo -- the groups
+  // partition the aggregate exactly).
   double gc_time_ms = 0;
   double sift_time_ms = 0;
   double cache_hit_binary = 0;
   double cache_hit_reach = 0;
-  double cache_hit_multi = 0;
   double cache_hit_permute = 0;
 };
 
@@ -113,26 +101,25 @@ std::vector<Row> g_rows;
 void record(const Row& row) {
   std::printf(
       "  %-22s passes=%4zu images=%6zu peak=%8zu live-peak=%8zu "
-      "inter=%8zu rel=%6zu units=%4zu conj=%3zu tgrp=%3zu tsave=%6zu "
+      "inter=%8zu rel=%6zu units=%4zu tgrp=%3zu tsave=%6zu "
       "reorders=%2zu hit=%.3f load=%.2f time=%7.3fs states=%.3e\n",
       row.arm.c_str(), row.passes, row.images, row.peak_reached,
       row.peak_live, row.peak_intermediate, row.relation_nodes, row.units,
-      row.scheduled_conjuncts, row.template_groups, row.template_saved_nodes,
+      row.template_groups, row.template_saved_nodes,
       row.reorders, row.cache_hit_rate, row.unique_load, row.seconds,
       row.states);
   std::fflush(stdout);
   g_rows.push_back(row);
 }
 
-core::TraversalOptions arm_options(core::TraversalStrategy strategy, bool sift,
-                                   core::ScheduleKind schedule) {
+core::TraversalOptions arm_options(core::TraversalStrategy strategy,
+                                   bool sift) {
   core::TraversalOptions options;
   options.strategy = strategy;
   options.auto_sift = sift;
   // The sift arms run converged sifting: the candidate fix for a single
   // pass settling in a poor local minimum (mread8 chaining+sift).
   options.sift_converged = sift;
-  options.engine_options.schedule = schedule;
   return options;
 }
 
@@ -142,50 +129,44 @@ void run_cofactor_arm(const stg::Stg& s, const std::string& name,
   core::SymbolicStg sym(s);
   sym.manager().set_profiling(true);  // arm GC/sift phase timings
   core::CofactorEngine engine(sym);
-  core::TraversalResult r = core::traverse(
-      engine, arm_options(strategy, sift, core::ScheduleKind::kNone));
+  core::TraversalResult r =
+      core::traverse(engine, arm_options(strategy, sift));
   const bdd::ManagerStats ms = sym.manager().stats();
   const bdd::ManagerProfile prof = sym.manager().profile();
-  record(Row{s.name(), name, sift, "none", r.stats.passes,
+  record(Row{s.name(), name, sift, r.stats.passes,
              r.stats.image_computations, r.stats.peak_reached_nodes,
              sym.manager().peak_live_nodes(),
              engine.stats().peak_intermediate_nodes,
              engine.stats().relation_nodes, engine.stats().units,
-             engine.stats().scheduled_conjuncts,
              /*template_groups=*/0, /*template_saved_nodes=*/0,
              sym.manager().reorder_epoch(), ms.cache_hit_rate(),
              ms.unique_load_factor(), watch.seconds(), r.stats.states,
              prof.gc_seconds * 1e3, prof.sift_seconds * 1e3,
              ms.binary_cache_hit_rate(), ms.reach_cache_hit_rate(),
-             ms.multi_cache_hit_rate(), ms.permute_cache_hit_rate()});
+             ms.permute_cache_hit_rate()});
 }
 
 void run_relation_arm(const stg::Stg& s, const std::string& name,
                       core::EngineKind kind, core::TraversalStrategy strategy,
                       bool sift,
-                      core::ScheduleKind schedule = core::ScheduleKind::kNone,
                       core::TemplateMode templates = core::TemplateMode::kOff) {
   Stopwatch watch;
   core::SymbolicStg sym(s, core::Ordering::kInterleaved, 1 << 14,
                         /*with_primed_vars=*/true);
   core::EngineOptions engine_options;
-  engine_options.schedule = schedule;
   engine_options.relation_templates = templates;
   sym.manager().set_profiling(true);  // arm GC/sift phase timings
   const std::unique_ptr<core::ImageEngine> engine =
       core::make_engine(kind, sym, engine_options);
   core::TraversalResult r =
-      core::traverse(*engine, arm_options(strategy, sift, schedule));
+      core::traverse(*engine, arm_options(strategy, sift));
   const bdd::ManagerStats ms = sym.manager().stats();
   const bdd::ManagerProfile prof = sym.manager().profile();
-  // The *effective* schedule: the self-tuning monolithic engine may have
-  // fallen back to none (EngineOptions::monolithic_fallback_nodes).
-  record(Row{s.name(), name, sift, core::to_string(engine->schedule_kind()),
-             r.stats.passes, r.stats.image_computations, r.stats.peak_reached_nodes,
+  record(Row{s.name(), name, sift, r.stats.passes,
+             r.stats.image_computations, r.stats.peak_reached_nodes,
              sym.manager().peak_live_nodes(),
              engine->stats().peak_intermediate_nodes,
              engine->stats().relation_nodes, engine->stats().units,
-             engine->stats().scheduled_conjuncts,
              engine->stats().template_groups,
              engine->stats().template_saved_nodes,
              sym.manager().reorder_epoch(),
@@ -193,7 +174,7 @@ void run_relation_arm(const stg::Stg& s, const std::string& name,
              r.stats.states,
              prof.gc_seconds * 1e3, prof.sift_seconds * 1e3,
              ms.binary_cache_hit_rate(), ms.reach_cache_hit_rate(),
-             ms.multi_cache_hit_rate(), ms.permute_cache_hit_rate()});
+             ms.permute_cache_hit_rate()});
 }
 
 void run(const stg::Stg& s, bool sift_off, bool sift_on, bool scaled) {
@@ -215,7 +196,7 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on, bool scaled) {
       run_relation_arm(s, std::string("saturation tmpl") + suffix,
                        core::EngineKind::kSaturation,
                        core::TraversalStrategy::kChaining, sift,
-                       core::ScheduleKind::kNone, core::TemplateMode::kOn);
+                       core::TemplateMode::kOn);
     }
     return;
   }
@@ -233,17 +214,6 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on, bool scaled) {
     run_relation_arm(s, std::string("partitioned rel.") + suffix,
                      core::EngineKind::kPartitionedRelation,
                      core::TraversalStrategy::kChaining, sift);
-    // The scheduled arms: same strategies, conjunct-scheduled products.
-    // The monolithic one runs the self-tuning bounded-lookahead schedule
-    // (falls back to none when the relation is cheap to build).
-    run_relation_arm(s, std::string("monolithic sched.") + suffix,
-                     core::EngineKind::kMonolithicRelation,
-                     core::TraversalStrategy::kFrontierBfs, sift,
-                     core::ScheduleKind::kBoundedLookahead);
-    run_relation_arm(s, std::string("partitioned sched.") + suffix,
-                     core::EngineKind::kPartitionedRelation,
-                     core::TraversalStrategy::kChaining, sift,
-                     core::ScheduleKind::kSupportOverlap);
     // The saturation arm: the whole fixpoint in one in-kernel REACH.
     run_relation_arm(s, std::string("saturation") + suffix,
                      core::EngineKind::kSaturation,
@@ -257,7 +227,7 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on, bool scaled) {
     run_relation_arm(s, std::string("saturation tmpl") + suffix,
                      core::EngineKind::kSaturation,
                      core::TraversalStrategy::kChaining, sift,
-                     core::ScheduleKind::kNone, core::TemplateMode::kOn);
+                     core::TemplateMode::kOn);
   }
 }
 
@@ -270,9 +240,9 @@ void write_json(const char* path) {
   std::fputs("[\n", f);
   for (std::size_t i = 0; i < g_rows.size(); ++i) {
     const Row& r = g_rows[i];
-    // A state count beyond double range (select96's sat_count multiplies
-    // by 2^vars past 1e308) prints as "inf", which no JSON parser takes;
-    // spell it the way Python's json module reads back.
+    // A state count beyond double range prints as "inf", which no JSON
+    // parser takes; spell it the way Python's json module reads back, so
+    // the regression gate can see and reject it.
     char states_buf[32];
     if (std::isfinite(r.states)) {
       std::snprintf(states_buf, sizeof states_buf, "%.6e", r.states);
@@ -282,27 +252,27 @@ void write_json(const char* path) {
     }
     std::fprintf(f,
                  "  {\"family\": \"%s\", \"arm\": \"%s\", \"sift\": %s, "
-                 "\"schedule\": \"%s\", \"passes\": %zu, "
+                 "\"passes\": %zu, "
                  "\"images\": %zu, \"peak_reached_nodes\": %zu, "
                  "\"peak_live_nodes\": %zu, \"peak_intermediate_nodes\": %zu, "
                  "\"relation_nodes\": %zu, "
-                 "\"units\": %zu, \"scheduled_conjuncts\": %zu, "
+                 "\"units\": %zu, "
                  "\"template_groups\": %zu, \"template_saved_nodes\": %zu, "
                  "\"reorders\": %zu, "
                  "\"cache_hit_rate\": %.4f, \"unique_table_load\": %.4f, "
                  "\"gc_time_ms\": %.3f, \"sift_time_ms\": %.3f, "
                  "\"cache_hit_binary\": %.4f, \"cache_hit_reach\": %.4f, "
-                 "\"cache_hit_multi\": %.4f, \"cache_hit_permute\": %.4f, "
+                 "\"cache_hit_permute\": %.4f, "
                  "\"seconds\": %.6f, \"states\": %s}%s\n",
                  r.family.c_str(), r.arm.c_str(), r.sift ? "true" : "false",
-                 r.schedule.c_str(), r.passes, r.images,
+                 r.passes, r.images,
                  r.peak_reached,
                  r.peak_live, r.peak_intermediate, r.relation_nodes, r.units,
-                 r.scheduled_conjuncts, r.template_groups,
+                 r.template_groups,
                  r.template_saved_nodes, r.reorders, r.cache_hit_rate,
                  r.unique_load, r.gc_time_ms, r.sift_time_ms,
-                 r.cache_hit_binary, r.cache_hit_reach, r.cache_hit_multi,
-                 r.cache_hit_permute, r.seconds, states_buf,
+                 r.cache_hit_binary, r.cache_hit_reach, r.cache_hit_permute,
+                 r.seconds, states_buf,
                  i + 1 < g_rows.size() ? "," : "");
   }
   std::fputs("]\n", f);

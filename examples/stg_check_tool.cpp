@@ -14,11 +14,6 @@
 //     --strategy  S     chaining | bfs | fixpoint
 //     --engine    E     cofactor | monolithic | partitioned | saturation
 //                       (image backend; see docs/architecture.md)
-//     --schedule  C     none | support-overlap | bounded-lookahead
-//                       (conjunct scheduling for the relational engines:
-//                       cluster firing order + n-ary relational products;
-//                       bounded-lookahead self-tunes the monolithic engine
-//                       back to none when its relation is cheap to build)
 //     --threads   1     accepted and ignored (the BDD kernel is
 //                       sequential; other counts are an error)
 //     --relation-templates M  off | on | auto (saturation backend: share
@@ -85,7 +80,6 @@ void usage() {
       "                    signals-first | random\n"
       "  --strategy  S     chaining | bfs | fixpoint\n"
       "  --engine    E     cofactor | monolithic | partitioned | saturation\n"
-      "  --schedule  C     none | support-overlap | bounded-lookahead\n"
       "  --threads   1     accepted and ignored (the kernel is sequential)\n"
       "  --relation-templates M  off | on | auto (share isomorphic\n"
       "                    transition relations in the saturation backend)\n"

@@ -6,8 +6,10 @@ Usage:
 
 Compares every (family, arm, sift) row present in both files:
 
-  * states must match exactly -- a drifting state count is a correctness
-    bug, not a perf regression, and fails regardless of thresholds;
+  * states must be finite in every row of either file (an overflowed
+    count is a wrong answer, however equal it compares), and must match
+    exactly -- a drifting state count is a correctness bug, not a perf
+    regression, and fails regardless of thresholds;
   * peak_live_nodes may grow by at most --peak-threshold (default 25%).
     The kernel is sequential and deterministic, so with
     --exact-sequential-peaks the budget tightens to bit-identical: any
@@ -20,15 +22,18 @@ Compares every (family, arm, sift) row present in both files:
     for rows whose baseline is at least --min-seconds (default 0.5s):
     shorter rows are timer noise on shared CI runners.
 
-Rows present only in one file are reported but do not fail the gate (the
-smoke job runs a family subset of the full baseline).
+The smoke job runs a family subset of the full baseline, so baseline rows
+of families the fresh run does not cover are ignored. Within a covered
+family every baseline row must be present in the fresh run: an arm
+dropped from the bench binary but left in the baseline fails the gate
+instead of shrinking the comparison. Fresh rows without a baseline are
+reported but do not fail.
 
 --require-arm NAME (repeatable) fails the gate unless the fresh run
 contains at least one row whose arm is NAME or NAME+suffix (e.g.
 "saturation" matches "saturation" and "saturation+sift"): it pins the
-bench's arm roster, so an arm silently dropped from the bench binary --
-the saturation arm, a scheduled arm -- trips CI instead of shrinking the
-comparison.
+bench's arm roster, so an arm silently dropped from both the bench binary
+and the baseline still trips CI.
 
 Exit status: 0 when every compared row is within budget, 1 otherwise.
 To see the gate trip, inflate any peak_live_nodes value in the baseline's
@@ -37,6 +42,7 @@ muller16/mutex12 rows by >25% (or deflate the fresh one) and rerun.
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -50,6 +56,11 @@ def load_rows(path):
             raise SystemExit(f"{path}: duplicate row {key}")
         table[key] = row
     return table
+
+
+def fmt(key):
+    family, arm, sift = key
+    return f"{family} / {arm}" + (" [sift]" if sift else "")
 
 
 def direction(base, cur):
@@ -86,6 +97,17 @@ def main():
     baseline = load_rows(args.baseline)
     fresh = load_rows(args.fresh)
 
+    non_finite = [f"{path}: {fmt(key)} has states {row['states']}"
+                  for path, table in ((args.baseline, baseline),
+                                      (args.fresh, fresh))
+                  for key, row in sorted(table.items())
+                  if not math.isfinite(row["states"])]
+    if non_finite:
+        print("error: non-finite state count(s):")
+        for line in non_finite:
+            print(f"  - {line}")
+        return 1
+
     missing_arms = [name for name in args.require_arm
                     if not any(arm.startswith(name)
                                for _, arm, _ in fresh)]
@@ -100,11 +122,16 @@ def main():
         return 1
     for key in sorted(set(fresh) - set(baseline)):
         print(f"note: row {key} has no baseline; skipping")
+    covered = {family for family, _, _ in fresh}
+    lost = [key for key in sorted(set(baseline) - set(fresh))
+            if key[0] in covered]
+    if lost:
+        print("error: baseline row(s) missing from the fresh run of a "
+              "covered family:")
+        for key in lost:
+            print(f"  - {fmt(key)}")
+        return 1
     failures = []
-
-    def fmt(key):
-        family, arm, sift = key
-        return f"{family} / {arm}" + (" [sift]" if sift else "")
 
     print(f"comparing {len(shared)} rows "
           f"(peak +{args.peak_threshold:.0%}, time +{args.time_threshold:.0%} "

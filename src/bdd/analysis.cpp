@@ -130,6 +130,10 @@ std::size_t Manager::count_nodes(const std::vector<Bdd>& fs) const {
 // ---------------------------------------------------------------------------
 
 double Manager::sat_count(const Bdd& f) const {
+  return sat_count(f, var2level_.size());
+}
+
+double Manager::sat_count(const Bdd& f, std::size_t nvars) const {
   // Satisfaction probability over uniform assignments, times 2^n. The
   // probability is memoized per *edge*, complement flag included, and the
   // flag is pushed down through low_of/high_of until it hits a terminal.
@@ -146,7 +150,7 @@ double Manager::sat_count(const Bdd& f) const {
     prob.emplace(e, p);
     return p;
   };
-  return go(f.ref()) * std::pow(2.0, static_cast<double>(var2level_.size()));
+  return std::ldexp(go(f.ref()), static_cast<int>(nvars));
 }
 
 double Manager::sat_count_over(const Bdd& f, const std::vector<Var>& vars) const {
@@ -156,9 +160,7 @@ double Manager::sat_count_over(const Bdd& f, const std::vector<Var>& vars) const
       throw ModelError("sat_count_over: support of f exceeds the given variables");
     }
   }
-  const double full = sat_count(f);
-  const double extra = static_cast<double>(var2level_.size() - vars.size());
-  return full / std::pow(2.0, extra);
+  return sat_count(f, vars.size());
 }
 
 // ---------------------------------------------------------------------------

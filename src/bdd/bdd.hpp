@@ -194,12 +194,15 @@ using CubeLiterals = std::vector<Literal>;
 
 /// Aggregate statistics for reporting and the benches.
 /// Per-operation profile slot names (ManagerProfile::ops index). Every
-/// slot but kPermute mirrors the kernel's internal computed-cache op tag of
-/// the same value; kPermute is the cross-call permute memo, which has no
-/// cache tag of its own, and stays last so the tags stay dense.
+/// slot but the last two mirrors the kernel's internal computed-cache op
+/// tag of the same value. kPermute is the cross-call permute memo, which
+/// has no cache tag of its own. kAndExistsMulti is retired: the n-ary
+/// product is gone and nothing counts there, but the benchmark's
+/// per-layer schema (perfbench) still lists "and_exists_multi", so the
+/// slot stays until that schema drops it.
 enum class OpKind : std::uint8_t {
   kAnd, kXor, kIte, kExists, kAndExists, kCofactor, kRestrict,
-  kAndExistsMulti, kRelNext, kReach, kDisjoint, kPermute,
+  kRelNext, kReach, kDisjoint, kPermute, kAndExistsMulti,
 };
 constexpr std::size_t kOpKindCount = 12;
 const char* to_string(OpKind kind);
@@ -213,19 +216,14 @@ struct ManagerStats {
   std::size_t unique_hits = 0;  ///< unique-table lookups that found a node
   std::size_t cache_hits = 0;   ///< computed-cache hits, all caches summed
   std::size_t cache_lookups = 0;
-  // The aggregate above, split by cache group; the four groups partition
-  // cache_lookups/cache_hits exactly (binary + reach + multi + permute ==
-  // total, pinned by a regression test). Before the split, the
-  // multi-operand cache and the permute memo were indistinguishable from
-  // binary-op traffic, which skewed cache_hit_rate() on scheduled and
-  // templated runs.
+  // The aggregate above, split by cache group; the three groups partition
+  // cache_lookups/cache_hits exactly (binary + reach + permute == total,
+  // pinned by a regression test).
   std::size_t binary_cache_lookups = 0;  ///< And..Restrict + Disjoint
   std::size_t binary_cache_hits = 0;
   std::size_t reach_cache_lookups = 0;  ///< RelNext + Reach traffic: the
   std::size_t reach_cache_hits = 0;     ///< main cache's RelNext entries,
                                         ///< the REACH cache, the shift cache
-  std::size_t multi_cache_lookups = 0;  ///< n-ary product cache
-  std::size_t multi_cache_hits = 0;
   std::size_t permute_cache_lookups = 0;  ///< cross-call permute memo
   std::size_t permute_cache_hits = 0;
   std::size_t bucket_count = 0;  ///< unique-table buckets (for load factor)
@@ -248,9 +246,6 @@ struct ManagerStats {
   }
   double reach_cache_hit_rate() const {
     return hit_rate(reach_cache_hits, reach_cache_lookups);
-  }
-  double multi_cache_hit_rate() const {
-    return hit_rate(multi_cache_hits, multi_cache_lookups);
   }
   double permute_cache_hit_rate() const {
     return hit_rate(permute_cache_hits, permute_cache_lookups);
@@ -356,18 +351,6 @@ class Manager {
   /// exists(f & g, cube) computed without building f & g (relational
   /// product).
   Bdd and_exists(const Bdd& f, const Bdd& g, const Bdd& cube);
-  /// exists(f1 & f2 & ... & fk, cube) computed without building any pairwise
-  /// conjunction: the n-ary relational product. All operands are cofactored
-  /// on their shared top level in one recursion, and a cube variable is
-  /// quantified at exactly the level where it surfaces -- the moment the
-  /// last operand still mentioning it is being consumed -- so the
-  /// accumulate-then-quantify intermediates of a binary and_exists fold
-  /// never exist. Keeps the binary kernel's low == true early termination.
-  /// Results are cached in a dedicated multi-operand cache keyed on the
-  /// sorted operand list (Op::kAndExistsMulti); lists of length <= 2
-  /// delegate to the binary AND-EXISTS cache. An empty conjunct list
-  /// denotes true. All operands must belong to this manager.
-  Bdd and_exists_multi(const std::vector<Bdd>& conjuncts, const Bdd& cube);
   /// The relational product specialized to twin-pair encodings: the
   /// successors of `states` under `rel`, i.e.
   ///
@@ -448,6 +431,11 @@ class Manager {
   std::size_t count_nodes(const std::vector<Bdd>& fs) const;
   /// Number of satisfying assignments over all `var_count()` variables.
   double sat_count(const Bdd& f) const;
+  /// Number of satisfying assignments over `nvars` variables that include
+  /// the support of f (unchecked). The satisfaction probability is scaled
+  /// by 2^nvars alone, so the count stays finite whenever it fits a double,
+  /// however many other variables the manager holds.
+  double sat_count(const Bdd& f, std::size_t nvars) const;
   /// Number of satisfying assignments over the `vars` subset. The support
   /// of f must be contained in `vars`.
   double sat_count_over(const Bdd& f, const std::vector<Var>& vars) const;
@@ -612,7 +600,7 @@ class Manager {
 
   enum class Op : std::uint8_t {
     kAnd, kXor, kIte, kExists, kAndExists, kCofactor, kRestrict,
-    kAndExistsMulti, kRelNext, kReach, kDisjoint
+    kRelNext, kReach, kDisjoint
   };
 
   struct CacheEntry {
@@ -620,17 +608,6 @@ class Manager {
     NodeRef g = kInvalidRef;
     NodeRef h = kInvalidRef;
     Op op = Op::kAnd;
-    NodeRef result = kInvalidRef;
-  };
-
-  /// One slot of the n-ary relational product cache. The fixed-width
-  /// CacheEntry cannot hold an operand list, so kAndExistsMulti results
-  /// live in their own direct-mapped table: the slot is picked by hashing
-  /// the sorted operand list (plus the cube), and the stored key is the
-  /// full list so a hash collision misses instead of returning a wrong
-  /// result. The key's last element is the cube.
-  struct MultiCacheEntry {
-    std::vector<NodeRef> key;
     NodeRef result = kInvalidRef;
   };
 
@@ -687,7 +664,6 @@ class Manager {
 
   static constexpr std::uint32_t kNilIndex =
       std::numeric_limits<std::uint32_t>::max();
-  static constexpr std::size_t kMultiCacheSize = std::size_t{1} << 15;
   static constexpr std::size_t kReachCacheSize = std::size_t{1} << 15;
   static constexpr std::size_t kRelNextShiftCacheSize = std::size_t{1} << 14;
   static constexpr std::size_t kPermuteCacheSize = std::size_t{1} << 12;
@@ -758,12 +734,6 @@ class Manager {
   void cache_store(Op op, NodeRef f, NodeRef g, NodeRef h, NodeRef result);
   void clear_cache();
 
-  // Multi-operand cache (Op::kAndExistsMulti).
-  std::size_t multi_hash(const std::vector<NodeRef>& ops, NodeRef cube) const;
-  NodeRef multi_cache_lookup(const std::vector<NodeRef>& ops, NodeRef cube) const;
-  void multi_cache_store(const std::vector<NodeRef>& ops, NodeRef cube,
-                         NodeRef result);
-
   // REACH cache (Op::kReach; see ReachCacheEntry) and operand validation
   // (reach.cpp).
   std::size_t reach_hash(NodeRef states, std::size_t rule) const;
@@ -797,7 +767,6 @@ class Manager {
   NodeRef cofactor_rec(NodeRef f, NodeRef cube);
   NodeRef exists_rec(NodeRef f, NodeRef cube);
   NodeRef and_exists_rec(NodeRef f, NodeRef g, NodeRef cube);
-  NodeRef and_exists_multi_rec(std::vector<NodeRef> ops, NodeRef cube);
   NodeRef rel_next_rec(NodeRef s, NodeRef r, NodeRef cube,
                        std::int32_t shift = 0);
   NodeRef reach_rec(NodeRef s, std::size_t rule);
@@ -909,15 +878,13 @@ class Manager {
   }
   static_assert(static_cast<std::size_t>(Op::kDisjoint) ==
                     static_cast<std::size_t>(OpKind::kDisjoint) &&
-                static_cast<std::size_t>(OpKind::kPermute) + 1 == kOpKindCount,
-                "every Op tag must share its OpKind slot; kPermute is last");
+                static_cast<std::size_t>(OpKind::kAndExistsMulti) + 1 ==
+                    kOpKindCount,
+                "every Op tag must share its OpKind slot; the untagged "
+                "slots come last");
   static constexpr std::size_t op_slot(OpKind kind) {
     return static_cast<std::size_t>(kind);
   }
-
-  // Allocated lazily on the first n-ary product; cleared with cache_.
-  std::vector<MultiCacheEntry> multi_cache_;
-  std::size_t multi_cache_mask_ = 0;
 
   // REACH state: the rule list of the running reach() (sorted by top
   // level), its cache (allocated lazily on the first reach) and the

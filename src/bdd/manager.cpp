@@ -368,10 +368,6 @@ void Manager::cache_store(Op op, NodeRef f, NodeRef g, NodeRef h, NodeRef result
 
 void Manager::clear_cache() {
   std::fill(cache_.begin(), cache_.end(), CacheEntry{});
-  for (MultiCacheEntry& e : multi_cache_) {
-    e.key.clear();
-    e.result = kInvalidRef;
-  }
   // The REACH cache's signature guard must go with its entries: a cleared
   // signature forces the next reach() to start from a flushed cache, so a
   // stale (states, rule) result can never resurface after a GC or reorder.
@@ -383,56 +379,6 @@ void Manager::clear_cache() {
     e.key.clear();
     e.result = kInvalidRef;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-operand cache (n-ary relational product)
-// ---------------------------------------------------------------------------
-
-std::size_t Manager::multi_hash(const std::vector<NodeRef>& ops,
-                                NodeRef cube) const {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^
-                    (static_cast<std::uint64_t>(Op::kAndExistsMulti) << 56);
-  for (const NodeRef f : ops) {
-    h ^= (static_cast<std::uint64_t>(f) + 0x517cc1b727220a95ULL) *
-         0xff51afd7ed558ccdULL;
-    h = (h << 13) | (h >> 51);
-  }
-  h ^= (static_cast<std::uint64_t>(cube) + 0x2545f4914f6cdd1dULL) *
-       0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return static_cast<std::size_t>(h);
-}
-
-NodeRef Manager::multi_cache_lookup(const std::vector<NodeRef>& ops,
-                                    NodeRef cube) const {
-  ++counters_.cache_lookups[op_slot(Op::kAndExistsMulti)];
-  if (multi_cache_.empty()) return kInvalidRef;
-  const MultiCacheEntry& e =
-      multi_cache_[multi_hash(ops, cube) & multi_cache_mask_];
-  // The stored key is exact (operands plus trailing cube): a slot collision
-  // misses rather than returning a wrong product.
-  if (e.result == kInvalidRef || e.key.size() != ops.size() + 1) {
-    return kInvalidRef;
-  }
-  if (e.key.back() != cube ||
-      !std::equal(ops.begin(), ops.end(), e.key.begin())) {
-    return kInvalidRef;
-  }
-  ++counters_.cache_hits[op_slot(Op::kAndExistsMulti)];
-  return e.result;
-}
-
-void Manager::multi_cache_store(const std::vector<NodeRef>& ops, NodeRef cube,
-                                NodeRef result) {
-  if (multi_cache_.empty()) {
-    multi_cache_.resize(kMultiCacheSize);
-    multi_cache_mask_ = kMultiCacheSize - 1;
-  }
-  MultiCacheEntry& e = multi_cache_[multi_hash(ops, cube) & multi_cache_mask_];
-  e.key.assign(ops.begin(), ops.end());
-  e.key.push_back(cube);
-  e.result = result;
 }
 
 // ---------------------------------------------------------------------------
@@ -514,7 +460,7 @@ ManagerStats Manager::stats() const {
   s.peak_live = peak_live_;
   s.gc_runs = gc_runs_;
   s.unique_hits = counters_.unique_hits;
-  // The per-op slots fold into four groups whose sums partition the
+  // The per-op slots fold into three groups whose sums partition the
   // aggregate.
   for (std::size_t k = 0; k < kOpKindCount; ++k) {
     const std::size_t k_hits = counters_.cache_hits[k];
@@ -524,10 +470,6 @@ ManagerStats Manager::stats() const {
     std::size_t* hits = nullptr;
     std::size_t* lookups = nullptr;
     switch (static_cast<OpKind>(k)) {
-      case OpKind::kAndExistsMulti:
-        hits = &s.multi_cache_hits;
-        lookups = &s.multi_cache_lookups;
-        break;
       case OpKind::kRelNext:
       case OpKind::kReach:
         hits = &s.reach_cache_hits;
@@ -559,11 +501,11 @@ const char* to_string(OpKind kind) {
     case OpKind::kAndExists: return "and_exists";
     case OpKind::kCofactor: return "cofactor";
     case OpKind::kRestrict: return "restrict";
-    case OpKind::kAndExistsMulti: return "and_exists_multi";
     case OpKind::kRelNext: return "rel_next";
     case OpKind::kReach: return "reach";
     case OpKind::kDisjoint: return "disjoint";
     case OpKind::kPermute: return "permute";
+    case OpKind::kAndExistsMulti: return "and_exists_multi";
   }
   return "?";
 }

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "core/conjunct_schedule.hpp"
 #include "core/encoding.hpp"
 #include "core/image_engine.hpp"
 #include "core/traversal.hpp"
@@ -84,15 +83,6 @@ EngineKind parse_engine_or_die(const std::string& name) {
   return *e;
 }
 
-ScheduleKind parse_schedule_or_die(const std::string& name) {
-  const auto s = parse_schedule_kind(name);
-  if (!s) {
-    bad("unknown schedule '" + name + "' (valid: " +
-        valid_schedule_kind_names() + ")");
-  }
-  return *s;
-}
-
 TemplateMode parse_templates_or_die(const std::string& name) {
   const auto m = parse_template_mode(name);
   if (!m) {
@@ -144,9 +134,6 @@ CheckConfig CheckConfig::from_json(const json::Value& obj) {
       config.check.strategy = parse_strategy_or_die(value.as_string());
     } else if (key == "engine") {
       config.check.engine = parse_engine_or_die(value.as_string());
-    } else if (key == "schedule") {
-      config.check.engine_options.schedule =
-          parse_schedule_or_die(value.as_string());
     } else if (key == "threads") {
       check_sequential_threads(json_size(value, key));
     } else if (key == "relation_templates") {
@@ -190,10 +177,6 @@ json::Value CheckConfig::to_json() const {
   }
   if (check.engine != defaults.check.engine) {
     obj.set("engine", Value(std::string(to_string(check.engine))));
-  }
-  if (check.engine_options.schedule != defaults.check.engine_options.schedule) {
-    obj.set("schedule",
-            Value(std::string(to_string(check.engine_options.schedule))));
   }
   if (check.engine_options.relation_templates !=
       defaults.check.engine_options.relation_templates) {
@@ -245,8 +228,6 @@ bool CheckConfig::consume_flag(const std::vector<std::string>& args,
     check.strategy = parse_strategy_or_die(value());
   } else if (arg == "--engine") {
     check.engine = parse_engine_or_die(value());
-  } else if (arg == "--schedule") {
-    check.engine_options.schedule = parse_schedule_or_die(value());
   } else if (arg == "--threads") {
     check_sequential_threads(arg_size(value(), arg));
   } else if (arg == "--relation-templates") {
@@ -297,9 +278,6 @@ std::vector<std::string> CheckConfig::to_args() const {
   if (check.engine != defaults.check.engine) {
     flag("--engine", to_string(check.engine));
   }
-  if (check.engine_options.schedule != defaults.check.engine_options.schedule) {
-    flag("--schedule", to_string(check.engine_options.schedule));
-  }
   if (check.engine_options.relation_templates !=
       defaults.check.engine_options.relation_templates) {
     flag("--relation-templates",
@@ -333,7 +311,6 @@ bool operator==(const CheckConfig& a, const CheckConfig& b) {
   return a.check.ordering == b.check.ordering &&
          a.check.strategy == b.check.strategy &&
          a.check.engine == b.check.engine &&
-         a.check.engine_options.schedule == b.check.engine_options.schedule &&
          a.check.engine_options.relation_templates ==
              b.check.engine_options.relation_templates &&
          a.check.arbitration_pairs == b.check.arbitration_pairs &&

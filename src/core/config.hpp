@@ -10,9 +10,8 @@
 //
 // Layers:
 //   check          -- everything check_implementability takes (ordering,
-//                     strategy, engine, schedule, relation templates,
-//                     arbitration pairs), minus the event log the session
-//                     injects;
+//                     strategy, engine, relation templates, arbitration
+//                     pairs), minus the event log the session injects;
 //   initial_nodes  -- initial node capacity of the session's manager;
 //   limits         -- the resource budget (util/budget.hpp) the session
 //                     arms on its manager for the duration of the check.
@@ -20,9 +19,9 @@
 // Wire form (the daemon's "options" object and `stg_check --json` input;
 // all members optional, unknown keys rejected):
 //   {"ordering":"interleaved","strategy":"chaining","engine":"cofactor",
-//    "schedule":"none","relation_templates":"off",
-//    "arbitrate":[["g1","g2"]],"initial_nodes":16384,"max_live_nodes":0,
-//    "max_seconds":0,"max_steps":0,"trace":"out.json","profile":true}
+//    "relation_templates":"off","arbitrate":[["g1","g2"]],
+//    "initial_nodes":16384,"max_live_nodes":0,"max_seconds":0,
+//    "max_steps":0,"trace":"out.json","profile":true}
 //
 // The BDD kernel is sequential. For older clients, "threads":1 (and the
 // flag --threads 1) is still accepted and discarded; any other count
@@ -81,7 +80,7 @@ struct CheckConfig {
   /// If args[i] is a config flag, consumes it (and its value, advancing
   /// i) and returns true; returns false on anything else. Throws
   /// ModelError on a missing or malformed value. Flags:
-  ///   --ordering --strategy --engine --schedule --threads (1 only)
+  ///   --ordering --strategy --engine --threads (1 only)
   ///   --relation-templates --arbitrate --initial-nodes --max-live-nodes
   ///   --max-seconds --max-steps --trace --profile
   bool consume_flag(const std::vector<std::string>& args, std::size_t& i);

@@ -1,7 +1,6 @@
 #include "core/encoding.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 
 #include "core/image_engine.hpp"
@@ -326,26 +325,21 @@ Bdd SymbolicStg::preimage(const Bdd& states, pn::TransitionId t) const {
 // Counting
 // ---------------------------------------------------------------------------
 
+// Counted over the state variables only: the primed twins, if any, are
+// not part of a state (and would push 2^vars past double range on large
+// nets).
 double SymbolicStg::count_states(const Bdd& set) const {
-  // sat_count ranges over every manager variable; divide the unconstrained
-  // extras (the primed twins, if any) back out.
-  const double extra = static_cast<double>(
-      manager_->var_count() - place_vars_.size() - signal_vars_.size());
-  return manager_->sat_count(set) / std::pow(2.0, extra);
+  return manager_->sat_count(set, place_vars_.size() + signal_vars_.size());
 }
 
 double SymbolicStg::count_markings(const Bdd& set) {
-  const Bdd markings = manager_->exists(set, signal_cube_);
-  const double extra =
-      static_cast<double>(manager_->var_count() - place_vars_.size());
-  return manager_->sat_count(markings) / std::pow(2.0, extra);
+  return manager_->sat_count(manager_->exists(set, signal_cube_),
+                             place_vars_.size());
 }
 
 double SymbolicStg::count_codes(const Bdd& set) {
-  const Bdd codes = manager_->exists(set, place_cube_);
-  const double extra =
-      static_cast<double>(manager_->var_count() - signal_vars_.size());
-  return manager_->sat_count(codes) / std::pow(2.0, extra);
+  return manager_->sat_count(manager_->exists(set, place_cube_),
+                             signal_vars_.size());
 }
 
 }  // namespace stgcheck::core

@@ -128,34 +128,6 @@ Bdd signal_flip_forward(const SymbolicStg& sym, const Bdd& set,
   return m.cofactor(set, sig) & !sig;
 }
 
-/// The scheduled relational products both relational engines share: the
-/// image conjoins {states} with the factor list through the n-ary kernel,
-/// quantifies the support and renames the primed twins back; the preimage
-/// renames into the primed frame first and quantifies the twins.
-Bdd multi_product_image(SymbolicStg& sym, const Bdd& states,
-                        const std::vector<Bdd>& factors,
-                        const Bdd& quant_cube) {
-  bdd::Manager& m = sym.manager();
-  std::vector<Bdd> ops;
-  ops.reserve(factors.size() + 1);
-  ops.push_back(states);
-  ops.insert(ops.end(), factors.begin(), factors.end());
-  const Bdd next_primed = m.and_exists_multi(ops, quant_cube);
-  return m.permute(next_primed, sym.from_primed());
-}
-
-Bdd multi_product_preimage(SymbolicStg& sym, const Bdd& states,
-                           const std::vector<Bdd>& factors,
-                           const std::vector<Var>& rename_to_primed,
-                           const Bdd& primed_quant_cube) {
-  bdd::Manager& m = sym.manager();
-  std::vector<Bdd> ops;
-  ops.reserve(factors.size() + 1);
-  ops.push_back(m.permute(states, rename_to_primed));
-  ops.insert(ops.end(), factors.begin(), factors.end());
-  return m.and_exists_multi(ops, primed_quant_cube);
-}
-
 }  // namespace
 
 Bdd cofactor_image(const SymbolicStg& sym, const Bdd& states,
@@ -331,110 +303,24 @@ Bdd CofactorEngine::image_unit(const Bdd& states, std::size_t u) {
 // MonolithicRelationEngine
 // ---------------------------------------------------------------------------
 
-MonolithicRelationEngine::MonolithicRelationEngine(SymbolicStg& sym,
-                                                   const EngineOptions& options)
-    : ImageEngine(sym), schedule_kind_(options.schedule) {
+MonolithicRelationEngine::MonolithicRelationEngine(SymbolicStg& sym)
+    : ImageEngine(sym) {
   const pn::PetriNet& net = sym.stg().net();
+  relations_.reserve(net.transition_count());
+  monolithic_ = sym.manager().bdd_false();
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
     all_transitions_.push_back(t);
+    relations_.push_back(build_full_relation(sym, t));
+    monolithic_ |= relations_.back();
   }
   stats_.units = 1;
-  if (schedule_kind_ != ScheduleKind::kNone) {
-    // Scheduled: neither the full relations nor the monolithic OR are ever
-    // built. Sparse relations are clustered by support, the clusters
-    // ordered by the schedule, and each step products them through the
-    // n-ary kernel.
-    sparse_.reserve(net.transition_count());
-    for (pn::TransitionId t : all_transitions_) {
-      sparse_.push_back(build_sparse_relation(sym, t));
-    }
-    if (schedule_kind_ == ScheduleKind::kBoundedLookahead) {
-      // Self-tuning: predict the peak of OR-accumulating the full-frame
-      // relations from the sparse node counts. Each full relation is its
-      // sparse core plus a frame chain over the untouched (v, v') pairs
-      // (~3 nodes per pair), and partial disjunctions of near-disjoint
-      // frames overshoot the operand total by roughly an order of
-      // magnitude -- measured on the bench families the x10 estimate
-      // lands within 2x of the real peak (mread8 72k vs 80k, mutex12
-      // 103k vs 149k) while select24's genuine blowup (1.4M vs 6.0M) is
-      // far past any threshold. When the prediction is small (mread8),
-      // the relation is cheap to build and one big product per step
-      // beats per-cluster renames, so drop to the unscheduled path. The
-      // prediction runs *before* clustering: a fallen-back engine must
-      // not pay the clustered build's padded-disjunction transient.
-      const std::size_t pairs = sym.manager().var_count() / 2;
-      std::size_t operand_total = 0;
-      for (const TransitionRelation& r : sparse_) {
-        operand_total += sym.manager().count_nodes(r.rel) +
-                         3 * (pairs - r.support.size());
-      }
-      predicted_peak_ = 10 * operand_total;
-      if (options.monolithic_fallback_nodes > 0 &&
-          predicted_peak_ < options.monolithic_fallback_nodes) {
-        fell_back_ = true;
-        schedule_kind_ = ScheduleKind::kNone;
-      }
-    }
-  }
-  if (schedule_kind_ != ScheduleKind::kNone) {
-    sparse_apply_.resize(net.transition_count());
-    clusters_ = cluster_relations(sym, sparse_, options.cluster_node_cap);
-  }
-  if (schedule_kind_ == ScheduleKind::kNone) {
-    relations_.reserve(net.transition_count());
-    monolithic_ = sym.manager().bdd_false();
-    for (pn::TransitionId t : all_transitions_) {
-      // A fallen-back engine already built the sparse relations for its
-      // prediction; frame them instead of rebuilding from the net.
-      relations_.push_back(fell_back_
-                               ? build_full_relation(sym, sparse_[t])
-                               : build_full_relation(sym, t));
-      monolithic_ |= relations_.back();
-    }
-    sparse_.clear();
-    stats_.relation_nodes = sym.manager().count_nodes(monolithic_);
-    return;
-  }
-  std::vector<std::vector<Var>> supports;
-  supports.reserve(clusters_.size());
-  std::vector<Bdd> rels;
-  rels.reserve(clusters_.size());
-  for (const RelationCluster& c : clusters_) {
-    supports.push_back(c.support);
-    rels.push_back(c.rel);
-    stats_.scheduled_conjuncts += c.factors.size();
-  }
-  schedule_ = ConjunctSchedule::disjunctive(supports, schedule_kind_);
-  stats_.relation_nodes = sym.manager().count_nodes(rels);
-}
-
-const Bdd& MonolithicRelationEngine::relation(pn::TransitionId t) const {
-  if (schedule_kind_ != ScheduleKind::kNone) {
-    throw ModelError("the scheduled monolithic engine never materializes "
-                     "full per-transition relations");
-  }
-  return relations_[t];
-}
-
-const Bdd& MonolithicRelationEngine::monolithic() const {
-  if (schedule_kind_ != ScheduleKind::kNone) {
-    throw ModelError("the scheduled monolithic engine never materializes "
-                     "the monolithic relation");
-  }
-  return monolithic_;
+  stats_.relation_nodes = sym.manager().count_nodes(monolithic_);
 }
 
 void MonolithicRelationEngine::on_reorder() {
   // The relation handles survive a reorder (sifting rewrites nodes in
   // place), but their node counts -- reported by the benches -- do not.
-  if (schedule_kind_ == ScheduleKind::kNone) {
-    stats_.relation_nodes = sym_.manager().count_nodes(monolithic_);
-    return;
-  }
-  std::vector<Bdd> rels;
-  rels.reserve(clusters_.size());
-  for (const RelationCluster& c : clusters_) rels.push_back(c.rel);
-  stats_.relation_nodes = sym_.manager().count_nodes(rels);
+  stats_.relation_nodes = sym_.manager().count_nodes(monolithic_);
 }
 
 Bdd MonolithicRelationEngine::apply(const Bdd& states, const Bdd& relation) {
@@ -443,43 +329,10 @@ Bdd MonolithicRelationEngine::apply(const Bdd& states, const Bdd& relation) {
   return m.permute(next_primed, sym_.from_primed());
 }
 
-Bdd MonolithicRelationEngine::scheduled_image(const Bdd& states) {
-  // One monolithic step, but the product runs cluster by cluster in
-  // schedule order: each position quantifies exactly its own support
-  // through the n-ary kernel, so the big accumulate-then-quantify
-  // intermediate of and_exists(S, T, V) never exists. Variables outside a
-  // cluster's support flow through `states` untouched -- the frame the
-  // full relations encoded explicitly, for free.
-  Bdd result = sym_.manager().bdd_false();
-  for (const ConjunctSchedule::Position& pos : schedule_.positions) {
-    const RelationCluster& c = clusters_[pos.conjunct];
-    result |= multi_product_image(sym_, states, c.factors, c.quant_cube);
-  }
-  return result;
-}
-
-Bdd MonolithicRelationEngine::scheduled_preimage(const Bdd& states) {
-  Bdd result = sym_.manager().bdd_false();
-  for (const ConjunctSchedule::Position& pos : schedule_.positions) {
-    const RelationCluster& c = clusters_[pos.conjunct];
-    result |= multi_product_preimage(sym_, states, c.factors,
-                                     c.rename_to_primed, c.primed_quant_cube);
-  }
-  return result;
-}
-
-const SparseApplyData& MonolithicRelationEngine::sparse_apply(
-    pn::TransitionId t) {
-  SparseApplyData& a = sparse_apply_[t];
-  if (!a.built) a = build_sparse_apply(sym_, sparse_[t].support);
-  return a;
-}
-
 Bdd MonolithicRelationEngine::image(const Bdd& states) {
   sync_with_order();
   ++stats_.image_calls;
   StepGauge gauge(*this);
-  if (schedule_kind_ != ScheduleKind::kNone) return scheduled_image(states);
   return apply(states, monolithic_);
 }
 
@@ -487,10 +340,6 @@ Bdd MonolithicRelationEngine::image_via(const Bdd& states, pn::TransitionId t) {
   sync_with_order();
   ++stats_.image_calls;
   StepGauge gauge(*this);
-  if (schedule_kind_ != ScheduleKind::kNone) {
-    return multi_product_image(sym_, states, sparse_[t].factors,
-                               sparse_apply(t).quant_cube);
-  }
   return apply(states, relations_[t]);
 }
 
@@ -498,7 +347,6 @@ Bdd MonolithicRelationEngine::preimage(const Bdd& states) {
   sync_with_order();
   ++stats_.preimage_calls;
   StepGauge gauge(*this);
-  if (schedule_kind_ != ScheduleKind::kNone) return scheduled_preimage(states);
   bdd::Manager& m = sym_.manager();
   const Bdd primed_states = m.permute(states, sym_.to_primed());
   return m.and_exists(primed_states, monolithic_, sym_.primed_cube());
@@ -509,11 +357,6 @@ Bdd MonolithicRelationEngine::preimage_via(const Bdd& states,
   sync_with_order();
   ++stats_.preimage_calls;
   StepGauge gauge(*this);
-  if (schedule_kind_ != ScheduleKind::kNone) {
-    const SparseApplyData& a = sparse_apply(t);
-    return multi_product_preimage(sym_, states, sparse_[t].factors,
-                                  a.rename_to_primed, a.primed_quant_cube);
-  }
   bdd::Manager& m = sym_.manager();
   const Bdd primed_states = m.permute(states, sym_.to_primed());
   return m.and_exists(primed_states, relations_[t], sym_.primed_cube());
@@ -529,9 +372,7 @@ Bdd MonolithicRelationEngine::image_unit(const Bdd& states, std::size_t) {
 
 PartitionedRelationEngine::PartitionedRelationEngine(SymbolicStg& sym,
                                                      const EngineOptions& options)
-    : ImageEngine(sym),
-      cap_(options.cluster_node_cap),
-      schedule_kind_(options.schedule) {
+    : ImageEngine(sym), cap_(options.cluster_node_cap) {
   const pn::PetriNet& net = sym.stg().net();
   sparse_.reserve(net.transition_count());
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
@@ -539,34 +380,8 @@ PartitionedRelationEngine::PartitionedRelationEngine(SymbolicStg& sym,
   }
   sparse_apply_.resize(net.transition_count());
   clusters_ = cluster_relations(sym, sparse_, cap_);
-  std::vector<std::vector<Var>> supports;
-  supports.reserve(clusters_.size());
-  std::vector<Bdd> rels;
-  rels.reserve(clusters_.size());
-  for (const RelationCluster& c : clusters_) {
-    supports.push_back(c.support);
-    rels.push_back(c.rel);
-    if (schedule_kind_ != ScheduleKind::kNone) {
-      stats_.scheduled_conjuncts += c.factors.size();
-    }
-  }
-  schedule_ = ConjunctSchedule::disjunctive(supports, schedule_kind_);
   stats_.units = clusters_.size();
-  stats_.relation_nodes = sym.manager().count_nodes(rels);
-}
-
-Bdd PartitionedRelationEngine::apply_cluster(const Bdd& states,
-                                             const RelationCluster& c) {
-  // Early quantification: only the variables the cluster constrains are
-  // quantified; everything else flows through `states` untouched, which is
-  // the frame condition for free. Scheduled runs hand the factor list to
-  // the n-ary kernel; unscheduled runs keep the classic binary product.
-  if (schedule_kind_ != ScheduleKind::kNone) {
-    return multi_product_image(sym_, states, c.factors, c.quant_cube);
-  }
-  bdd::Manager& m = sym_.manager();
-  const Bdd next_primed = m.and_exists(states, c.rel, c.quant_cube);
-  return m.permute(next_primed, sym_.from_primed());
+  on_reorder();
 }
 
 void PartitionedRelationEngine::on_reorder() {
@@ -580,7 +395,13 @@ Bdd PartitionedRelationEngine::image_unit(const Bdd& states, std::size_t u) {
   sync_with_order();
   ++stats_.image_calls;
   StepGauge gauge(*this);
-  return apply_cluster(states, clusters_[unit_cluster(u)]);
+  // Early quantification: only the variables the cluster constrains are
+  // quantified; everything else flows through `states` untouched, which is
+  // the frame condition for free.
+  const RelationCluster& c = clusters_[u];
+  bdd::Manager& m = sym_.manager();
+  const Bdd next_primed = m.and_exists(states, c.rel, c.quant_cube);
+  return m.permute(next_primed, sym_.from_primed());
 }
 
 const SparseApplyData& PartitionedRelationEngine::sparse_apply(
@@ -616,16 +437,10 @@ Bdd PartitionedRelationEngine::preimage(const Bdd& states) {
   StepGauge gauge(*this);
   Bdd result = sym_.manager().bdd_false();
   bdd::Manager& m = sym_.manager();
-  for (const ConjunctSchedule::Position& pos : schedule_.positions) {
-    const RelationCluster& c = clusters_[pos.conjunct];
+  for (const RelationCluster& c : clusters_) {
     ++stats_.preimage_calls;
-    if (schedule_kind_ != ScheduleKind::kNone) {
-      result |= multi_product_preimage(sym_, states, c.factors,
-                                       c.rename_to_primed, c.primed_quant_cube);
-    } else {
-      const Bdd primed_states = m.permute(states, c.rename_to_primed);
-      result |= m.and_exists(primed_states, c.rel, c.primed_quant_cube);
-    }
+    const Bdd primed_states = m.permute(states, c.rename_to_primed);
+    result |= m.and_exists(primed_states, c.rel, c.primed_quant_cube);
   }
   return result;
 }
@@ -636,13 +451,9 @@ std::size_t PartitionedRelationEngine::cluster_nodes(std::size_t c) const {
 
 std::vector<std::vector<Var>> PartitionedRelationEngine::quantification_schedule()
     const {
-  // Cluster-index order, independent of the firing order: for a
-  // disjunctive partition each position quantifies exactly its own
-  // support, which is what the ConjunctSchedule's positions record.
-  std::vector<std::vector<Var>> schedule(clusters_.size());
-  for (const ConjunctSchedule::Position& pos : schedule_.positions) {
-    schedule[pos.conjunct] = pos.quantify;
-  }
+  std::vector<std::vector<Var>> schedule;
+  schedule.reserve(clusters_.size());
+  for (const RelationCluster& c : clusters_) schedule.push_back(c.support);
   return schedule;
 }
 
@@ -656,7 +467,7 @@ std::unique_ptr<ImageEngine> make_engine(EngineKind kind, SymbolicStg& sym,
     case EngineKind::kCofactor:
       return std::make_unique<CofactorEngine>(sym);
     case EngineKind::kMonolithicRelation:
-      return std::make_unique<MonolithicRelationEngine>(sym, options);
+      return std::make_unique<MonolithicRelationEngine>(sym);
     case EngineKind::kPartitionedRelation:
       return std::make_unique<PartitionedRelationEngine>(sym, options);
     case EngineKind::kSaturation:

@@ -13,26 +13,17 @@
 //                                four cube operations per transition, no
 //                                relation ever built.
 //   * MonolithicRelationEngine -- the textbook baseline: one relation
-//                                T(V, V') = OR_t T_t. Without a schedule
-//                                it is applied by a single relational
-//                                product per step; with a schedule
-//                                (EngineOptions::schedule != kNone) the
-//                                monolithic BDD is never materialized --
-//                                each step runs the support-ordered
-//                                cluster list through the n-ary
-//                                and_exists_multi kernel, so the
-//                                accumulate-then-quantify intermediates of
-//                                the single big product never exist.
+//                                T(V, V') = OR_t T_t, applied by a single
+//                                relational product per step.
 //   * PartitionedRelationEngine -- the fair modern baseline: sparse
 //                                per-transition relations clustered by
 //                                shared support up to a node cap, each
 //                                cluster applied with an early
 //                                quantification cube covering exactly its
-//                                own support (a ConjunctSchedule; see
-//                                core/conjunct_schedule.hpp). Under the
-//                                chaining strategy the clusters fire
-//                                disjunctively in sequence, each from the
-//                                set enriched by its predecessors.
+//                                own support. Under the chaining strategy
+//                                the clusters fire disjunctively in
+//                                sequence, each from the set enriched by
+//                                its predecessors.
 //   * SaturationEngine         -- the in-kernel fixpoint (saturation.hpp):
 //                                the same support-clustered sparse
 //                                relations, partitioned by the level of
@@ -58,7 +49,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/conjunct_schedule.hpp"
 #include "core/encoding.hpp"
 #include "core/relation.hpp"
 
@@ -104,28 +94,6 @@ struct EngineOptions {
   /// already larger stays a singleton cluster (a cap cannot split one
   /// transition).
   std::size_t cluster_node_cap = 2000;
-  /// Conjunct scheduling for the relational backends
-  /// (core/conjunct_schedule.hpp). kNone keeps the classic pipelines (the
-  /// monolithic engine materializes its OR, the partitioned engine fires
-  /// clusters in construction order with binary products); any other kind
-  /// orders the cluster list by support overlap and drives every
-  /// relational product through the n-ary and_exists_multi kernel, and the
-  /// monolithic engine stops materializing its relation entirely. The
-  /// cofactor backend ignores this (it has no relations to schedule).
-  ScheduleKind schedule = ScheduleKind::kNone;
-  /// Self-tuning fallback for the monolithic engine under
-  /// ScheduleKind::kBoundedLookahead: the engine predicts the peak of
-  /// materializing its monolithic relation from the sparse relation node
-  /// counts (each full-frame operand is its sparse core plus ~3 nodes per
-  /// untouched twin pair; the OR-accumulation overshoots the operand
-  /// total by roughly 10x on the bench families) and, when the prediction
-  /// is below this many nodes, falls back to the unscheduled path: the
-  /// relation is cheap to build and one big product per step beats
-  /// per-cluster renames (mread8: 251k vs 301k peak live). The default
-  /// sits between mread8's 72k prediction (falls back, measured peak 80k)
-  /// and mutex12's 103k (stays scheduled, measured peak 149k). 0 disables
-  /// the fallback; other schedule kinds never fall back.
-  std::size_t monolithic_fallback_nodes = 90'000;
   /// Isomorphism-exploiting relation templates (saturation backend only;
   /// the other backends ignore it). kOff keeps the classic per-relation
   /// BDDs, bit-identical to every pre-template baseline.
@@ -143,10 +111,6 @@ struct ImageEngineStats {
   /// show up (the reached set and the relations are part of the entering
   /// count, so they do not pollute it).
   std::size_t peak_intermediate_nodes = 0;
-  /// Total conjunct positions across the backend's schedules (the factor
-  /// lists its scheduled image steps hand to the n-ary kernel); 0 when
-  /// running unscheduled.
-  std::size_t scheduled_conjuncts = 0;
   /// Relation-template sharing (saturation backend with
   /// EngineOptions::relation_templates enabled; 0 everywhere else).
   /// Isomorphism groups actually shared (>= 2 members each).
@@ -198,12 +162,6 @@ class ImageEngine {
   /// The least fixpoint of `from` under every transition. Engines that
   /// return true above must override; the default throws ModelError.
   virtual bdd::Bdd reach_fixpoint(const bdd::Bdd& from);
-
-  /// The conjunct schedule the backend is *effectively* running (kNone for
-  /// backends without one, and for a scheduled engine that fell back --
-  /// see EngineOptions::monolithic_fallback_nodes). The benches report
-  /// this instead of the requested kind.
-  virtual ScheduleKind schedule_kind() const { return ScheduleKind::kNone; }
 
   // ---- Shared helpers -----------------------------------------------------
 
@@ -312,18 +270,11 @@ class CofactorEngine final : public ImageEngine {
 };
 
 /// The textbook baseline: full-frame per-transition relations ORed into
-/// one monolithic relation; a single relational product per step. With a
-/// schedule (EngineOptions::schedule != kNone) neither the full relations
-/// nor the monolithic OR are ever materialized: the engine keeps sparse
-/// relations clustered by support, orders the clusters with a
-/// ConjunctSchedule, and each step runs every cluster's factor list
-/// through the n-ary and_exists_multi kernel -- still one unit per step,
-/// so traversal strategies see unchanged monolithic semantics. Requires an
-/// encoding with primed variables.
+/// one monolithic relation; a single relational product per step.
+/// Requires an encoding with primed variables.
 class MonolithicRelationEngine final : public ImageEngine {
  public:
-  explicit MonolithicRelationEngine(SymbolicStg& sym,
-                                    const EngineOptions& options = {});
+  explicit MonolithicRelationEngine(SymbolicStg& sym);
 
   const char* name() const override { return "monolithic"; }
   EngineKind kind() const override { return EngineKind::kMonolithicRelation; }
@@ -339,55 +290,26 @@ class MonolithicRelationEngine final : public ImageEngine {
   }
   bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
 
-  ScheduleKind schedule_kind() const override { return schedule_kind_; }
-  /// Clusters behind the scheduled path (0 when unscheduled).
-  std::size_t scheduled_cluster_count() const { return clusters_.size(); }
-  /// True when kBoundedLookahead predicted a cheap monolithic construction
-  /// and the engine dropped to the unscheduled path
-  /// (EngineOptions::monolithic_fallback_nodes).
-  bool schedule_fell_back() const { return fell_back_; }
-  /// The construction-peak prediction the fallback decision used (0 when
-  /// no prediction ran).
-  std::size_t predicted_construction_peak() const { return predicted_peak_; }
-
-  /// The full-frame relation of one transition. Only the unscheduled
-  /// engine materializes these; throws ModelError otherwise.
-  const bdd::Bdd& relation(pn::TransitionId t) const;
-  /// The monolithic relation (disjunction over all transitions). Only the
-  /// unscheduled engine materializes it; throws ModelError otherwise.
-  const bdd::Bdd& monolithic() const;
+  /// The full-frame relation of one transition.
+  const bdd::Bdd& relation(pn::TransitionId t) const { return relations_[t]; }
+  /// The monolithic relation (disjunction over all transitions).
+  const bdd::Bdd& monolithic() const { return monolithic_; }
 
  protected:
   void on_reorder() override;
 
  private:
   bdd::Bdd apply(const bdd::Bdd& states, const bdd::Bdd& relation);
-  bdd::Bdd scheduled_image(const bdd::Bdd& states);
-  bdd::Bdd scheduled_preimage(const bdd::Bdd& states);
-  const SparseApplyData& sparse_apply(pn::TransitionId t);
 
-  ScheduleKind schedule_kind_;
-  bool fell_back_ = false;
-  std::size_t predicted_peak_ = 0;
   std::vector<pn::TransitionId> all_transitions_;
-
-  // Unscheduled path.
   std::vector<bdd::Bdd> relations_;
   bdd::Bdd monolithic_;
-
-  // Scheduled path.
-  std::vector<TransitionRelation> sparse_;   // indexed by transition
-  std::vector<SparseApplyData> sparse_apply_;  // per transition, lazily built
-  std::vector<RelationCluster> clusters_;
-  ConjunctSchedule schedule_;  // cluster firing order + quant sets
 };
 
 /// Sparse per-transition relations clustered by shared support up to a
 /// node cap; each cluster carries an early-quantification cube covering
 /// exactly its own support, so untouched variables are never quantified
-/// at all. With a schedule the clusters fire in support-overlap order and
-/// every product goes through the n-ary kernel on the cluster's factor
-/// list. Requires an encoding with primed variables.
+/// at all. Requires an encoding with primed variables.
 class PartitionedRelationEngine final : public ImageEngine {
  public:
   PartitionedRelationEngine(SymbolicStg& sym, const EngineOptions& options = {});
@@ -399,10 +321,10 @@ class PartitionedRelationEngine final : public ImageEngine {
   bdd::Bdd image_via(const bdd::Bdd& states, pn::TransitionId t) override;
   bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
 
-  // Units follow the schedule's firing order (identity when unscheduled).
+  // One unit per cluster, in cluster-index order.
   std::size_t unit_count() const override { return clusters_.size(); }
   const std::vector<pn::TransitionId>& unit_transitions(std::size_t u) const override {
-    return clusters_[unit_cluster(u)].transitions;
+    return clusters_[u].transitions;
   }
   bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
 
@@ -414,33 +336,22 @@ class PartitionedRelationEngine final : public ImageEngine {
   }
   /// BDD size of one cluster's relation.
   std::size_t cluster_nodes(std::size_t c) const;
-  /// The quantification schedule: for each cluster (in cluster-index
-  /// order), the unprimed state variables its image step quantifies (== the
-  /// cluster's support, sorted by id). Every variable a transition touches
-  /// is quantified in the cluster owning that transition and nowhere else
-  /// -- the earliest legal point for a disjunctive partition. Derived from
-  /// the engine's ConjunctSchedule.
+  /// The quantification schedule: for each cluster, the unprimed state
+  /// variables its image step quantifies (== the cluster's support, sorted
+  /// by id). Every variable a transition touches is quantified in the
+  /// cluster owning that transition and nowhere else -- the earliest legal
+  /// point for a disjunctive partition.
   std::vector<std::vector<bdd::Var>> quantification_schedule() const;
   std::size_t cluster_node_cap() const { return cap_; }
-  ScheduleKind schedule_kind() const override { return schedule_kind_; }
-  /// The cluster firing order and per-position quantification sets.
-  const ConjunctSchedule& schedule() const { return schedule_; }
 
  protected:
   void on_reorder() override;
 
  private:
-  std::size_t unit_cluster(std::size_t u) const {
-    return schedule_.positions[u].conjunct;
-  }
-  bdd::Bdd apply_cluster(const bdd::Bdd& states, const RelationCluster& c);
-
   std::size_t cap_;
-  ScheduleKind schedule_kind_;
   std::vector<TransitionRelation> sparse_;       // indexed by transition
   std::vector<SparseApplyData> sparse_apply_;    // per transition, lazily built
   std::vector<RelationCluster> clusters_;
-  ConjunctSchedule schedule_;  // cluster firing order + quant sets
   const SparseApplyData& sparse_apply(pn::TransitionId t);
 };
 
@@ -448,8 +359,5 @@ class PartitionedRelationEngine final : public ImageEngine {
 /// unless `sym` was built with primed variables.
 std::unique_ptr<ImageEngine> make_engine(EngineKind kind, SymbolicStg& sym,
                                          const EngineOptions& options = {});
-
-/// Compatibility alias: the class previously living in core/relation.hpp.
-using RelationalEngine = MonolithicRelationEngine;
 
 }  // namespace stgcheck::core

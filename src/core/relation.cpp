@@ -21,12 +21,11 @@ void require_primed(const SymbolicStg& sym) {
 }
 
 /// The constraints shared by both relation flavours: token moves for the
-/// places around `t` and the fired signal's flip, emitted one primitive
-/// constraint per touched variable into `factors`. Appends the touched
-/// unprimed variables to `support`; the conjunction of the factors is the
-/// sparse relation.
-void core_constraints(SymbolicStg& sym, pn::TransitionId t,
-                      std::vector<Var>& support, std::vector<Bdd>& factors) {
+/// places around `t` and the fired signal's flip, one primitive constraint
+/// per touched variable. Appends the touched unprimed variables to
+/// `support` and returns the conjunction: the sparse relation.
+Bdd core_constraints(SymbolicStg& sym, pn::TransitionId t,
+                     std::vector<Var>& support) {
   bdd::Manager& m = sym.manager();
   const stg::Stg& stg = sym.stg();
   const pn::PetriNet& net = stg.net();
@@ -37,6 +36,7 @@ void core_constraints(SymbolicStg& sym, pn::TransitionId t,
   // std::find per query: presets of wide joins make this quadratic.
   const FlatSet<pn::PlaceId> pre_set(pre.begin(), pre.end());
   const FlatSet<pn::PlaceId> post_set(post.begin(), post.end());
+  std::vector<Bdd> factors;
   const auto in_pre = [&](pn::PlaceId p) { return pre_set.contains(p); };
   const auto in_post = [&](pn::PlaceId p) { return post_set.contains(p); };
 
@@ -65,6 +65,9 @@ void core_constraints(SymbolicStg& sym, pn::TransitionId t,
     factors.push_back(label.dir == stg::Dir::kPlus ? ((!cur) & nxt)
                                                    : (cur & !nxt));
   }
+  Bdd rel = m.bdd_true();
+  for (const Bdd& f : factors) rel &= f;
+  return rel;
 }
 
 }  // namespace
@@ -84,9 +87,7 @@ TransitionRelation build_sparse_relation(SymbolicStg& sym, pn::TransitionId t) {
   require_primed(sym);
   TransitionRelation r;
   r.t = t;
-  core_constraints(sym, t, r.support, r.factors);
-  r.rel = sym.manager().bdd_true();
-  for (const Bdd& f : r.factors) r.rel &= f;
+  r.rel = core_constraints(sym, t, r.support);
   std::sort(r.support.begin(), r.support.end());
   r.support.erase(std::unique(r.support.begin(), r.support.end()),
                   r.support.end());
@@ -120,9 +121,6 @@ void finalize_cluster(SymbolicStg& sym, RelationCluster& c) {
   c.quant_cube = std::move(a.quant_cube);
   c.primed_quant_cube = std::move(a.primed_quant_cube);
   c.rename_to_primed = std::move(a.rename_to_primed);
-  // A merged cluster's relation is a disjunction, which does not factor;
-  // only singletons keep the primitive constraint list.
-  if (c.factors.empty()) c.factors = {c.rel};
 }
 
 }  // namespace
@@ -170,7 +168,6 @@ std::vector<RelationCluster> cluster_relations(
       c.rel = candidate_rel;
       c.support = std::move(new_support);
       c.transitions.push_back(r.t);
-      c.factors.clear();  // merged: the disjunction no longer factors
       merged = true;
       break;
     }
@@ -179,7 +176,6 @@ std::vector<RelationCluster> cluster_relations(
       c.transitions.push_back(r.t);
       c.rel = r.rel;
       c.support = r.support;
-      c.factors = r.factors;
       clusters.push_back(std::move(c));
     }
   }
@@ -197,7 +193,6 @@ std::vector<RelationCluster> singleton_clusters(
     c.transitions.push_back(r.t);
     c.rel = r.rel;
     c.support = r.support;
-    c.factors = r.factors;
     finalize_cluster(sym, c);
     clusters.push_back(std::move(c));
   }
@@ -232,12 +227,7 @@ RelationTemplates detect_relation_templates(
 }
 
 Bdd build_full_relation(SymbolicStg& sym, pn::TransitionId t) {
-  require_primed(sym);
-  return build_full_relation(sym, build_sparse_relation(sym, t));
-}
-
-Bdd build_full_relation(SymbolicStg& sym, const TransitionRelation& sparse) {
-  require_primed(sym);
+  const TransitionRelation sparse = build_sparse_relation(sym, t);
   // Frame every state variable the transition does not touch.
   std::vector<Var> untouched;
   std::vector<Var> state_vars = sym.place_var_list();

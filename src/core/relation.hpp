@@ -43,21 +43,11 @@ struct TransitionRelation {
   bdd::Bdd rel;
   /// Unprimed state variables constrained by `rel`, sorted by id.
   std::vector<bdd::Var> support;
-  /// Conjunctive factorization of `rel`: one primitive constraint per
-  /// touched place (the token move over (p, p')) plus one for the fired
-  /// signal's flip. Scheduled engines hand these to the n-ary kernel
-  /// (Manager::and_exists_multi) unconjoined, so `rel` never has to be
-  /// built up front on that path.
-  std::vector<bdd::Bdd> factors;
 };
 
 /// Full-frame relation of one transition (constrains every state variable).
 /// Requires an encoding built with primed variables.
 bdd::Bdd build_full_relation(SymbolicStg& sym, pn::TransitionId t);
-/// Same, from an already-built sparse relation -- callers that construct
-/// the sparse list anyway (the bounded-lookahead fallback's prediction
-/// pass) must not pay for rebuilding it.
-bdd::Bdd build_full_relation(SymbolicStg& sym, const TransitionRelation& sparse);
 
 /// Frame-free relation of one transition: constraints only over the
 /// variables `t` touches. Requires primed variables.
@@ -70,7 +60,7 @@ bdd::Bdd frame_constraint(SymbolicStg& sym, const std::vector<bdd::Var>& vars);
 /// One support-clustered group of sparse relations plus everything an
 /// image/preimage step needs: the cluster relation (disjunction of padded
 /// members), its quantification cubes and the support-local rename map.
-/// Shared by the partitioned engine and the scheduled monolithic path.
+/// Shared by the partitioned and saturation engines.
 struct RelationCluster {
   std::vector<pn::TransitionId> transitions;
   bdd::Bdd rel;
@@ -80,11 +70,6 @@ struct RelationCluster {
   bdd::Bdd primed_quant_cube;  ///< positive cube of the primed twins
   /// support -> primed twin, identity elsewhere (a support-local rename).
   std::vector<bdd::Var> rename_to_primed;
-  /// Conjunctive factorization of `rel` for the n-ary kernel: a singleton
-  /// cluster keeps its transition's primitive constraints, a merged
-  /// cluster collapses to the one factor `rel` (a disjunction of padded
-  /// members does not factor).
-  std::vector<bdd::Bdd> factors;
 };
 
 /// Greedily clusters sparse relations by shared support up to `cap` nodes

@@ -74,16 +74,13 @@ class SaturationEngine final : public ImageEngine {
   bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
 
   // Units exist for the checks and for callers that step manually; the
-  // traversal itself never iterates them (computes_global_fixpoint). They
-  // follow the engine's disjunctive ConjunctSchedule, exactly like the
-  // partitioned backend's.
+  // traversal itself never iterates them (computes_global_fixpoint). One
+  // unit per cluster, in cluster-index order.
   std::size_t unit_count() const override { return clusters_.size(); }
   const std::vector<pn::TransitionId>& unit_transitions(std::size_t u) const override {
-    return clusters_[unit_cluster(u)].transitions;
+    return clusters_[u].transitions;
   }
   bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
-
-  ScheduleKind schedule_kind() const override { return schedule_kind_; }
 
   // ---- Introspection (tests, benches, docs) ------------------------------
 
@@ -111,9 +108,6 @@ class SaturationEngine final : public ImageEngine {
   void on_reorder() override;
 
  private:
-  std::size_t unit_cluster(std::size_t u) const {
-    return schedule_.positions[u].conjunct;
-  }
   const SparseApplyData& sparse_apply(pn::TransitionId t);
   /// Cluster c's relation BDD: its own body when it has one, the group
   /// template instantiated at c's position (memoized permute) when
@@ -124,12 +118,10 @@ class SaturationEngine final : public ImageEngine {
   void refresh_node_stats();
   void rebuild_partition();
 
-  ScheduleKind schedule_kind_;
   TemplateMode template_mode_;
   std::vector<TransitionRelation> sparse_;     // indexed by transition
   std::vector<SparseApplyData> sparse_apply_;  // per transition, lazily built
   std::vector<RelationCluster> clusters_;
-  ConjunctSchedule schedule_;  // unit firing order + quant sets
   std::vector<LevelClusterInfo> partition_;
   /// The clusters as kernel reach operands, in partition order.
   std::vector<bdd::ReachRelation> reach_relations_;

@@ -6,7 +6,7 @@
 // friendly scans, and O(n log n) one-shot construction from a range.
 // Individual inserts and erases are O(n), so these are the wrong tool for
 // large mutate-heavy tables; the hot per-session support-set and cluster
-// maps (core/relation.cpp, core/conjunct_schedule.cpp) never are.
+// maps (core/relation.cpp) never are.
 //
 // The interface follows STL naming (find / count / contains / insert /
 // operator[]) so call sites read like the std containers they replace.

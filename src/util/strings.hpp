@@ -17,8 +17,8 @@ std::string_view trim(std::string_view text);
 bool starts_with(std::string_view text, std::string_view prefix);
 
 /// Equality with '-' and '_' interchangeable on both sides: the rule the
-/// CLI name parsers (--engine, --schedule) match user input against the
-/// canonical to_string names with.
+/// CLI name parsers (--engine, --relation-templates) match user input
+/// against the canonical to_string names with.
 bool names_equal_dashed(std::string_view a, std::string_view b);
 
 /// Formats `value` with thousands separators ("1234567" -> "1,234,567").

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -191,6 +192,18 @@ TEST_F(BddOps, SatCountOverSubset) {
   EXPECT_DOUBLE_EQ(m.sat_count_over(a & b, {0, 1}), 1.0);
   EXPECT_DOUBLE_EQ(m.sat_count_over(a | b, {0, 1, 2}), 6.0);
   EXPECT_THROW(m.sat_count_over(a & d, {0, 1}), ModelError);
+}
+
+TEST(BddSatCount, FiniteOverFewVariablesOfAHugeManager) {
+  // 2^1100 overflows a double; a count over 3 of those variables must not
+  // go through it.
+  Manager big;
+  for (int i = 0; i < 1100; ++i) big.new_var();
+  const Bdd f = big.var(0) & !big.var(1);
+  EXPECT_FALSE(std::isfinite(big.sat_count(f)));
+  EXPECT_DOUBLE_EQ(big.sat_count(f, 3), 2.0);
+  EXPECT_DOUBLE_EQ(big.sat_count_over(f, {0, 1, 2}), 2.0);
+  EXPECT_DOUBLE_EQ(big.sat_count(big.bdd_false(), 3), 0.0);
 }
 
 TEST_F(BddOps, SupportIsSortedByLevel) {

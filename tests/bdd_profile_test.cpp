@@ -1,13 +1,12 @@
 // Kernel observability: the per-op profile (Manager::profile()) and the
 // ManagerStats cache-group split.
 //
-// The load-bearing regression here is the partition law: the four cache
-// groups (binary ops / REACH / n-ary multi / permute memo) must sum to
-// exactly the aggregate cache_lookups / cache_hits. Before the split, the
-// multi-operand cache and the permute memo were folded into the
-// binary totals, which skewed cache_hit_rate() on scheduled and templated
-// runs -- this test pins the accounting so no future cache can silently
-// fall outside the groups.
+// The load-bearing regression here is the partition law: the three cache
+// groups (binary ops / REACH / permute memo) must sum to exactly the
+// aggregate cache_lookups / cache_hits. Before the split, the permute memo
+// was folded into the binary totals, which skewed cache_hit_rate() on
+// templated runs -- this test pins the accounting so no future cache can
+// silently fall outside the groups.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -21,8 +20,8 @@ namespace {
 
 /// A manager with `pairs` interleaved twin pairs (state var 2i, its
 /// next-state twin 2i + 1) and a workload that exercises every cache
-/// group: binary ops and emptiness tests, n-ary and_exists_multi, permute,
-/// and the REACH saturation with its in-kernel rel_next firings.
+/// group: binary ops and emptiness tests, permute, and the REACH
+/// saturation with its in-kernel rel_next firings.
 struct Workload {
   Manager m;
   std::vector<Bdd> vars;
@@ -49,12 +48,6 @@ struct Workload {
       (void)f.disjoint_with(vars[2] ^ vars[4]);
       (void)(vars[0] & vars[2]).implies(vars[0] | vars[4]);
     }
-    // n-ary multi-operand product (its own striped cache; two conjuncts
-    // would delegate to the binary and_exists path, so pass three).
-    const Bdd multi = m.and_exists_multi(
-        {vars[0] | vars[2], vars[2] | vars[4], vars[4] | !vars[0]},
-        m.positive_cube({2}));
-    (void)multi;
     // Permute (its own memo).
     std::vector<Var> perm(m.var_count());
     for (Var v = 0; v < perm.size(); ++v) perm[v] = v;
@@ -85,19 +78,17 @@ TEST(Profile, CacheGroupsPartitionAggregate) {
   // Every group saw traffic in this workload.
   EXPECT_GT(s.binary_cache_lookups, 0u);
   EXPECT_GT(s.reach_cache_lookups, 0u);
-  EXPECT_GT(s.multi_cache_lookups, 0u);
   EXPECT_GT(s.permute_cache_lookups, 0u);
   // The partition law: the groups sum to exactly the aggregate.
   EXPECT_EQ(s.binary_cache_lookups + s.reach_cache_lookups +
-                s.multi_cache_lookups + s.permute_cache_lookups,
+                s.permute_cache_lookups,
             s.cache_lookups);
-  EXPECT_EQ(s.binary_cache_hits + s.reach_cache_hits + s.multi_cache_hits +
-                s.permute_cache_hits,
+  EXPECT_EQ(s.binary_cache_hits + s.reach_cache_hits + s.permute_cache_hits,
             s.cache_hits);
   // Group rates are rates.
   for (const double rate :
        {s.binary_cache_hit_rate(), s.reach_cache_hit_rate(),
-        s.multi_cache_hit_rate(), s.permute_cache_hit_rate()}) {
+        s.permute_cache_hit_rate()}) {
     EXPECT_GE(rate, 0.0);
     EXPECT_LE(rate, 1.0);
   }
@@ -113,7 +104,6 @@ TEST(Profile, PerOpCallCountsAreUnconditional) {
   EXPECT_GT(prof.op(OpKind::kAnd).calls, 0u);
   EXPECT_GT(prof.op(OpKind::kIte).calls, 0u);
   EXPECT_GT(prof.op(OpKind::kExists).calls, 0u);
-  EXPECT_GT(prof.op(OpKind::kAndExistsMulti).calls, 0u);
   EXPECT_GT(prof.op(OpKind::kPermute).calls, 0u);
   EXPECT_GT(prof.op(OpKind::kReach).calls, 0u);
   // ...including the in-saturation rule firings on the rel_next slot,
@@ -158,10 +148,11 @@ TEST(Profile, OpKindNamesAreStable) {
   // The names are schema: the session's metrics snapshot builds counter
   // names from them ("op_calls_rel_next" etc.).
   EXPECT_STREQ(to_string(OpKind::kAnd), "and");
-  EXPECT_STREQ(to_string(OpKind::kAndExistsMulti), "and_exists_multi");
   EXPECT_STREQ(to_string(OpKind::kRelNext), "rel_next");
   EXPECT_STREQ(to_string(OpKind::kReach), "reach");
   EXPECT_STREQ(to_string(OpKind::kPermute), "permute");
+  // Retired slot: kept for the benchmark's per-layer schema, never counted.
+  EXPECT_STREQ(to_string(OpKind::kAndExistsMulti), "and_exists_multi");
   EXPECT_STREQ(to_string(OpKind::kDisjoint), "disjoint");
 }
 

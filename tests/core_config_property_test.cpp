@@ -27,7 +27,6 @@ CheckConfig random_config(std::mt19937& rng) {
   config.check.ordering = static_cast<Ordering>(pick(5));
   config.check.strategy = static_cast<TraversalStrategy>(pick(3));
   config.check.engine = static_cast<EngineKind>(pick(4));
-  config.check.engine_options.schedule = static_cast<ScheduleKind>(pick(3));
   config.check.engine_options.relation_templates =
       static_cast<TemplateMode>(pick(3));
   const int pairs = pick(3);
@@ -130,6 +129,32 @@ TEST(CheckConfigProperty, UnknownKeysAndFlagsAreRejected) {
   EXPECT_THROW(CheckConfig::from_args({"not-a-flag"}), ModelError);
 }
 
+/// The message of the ModelError `fn` throws ("" when it throws none).
+template <typename Fn>
+std::string model_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CheckConfigProperty, RemovedScheduleKnobIsAnUnknownOption) {
+  // The conjunct-schedule knob is gone; its key and flag fall through to
+  // the generic unknown-key / unknown-flag errors like any typo.
+  Value obj = Value::object();
+  obj.set("schedule", Value(std::string("none")));
+  const std::string key_error =
+      model_error_of([&] { CheckConfig::from_json(obj); });
+  EXPECT_NE(key_error.find("unknown option 'schedule'"), std::string::npos)
+      << key_error;
+  const std::string flag_error =
+      model_error_of([] { CheckConfig::from_args({"--schedule", "none"}); });
+  EXPECT_NE(flag_error.find("unknown flag '--schedule'"), std::string::npos)
+      << flag_error;
+}
+
 TEST(CheckConfigProperty, BadValuesAreRejected) {
   const auto bad_json = [](const std::string& key, Value value) {
     Value obj = Value::object();
@@ -139,7 +164,6 @@ TEST(CheckConfigProperty, BadValuesAreRejected) {
   bad_json("ordering", Value(std::string("sideways")));
   bad_json("strategy", Value(std::string("guess")));
   bad_json("engine", Value(std::string("steam")));
-  bad_json("schedule", Value(std::string("sometimes")));
   bad_json("relation_templates", Value(std::string("maybe")));
   bad_json("threads", Value(0.0));
   bad_json("threads", Value(1.5));
@@ -169,12 +193,10 @@ TEST(CheckConfigProperty, FlagSpellingMatchesWireSpelling) {
   // The same names work dashed on the CLI and underscored on the wire.
   const CheckConfig from_flags = CheckConfig::from_args(
       {"--ordering", "signals-first", "--engine", "partitioned",
-       "--schedule", "support-overlap", "--relation-templates", "auto",
-       "--max-live-nodes", "4096"});
+       "--relation-templates", "auto", "--max-live-nodes", "4096"});
   Value obj = Value::object();
   obj.set("ordering", Value(std::string("signals_first")));
   obj.set("engine", Value(std::string("partitioned")));
-  obj.set("schedule", Value(std::string("support_overlap")));
   obj.set("relation_templates", Value(std::string("auto")));
   obj.set("max_live_nodes", Value(4096.0));
   EXPECT_EQ(from_flags, CheckConfig::from_json(obj));

@@ -192,5 +192,24 @@ TEST(SiftedTraversalProperty, ForcedSiftMatchesUnsiftedBaselineOnRandomStgs) {
   }
 }
 
+
+// Converged sifting plugs into the traversal without changing the answer.
+TEST(ConvergedSifting, TraversalReachesTheSameFixedPoint) {
+  const stg::Stg net = stg::master_read(4);
+  SymbolicStg sym(net);
+  TraversalOptions plain;
+  plain.auto_sift = false;
+  const TraversalResult ref = traverse(sym, plain);
+
+  TraversalOptions converged;
+  converged.auto_sift = true;
+  converged.sift_converged = true;
+  converged.auto_sift_threshold = 1'000;  // force reorders on a small net
+  const TraversalResult r = traverse(sym, converged);
+  EXPECT_EQ(r.reached, ref.reached);
+  EXPECT_DOUBLE_EQ(r.stats.states, ref.stats.states);
+  sym.manager().check_invariants();
+}
+
 }  // namespace
 }  // namespace stgcheck::core

@@ -1,8 +1,8 @@
 // The shared roster of example nets the cross-validation suites sweep:
 // generator families at two sizes plus every hand-built example STG.
 // Kept in one place so engine-parametrized suites (explicit-vs-symbolic
-// cross-validation, scheduled-vs-unscheduled backends) agree on what "all
-// example nets" means.
+// cross-validation, fire-guard identities) agree on what "all example nets"
+// means.
 #pragma once
 
 #include "stg/generators.hpp"

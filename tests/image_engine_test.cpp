@@ -179,21 +179,6 @@ TEST(RandomStgs, PartitionedMatchesMonolithicAndCofactor) {
     const TraversalResult part_r = traverse(partitioned, topts);
     EXPECT_EQ(mono_r.reached, ref.reached) << "trial " << trial;
     EXPECT_EQ(part_r.reached, ref.reached) << "trial " << trial;
-
-    // Conjunct-scheduled backends must land on the same BDDs.
-    for (EngineKind kind : {EngineKind::kMonolithicRelation,
-                            EngineKind::kPartitionedRelation}) {
-      EngineOptions scheduled = options;
-      scheduled.schedule = ScheduleKind::kSupportOverlap;
-      const std::unique_ptr<ImageEngine> engine =
-          make_engine(kind, *sym, scheduled);
-      EXPECT_EQ(engine->image(ref.reached), cofactor.image(ref.reached))
-          << "trial " << trial << " scheduled " << engine->name();
-      EXPECT_EQ(engine->preimage(ref.reached), cofactor.preimage(ref.reached))
-          << "trial " << trial << " scheduled " << engine->name();
-      EXPECT_EQ(traverse(*engine, topts).reached, ref.reached)
-          << "trial " << trial << " scheduled " << engine->name();
-    }
   }
 }
 

@@ -176,6 +176,7 @@ TEST(FamilyRoster, ScaledStateCountsMatchClosedForms) {
       {"mutex48", std::ldexp(49.0, 48)},
       {"select24", 7.0 * 24},
       {"select48", 7.0 * 48},
+      {"select96", 7.0 * 96},
   };
   for (const auto& row : rows) {
     Stg s = make_family_instance(row.name);
@@ -186,11 +187,37 @@ TEST(FamilyRoster, ScaledStateCountsMatchClosedForms) {
     ASSERT_TRUE(r.ok()) << row.name;
     EXPECT_DOUBLE_EQ(r.stats.states, row.states) << row.name;
   }
-  // select96's code-space count overflows a double (the bench reports it
-  // as Infinity), but its marking count is linear, so the explicit
-  // explorer covers the largest tier.
+  // The select marking count is linear, so the explicit explorer checks
+  // the largest tier's closed form independently of any BDD.
   EXPECT_EQ(pn::explore(make_family_instance("select96").net()).size(),
             7u * 96);
+}
+
+TEST(FamilyRoster, Select96DeadlockVerdictMatchesAcrossEngines) {
+  // With the primed twins, select96's manager holds more than 1023
+  // variables; the deadlock count must still come out as the cofactor
+  // engine's (a finite zero), not 0 x 2^vars.
+  const Stg s = make_family_instance("select96");
+  core::SymbolicStg plain(s);
+  core::CofactorEngine cofactor(plain);
+  core::TraversalOptions no_sift;
+  no_sift.auto_sift = false;
+  const core::TraversalResult ref = core::traverse(cofactor, no_sift);
+  ASSERT_TRUE(ref.ok());
+  const double ref_deadlocks =
+      plain.count_states(core::deadlock_states(plain, ref.reached));
+
+  core::SymbolicStg primed(s, core::Ordering::kInterleaved, 1 << 14,
+                           /*with_primed_vars=*/true);
+  ASSERT_GT(primed.manager().var_count(), 1023u);
+  core::SaturationEngine saturation(primed);
+  const core::TraversalResult r = core::traverse(saturation);
+  ASSERT_TRUE(r.ok());
+  const double deadlocks =
+      primed.count_states(core::deadlock_states(primed, r.reached));
+  EXPECT_EQ(deadlocks, ref_deadlocks);
+  EXPECT_EQ(primed.count_markings(r.reached),
+            plain.count_markings(ref.reached));
 }
 
 TEST(FamilyRoster, ScaledInstancesRoundTripThroughAstg) {

@@ -1,7 +1,7 @@
 // Utility helpers, parser robustness against malformed input, the CLI
-// name parsers for --engine/--schedule (unknown values must fail with the
-// full list of valid names, not a bare error), and a GC/cache stress run
-// of the BDD manager.
+// name parser for --engine (unknown values must fail with the full list of
+// valid names, not a bare error), and a GC/cache stress run of the BDD
+// manager.
 #include <gtest/gtest.h>
 
 #include "bdd/bdd.hpp"
@@ -74,7 +74,7 @@ TEST(Rng, BelowStaysInRange) {
 }
 
 // ---------------------------------------------------------------------------
-// CLI name parsing: stg_check --engine / --schedule
+// CLI name parsing: stg_check --engine
 // ---------------------------------------------------------------------------
 
 TEST(CliNames, EngineKindsRoundTripThroughParse) {
@@ -87,27 +87,10 @@ TEST(CliNames, EngineKindsRoundTripThroughParse) {
   }
 }
 
-TEST(CliNames, ScheduleKindsRoundTripAndAcceptHyphens) {
-  for (core::ScheduleKind kind :
-       {core::ScheduleKind::kNone, core::ScheduleKind::kSupportOverlap,
-        core::ScheduleKind::kBoundedLookahead}) {
-    const auto parsed = core::parse_schedule_kind(core::to_string(kind));
-    ASSERT_TRUE(parsed.has_value()) << core::to_string(kind);
-    EXPECT_EQ(*parsed, kind);
-  }
-  // The CLI spells underscores as hyphens; both must parse.
-  EXPECT_EQ(core::parse_schedule_kind("support-overlap"),
-            core::ScheduleKind::kSupportOverlap);
-  EXPECT_EQ(core::parse_schedule_kind("bounded-lookahead"),
-            core::ScheduleKind::kBoundedLookahead);
-}
-
 TEST(CliNames, UnknownNamesAreRejectedNotGuessed) {
   EXPECT_FALSE(core::parse_engine_kind("bogus").has_value());
   EXPECT_FALSE(core::parse_engine_kind("").has_value());
   EXPECT_FALSE(core::parse_engine_kind("cofactorr").has_value());
-  EXPECT_FALSE(core::parse_schedule_kind("support").has_value());
-  EXPECT_FALSE(core::parse_schedule_kind("").has_value());
 }
 
 TEST(CliNames, ValidNameListsCoverEveryKind) {
@@ -117,12 +100,6 @@ TEST(CliNames, ValidNameListsCoverEveryKind) {
   for (const char* name : {"cofactor", "monolithic", "partitioned",
                            "saturation"}) {
     EXPECT_NE(engines.find(name), std::string::npos) << name;
-  }
-  // The schedule list displays the hyphenated CLI spellings, matching the
-  // usage text (parsing accepts either form).
-  const std::string schedules = core::valid_schedule_kind_names();
-  for (const char* name : {"none", "support-overlap", "bounded-lookahead"}) {
-    EXPECT_NE(schedules.find(name), std::string::npos) << name;
   }
 }
 
