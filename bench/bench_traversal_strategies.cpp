@@ -46,7 +46,7 @@
 //   --family   run only the named instance (classic: muller16, mread8,
 //              mutex12, select24; scaled: muller32/64, mutex24/48,
 //              select48/96 -- the scaled tiers run only the saturation
-//              pair, classic vs templated); repeatable. The CI
+//              arm); repeatable. The CI
 //              bench-smoke job uses this to gate on the fast families.
 //   --out      override the output JSON path.
 //   (default: both arms, all families, written to BENCH_traversal.json)
@@ -78,8 +78,6 @@ struct Row {
   std::size_t peak_intermediate = 0;  // worst single-step transient overhead
   std::size_t relation_nodes = 0; // 0 for the cofactor arms
   std::size_t units = 0;
-  std::size_t template_groups = 0;      // shared isomorphism groups (tmpl arms)
-  std::size_t template_saved_nodes = 0; // estimated nodes sharing avoided
   std::size_t reorders = 0;       // completed sift passes
   double cache_hit_rate = 0;      // computed-cache hits / lookups
   double unique_load = 0;         // unique-table nodes per bucket
@@ -101,11 +99,10 @@ std::vector<Row> g_rows;
 void record(const Row& row) {
   std::printf(
       "  %-22s passes=%4zu images=%6zu peak=%8zu live-peak=%8zu "
-      "inter=%8zu rel=%6zu units=%4zu tgrp=%3zu tsave=%6zu "
+      "inter=%8zu rel=%6zu units=%4zu "
       "reorders=%2zu hit=%.3f load=%.2f time=%7.3fs states=%.3e\n",
       row.arm.c_str(), row.passes, row.images, row.peak_reached,
       row.peak_live, row.peak_intermediate, row.relation_nodes, row.units,
-      row.template_groups, row.template_saved_nodes,
       row.reorders, row.cache_hit_rate, row.unique_load, row.seconds,
       row.states);
   std::fflush(stdout);
@@ -138,7 +135,6 @@ void run_cofactor_arm(const stg::Stg& s, const std::string& name,
              sym.manager().peak_live_nodes(),
              engine.stats().peak_intermediate_nodes,
              engine.stats().relation_nodes, engine.stats().units,
-             /*template_groups=*/0, /*template_saved_nodes=*/0,
              sym.manager().reorder_epoch(), ms.cache_hit_rate(),
              ms.unique_load_factor(), watch.seconds(), r.stats.states,
              prof.gc_seconds * 1e3, prof.sift_seconds * 1e3,
@@ -148,16 +144,13 @@ void run_cofactor_arm(const stg::Stg& s, const std::string& name,
 
 void run_relation_arm(const stg::Stg& s, const std::string& name,
                       core::EngineKind kind, core::TraversalStrategy strategy,
-                      bool sift,
-                      core::TemplateMode templates = core::TemplateMode::kOff) {
+                      bool sift) {
   Stopwatch watch;
   core::SymbolicStg sym(s, core::Ordering::kInterleaved, 1 << 14,
                         /*with_primed_vars=*/true);
-  core::EngineOptions engine_options;
-  engine_options.relation_templates = templates;
   sym.manager().set_profiling(true);  // arm GC/sift phase timings
   const std::unique_ptr<core::ImageEngine> engine =
-      core::make_engine(kind, sym, engine_options);
+      core::make_engine(kind, sym);
   core::TraversalResult r =
       core::traverse(*engine, arm_options(strategy, sift));
   const bdd::ManagerStats ms = sym.manager().stats();
@@ -167,8 +160,6 @@ void run_relation_arm(const stg::Stg& s, const std::string& name,
              sym.manager().peak_live_nodes(),
              engine->stats().peak_intermediate_nodes,
              engine->stats().relation_nodes, engine->stats().units,
-             engine->stats().template_groups,
-             engine->stats().template_saved_nodes,
              sym.manager().reorder_epoch(),
              ms.cache_hit_rate(), ms.unique_load_factor(), watch.seconds(),
              r.stats.states,
@@ -182,21 +173,16 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on, bool scaled) {
   std::vector<bool> toggles;
   if (sift_off) toggles.push_back(false);
   if (sift_on) toggles.push_back(true);
-  // The scaled tiers (muller32/64, mutex24/48, select48/96) exist to
-  // measure template sharing at size, not to re-litigate the full
-  // ablation: they run only the saturation pair (classic vs templated),
-  // whose wall-clock stays in seconds where the frontier arms would take
-  // minutes to hours.
+  // The scaled tiers (muller32/64, mutex24/48, select48/96) measure
+  // saturation at size, not the full ablation: they run only the
+  // saturation arm, whose wall-clock stays in seconds where the frontier
+  // arms would take minutes to hours.
   if (scaled) {
     for (const bool sift : toggles) {
       const char* suffix = sift ? "+sift" : "";
       run_relation_arm(s, std::string("saturation") + suffix,
                        core::EngineKind::kSaturation,
                        core::TraversalStrategy::kChaining, sift);
-      run_relation_arm(s, std::string("saturation tmpl") + suffix,
-                       core::EngineKind::kSaturation,
-                       core::TraversalStrategy::kChaining, sift,
-                       core::TemplateMode::kOn);
     }
     return;
   }
@@ -218,16 +204,6 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on, bool scaled) {
     run_relation_arm(s, std::string("saturation") + suffix,
                      core::EngineKind::kSaturation,
                      core::TraversalStrategy::kChaining, sift);
-    // The templated saturation arm: isomorphic relations share one
-    // template body (EngineOptions::relation_templates), fired in place
-    // by the kernel's level-shift mechanism. Reached sets and state
-    // counts are bit-identical to the classic saturation arm; the
-    // relation_nodes / template_saved_nodes columns show what sharing
-    // buys.
-    run_relation_arm(s, std::string("saturation tmpl") + suffix,
-                     core::EngineKind::kSaturation,
-                     core::TraversalStrategy::kChaining, sift,
-                     core::TemplateMode::kOn);
   }
 }
 
@@ -257,7 +233,6 @@ void write_json(const char* path) {
                  "\"peak_live_nodes\": %zu, \"peak_intermediate_nodes\": %zu, "
                  "\"relation_nodes\": %zu, "
                  "\"units\": %zu, "
-                 "\"template_groups\": %zu, \"template_saved_nodes\": %zu, "
                  "\"reorders\": %zu, "
                  "\"cache_hit_rate\": %.4f, \"unique_table_load\": %.4f, "
                  "\"gc_time_ms\": %.3f, \"sift_time_ms\": %.3f, "
@@ -268,8 +243,7 @@ void write_json(const char* path) {
                  r.passes, r.images,
                  r.peak_reached,
                  r.peak_live, r.peak_intermediate, r.relation_nodes, r.units,
-                 r.template_groups,
-                 r.template_saved_nodes, r.reorders, r.cache_hit_rate,
+                 r.reorders, r.cache_hit_rate,
                  r.unique_load, r.gc_time_ms, r.sift_time_ms,
                  r.cache_hit_binary, r.cache_hit_reach, r.cache_hit_permute,
                  r.seconds, states_buf,

@@ -16,11 +16,6 @@
 //                       (image backend; see docs/architecture.md)
 //     --threads   1     accepted and ignored (the BDD kernel is
 //                       sequential; other counts are an error)
-//     --relation-templates M  off | on | auto (saturation backend: share
-//                       one template BDD across structurally isomorphic
-//                       transition relations, fired in place by the
-//                       kernel's level-shift mechanism; auto enables it
-//                       only when some isomorphism group has >= 2 members)
 //     --initial-nodes N   initial node capacity of the BDD manager
 //     --max-live-nodes N  resource budget: live-node cap (0 = unlimited)
 //     --max-seconds   S   resource budget: wall-clock deadline
@@ -81,8 +76,6 @@ void usage() {
       "  --strategy  S     chaining | bfs | fixpoint\n"
       "  --engine    E     cofactor | monolithic | partitioned | saturation\n"
       "  --threads   1     accepted and ignored (the kernel is sequential)\n"
-      "  --relation-templates M  off | on | auto (share isomorphic\n"
-      "                    transition relations in the saturation backend)\n"
       "  --initial-nodes N   initial BDD manager capacity\n"
       "  --max-live-nodes N  budget: live-node cap (0 = unlimited)\n"
       "  --max-seconds   S   budget: wall-clock deadline\n"

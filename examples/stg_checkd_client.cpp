@@ -20,8 +20,8 @@
 //     --quiet          print only result/batch_done/error lines, not the
 //                      per-session event stream
 //     plus every core::CheckConfig flag (--ordering, --strategy,
-//     --engine, --relation-templates, --arbitrate,
-//     --initial-nodes, --max-live-nodes, --max-seconds, --max-steps) --
+//     --engine, --arbitrate, --initial-nodes, --max-live-nodes,
+//     --max-seconds, --max-steps) --
 //     parsed by the unified config and forwarded as the wire "options"
 //     object. --threads 1 is accepted and dropped: the BDD kernel is
 //     sequential, and the daemon's worker count is stg_checkd --threads.
@@ -57,8 +57,7 @@ void usage() {
       "  --cancel  ID     cancel a queued/running session\n"
       "  --batch          force the batch op for a single file\n"
       "  --quiet          suppress streamed event lines\n"
-      "  --ordering O  --strategy S  --engine E\n"
-      "  --relation-templates M  --arbitrate A,B\n"
+      "  --ordering O  --strategy S  --engine E  --arbitrate A,B\n"
       "  --initial-nodes N  --max-live-nodes N  --max-seconds S\n"
       "  --max-steps N\n",
       stderr);

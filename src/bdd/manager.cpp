@@ -373,8 +373,6 @@ void Manager::clear_cache() {
   // stale (states, rule) result can never resurface after a GC or reorder.
   std::fill(reach_cache_.begin(), reach_cache_.end(), ReachCacheEntry{});
   reach_sig_.clear();
-  std::fill(rel_next_shift_cache_.begin(), rel_next_shift_cache_.end(),
-            RelNextShiftEntry{});
   for (PermuteCacheEntry& e : permute_cache_) {
     e.key.clear();
     e.result = kInvalidRef;

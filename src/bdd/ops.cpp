@@ -149,9 +149,9 @@ Bdd Manager::permute(const Bdd& f, const std::vector<Var>& perm) {
         monotone && (i == 0 || var2level_[perm[sup[i - 1]]] < var2level_[w]);
   }
   if (identity) return f;
-  // Cross-call memo: instantiating the same substitution of the same root
-  // twice -- a template stamped out at one position per instance, then
-  // again for a preimage -- is a lookup, not a second traversal (the
+  // Cross-call memo: applying the same substitution to the same root
+  // twice -- the same image or preimage rename requested again -- is a
+  // lookup, not a second traversal (the
   // non-monotone path redoes a full ITE composition otherwise). The key is
   // support-restricted, because mappings differing only outside the
   // support are the same substitution, and stored in full so a hash

@@ -43,8 +43,7 @@ namespace stgcheck::bdd {
 // ---------------------------------------------------------------------------
 
 void Manager::validate_reach_relation(const Bdd& rel, const Bdd& support,
-                                      std::vector<char>& twin_mask,
-                                      std::ptrdiff_t shift) const {
+                                      std::vector<char>& twin_mask) const {
   if (rel.manager() != this || support.manager() != this) {
     throw ModelError("reach/rel_next: operand from a different manager");
   }
@@ -79,34 +78,11 @@ void Manager::validate_reach_relation(const Bdd& rel, const Bdd& support,
     is_twin[twin] = 1;
     twin_mask[twin] = 1;
   }
-  if (shift == 0) {
-    for (const Var v : this->support(rel)) {
-      if (!is_support[v] && !is_twin[v]) {
-        throw ModelError("reach/rel_next: relation mentions " + var_desc(v) +
-                         ", which is neither a support variable nor the "
-                         "next-state twin of one");
-      }
-    }
-    return;
-  }
-  // A displaced template body: every variable it mentions must land, read
-  // `shift` levels away, on a support-cube variable's level or on its twin
-  // level -- that is the positional role the recursion will assign it.
-  std::vector<char> level_allowed(level2var_.size(), 0);
-  for (const Literal& l : literals) {
-    level_allowed[var2level_[l.var]] = 1;
-    level_allowed[var2level_[l.var] + 1] = 1;
-  }
   for (const Var v : this->support(rel)) {
-    const std::ptrdiff_t landing =
-        static_cast<std::ptrdiff_t>(var2level_[v]) + shift;
-    if (landing < 0 ||
-        landing >= static_cast<std::ptrdiff_t>(level2var_.size()) ||
-        !level_allowed[static_cast<std::size_t>(landing)]) {
-      throw ModelError(
-          "reach/rel_next: template variable " + var_desc(v) + " shifted by " +
-          std::to_string(shift) + " lands on level " + std::to_string(landing) +
-          ", which is neither a support variable's level nor a twin level");
+    if (!is_support[v] && !is_twin[v]) {
+      throw ModelError("reach/rel_next: relation mentions " + var_desc(v) +
+                       ", which is neither a support variable nor the "
+                       "next-state twin of one");
     }
   }
 }
@@ -128,38 +104,32 @@ void Manager::validate_reach_states(const Bdd& states,
 // rel_next
 // ---------------------------------------------------------------------------
 
-Bdd Manager::rel_next(const Bdd& states, const Bdd& rel, const Bdd& support,
-                      std::ptrdiff_t shift) {
+Bdd Manager::rel_next(const Bdd& states, const Bdd& rel, const Bdd& support) {
   poll_budget();
   ++counters_.calls[op_slot(OpKind::kRelNext)];
   ProfileTimer timer(*this, OpKind::kRelNext);
   std::vector<char> twin_mask(var2level_.size(), 0);
-  validate_reach_relation(rel, support, twin_mask, shift);
+  validate_reach_relation(rel, support, twin_mask);
   validate_reach_states(states, twin_mask);
-  Bdd result = make_handle(rel_next_rec(states.ref(), rel.ref(), support.ref(),
-                                        static_cast<std::int32_t>(shift)));
+  Bdd result =
+      make_handle(rel_next_rec(states.ref(), rel.ref(), support.ref()));
   maybe_gc();
   return result;
 }
 
-NodeRef Manager::rel_next_rec(NodeRef s, NodeRef r, NodeRef cube,
-                              std::int32_t shift) {
+NodeRef Manager::rel_next_rec(NodeRef s, NodeRef r, NodeRef cube) {
   if (s == kFalse || r == kFalse) return kFalse;
   // Pairs above everything s and r test contribute only identity: exists v
   // of a function independent of v, and a substitution with no twin
-  // present. (level(cube) + 1 is the pair's twin level.) The relation's
-  // nodes are read through the template displacement throughout; 0 -- the
-  // only value in-place relations ever pass -- makes every comparison
-  // identical to the unshifted kernel.
-  const std::size_t top = std::min(level(s), level_shifted(r, shift));
+  // present. (level(cube) + 1 is the pair's twin level.)
+  const std::size_t top = std::min(level(s), level(r));
   while (!is_term(cube) && level(cube) + 1 < top) cube = high_of(cube);
   // Once the cube is exhausted no pair at or below `top` remains, and the
   // relation's support lives on pair levels (validated), so r is a
-  // terminal here -- and_rec never sees a displaced node.
+  // terminal here.
   if (is_term(cube)) return and_rec(s, r);
 
-  const NodeRef cached = shift == 0 ? cache_lookup(Op::kRelNext, s, r, cube)
-                                    : rel_next_shift_lookup(s, r, cube, shift);
+  const NodeRef cached = cache_lookup(Op::kRelNext, s, r, cube);
   if (cached != kInvalidRef) return cached;
 
   // Copy fields before recursing: mk may reallocate the node vector.
@@ -171,10 +141,10 @@ NodeRef Manager::rel_next_rec(NodeRef s, NodeRef r, NodeRef cube,
     const Var u = level2var_[top];
     const NodeRef s0 = level(s) == top ? low_of(s) : s;
     const NodeRef s1 = level(s) == top ? high_of(s) : s;
-    const NodeRef r0 = level_shifted(r, shift) == top ? low_of(r) : r;
-    const NodeRef r1 = level_shifted(r, shift) == top ? high_of(r) : r;
-    const NodeRef low = rel_next_rec(s0, r0, cube, shift);
-    result = mk(u, low, rel_next_rec(s1, r1, cube, shift));
+    const NodeRef r0 = level(r) == top ? low_of(r) : r;
+    const NodeRef r1 = level(r) == top ? high_of(r) : r;
+    const NodeRef low = rel_next_rec(s0, r0, cube);
+    result = mk(u, low, rel_next_rec(s1, r1, cube));
   } else {
     // Process the pair (v at lv, its twin at lv + 1): quantify v, split
     // the relation on the twin, and rebuild the twin's branches on v
@@ -184,23 +154,19 @@ NodeRef Manager::rel_next_rec(NodeRef s, NodeRef r, NodeRef cube,
     const NodeRef rest = high_of(cube);
     const NodeRef s0 = level(s) == lv ? low_of(s) : s;
     const NodeRef s1 = level(s) == lv ? high_of(s) : s;
-    const NodeRef r0 = level_shifted(r, shift) == lv ? low_of(r) : r;
-    const NodeRef r1 = level_shifted(r, shift) == lv ? high_of(r) : r;
-    const NodeRef r00 = level_shifted(r0, shift) == lw ? low_of(r0) : r0;
-    const NodeRef r01 = level_shifted(r0, shift) == lw ? high_of(r0) : r0;
-    const NodeRef r10 = level_shifted(r1, shift) == lw ? low_of(r1) : r1;
-    const NodeRef r11 = level_shifted(r1, shift) == lw ? high_of(r1) : r1;
-    const NodeRef low = or_rec(rel_next_rec(s0, r00, rest, shift),
-                               rel_next_rec(s1, r10, rest, shift));
-    const NodeRef high = or_rec(rel_next_rec(s0, r01, rest, shift),
-                                rel_next_rec(s1, r11, rest, shift));
+    const NodeRef r0 = level(r) == lv ? low_of(r) : r;
+    const NodeRef r1 = level(r) == lv ? high_of(r) : r;
+    const NodeRef r00 = level(r0) == lw ? low_of(r0) : r0;
+    const NodeRef r01 = level(r0) == lw ? high_of(r0) : r0;
+    const NodeRef r10 = level(r1) == lw ? low_of(r1) : r1;
+    const NodeRef r11 = level(r1) == lw ? high_of(r1) : r1;
+    const NodeRef low = or_rec(rel_next_rec(s0, r00, rest),
+                               rel_next_rec(s1, r10, rest));
+    const NodeRef high = or_rec(rel_next_rec(s0, r01, rest),
+                                rel_next_rec(s1, r11, rest));
     result = mk(v, low, high);
   }
-  if (shift == 0) {
-    cache_store(Op::kRelNext, s, r, cube, result);
-  } else {
-    rel_next_shift_store(s, r, cube, shift, result);
-  }
+  cache_store(Op::kRelNext, s, r, cube, result);
   return result;
 }
 
@@ -217,16 +183,12 @@ Bdd Manager::reach(const Bdd& states,
   rules.reserve(relations.size());
   std::vector<char> twin_mask(var2level_.size(), 0);
   for (const ReachRelation& r : relations) {
-    validate_reach_relation(r.rel, r.support, twin_mask, r.shift);
+    validate_reach_relation(r.rel, r.support, twin_mask);
     // A false relation fires nothing; a relation with an empty support
     // constrains nothing (its product is the identity). Both are dropped.
     if (r.rel.ref() == kFalse || is_term(r.support.ref())) continue;
-    // The rule's saturation position is the *instance* cube's top level --
-    // a displaced template body saturates where it fires, not where its
-    // representative lives.
-    rules.push_back(ReachRule{r.rel.ref(), r.support.ref(),
-                              level(r.support.ref()),
-                              static_cast<std::int32_t>(r.shift)});
+    rules.push_back(
+        ReachRule{r.rel.ref(), r.support.ref(), level(r.support.ref())});
   }
   // One pass over the state set's support against every relation's twins
   // (per-relation checks would walk the whole seed BDD once per rule).
@@ -238,14 +200,12 @@ Bdd Manager::reach(const Bdd& states,
                    });
 
   // The (states, rule) cache key is exact only for this rule list: a call
-  // with a different list flushes the entries first. The displacement is
-  // part of a rule's identity, so it is part of the signature.
+  // with a different list flushes the entries first.
   std::vector<NodeRef> sig;
-  sig.reserve(rules.size() * 3);
+  sig.reserve(rules.size() * 2);
   for (const ReachRule& r : rules) {
     sig.push_back(r.rel);
     sig.push_back(r.cube);
-    sig.push_back(static_cast<NodeRef>(static_cast<std::uint32_t>(r.shift)));
   }
   if (sig != reach_sig_) {
     for (ReachCacheEntry& e : reach_cache_) e = ReachCacheEntry{};
@@ -302,13 +262,12 @@ NodeRef Manager::reach_rec(NodeRef s, std::size_t rule) {
       if (cur == kTrue) break;
       const NodeRef rel = reach_rules_[rule].rel;
       const NodeRef cube = reach_rules_[rule].cube;
-      const std::int32_t shift = reach_rules_[rule].shift;
       // One saturation rule firing: an in-kernel rel_next application,
       // counted on the kRelNext slot and spanned when tracing is armed.
       ++counters_.calls[op_slot(OpKind::kRelNext)];
       TraceSpan firing(trace_, "reach_rule", "kernel");
       firing.arg("rule", static_cast<double>(rule));
-      const NodeRef step = rel_next_rec(cur, rel, cube, shift);
+      const NodeRef step = rel_next_rec(cur, rel, cube);
       const NodeRef next = or_rec(cur, step);
       if (next == cur) break;
       cur = next;
@@ -352,49 +311,6 @@ void Manager::reach_cache_store(NodeRef states, std::size_t rule,
   }
   reach_cache_[reach_hash(states, rule) & reach_cache_mask_] =
       ReachCacheEntry{states, static_cast<std::uint32_t>(rule), result};
-}
-
-// ---------------------------------------------------------------------------
-// The shifted-product cache (template firings; see RelNextShiftEntry)
-// ---------------------------------------------------------------------------
-
-std::size_t Manager::rel_next_shift_hash(NodeRef s, NodeRef r, NodeRef cube,
-                                         std::int32_t shift) const {
-  std::uint64_t h = static_cast<std::uint64_t>(s) * 0x9e3779b97f4a7c15ULL;
-  h ^= (static_cast<std::uint64_t>(r) + 0x517cc1b727220a95ULL) *
-       0xff51afd7ed558ccdULL;
-  h ^= (static_cast<std::uint64_t>(cube) + 0x2545f4914f6cdd1dULL) *
-       0xc4ceb9fe1a85ec53ULL;
-  h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(shift)) *
-       0xd6e8feb86659fd93ULL;
-  h ^= h >> 33;
-  return static_cast<std::size_t>(h);
-}
-
-NodeRef Manager::rel_next_shift_lookup(NodeRef s, NodeRef r, NodeRef cube,
-                                       std::int32_t shift) const {
-  ++counters_.cache_lookups[op_slot(Op::kRelNext)];
-  if (rel_next_shift_cache_.empty()) return kInvalidRef;
-  const RelNextShiftEntry& e =
-      rel_next_shift_cache_[rel_next_shift_hash(s, r, cube, shift) &
-                            rel_next_shift_cache_mask_];
-  if (e.result != kInvalidRef && e.states == s && e.rel == r &&
-      e.cube == cube && e.shift == shift) {
-    ++counters_.cache_hits[op_slot(Op::kRelNext)];
-    return e.result;
-  }
-  return kInvalidRef;
-}
-
-void Manager::rel_next_shift_store(NodeRef s, NodeRef r, NodeRef cube,
-                                   std::int32_t shift, NodeRef result) {
-  if (rel_next_shift_cache_.empty()) {
-    rel_next_shift_cache_.resize(kRelNextShiftCacheSize);
-    rel_next_shift_cache_mask_ = kRelNextShiftCacheSize - 1;
-  }
-  rel_next_shift_cache_[rel_next_shift_hash(s, r, cube, shift) &
-                        rel_next_shift_cache_mask_] =
-      RelNextShiftEntry{s, r, cube, shift, result};
 }
 
 }  // namespace stgcheck::bdd

@@ -201,12 +201,18 @@ SymCscResult check_csc(SymbolicStg& sym, const Bdd& reached) {
 
 SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
                                              const Bdd& reached) {
+  return check_csc_reducibility(engine, reached,
+                                check_csc(engine.sym(), reached));
+}
+
+SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
+                                             const Bdd& reached,
+                                             const SymCscResult& csc) {
   SymbolicStg& sym = engine.sym();
   SymReducibilityResult result;
   const stg::Stg& stg = sym.stg();
   const pn::PetriNet& net = stg.net();
 
-  const SymCscResult csc = check_csc(sym, reached);
   result.csc_satisfied = csc.complete_state_coding;
   if (result.csc_satisfied) return result;
 

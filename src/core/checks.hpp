@@ -122,7 +122,13 @@ struct SymReducibilityResult {
 /// contradictory quiescent states, close backward then forward firing only
 /// input transitions (within `reached`), and test whether a contradictory
 /// excited state is hit -- that is a mutually complementary input
-/// sequence, which no internal signal insertion can break.
+/// sequence, which no internal signal insertion can break. `csc` is
+/// check_csc(engine.sym(), reached), passed in so a pipeline that already
+/// has it does not compute it twice.
+SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
+                                             const bdd::Bdd& reached,
+                                             const SymCscResult& csc);
+/// The same, computing check_csc itself.
 SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
                                              const bdd::Bdd& reached);
 

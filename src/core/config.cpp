@@ -83,15 +83,6 @@ EngineKind parse_engine_or_die(const std::string& name) {
   return *e;
 }
 
-TemplateMode parse_templates_or_die(const std::string& name) {
-  const auto m = parse_template_mode(name);
-  if (!m) {
-    bad("unknown relation-templates mode '" + name + "' (valid: " +
-        valid_template_mode_names() + ")");
-  }
-  return *m;
-}
-
 /// The "threads" key and --threads flag configure nothing (the kernel is
 /// sequential). They stay accepted with the value 1 so existing requests
 /// keep working; any other value fails loudly.
@@ -136,9 +127,6 @@ CheckConfig CheckConfig::from_json(const json::Value& obj) {
       config.check.engine = parse_engine_or_die(value.as_string());
     } else if (key == "threads") {
       check_sequential_threads(json_size(value, key));
-    } else if (key == "relation_templates") {
-      config.check.engine_options.relation_templates =
-          parse_templates_or_die(value.as_string());
     } else if (key == "arbitrate") {
       for (const Value& entry : value.as_array()) {
         const auto& pair = entry.as_array();
@@ -177,12 +165,6 @@ json::Value CheckConfig::to_json() const {
   }
   if (check.engine != defaults.check.engine) {
     obj.set("engine", Value(std::string(to_string(check.engine))));
-  }
-  if (check.engine_options.relation_templates !=
-      defaults.check.engine_options.relation_templates) {
-    obj.set("relation_templates",
-            Value(std::string(
-                to_string(check.engine_options.relation_templates))));
   }
   if (!check.arbitration_pairs.empty()) {
     Value pairs = Value::array();
@@ -230,8 +212,6 @@ bool CheckConfig::consume_flag(const std::vector<std::string>& args,
     check.engine = parse_engine_or_die(value());
   } else if (arg == "--threads") {
     check_sequential_threads(arg_size(value(), arg));
-  } else if (arg == "--relation-templates") {
-    check.engine_options.relation_templates = parse_templates_or_die(value());
   } else if (arg == "--arbitrate") {
     check.arbitration_pairs.push_back(parse_arbitrate_pair(value()));
   } else if (arg == "--initial-nodes") {
@@ -278,11 +258,6 @@ std::vector<std::string> CheckConfig::to_args() const {
   if (check.engine != defaults.check.engine) {
     flag("--engine", to_string(check.engine));
   }
-  if (check.engine_options.relation_templates !=
-      defaults.check.engine_options.relation_templates) {
-    flag("--relation-templates",
-         to_string(check.engine_options.relation_templates));
-  }
   for (const auto& [a, b] : check.arbitration_pairs) {
     flag("--arbitrate", a + "," + b);
   }
@@ -311,8 +286,6 @@ bool operator==(const CheckConfig& a, const CheckConfig& b) {
   return a.check.ordering == b.check.ordering &&
          a.check.strategy == b.check.strategy &&
          a.check.engine == b.check.engine &&
-         a.check.engine_options.relation_templates ==
-             b.check.engine_options.relation_templates &&
          a.check.arbitration_pairs == b.check.arbitration_pairs &&
          a.initial_nodes == b.initial_nodes &&
          a.limits.max_live_nodes == b.limits.max_live_nodes &&

@@ -10,8 +10,8 @@
 //
 // Layers:
 //   check          -- everything check_implementability takes (ordering,
-//                     strategy, engine, relation templates, arbitration
-//                     pairs), minus the event log the session injects;
+//                     strategy, engine, arbitration pairs), minus the
+//                     event log the session injects;
 //   initial_nodes  -- initial node capacity of the session's manager;
 //   limits         -- the resource budget (util/budget.hpp) the session
 //                     arms on its manager for the duration of the check.
@@ -19,9 +19,8 @@
 // Wire form (the daemon's "options" object and `stg_check --json` input;
 // all members optional, unknown keys rejected):
 //   {"ordering":"interleaved","strategy":"chaining","engine":"cofactor",
-//    "relation_templates":"off","arbitrate":[["g1","g2"]],
-//    "initial_nodes":16384,"max_live_nodes":0,"max_seconds":0,
-//    "max_steps":0,"trace":"out.json","profile":true}
+//    "arbitrate":[["g1","g2"]],"initial_nodes":16384,"max_live_nodes":0,
+//    "max_seconds":0,"max_steps":0,"trace":"out.json","profile":true}
 //
 // The BDD kernel is sequential. For older clients, "threads":1 (and the
 // flag --threads 1) is still accepted and discarded; any other count
@@ -80,9 +79,9 @@ struct CheckConfig {
   /// If args[i] is a config flag, consumes it (and its value, advancing
   /// i) and returns true; returns false on anything else. Throws
   /// ModelError on a missing or malformed value. Flags:
-  ///   --ordering --strategy --engine --threads (1 only)
-  ///   --relation-templates --arbitrate --initial-nodes --max-live-nodes
-  ///   --max-seconds --max-steps --trace --profile
+  ///   --ordering --strategy --engine --threads (1 only) --arbitrate
+  ///   --initial-nodes --max-live-nodes --max-seconds --max-steps --trace
+  ///   --profile
   bool consume_flag(const std::vector<std::string>& args, std::size_t& i);
 
   /// Parses a vector that must consist solely of config flags. Throws

@@ -37,9 +37,7 @@ void EventLog::session_start(
 
 void EventLog::pass(std::size_t pass, std::size_t image_computations,
                     std::size_t live_nodes, std::size_t peak_live_nodes,
-                    std::size_t reached_nodes, std::size_t frontier_nodes,
-                    std::size_t template_groups,
-                    std::size_t template_saved_nodes) {
+                    std::size_t reached_nodes, std::size_t frontier_nodes) {
   EventRecord r;
   r.kind = EventKind::kPass;
   r.metrics = {{"pass", static_cast<double>(pass)},
@@ -48,12 +46,6 @@ void EventLog::pass(std::size_t pass, std::size_t image_computations,
                {"peak_live_nodes", static_cast<double>(peak_live_nodes)},
                {"reached_nodes", static_cast<double>(reached_nodes)},
                {"frontier_nodes", static_cast<double>(frontier_nodes)}};
-  if (template_groups > 0) {
-    r.metrics.push_back(
-        {"template_groups", static_cast<double>(template_groups)});
-    r.metrics.push_back(
-        {"template_saved_nodes", static_cast<double>(template_saved_nodes)});
-  }
   emit(std::move(r));
 }
 

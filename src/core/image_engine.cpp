@@ -49,41 +49,6 @@ std::string valid_engine_kind_names() {
   return names;
 }
 
-namespace {
-
-constexpr TemplateMode kAllTemplateModes[] = {
-    TemplateMode::kOff,
-    TemplateMode::kOn,
-    TemplateMode::kAuto,
-};
-
-}  // namespace
-
-const char* to_string(TemplateMode mode) {
-  switch (mode) {
-    case TemplateMode::kOff: return "off";
-    case TemplateMode::kOn: return "on";
-    case TemplateMode::kAuto: return "auto";
-  }
-  return "?";
-}
-
-std::optional<TemplateMode> parse_template_mode(std::string_view name) {
-  for (const TemplateMode mode : kAllTemplateModes) {
-    if (names_equal_dashed(name, to_string(mode))) return mode;
-  }
-  return std::nullopt;
-}
-
-std::string valid_template_mode_names() {
-  std::string names;
-  for (const TemplateMode mode : kAllTemplateModes) {
-    if (!names.empty()) names += ", ";
-    names += to_string(mode);
-  }
-  return names;
-}
-
 // ---------------------------------------------------------------------------
 // The delta_N pipeline
 // ---------------------------------------------------------------------------
@@ -471,7 +436,7 @@ std::unique_ptr<ImageEngine> make_engine(EngineKind kind, SymbolicStg& sym,
     case EngineKind::kPartitionedRelation:
       return std::make_unique<PartitionedRelationEngine>(sym, options);
     case EngineKind::kSaturation:
-      return std::make_unique<SaturationEngine>(sym, options);
+      return std::make_unique<SaturationEngine>(sym);
   }
   throw ModelError("unknown engine kind");
 }

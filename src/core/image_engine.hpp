@@ -72,32 +72,12 @@ std::optional<EngineKind> parse_engine_kind(std::string_view name);
 /// Every valid engine name, comma-separated -- for CLI error messages.
 std::string valid_engine_kind_names();
 
-/// Whether the saturation backend shares one template body across
-/// structurally isomorphic relations (core/relation.hpp,
-/// detect_relation_templates) instead of retaining every instance's BDD.
-enum class TemplateMode {
-  kOff,   ///< classic path: every relation keeps its own BDD (default)
-  kOn,    ///< always detect and share; harmless when nothing is isomorphic
-  kAuto,  ///< detect, then share only if some group has >= 2 members --
-          ///< otherwise drop back to the bit-identical classic path
-};
-
-const char* to_string(TemplateMode mode);
-/// Parses 'off' / 'on' / 'auto'; nullopt for unknown names.
-std::optional<TemplateMode> parse_template_mode(std::string_view name);
-/// Every valid mode name, comma-separated -- for CLI error messages.
-std::string valid_template_mode_names();
-
 struct EngineOptions {
   /// Relational backends: stop growing a cluster once its relation BDD
   /// exceeds this many nodes. A single transition whose sparse relation is
   /// already larger stays a singleton cluster (a cap cannot split one
   /// transition).
   std::size_t cluster_node_cap = 2000;
-  /// Isomorphism-exploiting relation templates (saturation backend only;
-  /// the other backends ignore it). kOff keeps the classic per-relation
-  /// BDDs, bit-identical to every pre-template baseline.
-  TemplateMode relation_templates = TemplateMode::kOff;
 };
 
 struct ImageEngineStats {
@@ -111,16 +91,6 @@ struct ImageEngineStats {
   /// show up (the reached set and the relations are part of the entering
   /// count, so they do not pollute it).
   std::size_t peak_intermediate_nodes = 0;
-  /// Relation-template sharing (saturation backend with
-  /// EngineOptions::relation_templates enabled; 0 everywhere else).
-  /// Isomorphism groups actually shared (>= 2 members each).
-  std::size_t template_groups = 0;
-  /// Relations served by a template body they do not own.
-  std::size_t template_instances = 0;
-  /// Estimated BDD nodes the per-instance construction would have
-  /// retained beyond the shared bodies: sum over shared groups of
-  /// (body nodes) x (members - 1), under the current variable order.
-  std::size_t template_saved_nodes = 0;
 };
 
 /// Abstract image substrate over one SymbolicStg encoding.

@@ -83,8 +83,11 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
   }
   const bdd::Bdd& reached = report.traversal.reached;
 
+  // ---- Deadlock-freedom -----------------------------------------------------
   report.deadlock_states_count = sym.count_states(deadlock_states(sym, reached));
   report.deadlock_free = report.deadlock_states_count == 0;
+  report.times.deadlock = phase.restart();
+  phase_done("deadlock", report.times.deadlock);
   verdict("deadlock_free", report.deadlock_free,
           report.deadlock_free
               ? std::string()
@@ -142,7 +145,8 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
   if (report.csc) {
     report.csc_reducible = true;
   } else {
-    report.reducibility = check_csc_reducibility(*engine, reached);
+    report.reducibility =
+        check_csc_reducibility(*engine, reached, report.csc_result);
     report.csc_reducible = report.reducibility.reducible;
   }
   report.times.csc = phase.restart();
@@ -241,8 +245,9 @@ std::string ImplementabilityReport::summary(const stg::Stg& stg) const {
   }
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "  CPU: T+C %.3fs  NI-p %.3fs  Com %.3fs  CSC %.3fs  total %.3fs",
-                times.traversal_consistency, times.persistency,
+                "  CPU: T+C %.3fs  DL %.3fs  NI-p %.3fs  Com %.3fs  CSC %.3fs  "
+                "total %.3fs",
+                times.traversal_consistency, times.deadlock, times.persistency,
                 times.commutativity, times.csc, times.total);
   out << buf << "\n";
   return out.str();

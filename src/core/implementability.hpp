@@ -3,6 +3,8 @@
 // with per-phase timings matching the columns of Table 1.
 //
 //   T+C   traversal + consistency (+ safeness, + lazy value binding)
+//   DL    deadlock-freedom (not a Table 1 column; timed apart so NI-p
+//         is Fig. 6 alone)
 //   NI-p  non-input signal persistency + transition persistency (Fig. 6)
 //   Com   commutativity via the fake-conflict analysis (Secs. 3.5, 5.4)
 //   CSC   ER/QR-based CSC + USC + CSC-reducibility (Sec. 5.3)
@@ -53,17 +55,19 @@ struct CheckOptions {
   /// check time is then negligible).
   bool exploit_marked_graphs = true;
   /// When set, the checker emits typed records as it runs: traversal pass
-  /// gauges, one kPhaseDone per Table 1 column, and one kVerdict per
-  /// individual check (core/events.hpp). Not owned; null disables emission.
+  /// gauges, one kPhaseDone per phase (the Table 1 columns plus deadlock),
+  /// and one kVerdict per individual check (core/events.hpp). Not owned;
+  /// null disables emission.
   EventLog* events = nullptr;
-  /// When set, the checker records one trace span per Table 1 phase and
+  /// When set, the checker records one trace span per phase and
   /// hands the recorder to the traversal (util/trace.hpp). Not owned.
   TraceRecorder* trace = nullptr;
 };
 
 struct PhaseTimes {
   double traversal_consistency = 0;  ///< "T+C" of Table 1
-  double persistency = 0;            ///< "NI-p"
+  double deadlock = 0;               ///< deadlock-freedom (no Table 1 column)
+  double persistency = 0;            ///< "NI-p" (Fig. 6 only)
   double commutativity = 0;          ///< "Com" (fake conflicts)
   double csc = 0;                    ///< "CSC" (incl. reducibility)
   double total = 0;

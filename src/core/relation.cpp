@@ -1,7 +1,6 @@
 #include "core/relation.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "util/error.hpp"
 #include "util/flat_map.hpp"
@@ -197,33 +196,6 @@ std::vector<RelationCluster> singleton_clusters(
     clusters.push_back(std::move(c));
   }
   return clusters;
-}
-
-RelationTemplates detect_relation_templates(
-    bdd::Manager& m, const std::vector<TransitionRelation>& sparse) {
-  RelationTemplates result;
-  result.bdd_support.reserve(sparse.size());
-  // An ordered map keyed on the *full* signature: a hash collision between
-  // distinct shapes would silently merge non-isomorphic relations, which
-  // is a soundness bug, not a performance one.
-  std::map<std::vector<std::uint64_t>, std::size_t> group_of;
-  for (std::size_t i = 0; i < sparse.size(); ++i) {
-    result.bdd_support.push_back(m.support(sparse[i].rel));
-    const auto [it, inserted] =
-        group_of.emplace(m.shape_signature(sparse[i].rel), result.groups.size());
-    if (inserted) {
-      result.groups.push_back(RelationTemplateGroup{{i}});
-    } else {
-      result.groups[it->second].members.push_back(i);
-    }
-  }
-  for (const RelationTemplateGroup& g : result.groups) {
-    if (g.members.size() > 1) {
-      ++result.shared_groups;
-      result.instances += g.members.size() - 1;
-    }
-  }
-  return result;
 }
 
 Bdd build_full_relation(SymbolicStg& sym, pn::TransitionId t) {

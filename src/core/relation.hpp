@@ -91,49 +91,6 @@ std::vector<RelationCluster> cluster_relations(
 std::vector<RelationCluster> singleton_clusters(
     SymbolicStg& sym, const std::vector<TransitionRelation>& sparse);
 
-// ---------------------------------------------------------------------------
-// Isomorphic relation templates
-// ---------------------------------------------------------------------------
-
-/// One group of structurally isomorphic sparse relations: every member's
-/// BDD is a monotone (level-order-preserving) variable rename of the
-/// representative's, so one shared *template body* can serve all of them
-/// -- fired in place by the kernel's shift mechanism when the member sits
-/// at a uniform level displacement (ReachRelation::shift), or stamped out
-/// on demand through Manager::permute (memoized) when it does not.
-struct RelationTemplateGroup {
-  /// Indices into the detected sparse-relation list; members[0] is the
-  /// representative whose BDD is the group's template body.
-  std::vector<std::size_t> members;
-};
-
-/// Result of template detection over a sparse-relation list. Every
-/// relation appears in exactly one group; a group of one simply means no
-/// isomorphic partner exists.
-struct RelationTemplates {
-  std::vector<RelationTemplateGroup> groups;
-  /// Per relation (indexed like the input list): the variables its BDD
-  /// depends on -- unprimed support plus primed twins -- in detection-time
-  /// level order. Aligning member i's list with its representative's
-  /// elementwise *is* the instantiation map: the rename is monotone by
-  /// construction, and the per-epoch shift test checks whether the paired
-  /// levels currently differ by one uniform displacement.
-  std::vector<std::vector<bdd::Var>> bdd_support;
-  /// Groups with at least two members.
-  std::size_t shared_groups = 0;
-  /// Members served by a body they do not own (sum of members-1 over
-  /// shared groups).
-  std::size_t instances = 0;
-};
-
-/// Groups `sparse` by BDD-shape signature (Manager::shape_signature):
-/// two relations land in one group iff their BDDs are monotone variable
-/// renames of each other -- the exact precondition for sharing a template
-/// body. Grouping compares full signatures, never hashes, so distinct
-/// structures are never conflated. Allocates no BDD nodes.
-RelationTemplates detect_relation_templates(
-    bdd::Manager& m, const std::vector<TransitionRelation>& sparse);
-
 /// Per-transition (or per-cluster) apply data for sparse relational
 /// products over the given support: quantification cubes for both
 /// directions and the support-local rename map.

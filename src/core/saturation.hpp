@@ -15,18 +15,20 @@
 // This module owns the core-side half of that split:
 //
 //   * level_partition() orders the sparse relation clusters (the same
-//     RelationCluster machinery the partitioned engine uses; per-level
-//     clustering in the spirit of Appold's isomorphism-exploiting
-//     partitioning, arXiv:1106.1229) by top support level. The partition
-//     depends on the *current* variable order, so it is rebuilt on every
-//     reorder epoch via ImageEngine::sync_with_order().
+//     RelationCluster machinery the partitioned engine uses) by top
+//     support level. The partition depends on the *current* variable
+//     order, so it is rebuilt on every reorder epoch via
+//     ImageEngine::sync_with_order().
 //
 //   * SaturationEngine plugs the operation in behind the standard
 //     ImageEngine interface: traverse() detects computes_global_fixpoint()
-//     and calls reach_fixpoint() instead of iterating units, while the
-//     implementability checks keep using the ordinary per-transition
-//     image_via/preimage_via (served from the same sparse relations, with
-//     the forward image running through the kernel's rel_next product).
+//     and calls reach_fixpoint() instead of iterating units. The
+//     implementability checks test the reached set against the engine's
+//     fire guards (ImageEngine::fire_guard/after_firing) and image nothing
+//     per pair; only a violation's one-state witness and the
+//     CSC-reducibility closure step through image_via/preimage_via, which
+//     are served from the same sparse relations (the forward image through
+//     the kernel's rel_next product).
 #pragma once
 
 #include "core/image_engine.hpp"
@@ -60,7 +62,7 @@ std::vector<LevelClusterInfo> level_partition(
 /// product.
 class SaturationEngine final : public ImageEngine {
  public:
-  explicit SaturationEngine(SymbolicStg& sym, const EngineOptions& options = {});
+  explicit SaturationEngine(SymbolicStg& sym);
 
   const char* name() const override { return "saturation"; }
   EngineKind kind() const override { return EngineKind::kSaturation; }
@@ -92,33 +94,15 @@ class SaturationEngine final : public ImageEngine {
   const std::vector<LevelClusterInfo>& partition() const { return partition_; }
   /// Completed kernel reach() calls.
   std::size_t reach_calls() const { return reach_calls_; }
-  /// True when relation-template sharing is live: isomorphic relations
-  /// were detected (EngineOptions::relation_templates) and every
-  /// non-representative dropped its own BDD in favour of the group's
-  /// template body (fired in place via ReachRelation::shift when the
-  /// instance sits at a uniform level displacement, stamped out through
-  /// the memoized Manager::permute otherwise). kAuto leaves this false --
-  /// and the engine bit-identical to kOff -- when no group has two
-  /// members.
-  bool templates_active() const { return templates_active_; }
-  /// The detection result backing the active sharing (empty when off).
-  const RelationTemplates& templates() const { return templates_; }
 
  protected:
   void on_reorder() override;
 
  private:
   const SparseApplyData& sparse_apply(pn::TransitionId t);
-  /// Cluster c's relation BDD: its own body when it has one, the group
-  /// template instantiated at c's position (memoized permute) when
-  /// template sharing dropped it. Singleton clusters index like
-  /// transitions, so `c` doubles as the TransitionId for image_via /
-  /// preimage_via.
-  bdd::Bdd instance_rel(std::size_t c);
   void refresh_node_stats();
   void rebuild_partition();
 
-  TemplateMode template_mode_;
   std::vector<TransitionRelation> sparse_;     // indexed by transition
   std::vector<SparseApplyData> sparse_apply_;  // per transition, lazily built
   std::vector<RelationCluster> clusters_;
@@ -126,11 +110,6 @@ class SaturationEngine final : public ImageEngine {
   /// The clusters as kernel reach operands, in partition order.
   std::vector<bdd::ReachRelation> reach_relations_;
   std::size_t reach_calls_ = 0;
-  bool templates_active_ = false;
-  RelationTemplates templates_;
-  /// Per cluster: index of its group's representative (itself when it is
-  /// one, or when sharing is off).
-  std::vector<std::size_t> rep_of_;
 };
 
 }  // namespace stgcheck::core

@@ -192,9 +192,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
       options.events->pass(result.stats.passes, result.stats.image_computations,
                            sym.manager().live_nodes(),
                            sym.manager().peak_live_nodes(), reached_nodes,
-                           /*frontier_nodes=*/0,
-                           engine.stats().template_groups,
-                           engine.stats().template_saved_nodes);
+                           /*frontier_nodes=*/0);
     }
     if (options.check_consistency) {
       check_consistency_on(sym, reached, result);
@@ -292,9 +290,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
                              result.stats.image_computations,
                              sym.manager().live_nodes(),
                              sym.manager().peak_live_nodes(), reached_nodes,
-                             sym.manager().count_nodes(pass_new),
-                             engine.stats().template_groups,
-                             engine.stats().template_saved_nodes);
+                             sym.manager().count_nodes(pass_new));
       }
 
       if (pass_new.is_false()) break;  // fixed point

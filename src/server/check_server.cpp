@@ -53,10 +53,6 @@ SessionProgress progress_from_pass(const core::EventRecord& record) {
       p.reached_nodes = n;
     } else if (name == "frontier_nodes") {
       p.frontier_nodes = n;
-    } else if (name == "template_groups") {
-      p.template_groups = n;
-    } else if (name == "template_saved_nodes") {
-      p.template_saved_nodes = n;
     }
   }
   return p;
@@ -349,10 +345,6 @@ void CheckServer::handle_session_status(
     p.set("peak_live_nodes", Value(progress->peak_live_nodes));
     p.set("reached_nodes", Value(progress->reached_nodes));
     p.set("frontier_nodes", Value(progress->frontier_nodes));
-    if (progress->template_groups > 0) {
-      p.set("template_groups", Value(progress->template_groups));
-      p.set("template_saved_nodes", Value(progress->template_saved_nodes));
-    }
     p.set("at", Value(progress->at));
     p.set("elapsed", Value(clock_.seconds() - progress->started_at));
     reply.set("progress", std::move(p));

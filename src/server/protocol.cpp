@@ -232,6 +232,7 @@ json::Value report_to_json(const stg::Stg& stg,
 
   Value times = Value::object();
   times.set("traversal_consistency", Value(report.times.traversal_consistency));
+  times.set("deadlock", Value(report.times.deadlock));
   times.set("persistency", Value(report.times.persistency));
   times.set("commutativity", Value(report.times.commutativity));
   times.set("csc", Value(report.times.csc));

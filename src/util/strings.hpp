@@ -17,7 +17,7 @@ std::string_view trim(std::string_view text);
 bool starts_with(std::string_view text, std::string_view prefix);
 
 /// Equality with '-' and '_' interchangeable on both sides: the rule the
-/// CLI name parsers (--engine, --relation-templates) match user input
+/// CLI name parsers (--engine, --strategy, --ordering) match user input
 /// against the canonical to_string names with.
 bool names_equal_dashed(std::string_view a, std::string_view b);
 

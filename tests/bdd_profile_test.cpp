@@ -5,8 +5,8 @@
 // groups (binary ops / REACH / permute memo) must sum to exactly the
 // aggregate cache_lookups / cache_hits. Before the split, the permute memo
 // was folded into the binary totals, which skewed cache_hit_rate() on
-// templated runs -- this test pins the accounting so no future cache can
-// silently fall outside the groups.
+// permute-heavy runs (the relational preimages) -- this test pins the
+// accounting so no future cache can silently fall outside the groups.
 #include <gtest/gtest.h>
 
 #include <string>

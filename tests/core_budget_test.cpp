@@ -335,7 +335,8 @@ TEST(Budget, CancelDuringCheckPhasesIsGovernedAndClean) {
   // token on the previous phase's phase_done record) stops the session at
   // the next safe point inside that phase: governed outcome, no verdict
   // from the phase, manager invariant-clean.
-  for (const std::string phase : {"traversal", "persistency", "commutativity"}) {
+  for (const std::string phase :
+       {"traversal", "deadlock", "persistency", "commutativity"}) {
     SessionOptions options;
     options.limits.token = std::make_shared<CancelToken>();
     const std::shared_ptr<CancelToken> token = options.limits.token;

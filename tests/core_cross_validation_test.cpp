@@ -14,7 +14,6 @@
 #include "core/checks.hpp"
 #include "core/image_engine.hpp"
 #include "core/implementability.hpp"
-#include "core/saturation.hpp"
 #include "core/traversal.hpp"
 #include "example_nets.hpp"
 #include "random_stg.hpp"
@@ -225,67 +224,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          EngineKind::kMonolithicRelation,
                                          EngineKind::kPartitionedRelation,
                                          EngineKind::kSaturation)));
-
-// ---------------------------------------------------------------------------
-// Relation-template cross-validation: the saturation backend with
-// --relation-templates on must stay bit-identical to both its own
-// templates-off run and the cofactor reference on every example net --
-// reached set, counts and check verdicts alike.
-// ---------------------------------------------------------------------------
-
-class TemplatedSaturationCrossValidation : public ::testing::TestWithParam<int> {
- protected:
-  void SetUp() override {
-    net = std::make_unique<stg::Stg>(net_by_index(GetParam()));
-    sym = std::make_unique<SymbolicStg>(*net, Ordering::kInterleaved, 1 << 14,
-                                        /*with_primed_vars=*/true);
-    EngineOptions on;
-    on.relation_templates = TemplateMode::kOn;
-    templated = std::make_unique<SaturationEngine>(*sym, on);
-    plain = std::make_unique<SaturationEngine>(*sym);
-    reference = std::make_unique<CofactorEngine>(*sym);
-    options.abort_on_violation = false;
-    traversal = traverse(*templated, options);
-    plain_traversal = traverse(*plain, options);
-    ref_traversal = traverse(*reference, options);
-  }
-
-  std::unique_ptr<stg::Stg> net;
-  std::unique_ptr<SymbolicStg> sym;
-  std::unique_ptr<SaturationEngine> templated;
-  std::unique_ptr<SaturationEngine> plain;
-  std::unique_ptr<CofactorEngine> reference;
-  TraversalOptions options;
-  TraversalResult traversal;
-  TraversalResult plain_traversal;
-  TraversalResult ref_traversal;
-};
-
-TEST_P(TemplatedSaturationCrossValidation, ReachedSetsAreIdentical) {
-  EXPECT_EQ(traversal.reached, plain_traversal.reached);
-  EXPECT_EQ(traversal.reached, ref_traversal.reached);
-  EXPECT_DOUBLE_EQ(traversal.stats.states, ref_traversal.stats.states);
-  EXPECT_DOUBLE_EQ(traversal.stats.markings, ref_traversal.stats.markings);
-}
-
-TEST_P(TemplatedSaturationCrossValidation, VerdictsAgree) {
-  EXPECT_EQ(traversal.consistent, ref_traversal.consistent);
-  EXPECT_EQ(traversal.safe, ref_traversal.safe);
-  EXPECT_EQ(traversal.complete, ref_traversal.complete);
-  if (!ref_traversal.consistent) return;
-  const bdd::Bdd& reached = ref_traversal.reached;
-  EXPECT_EQ(signal_persistency(*templated, reached).empty(),
-            signal_persistency(*reference, reached).empty());
-  EXPECT_EQ(check_fake_freedom(*templated, reached).fake_free,
-            check_fake_freedom(*reference, reached).fake_free);
-  const SymReducibilityResult a = check_csc_reducibility(*templated, reached);
-  const SymReducibilityResult b = check_csc_reducibility(*reference, reached);
-  EXPECT_EQ(a.csc_satisfied, b.csc_satisfied);
-  EXPECT_EQ(a.reducible, b.reducible);
-}
-
-INSTANTIATE_TEST_SUITE_P(Nets, TemplatedSaturationCrossValidation,
-                         ::testing::Range(0, kNetCount));
 
 // ---------------------------------------------------------------------------
 // Report parity: every engine must report the same numbers and lists, not

