@@ -25,24 +25,25 @@ inline core::CheckOptions mutex_options(std::size_t n) {
 }
 
 inline void print_table1_header() {
-  std::printf("%-12s %7s %7s %8s %12s %9s %9s | %8s %8s %8s %8s %8s\n",
+  std::printf("%-12s %7s %7s %8s %12s %9s %9s | %8s %8s %8s %8s %8s %8s\n",
               "example", "places", "trans", "signals", "states",
-              "BDD-peak", "BDD-final", "T+C", "NI-p", "Com", "CSC", "Total");
-  std::printf("%.*s\n", 124,
-              "-----------------------------------------------------------------"
-              "-----------------------------------------------------------");
+              "BDD-peak", "BDD-final", "T+C", "DL", "NI-p", "Com", "CSC",
+              "Total");
+  std::printf("%s\n", std::string(133, '-').c_str());
 }
 
 inline void print_table1_row(const stg::Stg& stg,
                              const core::ImplementabilityReport& report) {
-  std::printf("%-12s %7zu %7zu %8zu %12.4e %9zu %9zu | %8.3f %8.3f %8.3f %8.3f %8.3f\n",
+  std::printf("%-12s %7zu %7zu %8zu %12.4e %9zu %9zu | %8.3f %8.3f %8.3f %8.3f "
+              "%8.3f %8.3f\n",
               stg.name().c_str(), stg.net().place_count(),
               stg.net().transition_count(), stg.signal_count(),
               report.traversal.stats.states,
               report.traversal.stats.peak_reached_nodes,
               report.traversal.stats.final_reached_nodes,
-              report.times.traversal_consistency, report.times.persistency,
-              report.times.commutativity, report.times.csc, report.times.total);
+              report.times.traversal_consistency, report.times.deadlock,
+              report.times.persistency, report.times.commutativity,
+              report.times.csc, report.times.total);
   std::fflush(stdout);
 }
 

@@ -3,7 +3,8 @@
 //
 // Paper columns: example | # places | # signals | # states |
 //                BDD size (peak | final) | CPU s: T+C | NI-p | CSC | Total
-// (We add the transition count and the Com column the text describes.)
+// (We add the transition count, the Com column the text describes, and a
+// DL column for the deadlock-freedom check, timed apart from NI-p.)
 //
 // The families:
 //   muller(n)  Muller C-element pipeline     marked graph, persistency free

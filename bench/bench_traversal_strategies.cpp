@@ -46,8 +46,8 @@
 //   --family   run only the named instance (classic: muller16, mread8,
 //              mutex12, select24; scaled: muller32/64, mutex24/48,
 //              select48/96 -- the scaled tiers run only the saturation
-//              arm); repeatable. The CI
-//              bench-smoke job uses this to gate on the fast families.
+//              arm); repeatable. The CI bench-smoke job uses this to
+//              gate on the fast families.
 //   --out      override the output JSON path.
 //   (default: both arms, all families, written to BENCH_traversal.json)
 #include <algorithm>
