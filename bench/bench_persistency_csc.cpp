@@ -2,8 +2,9 @@
 // families, with the traversal that feeds them timed apart.
 //
 // Each family is traversed once under the saturation engine, as
-// `stg_check --engine saturation` traverses it; then four checks run on
+// `stg_check --engine saturation` traverses it; then five checks run on
 // the reached set and are timed separately:
+//   * deadlock-freedom (deadlock_states, counted),
 //   * transition persistency (Fig. 6a),
 //   * signal persistency (Fig. 6b; the mutex families declare all-pairs
 //     arbitration, as bench_table1 does),
@@ -41,6 +42,8 @@ struct Row {
   std::string family;
   double states = 0;
   double traversal_s = 0;
+  double deadlock_s = 0;
+  double deadlock_states = 0;
   double transition_persistency_s = 0;
   std::size_t transition_conflicts = 0;
   double signal_persistency_s = 0;
@@ -81,6 +84,9 @@ Row run(const stg::FamilyInstance& fam) {
   const bdd::Bdd& reached = traversal.reached;
   const std::size_t images_before = engine->stats().image_calls;
 
+  row.deadlock_states = sym.count_states(core::deadlock_states(sym, reached));
+  row.deadlock_s = watch.restart();
+
   row.transition_conflicts =
       core::transition_persistency(*engine, reached).size();
   row.transition_persistency_s = watch.restart();
@@ -100,11 +106,12 @@ Row run(const stg::FamilyInstance& fam) {
   row.peak_live_nodes = sym.manager().peak_live_nodes();
 
   std::printf(
-      "%-9s states=%.3e  T+C=%7.3fs  trans-pers=%7.3fs (%zu)  "
-      "sig-pers=%7.3fs (%zu)  fake=%7.3fs (%zu)  csc=%7.3fs (%zu)  "
-      "images=%zu  peak=%zu\n",
-      row.family.c_str(), row.states, row.traversal_s,
-      row.transition_persistency_s, row.transition_conflicts,
+      "%-9s states=%.3e  T+C=%7.3fs  deadlock=%7.3fs (%g)  "
+      "trans-pers=%7.3fs (%zu)  sig-pers=%7.3fs (%zu)  fake=%7.3fs (%zu)  "
+      "csc=%7.3fs (%zu)  images=%zu  peak=%zu\n",
+      row.family.c_str(), row.states, row.traversal_s, row.deadlock_s,
+      row.deadlock_states, row.transition_persistency_s,
+      row.transition_conflicts,
       row.signal_persistency_s, row.persistency_violations,
       row.fake_conflicts_s, row.fake_offending, row.csc_s, row.csc_conflicts,
       row.check_image_calls, row.peak_live_nodes);
@@ -132,6 +139,7 @@ bool write_json(const char* path, const std::vector<Row>& rows) {
     std::fprintf(f,
                  "  {\"family\": \"%s\", \"engine\": \"saturation\", "
                  "\"states\": %s, \"traversal_s\": %.6f, "
+                 "\"deadlock_s\": %.6f, \"deadlock_states\": %.17g, "
                  "\"transition_persistency_s\": %.6f, "
                  "\"transition_conflicts\": %zu, "
                  "\"signal_persistency_s\": %.6f, "
@@ -139,9 +147,10 @@ bool write_json(const char* path, const std::vector<Row>& rows) {
                  "\"fake_conflicts_s\": %.6f, \"fake_offending\": %zu, "
                  "\"csc_s\": %.6f, \"csc_conflicts\": %zu, "
                  "\"check_image_calls\": %zu, \"peak_live_nodes\": %zu}%s\n",
-                 r.family.c_str(), states, r.traversal_s,
-                 r.transition_persistency_s, r.transition_conflicts,
-                 r.signal_persistency_s, r.persistency_violations,
+                 r.family.c_str(), states, r.traversal_s, r.deadlock_s,
+                 r.deadlock_states, r.transition_persistency_s,
+                 r.transition_conflicts, r.signal_persistency_s,
+                 r.persistency_violations,
                  r.fake_conflicts_s, r.fake_offending, r.csc_s,
                  r.csc_conflicts, r.check_image_calls, r.peak_live_nodes,
                  i + 1 < rows.size() ? "," : "");

@@ -90,24 +90,38 @@ double Manager::sat_count(const Bdd& f) const {
   return sat_count(f, var2level_.size());
 }
 
-double Manager::sat_count(const Bdd& f, std::size_t nvars) const {
+double Manager::sat_count(const Bdd& f, std::size_t nvars, bool* exact) const {
   // Satisfaction probability over uniform assignments, times 2^n. The
   // probability is memoized per *edge*, complement flag included, and the
   // flag is pushed down through low_of/high_of until it hits a terminal.
   // Computing a complemented edge as 1 - p(node) would be catastrophic
   // here: for a sparse function over n > 53 variables, p(node) rounds to
   // exactly 1.0 in double and the complement cancels to zero minterms.
+  //
+  // Exactness: a halving is exact unless it drops the last bit of a
+  // subnormal (doubling it back then differs), and for non-negative
+  // a <= b the sum s = a + b is exact iff s - b == a (Dekker's Fast2Sum:
+  // s - b is computed without error, and a - (s - b) is the sum's error).
+  bool lossless = true;
   std::unordered_map<NodeRef, double> prob;
   std::function<double(NodeRef)> go = [&](NodeRef e) -> double {
     if (e == kTrue) return 1.0;
     if (e == kFalse) return 0.0;
     const auto it = prob.find(e);
     if (it != prob.end()) return it->second;
-    const double p = 0.5 * go(low_of(e)) + 0.5 * go(high_of(e));
+    const double lo = go(low_of(e));
+    const double hi = go(high_of(e));
+    const double half_lo = 0.5 * lo;
+    const double half_hi = 0.5 * hi;
+    const double p = half_lo + half_hi;
+    lossless = lossless && 2 * half_lo == lo && 2 * half_hi == hi &&
+               p - std::max(half_lo, half_hi) == std::min(half_lo, half_hi);
     prob.emplace(e, p);
     return p;
   };
-  return std::ldexp(go(f.ref()), static_cast<int>(nvars));
+  const double count = std::ldexp(go(f.ref()), static_cast<int>(nvars));
+  if (exact != nullptr) *exact = lossless && std::isfinite(count);
+  return count;
 }
 
 double Manager::sat_count_over(const Bdd& f, const std::vector<Var>& vars) const {

@@ -406,8 +406,12 @@ class Manager {
   /// Number of satisfying assignments over `nvars` variables that include
   /// the support of f (unchecked). The satisfaction probability is scaled
   /// by 2^nvars alone, so the count stays finite whenever it fits a double,
-  /// however many other variables the manager holds.
-  double sat_count(const Bdd& f, std::size_t nvars) const;
+  /// however many other variables the manager holds. If `exact` is
+  /// non-null it receives whether the double walk lost nothing: every
+  /// halving and every addition was error-free and the result is finite,
+  /// so the returned value is the count itself, not a rounding of it.
+  double sat_count(const Bdd& f, std::size_t nvars,
+                   bool* exact = nullptr) const;
   /// Number of satisfying assignments over the `vars` subset. The support
   /// of f must be contained in `vars`.
   double sat_count_over(const Bdd& f, const std::vector<Var>& vars) const;

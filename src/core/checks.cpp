@@ -41,11 +41,15 @@ Bdd fires_into(ImageEngine& engine, pn::TransitionId t, const Bdd& target) {
 Bdd witness_after(ImageEngine& engine, const Bdd& enabled, const Bdd& bad,
                   pn::TransitionId t) {
   SymbolicStg& sym = engine.sym();
-  std::vector<bdd::Var> vars = sym.place_var_list();
-  const std::vector<bdd::Var> signals = sym.signal_var_list();
-  vars.insert(vars.end(), signals.begin(), signals.end());
-  return engine.image_via(sym.manager().pick_one_minterm(enabled, bad, vars),
-                          t);
+  return engine.image_via(
+      sym.manager().pick_one_minterm(enabled, bad, sym.state_var_list()), t);
+}
+
+/// Fig. 6(a)'s bad set for one ordered pair: the states the disabler fires
+/// into a successor where the victim is no longer enabled.
+Bdd transition_disabling(ImageEngine& engine, pn::TransitionId victim,
+                         pn::TransitionId disabler) {
+  return fires_outside(engine, disabler, engine.sym().enabling_cube(victim));
 }
 
 }  // namespace
@@ -66,14 +70,25 @@ std::vector<SymTransitionPersistencyViolation> transition_persistency(
       // victim must still be enabled.
       const Bdd enabled = reached & sym.enabling_cube(victim);
       if (enabled.is_false()) continue;
-      const Bdd bad =
-          fires_outside(engine, disabler, sym.enabling_cube(victim));
-      if (enabled.disjoint_with(bad)) continue;
-      result.push_back(SymTransitionPersistencyViolation{
-          victim, disabler, witness_after(engine, enabled, bad, disabler)});
+      if (enabled.disjoint_with(
+              transition_disabling(engine, victim, disabler))) {
+        continue;
+      }
+      result.push_back(SymTransitionPersistencyViolation{victim, disabler});
     }
   }
   return result;
+}
+
+Bdd transition_persistency_witness(
+    ImageEngine& engine, const Bdd& reached,
+    const SymTransitionPersistencyViolation& violation) {
+  const Bdd enabled =
+      reached & engine.sym().enabling_cube(violation.victim);
+  return witness_after(
+      engine, enabled,
+      transition_disabling(engine, violation.victim, violation.disabler),
+      violation.disabler);
 }
 
 std::vector<SymPersistencyViolation> signal_persistency(
@@ -145,6 +160,8 @@ Bdd determinism_violations(SymbolicStg& sym, const Bdd& reached) {
       }
     }
   }
+  // Both callers only test emptiness, and most nets are deterministic.
+  if (reached.disjoint_with(bad)) return sym.manager().bdd_false();
   return bad & reached;
 }
 
@@ -176,8 +193,15 @@ SymCscResult check_csc(SymbolicStg& sym, const Bdd& reached) {
   const Bdd& places = sym.place_cube();
 
   // USC: every full state has a unique code iff |states| == |codes|.
-  result.unique_state_coding =
-      sym.count_states(reached) == sym.count_codes(reached);
+  bool states_exact = false;
+  bool codes_exact = false;
+  result.unique_state_coding = sym.count_states(reached, &states_exact) ==
+                               sym.count_codes(reached, &codes_exact);
+  // A CSC clash needs two states with one code, so USC implies CSC. Only
+  // exact counts prove USC: two roundings can agree on unequal counts.
+  if (result.unique_state_coding && states_exact && codes_exact) {
+    return result;
+  }
 
   for (SignalId a : sym.stg().noninput_signals()) {
     // Exc_a: a is excited in its own direction. The code literal a is not
@@ -283,13 +307,18 @@ std::vector<SymFakeConflictReport> analyze_fake_conflicts(ImageEngine& engine,
   // For one direction (ti stays, tj fires): is there another transition tk
   // with ti's label enabled after tj fires (fake), and can ti's whole
   // signal die (real disabling)? The states with both enabled are those of
-  // `reached & E(ti)` inside fire_guard(tj), so the product the
-  // persistency checks already built serves here too.
+  // `reached & E(ti)` inside fire_guard(tj). That product is built once per
+  // transition and kept for the call: ti meets every conflict partner with
+  // it, and between two of them the computed cache has usually evicted it
+  // (mutex48: 47 partners per transition; keeping the products halves the
+  // phase).
+  std::vector<Bdd> enabled_sets(net.transition_count());
   const auto analyze_direction = [&](pn::TransitionId ti, pn::TransitionId tj,
                                      bool& fake, bool& disables) {
     const TransitionLabel& li = stg.label(ti);
     if (li.is_dummy()) return;
-    const Bdd enabled = reached & sym.enabling_cube(ti);
+    Bdd& enabled = enabled_sets[ti];
+    if (!enabled.valid()) enabled = reached & sym.enabling_cube(ti);
     if (enabled.is_false()) return;
     Bdd others = sym.manager().bdd_false();
     for (pn::TransitionId tk : stg.transitions_of(li.signal, li.dir)) {

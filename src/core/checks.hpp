@@ -17,8 +17,10 @@
 // backend (cofactor, monolithic relation, partitioned relations,
 // saturation). The pair checks never image a set of states: they test
 // `reached & E(ti)` against ImageEngine::fire_guard / after_firing
-// predicates over places and signals, and image only the one picked state
-// a violation's witness needs.
+// predicates over places and signals. A signal persistency violation
+// images the one picked state its witness needs; a transition conflict
+// images nothing unless its witness is asked for
+// (transition_persistency_witness).
 #pragma once
 
 #include <string>
@@ -37,15 +39,21 @@ namespace stgcheck::core {
 struct SymTransitionPersistencyViolation {
   pn::TransitionId victim;
   pn::TransitionId disabler;
-  /// One witness state after the disabler fired (a minterm over the
-  /// place+signal variables).
-  bdd::Bdd witness;
 };
 
 /// Fig. 6(a): for every pair of transitions in structural conflict, is the
-/// victim still enabled after the disabler fires?
+/// victim still enabled after the disabler fires? One disjointness test
+/// per ordered pair; no witness is built (transition_persistency_witness).
 std::vector<SymTransitionPersistencyViolation> transition_persistency(
     ImageEngine& engine, const bdd::Bdd& reached);
+
+/// One witness state of a transition_persistency violation, on request:
+/// a minterm over the place+signal variables, taken after the disabler
+/// fired from a reached state where the victim was enabled, in which the
+/// victim is no longer enabled.
+bdd::Bdd transition_persistency_witness(
+    ImageEngine& engine, const bdd::Bdd& reached,
+    const SymTransitionPersistencyViolation& violation);
 
 struct SymPersistencyViolation {
   stg::SignalId victim;
@@ -71,7 +79,8 @@ std::vector<SymPersistencyViolation> signal_persistency(
 // ---------------------------------------------------------------------------
 
 /// The set of reachable states where two distinct transitions with the
-/// same label are enabled simultaneously (Sec. 5.3).
+/// same label are enabled simultaneously (Sec. 5.3). When it is empty, one
+/// disjointness test decides that without building the product.
 bdd::Bdd determinism_violations(SymbolicStg& sym, const bdd::Bdd& reached);
 
 // ---------------------------------------------------------------------------
@@ -102,10 +111,13 @@ struct SymCscResult {
   std::vector<Conflict> conflicts;
 };
 
-/// CSC(a) for every non-input signal, plus the USC check
-/// (|states| == |codes|). Two relational products per signal: with
-/// Exc_a = ite(a, E(a-), E(a+)), the codes of excited and of quiet reached
-/// states; their intersection is exactly the conflict set below.
+/// The USC check (|states| == |codes|), then CSC(a) for every non-input
+/// signal. When both counts are exact (bdd::Manager::sat_count) and equal,
+/// USC holds and implies CSC (a clash needs two states with one code), so
+/// the signals are not visited. Otherwise two relational products per
+/// signal: with Exc_a = ite(a, E(a-), E(a+)), the codes of excited and of
+/// quiet reached states; their intersection is exactly the conflict set
+/// below.
 SymCscResult check_csc(SymbolicStg& sym, const bdd::Bdd& reached);
 
 // ---------------------------------------------------------------------------

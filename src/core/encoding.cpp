@@ -222,10 +222,10 @@ void SymbolicStg::build_cubes() {
   place_cube_ = manager_->positive_cube(place_var_list());
   signal_cube_ = manager_->positive_cube(signal_var_list());
 
-  std::vector<Var> state_vars = place_var_list();
-  const std::vector<Var> signals = signal_var_list();
-  state_vars.insert(state_vars.end(), signals.begin(), signals.end());
-  state_cube_ = manager_->positive_cube(state_vars);
+  state_vars_ = place_var_list();
+  state_vars_.insert(state_vars_.end(), signal_vars_.begin(),
+                     signal_vars_.end());
+  state_cube_ = manager_->positive_cube(state_vars_);
 
   if (with_primed_) {
     std::vector<Var> primed;
@@ -275,6 +275,24 @@ Bdd SymbolicStg::enabled_signal_any(stg::SignalId s) const {
   Bdd result = manager_->bdd_false();
   for (pn::TransitionId t : stg_->transitions_of_signal(s)) result |= e_[t];
   return result;
+}
+
+const Bdd& SymbolicStg::any_enabled() {
+  if (any_enabled_.valid()) return any_enabled_;
+  // Pairwise unions, level by level: each cube enters log2(|T|) unions of
+  // sets of similar size instead of one ever-growing accumulator.
+  std::vector<Bdd> level = e_;
+  while (level.size() > 1) {
+    std::vector<Bdd> next;
+    next.reserve((level.size() + 1) / 2);
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+      next.push_back(level[i] | level[i + 1]);
+    }
+    if (level.size() % 2 == 1) next.push_back(level.back());
+    level = std::move(next);
+  }
+  any_enabled_ = level.empty() ? manager_->bdd_false() : level.front();
+  return any_enabled_;
 }
 
 // ---------------------------------------------------------------------------
@@ -328,8 +346,8 @@ Bdd SymbolicStg::preimage(const Bdd& states, pn::TransitionId t) const {
 // Counted over the state variables only: the primed twins, if any, are
 // not part of a state (and would push 2^vars past double range on large
 // nets).
-double SymbolicStg::count_states(const Bdd& set) const {
-  return manager_->sat_count(set, place_vars_.size() + signal_vars_.size());
+double SymbolicStg::count_states(const Bdd& set, bool* exact) const {
+  return manager_->sat_count(set, state_vars_.size(), exact);
 }
 
 double SymbolicStg::count_markings(const Bdd& set) {
@@ -337,9 +355,9 @@ double SymbolicStg::count_markings(const Bdd& set) {
                              place_vars_.size());
 }
 
-double SymbolicStg::count_codes(const Bdd& set) {
+double SymbolicStg::count_codes(const Bdd& set, bool* exact) {
   return manager_->sat_count(manager_->exists(set, place_cube_),
-                             signal_vars_.size());
+                             signal_vars_.size(), exact);
 }
 
 }  // namespace stgcheck::core

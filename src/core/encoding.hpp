@@ -90,6 +90,9 @@ class SymbolicStg {
   const bdd::Bdd& signal_cube() const { return signal_cube_; }
   std::vector<bdd::Var> place_var_list() const;
   std::vector<bdd::Var> signal_var_list() const;
+  /// Place variables, then signal variables: the variables of one full
+  /// state (a witness minterm is picked over these).
+  const std::vector<bdd::Var>& state_var_list() const { return state_vars_; }
 
   // ---- Characteristic cubes (Sec. 4) --------------------------------------
 
@@ -105,6 +108,11 @@ class SymbolicStg {
   bdd::Bdd enabled_signal(stg::SignalId s, stg::Dir dir) const;
   /// OR of E(t) over all transitions of the signal (either direction).
   bdd::Bdd enabled_signal_any(stg::SignalId s) const;
+  /// OR of E(t) over every transition: the states where something is
+  /// enabled. Built on first use as a balanced tree of unions (a left fold
+  /// drags ever larger partial unions through every step) and kept for
+  /// the encoding's lifetime.
+  const bdd::Bdd& any_enabled();
 
   // ---- States --------------------------------------------------------------
 
@@ -133,12 +141,15 @@ class SymbolicStg {
   // ---- Counting ---------------------------------------------------------------
 
   /// Number of full states in a set (over place + signal variables).
-  double count_states(const bdd::Bdd& set) const;
+  /// `exact`, if non-null, receives whether the count is exact
+  /// (bdd::Manager::sat_count).
+  double count_states(const bdd::Bdd& set, bool* exact = nullptr) const;
   /// Number of distinct markings in a set of full states. (Non-const: the
   /// existential abstraction updates manager caches.)
   double count_markings(const bdd::Bdd& set);
-  /// Number of distinct codes in a set of full states.
-  double count_codes(const bdd::Bdd& set);
+  /// Number of distinct codes in a set of full states; `exact` as for
+  /// count_states.
+  double count_codes(const bdd::Bdd& set, bool* exact = nullptr);
 
  private:
   void order_variables(Ordering ordering);
@@ -154,6 +165,7 @@ class SymbolicStg {
   std::vector<bdd::Var> primed_signal_vars_;
   std::vector<bdd::Var> to_primed_;
   std::vector<bdd::Var> from_primed_;
+  std::vector<bdd::Var> state_vars_;
 
   std::vector<bdd::Bdd> e_;
   std::vector<bdd::Bdd> npm_;
@@ -163,6 +175,7 @@ class SymbolicStg {
   bdd::Bdd signal_cube_;
   bdd::Bdd primed_cube_;
   bdd::Bdd state_cube_;
+  bdd::Bdd any_enabled_;  // built by any_enabled(); invalid until then
 };
 
 }  // namespace stgcheck::core

@@ -195,9 +195,11 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
                            /*frontier_nodes=*/0);
     }
     if (options.check_consistency) {
+      TraceSpan span(options.trace, "consistency", "traversal");
       check_consistency_on(sym, reached, result);
     }
     if (options.check_safeness) {
+      TraceSpan span(options.trace, "safeness", "traversal");
       for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
         if (!engine.unsafe_states(reached, t).is_false()) {
           result.safe = false;
@@ -275,6 +277,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
       }
 
       if (options.check_consistency && !pass_new.is_false()) {
+        TraceSpan span(options.trace, "consistency", "traversal");
         const std::size_t before = result.consistency_violations.size();
         check_consistency_on(sym, pass_new, result);
         if (options.abort_on_violation &&
@@ -309,9 +312,12 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
 
   result.reached = reached;
   result.unbound_signals = binder.unbound();
-  result.stats.final_reached_nodes = sym.manager().count_nodes(reached);
-  result.stats.states = sym.count_states(reached);
-  result.stats.markings = sym.count_markings(reached);
+  {
+    TraceSpan span(options.trace, "count", "traversal");
+    result.stats.final_reached_nodes = sym.manager().count_nodes(reached);
+    result.stats.states = sym.count_states(reached);
+    result.stats.markings = sym.count_markings(reached);
+  }
   result.stats.seconds = watch.seconds();
   if (options.events != nullptr) {
     options.events->traversal_done(
@@ -337,13 +343,11 @@ TraversalResult traverse(SymbolicStg& sym, const TraversalOptions& options) {
 }
 
 Bdd deadlock_states(SymbolicStg& sym, const Bdd& reached) {
-  Bdd dead = reached;
-  const pn::PetriNet& net = sym.stg().net();
-  for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
-    if (dead.is_false()) break;
-    dead = dead.minus(sym.enabling_cube(t));
-  }
-  return dead;
+  // Deadlock-free iff reached <= OR_t E(t): one node-free walk. Only a
+  // failing test pays for building the dead states.
+  const Bdd& live = sym.any_enabled();
+  if (reached.implies(live)) return sym.manager().bdd_false();
+  return reached.minus(live);
 }
 
 }  // namespace stgcheck::core

@@ -89,7 +89,8 @@ struct TraversalOptions {
   /// the benches and the paper-style CLI path pay nothing.
   EventLog* events = nullptr;
   /// When set, the traversal records Chrome trace_event spans (one per
-  /// pass, one per engine image call / fixpoint closure) into it
+  /// pass, one per engine image call / fixpoint closure, the consistency
+  /// tests, the saturated set's safeness tests, the final counts) into it
   /// (util/trace.hpp). Not owned; null disables recording.
   TraceRecorder* trace = nullptr;
 };
@@ -166,7 +167,9 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options = 
 /// Convenience: builds the backend selected by `options.engine` internally.
 TraversalResult traverse(SymbolicStg& sym, const TraversalOptions& options = {});
 
-/// Convenience: the subset of `reached` with no enabled transition.
+/// The subset of `reached` with no enabled transition. One node-free
+/// test, `reached` implies SymbolicStg::any_enabled(), decides the usual
+/// empty answer; the set is built only when that test fails.
 bdd::Bdd deadlock_states(SymbolicStg& sym, const bdd::Bdd& reached);
 
 }  // namespace stgcheck::core

@@ -206,6 +206,44 @@ TEST(BddSatCount, FiniteOverFewVariablesOfAHugeManager) {
   EXPECT_DOUBLE_EQ(big.sat_count(big.bdd_false(), 3), 0.0);
 }
 
+TEST(BddSatCount, ExactnessFlag) {
+  Manager m;
+  for (int i = 0; i < 61; ++i) m.new_var();
+  bool exact = false;
+  EXPECT_DOUBLE_EQ(m.sat_count(m.var(0) | m.var(1), 61, &exact),
+                   3.0 * std::ldexp(1.0, 59));
+  EXPECT_TRUE(exact);
+  EXPECT_DOUBLE_EQ(m.sat_count(m.bdd_false(), 61, &exact), 0.0);
+  EXPECT_TRUE(exact);
+  // x0 | (x1 & ... & x60): 2^60 + 1 minterms, one more than a double's
+  // 53-bit significand holds next to 2^60, so the walk must round.
+  Bdd rest = m.bdd_true();
+  for (Var v = 1; v < 61; ++v) rest &= m.var(v);
+  exact = true;
+  EXPECT_DOUBLE_EQ(m.sat_count(m.var(0) | rest, 61, &exact),
+                   std::ldexp(1.0, 60));
+  EXPECT_FALSE(exact);
+  // Finite probability, infinite count: not exact either.
+  Manager big;
+  for (int i = 0; i < 1100; ++i) big.new_var();
+  exact = true;
+  EXPECT_FALSE(std::isfinite(big.sat_count(big.var(0), 1100, &exact)));
+  EXPECT_FALSE(exact);
+  // In a manager past 1023 variables, a cube of 1000 literals has a
+  // normal probability, 2^-1000, and an exact count.
+  Bdd cube = big.bdd_true();
+  for (Var v = 0; v < 1000; ++v) cube &= big.var(v);
+  exact = false;
+  EXPECT_DOUBLE_EQ(big.sat_count(cube, 1100, &exact), std::ldexp(1.0, 100));
+  EXPECT_TRUE(exact);
+  // 2^-1080 is below the smallest subnormal: the probability underflows
+  // to zero, and the flag says so.
+  for (Var v = 1000; v < 1080; ++v) cube &= big.var(v);
+  exact = true;
+  EXPECT_DOUBLE_EQ(big.sat_count(cube, 1100, &exact), 0.0);
+  EXPECT_FALSE(exact);
+}
+
 TEST_F(BddOps, SupportIsSortedByLevel) {
   Bdd f = (d & a) | c;
   std::vector<Var> s = m.support(f);

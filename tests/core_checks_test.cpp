@@ -1,9 +1,16 @@
 // Symbolic checks against the known verdicts of the example nets.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <utility>
+
 #include "core/checks.hpp"
 #include "core/implementability.hpp"
 #include "example_nets.hpp"
+#include "random_stg.hpp"
 #include "stg/generators.hpp"
 
 namespace stgcheck::core {
@@ -130,6 +137,100 @@ TEST(SymCsc, ViolationsDetected) {
     SymCscResult r = check_csc(*c.sym, c.traversal.reached);
     EXPECT_FALSE(r.complete_state_coding) << s.name();
     EXPECT_FALSE(r.conflicts.empty()) << s.name();
+  }
+}
+
+// check_csc returns right after the counts when they are exact and equal.
+// The reference is the per-signal loop without that shortcut: the four
+// regions' conflict set of every non-input signal. Nets: every example
+// net, random STGs and three roster families under saturation (mutex12
+// and muller16 have USC, select24 does not).
+constexpr int kRandomCscNets = 12;
+constexpr const char* kCscFamilies[] = {"mutex12", "muller16", "select24"};
+constexpr int kCscNetCount = testutil::kExampleNetCount + kRandomCscNets +
+                             static_cast<int>(std::size(kCscFamilies));
+
+SymCscResult csc_per_signal(SymbolicStg& sym, const Bdd& reached) {
+  SymCscResult result;
+  result.unique_state_coding =
+      sym.count_states(reached) == sym.count_codes(reached);
+  for (const stg::SignalId a : sym.stg().noninput_signals()) {
+    const SignalRegions r = signal_regions(sym, reached, a);
+    const Bdd codes = (r.er_plus & r.qr_minus) | (r.er_minus & r.qr_plus);
+    if (codes.is_false()) continue;
+    result.complete_state_coding = false;
+    result.conflicts.push_back(SymCscResult::Conflict{a, codes});
+  }
+  return result;
+}
+
+class CscShortcut : public ::testing::TestWithParam<int> {};
+
+TEST_P(CscShortcut, MatchesThePerSignalLoop) {
+  const int index = GetParam();
+  const int family = index - testutil::kExampleNetCount - kRandomCscNets;
+  stg::Stg net;
+  if (index < testutil::kExampleNetCount) {
+    net = testutil::example_net(index);
+  } else if (family < 0) {
+    Rng rng(static_cast<std::uint64_t>(index - testutil::kExampleNetCount + 1));
+    net = testutil::random_stg(rng);
+  } else {
+    net = stg::make_family_instance(kCscFamilies[family]);
+  }
+  SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14,
+                  /*with_primed_vars=*/true);
+  const std::unique_ptr<ImageEngine> engine =
+      make_engine(EngineKind::kSaturation, sym);
+  TraversalOptions options;
+  options.abort_on_violation = false;
+  const TraversalResult t = traverse(*engine, options);
+
+  const SymCscResult got = check_csc(sym, t.reached);
+  const SymCscResult want = csc_per_signal(sym, t.reached);
+  EXPECT_EQ(got.unique_state_coding, want.unique_state_coding) << net.name();
+  EXPECT_EQ(got.complete_state_coding, want.complete_state_coding)
+      << net.name();
+  ASSERT_EQ(got.conflicts.size(), want.conflicts.size()) << net.name();
+  for (std::size_t i = 0; i < got.conflicts.size(); ++i) {
+    EXPECT_EQ(got.conflicts[i].signal, want.conflicts[i].signal) << net.name();
+    EXPECT_EQ(got.conflicts[i].codes, want.conflicts[i].codes) << net.name();
+  }
+  if (family >= 0) {
+    // The families' counts are exact, so the shortcut decides mutex12 and
+    // muller16, and select24 takes the loop.
+    bool states_exact = false;
+    bool codes_exact = false;
+    sym.count_states(t.reached, &states_exact);
+    sym.count_codes(t.reached, &codes_exact);
+    EXPECT_TRUE(states_exact && codes_exact) << net.name();
+    EXPECT_EQ(got.unique_state_coding, family != 2) << net.name();
+    EXPECT_TRUE(got.complete_state_coding) << net.name();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Nets, CscShortcut, ::testing::Range(0, kCscNetCount));
+
+// The counts behind the shortcut stay exact at the roster's largest sizes:
+// select96 (672 states) in a primed manager past 1023 variables, and
+// muller64's 2^65 states.
+TEST(SymCsc, LargeRosterCountsAreExact) {
+  for (const auto& [name, states] :
+       {std::pair<const char*, double>{"select96", 672.0},
+        std::pair<const char*, double>{"muller64", std::ldexp(1.0, 65)}}) {
+    const stg::Stg net = stg::make_family_instance(name);
+    SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14,
+                    /*with_primed_vars=*/true);
+    const std::unique_ptr<ImageEngine> engine =
+        make_engine(EngineKind::kSaturation, sym);
+    const TraversalResult t = traverse(*engine);
+    ASSERT_TRUE(t.ok()) << name;
+    if (std::string(name) == "select96") {
+      EXPECT_GT(sym.manager().var_count(), 1023u);
+    }
+    bool exact = false;
+    EXPECT_EQ(sym.count_states(t.reached, &exact), states) << name;
+    EXPECT_TRUE(exact) << name;
   }
 }
 

@@ -129,9 +129,11 @@ TEST_P(CrossValidation, FakeConflicts) {
 
 TEST_P(CrossValidation, Deadlocks) {
   if (!traversal.consistent) GTEST_SKIP();
-  const bool explicit_live = sg::find_deadlocks(graph).empty();
-  const bool symbolic_live = deadlock_states(*sym, traversal.reached).is_false();
-  EXPECT_EQ(symbolic_live, explicit_live);
+  const double explicit_count =
+      static_cast<double>(sg::find_deadlocks(graph).size());
+  const bdd::Bdd dead = deadlock_states(*sym, traversal.reached);
+  EXPECT_EQ(sym->count_states(dead), explicit_count);
+  EXPECT_EQ(dead.is_false(), explicit_count == 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Nets, CrossValidation, ::testing::Range(0, kNetCount));
@@ -268,10 +270,11 @@ struct ReportDigest {
   std::vector<stg::SignalId> irreducible_signals;
 };
 
-/// Every persistency witness is one full state of its violation's bad set;
-/// every CSC conflict code set is a non-empty set of reached codes.
+/// Every persistency witness is one full state of its violation's bad set
+/// (transition witnesses asked of `tested`, the engine under test); every
+/// CSC conflict code set is a non-empty set of reached codes.
 void expect_witnesses_inside_bad_sets(
-    SymbolicStg& sym, const bdd::Bdd& reached,
+    SymbolicStg& sym, ImageEngine& tested, const bdd::Bdd& reached,
     const std::vector<SymPersistencyViolation>& persistency,
     const std::vector<SymTransitionPersistencyViolation>& transitions,
     const SymCscResult& csc) {
@@ -287,7 +290,9 @@ void expect_witnesses_inside_bad_sets(
     // Fig. 6(a): the victim enabled, the disabler fired, the victim gone.
     const bdd::Bdd& e = sym.enabling_cube(v.victim);
     const bdd::Bdd bad = engine.image_via(reached & e, v.disabler).minus(e);
-    EXPECT_TRUE(one_state_inside(v.witness, bad)) << net.format_label(v.victim);
+    EXPECT_TRUE(one_state_inside(
+        transition_persistency_witness(tested, reached, v), bad))
+        << net.format_label(v.victim);
   }
   for (const SymPersistencyViolation& v : persistency) {
     // Fig. 6(b): some transition of the victim signal enabled, the
@@ -327,7 +332,8 @@ ReportDigest digest(SymbolicStg& sym, EngineKind kind) {
   const SymCscResult csc = check_csc(sym, reached);
   const SymReducibilityResult reducibility =
       check_csc_reducibility(*engine, reached);
-  expect_witnesses_inside_bad_sets(sym, reached, persistency, transitions, csc);
+  expect_witnesses_inside_bad_sets(sym, *engine, reached, persistency,
+                                   transitions, csc);
 
   d.verdicts = {t.consistent, t.safe, t.complete,
                 determinism_violations(sym, reached).is_false(),
@@ -342,7 +348,9 @@ ReportDigest digest(SymbolicStg& sym, EngineKind kind) {
                                v.witness);
   }
   for (const SymTransitionPersistencyViolation& v : transitions) {
-    d.transition_conflicts.emplace_back(v.victim, v.disabler, v.witness);
+    d.transition_conflicts.emplace_back(
+        v.victim, v.disabler,
+        transition_persistency_witness(*engine, reached, v));
   }
   for (const SymFakeConflictReport& f :
        analyze_fake_conflicts(*engine, reached)) {

@@ -2,9 +2,16 @@
 // on the fly, lazy initial-value binding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/traversal.hpp"
+#include "example_nets.hpp"
+#include "random_stg.hpp"
 #include "sg/state_graph.hpp"
 #include "stg/generators.hpp"
+#include "util/trace.hpp"
 
 namespace stgcheck::core {
 namespace {
@@ -217,6 +224,81 @@ TEST(Traversal, DeadlockDetection) {
   TraversalResult r_dead = traverse(sym_dead);
   EXPECT_FALSE(deadlock_states(sym_dead, r_dead.reached).is_false());
 }
+
+TEST(Traversal, SaturationTracesTheClosedSetTests) {
+  // The closed-set tests and the counts after REACH are named spans, not a
+  // gap between the closure and the end of the traversal.
+  const stg::Stg s = stg::mutex_arbiter(3);
+  SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
+                  /*with_primed_vars=*/true);
+  TraceRecorder rec;
+  TraversalOptions options;
+  options.engine = EngineKind::kSaturation;
+  options.trace = &rec;
+  ASSERT_TRUE(traverse(sym, options).ok());
+  std::vector<std::string> names;
+  const json::Value doc = rec.to_json();
+  for (const json::Value& e : doc.at("traceEvents").as_array()) {
+    names.push_back(e.at("name").as_string());
+  }
+  for (const char* name :
+       {"reach_fixpoint", "consistency", "safeness", "count"}) {
+    EXPECT_EQ(std::count(names.begin(), names.end(), name), 1) << name;
+  }
+}
+
+// deadlock_states is one implication against SymbolicStg::any_enabled(),
+// the balanced union of the enabling cubes. Both must equal the folds
+// they replaced, on every example net (fig3_d1 reaches a deadlock) and on
+// random STGs.
+constexpr int kRandomDeadlockNets = 12;
+
+stg::Stg deadlock_net(int index) {
+  if (index < testutil::kExampleNetCount) return testutil::example_net(index);
+  Rng rng(static_cast<std::uint64_t>(index - testutil::kExampleNetCount + 1));
+  return testutil::random_stg(rng);
+}
+
+class DeadlockStates : public ::testing::TestWithParam<int> {};
+
+TEST_P(DeadlockStates, EqualsThePerTransitionFold) {
+  const stg::Stg net = deadlock_net(GetParam());
+  SymbolicStg sym(net);
+  TraversalOptions options;
+  options.abort_on_violation = false;
+  const TraversalResult r = traverse(sym, options);
+  const auto fold = [&](const bdd::Bdd& states) {
+    bdd::Bdd dead = states;
+    for (pn::TransitionId t = 0; t < net.net().transition_count(); ++t) {
+      dead = dead.minus(sym.enabling_cube(t));
+    }
+    return dead;
+  };
+  for (const bdd::Bdd& states :
+       {r.reached, sym.initial_state(), sym.manager().bdd_true(),
+        sym.manager().bdd_false()}) {
+    EXPECT_EQ(deadlock_states(sym, states), fold(states)) << net.name();
+  }
+  if (net.name() == stg::examples::fig3_d1().name()) {
+    EXPECT_FALSE(deadlock_states(sym, r.reached).is_false());
+  }
+}
+
+TEST_P(DeadlockStates, BalancedUnionEqualsLeftFold) {
+  const stg::Stg net = deadlock_net(GetParam());
+  SymbolicStg sym(net);
+  bdd::Bdd fold = sym.manager().bdd_false();
+  for (pn::TransitionId t = 0; t < net.net().transition_count(); ++t) {
+    fold |= sym.enabling_cube(t);
+  }
+  const bdd::Bdd& cached = sym.any_enabled();
+  EXPECT_EQ(cached, fold) << net.name();
+  EXPECT_EQ(&sym.any_enabled(), &cached);  // built once per encoding
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Nets, DeadlockStates,
+    ::testing::Range(0, testutil::kExampleNetCount + kRandomDeadlockNets));
 
 }  // namespace
 }  // namespace stgcheck::core
