@@ -1,17 +1,14 @@
 // Fig. 5 ablation: the paper's chaining traversal against a classic
-// frontier BFS, a full-fixpoint recomputation, the two relational
-// ImageEngine backends, and the saturation backend -- each with dynamic
-// reordering off and on. The "saturation" arm computes the whole fixpoint
-// with the in-kernel REACH operation (level-partitioned clusters, no
-// whole-space frontiers; see docs/architecture.md).
+// frontier BFS, a full-fixpoint recomputation, the monolithic relation
+// and the saturation backend -- each with dynamic reordering off and on.
+// The "saturation" arm computes the whole fixpoint with the in-kernel
+// REACH operation (per-transition sparse relations partitioned by level,
+// no whole-space frontiers; see docs/architecture.md).
 //
 // Chaining lets transitions later in the pass fire from states discovered
 // earlier in the same pass, cutting the number of outer passes (and hence
-// peak intermediate BDDs) on long pipelines. The relational arms make the
-// paper's "cofactor beats relations" claim a fair fight: the monolithic
-// relation is the strawman the paper argued against, the partitioned arm
-// is the modern baseline (support-clustered relations with early
-// quantification, fired with disjunctive chaining).
+// peak intermediate BDDs) on long pipelines. The monolithic relation is
+// the textbook baseline the paper argued against.
 //
 // The sift toggle measures the reordering lever the paper never had:
 // variable groups keep each primed twin pair together, so even the
@@ -197,9 +194,6 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on, bool scaled) {
     run_relation_arm(s, std::string("monolithic rel.") + suffix,
                      core::EngineKind::kMonolithicRelation,
                      core::TraversalStrategy::kFrontierBfs, sift);
-    run_relation_arm(s, std::string("partitioned rel.") + suffix,
-                     core::EngineKind::kPartitionedRelation,
-                     core::TraversalStrategy::kChaining, sift);
     // The saturation arm: the whole fixpoint in one in-kernel REACH.
     run_relation_arm(s, std::string("saturation") + suffix,
                      core::EngineKind::kSaturation,

@@ -12,7 +12,7 @@
 //     --ordering  O     interleaved | clustered | declaration |
 //                       signals-first | random
 //     --strategy  S     chaining | bfs | fixpoint
-//     --engine    E     cofactor | monolithic | partitioned | saturation
+//     --engine    E     cofactor | monolithic | saturation
 //                       (image backend; see docs/architecture.md)
 //     --threads   1     accepted and ignored (the BDD kernel is
 //                       sequential; other counts are an error)
@@ -74,7 +74,7 @@ void usage() {
       "  --ordering  O     interleaved | clustered | declaration |\n"
       "                    signals-first | random\n"
       "  --strategy  S     chaining | bfs | fixpoint\n"
-      "  --engine    E     cofactor | monolithic | partitioned | saturation\n"
+      "  --engine    E     cofactor | monolithic | saturation\n"
       "  --threads   1     accepted and ignored (the kernel is sequential)\n"
       "  --initial-nodes N   initial BDD manager capacity\n"
       "  --max-live-nodes N  budget: live-node cap (0 = unlimited)\n"

@@ -52,6 +52,16 @@ Bdd transition_disabling(ImageEngine& engine, pn::TransitionId victim,
   return fires_outside(engine, disabler, engine.sym().enabling_cube(victim));
 }
 
+/// Fig. 6(b)'s bad set for one ordered pair: the states the disabler fires
+/// into a successor where no transition of ti's signal and direction is
+/// enabled.
+Bdd signal_disabling(ImageEngine& engine, pn::TransitionId ti,
+                     pn::TransitionId disabler) {
+  const TransitionLabel& label = engine.sym().stg().label(ti);
+  return fires_outside(engine, disabler,
+                       engine.sym().enabled_signal(label.signal, label.dir));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -132,15 +142,20 @@ std::vector<SymPersistencyViolation> signal_persistency(
       // whole signal (same direction, any instance) must still be enabled.
       const Bdd enabled = reached & sym.enabling_cube(ti);
       if (enabled.is_false()) continue;
-      const Bdd bad =
-          fires_outside(engine, tj, sym.enabled_signal(victim, li.dir));
-      if (enabled.disjoint_with(bad)) continue;
+      if (enabled.disjoint_with(signal_disabling(engine, ti, tj))) continue;
       reported.insert({victim, tj});
-      result.push_back(SymPersistencyViolation{
-          victim, tj, victim_input, witness_after(engine, enabled, bad, tj)});
+      result.push_back(SymPersistencyViolation{victim, tj, victim_input, ti});
     }
   }
   return result;
+}
+
+Bdd signal_persistency_witness(ImageEngine& engine, const Bdd& reached,
+                               const SymPersistencyViolation& violation) {
+  const Bdd enabled = reached & engine.sym().enabling_cube(violation.ti);
+  return witness_after(engine, enabled,
+                       signal_disabling(engine, violation.ti, violation.disabler),
+                       violation.disabler);
 }
 
 // ---------------------------------------------------------------------------

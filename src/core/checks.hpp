@@ -14,13 +14,12 @@
 //
 // Checks that fire transitions (persistency, fake conflicts,
 // CSC-reducibility) take an ImageEngine&, so they run unchanged on every
-// backend (cofactor, monolithic relation, partitioned relations,
-// saturation). The pair checks never image a set of states: they test
-// `reached & E(ti)` against ImageEngine::fire_guard / after_firing
-// predicates over places and signals. A signal persistency violation
-// images the one picked state its witness needs; a transition conflict
-// images nothing unless its witness is asked for
-// (transition_persistency_witness).
+// backend (cofactor, monolithic relation, saturation). The pair checks
+// never image a set of states: they test `reached & E(ti)` against
+// ImageEngine::fire_guard / after_firing predicates over places and
+// signals. A violation images nothing unless its witness is asked for
+// (transition_persistency_witness, signal_persistency_witness), and then
+// only the one picked state that witness needs.
 #pragma once
 
 #include <string>
@@ -59,7 +58,8 @@ struct SymPersistencyViolation {
   stg::SignalId victim;
   pn::TransitionId disabler;
   bool victim_is_input = false;
-  bdd::Bdd witness;
+  /// The transition of `victim` whose enabled states exposed the violation.
+  pn::TransitionId ti;
 };
 
 struct SymPersistencyOptions {
@@ -73,6 +73,14 @@ struct SymPersistencyOptions {
 std::vector<SymPersistencyViolation> signal_persistency(
     ImageEngine& engine, const bdd::Bdd& reached,
     const SymPersistencyOptions& options = {});
+
+/// One witness state of a signal_persistency violation, on request: a
+/// minterm over the place+signal variables, taken after the disabler fired
+/// from a reached state where `ti` was enabled, in which no transition of
+/// the victim signal in ti's direction is enabled.
+bdd::Bdd signal_persistency_witness(ImageEngine& engine,
+                                    const bdd::Bdd& reached,
+                                    const SymPersistencyViolation& violation);
 
 // ---------------------------------------------------------------------------
 // Determinism

@@ -1,7 +1,9 @@
 #include "core/image_engine.hpp"
 
 #include <algorithm>
+#include <numeric>
 
+#include "core/relation.hpp"
 #include "core/saturation.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -9,7 +11,6 @@
 namespace stgcheck::core {
 
 using bdd::Bdd;
-using bdd::Var;
 
 namespace {
 
@@ -17,7 +18,6 @@ namespace {
 constexpr EngineKind kAllEngineKinds[] = {
     EngineKind::kCofactor,
     EngineKind::kMonolithicRelation,
-    EngineKind::kPartitionedRelation,
     EngineKind::kSaturation,
 };
 
@@ -27,7 +27,6 @@ const char* to_string(EngineKind kind) {
   switch (kind) {
     case EngineKind::kCofactor: return "cofactor";
     case EngineKind::kMonolithicRelation: return "monolithic";
-    case EngineKind::kPartitionedRelation: return "partitioned";
     case EngineKind::kSaturation: return "saturation";
   }
   return "?";
@@ -137,10 +136,14 @@ Bdd cofactor_preimage(const SymbolicStg& sym, const Bdd& states,
 
 ImageEngine::ImageEngine(SymbolicStg& sym)
     : sym_(sym),
+      transitions_(sym.stg().net().transition_count()),
       unsafe_guard_(sym.stg().net().transition_count()),
       fire_guard_(sym.stg().net().transition_count()),
       firing_cube_(sym.stg().net().transition_count()),
-      order_epoch_(sym.manager().reorder_epoch()) {}
+      order_epoch_(sym.manager().reorder_epoch()) {
+  std::iota(transitions_.begin(), transitions_.end(), pn::TransitionId{0});
+  stats_.units = transitions_.size();
+}
 
 void ImageEngine::sync_with_order() {
   const std::size_t epoch = sym_.manager().reorder_epoch();
@@ -239,15 +242,6 @@ Bdd ImageEngine::after_firing(const Bdd& predicate, pn::TransitionId t) {
 // CofactorEngine
 // ---------------------------------------------------------------------------
 
-CofactorEngine::CofactorEngine(SymbolicStg& sym) : ImageEngine(sym) {
-  const std::size_t n = sym.stg().net().transition_count();
-  units_.reserve(n);
-  for (pn::TransitionId t = 0; t < n; ++t) {
-    units_.push_back({t});
-  }
-  stats_.units = n;
-}
-
 Bdd CofactorEngine::image_via(const Bdd& states, pn::TransitionId t) {
   ++stats_.image_calls;
   StepGauge gauge(*this);
@@ -260,10 +254,6 @@ Bdd CofactorEngine::preimage_via(const Bdd& states, pn::TransitionId t) {
   return cofactor_preimage(sym_, states, t);
 }
 
-Bdd CofactorEngine::image_unit(const Bdd& states, std::size_t u) {
-  return image_via(states, units_[u][0]);
-}
-
 // ---------------------------------------------------------------------------
 // MonolithicRelationEngine
 // ---------------------------------------------------------------------------
@@ -274,7 +264,6 @@ MonolithicRelationEngine::MonolithicRelationEngine(SymbolicStg& sym)
   relations_.reserve(net.transition_count());
   monolithic_ = sym.manager().bdd_false();
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
-    all_transitions_.push_back(t);
     relations_.push_back(build_full_relation(sym, t));
     monolithic_ |= relations_.back();
   }
@@ -332,109 +321,16 @@ Bdd MonolithicRelationEngine::image_unit(const Bdd& states, std::size_t) {
 }
 
 // ---------------------------------------------------------------------------
-// PartitionedRelationEngine
-// ---------------------------------------------------------------------------
-
-PartitionedRelationEngine::PartitionedRelationEngine(SymbolicStg& sym,
-                                                     const EngineOptions& options)
-    : ImageEngine(sym), cap_(options.cluster_node_cap) {
-  const pn::PetriNet& net = sym.stg().net();
-  sparse_.reserve(net.transition_count());
-  for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
-    sparse_.push_back(build_sparse_relation(sym, t));
-  }
-  sparse_apply_.resize(net.transition_count());
-  clusters_ = cluster_relations(sym, sparse_, cap_);
-  stats_.units = clusters_.size();
-  on_reorder();
-}
-
-void PartitionedRelationEngine::on_reorder() {
-  std::vector<Bdd> rels;
-  rels.reserve(clusters_.size());
-  for (const RelationCluster& c : clusters_) rels.push_back(c.rel);
-  stats_.relation_nodes = sym_.manager().count_nodes(rels);
-}
-
-Bdd PartitionedRelationEngine::image_unit(const Bdd& states, std::size_t u) {
-  sync_with_order();
-  ++stats_.image_calls;
-  StepGauge gauge(*this);
-  // Early quantification: only the variables the cluster constrains are
-  // quantified; everything else flows through `states` untouched, which is
-  // the frame condition for free.
-  const RelationCluster& c = clusters_[u];
-  bdd::Manager& m = sym_.manager();
-  const Bdd next_primed = m.and_exists(states, c.rel, c.quant_cube);
-  return m.permute(next_primed, sym_.from_primed());
-}
-
-const SparseApplyData& PartitionedRelationEngine::sparse_apply(
-    pn::TransitionId t) {
-  SparseApplyData& a = sparse_apply_[t];
-  if (!a.built) a = build_sparse_apply(sym_, sparse_[t].support);
-  return a;
-}
-
-Bdd PartitionedRelationEngine::image_via(const Bdd& states, pn::TransitionId t) {
-  sync_with_order();
-  ++stats_.image_calls;
-  StepGauge gauge(*this);
-  bdd::Manager& m = sym_.manager();
-  const Bdd next_primed =
-      m.and_exists(states, sparse_[t].rel, sparse_apply(t).quant_cube);
-  return m.permute(next_primed, sym_.from_primed());
-}
-
-Bdd PartitionedRelationEngine::preimage_via(const Bdd& states,
-                                            pn::TransitionId t) {
-  sync_with_order();
-  ++stats_.preimage_calls;
-  StepGauge gauge(*this);
-  bdd::Manager& m = sym_.manager();
-  const SparseApplyData& a = sparse_apply(t);
-  const Bdd primed_states = m.permute(states, a.rename_to_primed);
-  return m.and_exists(primed_states, sparse_[t].rel, a.primed_quant_cube);
-}
-
-Bdd PartitionedRelationEngine::preimage(const Bdd& states) {
-  sync_with_order();
-  StepGauge gauge(*this);
-  Bdd result = sym_.manager().bdd_false();
-  bdd::Manager& m = sym_.manager();
-  for (const RelationCluster& c : clusters_) {
-    ++stats_.preimage_calls;
-    const Bdd primed_states = m.permute(states, c.rename_to_primed);
-    result |= m.and_exists(primed_states, c.rel, c.primed_quant_cube);
-  }
-  return result;
-}
-
-std::size_t PartitionedRelationEngine::cluster_nodes(std::size_t c) const {
-  return sym_.manager().count_nodes(clusters_[c].rel);
-}
-
-std::vector<std::vector<Var>> PartitionedRelationEngine::quantification_schedule()
-    const {
-  std::vector<std::vector<Var>> schedule;
-  schedule.reserve(clusters_.size());
-  for (const RelationCluster& c : clusters_) schedule.push_back(c.support);
-  return schedule;
-}
-
-// ---------------------------------------------------------------------------
 // Factory
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<ImageEngine> make_engine(EngineKind kind, SymbolicStg& sym,
-                                         const EngineOptions& options) {
+                                         const EngineOptions&) {
   switch (kind) {
     case EngineKind::kCofactor:
       return std::make_unique<CofactorEngine>(sym);
     case EngineKind::kMonolithicRelation:
       return std::make_unique<MonolithicRelationEngine>(sym);
-    case EngineKind::kPartitionedRelation:
-      return std::make_unique<PartitionedRelationEngine>(sym, options);
     case EngineKind::kSaturation:
       return std::make_unique<SaturationEngine>(sym);
   }

@@ -1,50 +1,35 @@
-// The pluggable image-computation layer: one interface, four backends.
+// The pluggable image-computation layer: one interface, three backends.
 //
 // Everything above the encoding -- traversal, the implementability checks,
 // the benches -- computes successor/predecessor sets through an
 // ImageEngine, never through SymbolicStg directly. That makes the paper's
 // central claim (the per-transition cofactor pipeline beats transition
 // relations) a swappable, benchmarkable choice instead of a hard-wired
-// code path, and it opens encodings the cofactor trick cannot express
-// (k-bounded places, multi-token arcs) as future backends behind the same
-// interface.
+// code path.
 //
-//   * CofactorEngine          -- the paper's delta_N pipeline (Sec. 4):
-//                                four cube operations per transition, no
-//                                relation ever built.
+//   * CofactorEngine           -- the paper's delta_N pipeline (Sec. 4):
+//                                 four cube operations per transition, no
+//                                 relation ever built.
 //   * MonolithicRelationEngine -- the textbook baseline: one relation
-//                                T(V, V') = OR_t T_t, applied by a single
-//                                relational product per step.
-//   * PartitionedRelationEngine -- the fair modern baseline: sparse
-//                                per-transition relations clustered by
-//                                shared support up to a node cap, each
-//                                cluster applied with an early
-//                                quantification cube covering exactly its
-//                                own support. Under the chaining strategy
-//                                the clusters fire disjunctively in
-//                                sequence, each from the set enriched by
-//                                its predecessors.
-//   * SaturationEngine         -- the in-kernel fixpoint (saturation.hpp):
-//                                the same support-clustered sparse
-//                                relations, partitioned by the level of
-//                                their top support variable and handed to
-//                                the kernel's REACH operation, which
-//                                saturates low variables before high ones
-//                                ever see a frontier. traverse() detects
-//                                it (computes_global_fixpoint) and
-//                                replaces its pass loop with whole-space
-//                                reach_fixpoint calls.
+//                                 T(V, V') = OR_t T_t, applied by a single
+//                                 relational product per step.
+//   * SaturationEngine         -- the in-kernel fixpoint (saturation.hpp)
+//                                 over one sparse relation per transition.
+//                                 traverse() detects it
+//                                 (computes_global_fixpoint) and replaces
+//                                 its pass loop with reach_fixpoint calls.
 //
 // Traversal granularity is expressed as "units": the indivisible firing
-// steps a backend offers. The cofactor backend has one unit per
-// transition (the paper's Fig. 5 inner loop), the monolithic backend a
-// single unit, the partitioned backend one unit per cluster. traverse()
-// iterates units, so chaining, lazy initial-value binding and the on-the-
-// fly safeness/consistency checks run unchanged on every backend.
+// steps a backend offers. By default unit u is transition u (the paper's
+// Fig. 5 inner loop); the monolithic backend overrides that with a single
+// unit. traverse() iterates units, so chaining, lazy initial-value binding
+// and the on-the-fly safeness/consistency checks run unchanged on every
+// backend.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,9 +43,8 @@ namespace stgcheck::core {
 enum class EngineKind {
   kCofactor,            ///< the paper's delta_N pipeline
   kMonolithicRelation,  ///< one relation over (V, V')
-  kPartitionedRelation, ///< support-clustered relations, early quantification
-  kSaturation,          ///< in-kernel REACH fixpoint over level-partitioned
-                        ///< clusters (core/saturation.hpp)
+  kSaturation,          ///< in-kernel REACH fixpoint over per-transition
+                        ///< sparse relations (core/saturation.hpp)
 };
 
 const char* to_string(EngineKind kind);
@@ -72,13 +56,8 @@ std::optional<EngineKind> parse_engine_kind(std::string_view name);
 /// Every valid engine name, comma-separated -- for CLI error messages.
 std::string valid_engine_kind_names();
 
-struct EngineOptions {
-  /// Relational backends: stop growing a cluster once its relation BDD
-  /// exceeds this many nodes. A single transition whose sparse relation is
-  /// already larger stays a singleton cluster (a cap cannot split one
-  /// transition).
-  std::size_t cluster_node_cap = 2000;
-};
+/// No backend takes options; kept empty so existing callers still compile.
+struct EngineOptions {};
 
 struct ImageEngineStats {
   std::size_t image_calls = 0;     ///< image / image_via / image_unit calls
@@ -111,13 +90,18 @@ class ImageEngine {
   virtual bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) = 0;
 
   // ---- Firing units (traversal granularity) -------------------------------
+  // Default: one unit per transition, unit u = {u}, imaged by image_via.
 
-  virtual std::size_t unit_count() const = 0;
+  virtual std::size_t unit_count() const { return transitions_.size(); }
   /// The transitions unit `u` fires (for lazy binding and safeness
   /// attribution in the traversal).
-  virtual const std::vector<pn::TransitionId>& unit_transitions(std::size_t u) const = 0;
+  virtual std::span<const pn::TransitionId> unit_transitions(std::size_t u) const {
+    return {&transitions_[u], 1};
+  }
   /// Successors of `states` under every transition of unit `u`.
-  virtual bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) = 0;
+  virtual bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) {
+    return image_via(states, static_cast<pn::TransitionId>(u));
+  }
 
   // ---- Whole-space fixpoints ----------------------------------------------
 
@@ -188,6 +172,8 @@ class ImageEngine {
 
   SymbolicStg& sym_;
   ImageEngineStats stats_;
+  /// Every transition id in order: the storage unit_transitions() views.
+  std::vector<pn::TransitionId> transitions_;
 
  private:
   std::size_t gauge_depth_ = 0;
@@ -221,22 +207,13 @@ bdd::Bdd cofactor_preimage(const SymbolicStg& sym, const bdd::Bdd& states,
 /// transition, no relations. Works on any encoding (primed or not).
 class CofactorEngine final : public ImageEngine {
  public:
-  explicit CofactorEngine(SymbolicStg& sym);
+  explicit CofactorEngine(SymbolicStg& sym) : ImageEngine(sym) {}
 
   const char* name() const override { return "cofactor"; }
   EngineKind kind() const override { return EngineKind::kCofactor; }
 
   bdd::Bdd image_via(const bdd::Bdd& states, pn::TransitionId t) override;
   bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
-
-  std::size_t unit_count() const override { return units_.size(); }
-  const std::vector<pn::TransitionId>& unit_transitions(std::size_t u) const override {
-    return units_[u];
-  }
-  bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
-
- private:
-  std::vector<std::vector<pn::TransitionId>> units_;  // one transition each
 };
 
 /// The textbook baseline: full-frame per-transition relations ORed into
@@ -255,8 +232,8 @@ class MonolithicRelationEngine final : public ImageEngine {
   bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
 
   std::size_t unit_count() const override { return 1; }
-  const std::vector<pn::TransitionId>& unit_transitions(std::size_t) const override {
-    return all_transitions_;
+  std::span<const pn::TransitionId> unit_transitions(std::size_t) const override {
+    return transitions_;
   }
   bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
 
@@ -271,58 +248,8 @@ class MonolithicRelationEngine final : public ImageEngine {
  private:
   bdd::Bdd apply(const bdd::Bdd& states, const bdd::Bdd& relation);
 
-  std::vector<pn::TransitionId> all_transitions_;
   std::vector<bdd::Bdd> relations_;
   bdd::Bdd monolithic_;
-};
-
-/// Sparse per-transition relations clustered by shared support up to a
-/// node cap; each cluster carries an early-quantification cube covering
-/// exactly its own support, so untouched variables are never quantified
-/// at all. Requires an encoding with primed variables.
-class PartitionedRelationEngine final : public ImageEngine {
- public:
-  PartitionedRelationEngine(SymbolicStg& sym, const EngineOptions& options = {});
-
-  const char* name() const override { return "partitioned"; }
-  EngineKind kind() const override { return EngineKind::kPartitionedRelation; }
-
-  bdd::Bdd preimage(const bdd::Bdd& states) override;
-  bdd::Bdd image_via(const bdd::Bdd& states, pn::TransitionId t) override;
-  bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
-
-  // One unit per cluster, in cluster-index order.
-  std::size_t unit_count() const override { return clusters_.size(); }
-  const std::vector<pn::TransitionId>& unit_transitions(std::size_t u) const override {
-    return clusters_[u].transitions;
-  }
-  bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
-
-  // ---- Introspection (tests, benches, docs) ------------------------------
-
-  std::size_t cluster_count() const { return clusters_.size(); }
-  const std::vector<pn::TransitionId>& cluster_transitions(std::size_t c) const {
-    return clusters_[c].transitions;
-  }
-  /// BDD size of one cluster's relation.
-  std::size_t cluster_nodes(std::size_t c) const;
-  /// The quantification schedule: for each cluster, the unprimed state
-  /// variables its image step quantifies (== the cluster's support, sorted
-  /// by id). Every variable a transition touches is quantified in the
-  /// cluster owning that transition and nowhere else -- the earliest legal
-  /// point for a disjunctive partition.
-  std::vector<std::vector<bdd::Var>> quantification_schedule() const;
-  std::size_t cluster_node_cap() const { return cap_; }
-
- protected:
-  void on_reorder() override;
-
- private:
-  std::size_t cap_;
-  std::vector<TransitionRelation> sparse_;       // indexed by transition
-  std::vector<SparseApplyData> sparse_apply_;    // per transition, lazily built
-  std::vector<RelationCluster> clusters_;
-  const SparseApplyData& sparse_apply(pn::TransitionId t);
 };
 
 /// Builds the requested backend. The relational backends throw ModelError

@@ -21,8 +21,8 @@ void require_primed(const SymbolicStg& sym) {
 
 /// The constraints shared by both relation flavours: token moves for the
 /// places around `t` and the fired signal's flip, one primitive constraint
-/// per touched variable. Appends the touched unprimed variables to
-/// `support` and returns the conjunction: the sparse relation.
+/// per touched variable. Sets `support` to the touched unprimed variables,
+/// sorted by id, and returns the conjunction: the sparse relation.
 Bdd core_constraints(SymbolicStg& sym, pn::TransitionId t,
                      std::vector<Var>& support) {
   bdd::Manager& m = sym.manager();
@@ -64,6 +64,8 @@ Bdd core_constraints(SymbolicStg& sym, pn::TransitionId t,
     factors.push_back(label.dir == stg::Dir::kPlus ? ((!cur) & nxt)
                                                    : (cur & !nxt));
   }
+  std::sort(support.begin(), support.end());
+  support.erase(std::unique(support.begin(), support.end()), support.end());
   Bdd rel = m.bdd_true();
   for (const Bdd& f : factors) rel &= f;
   return rel;
@@ -82,135 +84,40 @@ Bdd frame_constraint(SymbolicStg& sym, const std::vector<Var>& vars) {
   return frame;
 }
 
-TransitionRelation build_sparse_relation(SymbolicStg& sym, pn::TransitionId t) {
-  require_primed(sym);
-  TransitionRelation r;
-  r.t = t;
-  r.rel = core_constraints(sym, t, r.support);
-  std::sort(r.support.begin(), r.support.end());
-  r.support.erase(std::unique(r.support.begin(), r.support.end()),
-                  r.support.end());
-  return r;
-}
-
-SparseApplyData build_sparse_apply(SymbolicStg& sym,
-                                   const std::vector<Var>& support) {
+SparseRelation build_sparse_relation(SymbolicStg& sym, pn::TransitionId t) {
   require_primed(sym);
   bdd::Manager& m = sym.manager();
   const std::vector<Var>& to_primed = sym.to_primed();
-  SparseApplyData a;
-  a.quant_cube = m.positive_cube(support);
-  a.rename_to_primed.resize(m.var_count());
-  for (Var v = 0; v < a.rename_to_primed.size(); ++v) a.rename_to_primed[v] = v;
+  SparseRelation r;
+  r.rel = core_constraints(sym, t, r.support);
+  r.quant_cube = m.positive_cube(r.support);
+  r.rename_to_primed.resize(m.var_count());
+  for (Var v = 0; v < r.rename_to_primed.size(); ++v) r.rename_to_primed[v] = v;
   std::vector<Var> primed;
-  primed.reserve(support.size());
-  for (Var v : support) {
-    a.rename_to_primed[v] = to_primed[v];
+  primed.reserve(r.support.size());
+  for (Var v : r.support) {
+    r.rename_to_primed[v] = to_primed[v];
     primed.push_back(to_primed[v]);
   }
-  a.primed_quant_cube = m.positive_cube(primed);
-  a.built = true;
-  return a;
-}
-
-namespace {
-
-void finalize_cluster(SymbolicStg& sym, RelationCluster& c) {
-  SparseApplyData a = build_sparse_apply(sym, c.support);
-  c.quant_cube = std::move(a.quant_cube);
-  c.primed_quant_cube = std::move(a.primed_quant_cube);
-  c.rename_to_primed = std::move(a.rename_to_primed);
-}
-
-}  // namespace
-
-std::vector<RelationCluster> cluster_relations(
-    SymbolicStg& sym, const std::vector<TransitionRelation>& sparse,
-    std::size_t cap) {
-  require_primed(sym);
-  bdd::Manager& m = sym.manager();
-  std::vector<RelationCluster> clusters;
-  for (const TransitionRelation& r : sparse) {
-    // Candidate clusters ranked by shared support (descending); merging
-    // into a disjoint-support cluster would only add frame padding.
-    std::vector<std::pair<std::size_t, std::size_t>> candidates;  // (shared, idx)
-    for (std::size_t c = 0; c < clusters.size(); ++c) {
-      std::vector<Var> shared;
-      std::set_intersection(clusters[c].support.begin(),
-                            clusters[c].support.end(), r.support.begin(),
-                            r.support.end(), std::back_inserter(shared));
-      if (!shared.empty()) candidates.push_back({shared.size(), c});
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-
-    bool merged = false;
-    for (const auto& [shared, idx] : candidates) {
-      (void)shared;
-      RelationCluster& c = clusters[idx];
-      std::vector<Var> new_support;
-      std::set_union(c.support.begin(), c.support.end(), r.support.begin(),
-                     r.support.end(), std::back_inserter(new_support));
-      // Pad each side with the frame of the variables only the other
-      // side touches, so the disjunction keeps them unchanged.
-      std::vector<Var> pad_cluster;
-      std::set_difference(new_support.begin(), new_support.end(),
-                          c.support.begin(), c.support.end(),
-                          std::back_inserter(pad_cluster));
-      std::vector<Var> pad_member;
-      std::set_difference(new_support.begin(), new_support.end(),
-                          r.support.begin(), r.support.end(),
-                          std::back_inserter(pad_member));
-      const Bdd candidate_rel = (c.rel & frame_constraint(sym, pad_cluster)) |
-                                (r.rel & frame_constraint(sym, pad_member));
-      if (m.count_nodes(candidate_rel) > cap) continue;
-      c.rel = candidate_rel;
-      c.support = std::move(new_support);
-      c.transitions.push_back(r.t);
-      merged = true;
-      break;
-    }
-    if (!merged) {
-      RelationCluster c;
-      c.transitions.push_back(r.t);
-      c.rel = r.rel;
-      c.support = r.support;
-      clusters.push_back(std::move(c));
-    }
-  }
-  for (RelationCluster& c : clusters) finalize_cluster(sym, c);
-  return clusters;
-}
-
-std::vector<RelationCluster> singleton_clusters(
-    SymbolicStg& sym, const std::vector<TransitionRelation>& sparse) {
-  require_primed(sym);
-  std::vector<RelationCluster> clusters;
-  clusters.reserve(sparse.size());
-  for (const TransitionRelation& r : sparse) {
-    RelationCluster c;
-    c.transitions.push_back(r.t);
-    c.rel = r.rel;
-    c.support = r.support;
-    finalize_cluster(sym, c);
-    clusters.push_back(std::move(c));
-  }
-  return clusters;
+  r.primed_quant_cube = m.positive_cube(primed);
+  return r;
 }
 
 Bdd build_full_relation(SymbolicStg& sym, pn::TransitionId t) {
-  const TransitionRelation sparse = build_sparse_relation(sym, t);
+  require_primed(sym);
+  std::vector<Var> support;
+  const Bdd sparse = core_constraints(sym, t, support);
   // Frame every state variable the transition does not touch.
   std::vector<Var> untouched;
   std::vector<Var> state_vars = sym.place_var_list();
   const std::vector<Var> signals = sym.signal_var_list();
   state_vars.insert(state_vars.end(), signals.begin(), signals.end());
   for (Var v : state_vars) {
-    if (!std::binary_search(sparse.support.begin(), sparse.support.end(), v)) {
+    if (!std::binary_search(support.begin(), support.end(), v)) {
       untouched.push_back(v);
     }
   }
-  return sparse.rel & frame_constraint(sym, untouched);
+  return sparse & frame_constraint(sym, untouched);
 }
 
 }  // namespace stgcheck::core

@@ -1,24 +1,23 @@
 // The saturation subsystem: the core half of the in-kernel REACH fixpoint.
 //
-// The paper's traversal -- and all three step-wise backends -- computes
-// the reached set as a global breadth-first/chaining fixpoint: frontier
-// BDDs spanning the whole state space are materialized once per pass,
-// which is exactly where the peak-live blowups live (mread8 chaining
-// 1.09M, partitioned+sift 3.86M). Saturation pushes the fixpoint *into*
-// the BDD recursion (bdd::Manager::reach, after Brand-Baeck-Laarman,
-// arXiv:2212.03684): relations are partitioned by the current level of
-// their top support variable, and the kernel saturates the substates
-// under every relation at or below a level before anything propagates
-// upward. Whole-space frontiers never exist; the working set is the
-// final reached BDD plus level-local intermediates.
+// The paper's traversal -- and the two step-wise backends -- computes the
+// reached set as a global breadth-first/chaining fixpoint: frontier BDDs
+// spanning the whole state space are materialized once per pass, which is
+// exactly where the peak-live blowups live (mread8 chaining 1.09M).
+// Saturation pushes the fixpoint *into* the BDD recursion
+// (bdd::Manager::reach, after Brand-Baeck-Laarman, arXiv:2212.03684):
+// relations are partitioned by the current level of their top support
+// variable, and the kernel saturates the substates under every relation
+// at or below a level before anything propagates upward. Whole-space
+// frontiers never exist; the working set is the final reached BDD plus
+// level-local intermediates.
 //
 // This module owns the core-side half of that split:
 //
-//   * level_partition() orders the sparse relation clusters (the same
-//     RelationCluster machinery the partitioned engine uses) by top
-//     support level. The partition depends on the *current* variable
-//     order, so it is rebuilt on every reorder epoch via
-//     ImageEngine::sync_with_order().
+//   * level_partition() orders the per-transition sparse relations
+//     (core/relation.hpp) by top support level. The partition depends on
+//     the *current* variable order, so it is rebuilt on every reorder
+//     epoch via ImageEngine::sync_with_order().
 //
 //   * SaturationEngine plugs the operation in behind the standard
 //     ImageEngine interface: traverse() detects computes_global_fixpoint()
@@ -32,34 +31,34 @@
 #pragma once
 
 #include "core/image_engine.hpp"
+#include "core/relation.hpp"
 
 namespace stgcheck::core {
 
-/// One cluster's slot in the level partition.
-struct LevelClusterInfo {
-  std::size_t cluster = 0;    ///< index into the engine's cluster list
+/// One relation's slot in the level partition.
+struct LevelRelationInfo {
+  pn::TransitionId transition = 0;      ///< index into the relation list
   bdd::Var top_var = bdd::kInvalidVar;  ///< support var highest in the order
-  std::size_t top_level = 0;  ///< its current level
+  std::size_t top_level = 0;            ///< its current level
 };
 
-/// Orders clusters by the current level of their top (highest-in-order)
-/// support variable, ascending; ties keep cluster-index order. This is
-/// the firing structure the saturation fixpoint works over -- a
-/// cluster's image can only change variables at or below its top level.
-/// Manager::reach re-derives the same order internally with its own
-/// stable sort (the kernel cannot trust callers), so this partition is
-/// the engine's introspectable view of it, not a soundness requirement
+/// Orders per-transition relations by the current level of their top
+/// (highest-in-order) support variable, ascending; ties keep transition
+/// order. This is the firing structure the saturation fixpoint works over
+/// -- a relation's image can only change variables at or below its top
+/// level. Manager::reach re-derives the same order internally with its
+/// own stable sort (the kernel cannot trust callers), so this partition
+/// is the engine's introspectable view of it, not a soundness requirement
 /// on the operand order.
-std::vector<LevelClusterInfo> level_partition(
-    const bdd::Manager& manager, const std::vector<RelationCluster>& clusters);
+std::vector<LevelRelationInfo> level_partition(
+    const bdd::Manager& manager, const std::vector<SparseRelation>& relations);
 
-/// The fourth image backend: whole-space reachability through the
-/// kernel's REACH operation. Requires an encoding with primed variables
-/// (the twin-pair layout is what the kernel's positional rename relies
-/// on). Step-wise images for the checks run on the same clusters: the
-/// forward image goes through Manager::rel_next (one in-kernel product,
-/// no rename pass), the preimage through the classic sparse relational
-/// product.
+/// The third image backend: whole-space reachability through the kernel's
+/// REACH operation. Requires an encoding with primed variables (the
+/// twin-pair layout is what the kernel's positional rename relies on).
+/// Step-wise images run on the same per-transition relations: the forward
+/// image goes through Manager::rel_next (one in-kernel product, no rename
+/// pass), the preimage through the classic sparse relational product.
 class SaturationEngine final : public ImageEngine {
  public:
   explicit SaturationEngine(SymbolicStg& sym);
@@ -75,23 +74,12 @@ class SaturationEngine final : public ImageEngine {
   bdd::Bdd image_via(const bdd::Bdd& states, pn::TransitionId t) override;
   bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
 
-  // Units exist for the checks and for callers that step manually; the
-  // traversal itself never iterates them (computes_global_fixpoint). One
-  // unit per cluster, in cluster-index order.
-  std::size_t unit_count() const override { return clusters_.size(); }
-  const std::vector<pn::TransitionId>& unit_transitions(std::size_t u) const override {
-    return clusters_[u].transitions;
-  }
-  bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
-
   // ---- Introspection (tests, benches, docs) ------------------------------
 
-  std::size_t cluster_count() const { return clusters_.size(); }
-  const std::vector<pn::TransitionId>& cluster_transitions(std::size_t c) const {
-    return clusters_[c].transitions;
-  }
+  /// The sparse relations, indexed by transition.
+  const std::vector<SparseRelation>& relations() const { return relations_; }
   /// The current level partition (refreshed on every reorder epoch).
-  const std::vector<LevelClusterInfo>& partition() const { return partition_; }
+  const std::vector<LevelRelationInfo>& partition() const { return partition_; }
   /// Completed kernel reach() calls.
   std::size_t reach_calls() const { return reach_calls_; }
 
@@ -99,15 +87,12 @@ class SaturationEngine final : public ImageEngine {
   void on_reorder() override;
 
  private:
-  const SparseApplyData& sparse_apply(pn::TransitionId t);
   void refresh_node_stats();
   void rebuild_partition();
 
-  std::vector<TransitionRelation> sparse_;     // indexed by transition
-  std::vector<SparseApplyData> sparse_apply_;  // per transition, lazily built
-  std::vector<RelationCluster> clusters_;
-  std::vector<LevelClusterInfo> partition_;
-  /// The clusters as kernel reach operands, in partition order.
+  std::vector<SparseRelation> relations_;  // indexed by transition
+  std::vector<LevelRelationInfo> partition_;
+  /// The relations as kernel reach operands, in partition order.
   std::vector<bdd::ReachRelation> reach_relations_;
   std::size_t reach_calls_ = 0;
 };

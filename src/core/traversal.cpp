@@ -170,7 +170,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
   // declared initial values -- every bench family and example net -- and
   // signals enabled in the very first state are already bound by the
   // preamble above; anything still unbound routes to the step-wise loop
-  // below, which runs correctly on this engine's per-cluster units. The
+  // below, which runs correctly on this engine's per-transition units. The
   // consistency/safeness checks run once on the final closed set, which
   // contains every state the step-wise engines would have checked.
   if (engine.computes_global_fixpoint() && binder.unbound().empty()) {
@@ -234,23 +234,31 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
                           : from;
 
       for (std::size_t u = 0; u < engine.unit_count() && !stop; ++u) {
-        for (pn::TransitionId t : engine.unit_transitions(u)) {
-          // Lazy initial-value binding: the first enabling of a signal pins
-          // its value in everything collected so far.
-          binder.maybe_bind(t, fire_base, {&reached, &from, &fire_base, &pass_new});
+        {
+          // Binding shares this loop (it must precede each transition's
+          // test); it is a flag test once every signal is bound.
+          TraceSpan safeness(options.check_safeness ? options.trace : nullptr,
+                             "safeness", "traversal");
+          for (pn::TransitionId t : engine.unit_transitions(u)) {
+            // Lazy initial-value binding: the first enabling of a signal
+            // pins its value in everything collected so far.
+            binder.maybe_bind(t, fire_base,
+                              {&reached, &from, &fire_base, &pass_new});
 
-          if (options.check_safeness) {
-            // Every backend silently excludes unsafe firings from its image;
-            // detect and report them here (uniformly, from the cubes).
-            const Bdd unsafe = engine.unsafe_states(fire_base, t);
-            if (!unsafe.is_false()) {
-              result.safe = false;
-              result.safeness_detail =
-                  "firing " + sym.stg().format_label(t) +
-                  " deposits a second token on a successor place";
-              if (options.abort_on_violation) {
-                stop = true;
-                break;
+            if (options.check_safeness) {
+              // Every backend silently excludes unsafe firings from its
+              // image; detect and report them here (uniformly, from the
+              // cubes).
+              const Bdd unsafe = engine.unsafe_states(fire_base, t);
+              if (!unsafe.is_false()) {
+                result.safe = false;
+                result.safeness_detail =
+                    "firing " + sym.stg().format_label(t) +
+                    " deposits a second token on a successor place";
+                if (options.abort_on_violation) {
+                  stop = true;
+                  break;
+                }
               }
             }
           }
@@ -269,9 +277,8 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
         reached |= fresh;
         pass_new |= fresh;
         if (options.strategy == TraversalStrategy::kChaining) {
-          // Later units in this pass fire from the enriched set ("chaining";
-          // with the partitioned backend this is disjunctive chaining over
-          // clusters).
+          // Later units in this pass fire from the enriched set (the
+          // paper's chaining, Fig. 5).
           fire_base |= fresh;
         }
       }

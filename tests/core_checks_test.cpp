@@ -56,7 +56,8 @@ TEST(SymPersistency, MutexViolatesWithoutArbitration) {
   ASSERT_FALSE(violations.empty());
   for (const auto& v : violations) {
     EXPECT_FALSE(v.victim_is_input);
-    EXPECT_TRUE(v.witness.implies(c.traversal.reached));
+    EXPECT_TRUE(signal_persistency_witness(*c.engine, c.traversal.reached, v)
+                    .implies(c.traversal.reached));
   }
 
   SymPersistencyOptions options;

@@ -26,7 +26,7 @@ CheckConfig random_config(std::mt19937& rng) {
   CheckConfig config;
   config.check.ordering = static_cast<Ordering>(pick(5));
   config.check.strategy = static_cast<TraversalStrategy>(pick(3));
-  config.check.engine = static_cast<EngineKind>(pick(4));
+  config.check.engine = static_cast<EngineKind>(pick(3));
   const int pairs = pick(3);
   for (int p = 0; p < pairs; ++p) {
     config.check.arbitration_pairs.emplace_back(
@@ -168,6 +168,20 @@ TEST(CheckConfigProperty, RemovedKnobsAreUnknownOptions) {
         std::string::npos)
         << flag_error;
   }
+
+  // The removed engine value fails with the unknown-engine error, which
+  // lists the surviving engines, on the wire and on the command line.
+  const std::string engine = "parti" "tioned";
+  const std::string expected = "unknown engine '" + engine +
+                               "' (valid: cofactor, monolithic, saturation)";
+  Value obj = Value::object();
+  obj.set("engine", Value(engine));
+  const std::string key_error =
+      model_error_of([&] { CheckConfig::from_json(obj); });
+  EXPECT_NE(key_error.find(expected), std::string::npos) << key_error;
+  const std::string flag_error =
+      model_error_of([&] { CheckConfig::from_args({"--engine", engine}); });
+  EXPECT_NE(flag_error.find(expected), std::string::npos) << flag_error;
 }
 
 TEST(CheckConfigProperty, BadValuesAreRejected) {
@@ -204,11 +218,11 @@ TEST(CheckConfigProperty, BadValuesAreRejected) {
 TEST(CheckConfigProperty, FlagSpellingMatchesWireSpelling) {
   // The same names work dashed on the CLI and underscored on the wire.
   const CheckConfig from_flags = CheckConfig::from_args(
-      {"--ordering", "signals-first", "--engine", "partitioned",
+      {"--ordering", "signals-first", "--engine", "monolithic",
        "--max-live-nodes", "4096"});
   Value obj = Value::object();
   obj.set("ordering", Value(std::string("signals_first")));
-  obj.set("engine", Value(std::string("partitioned")));
+  obj.set("engine", Value(std::string("monolithic")));
   obj.set("max_live_nodes", Value(4096.0));
   EXPECT_EQ(from_flags, CheckConfig::from_json(obj));
 }

@@ -224,7 +224,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, kNetCount),
                        ::testing::Values(EngineKind::kCofactor,
                                          EngineKind::kMonolithicRelation,
-                                         EngineKind::kPartitionedRelation,
                                          EngineKind::kSaturation)));
 
 // ---------------------------------------------------------------------------
@@ -259,7 +258,8 @@ struct ReportDigest {
   std::vector<std::string> consistency_violations;
   std::vector<stg::SignalId> unbound_signals;
   std::vector<double> counts;  // states, markings, codes, deadlock states
-  std::vector<std::tuple<stg::SignalId, pn::TransitionId, bool, bdd::Bdd>>
+  std::vector<std::tuple<stg::SignalId, pn::TransitionId, bool,
+                         pn::TransitionId, bdd::Bdd>>
       persistency;
   std::vector<std::tuple<pn::TransitionId, pn::TransitionId, bdd::Bdd>>
       transition_conflicts;
@@ -271,8 +271,8 @@ struct ReportDigest {
 };
 
 /// Every persistency witness is one full state of its violation's bad set
-/// (transition witnesses asked of `tested`, the engine under test); every
-/// CSC conflict code set is a non-empty set of reached codes.
+/// (witnesses asked of `tested`, the engine under test); every CSC conflict
+/// code set is a non-empty set of reached codes.
 void expect_witnesses_inside_bad_sets(
     SymbolicStg& sym, ImageEngine& tested, const bdd::Bdd& reached,
     const std::vector<SymPersistencyViolation>& persistency,
@@ -295,16 +295,16 @@ void expect_witnesses_inside_bad_sets(
         << net.format_label(v.victim);
   }
   for (const SymPersistencyViolation& v : persistency) {
-    // Fig. 6(b): some transition of the victim signal enabled, the
-    // disabler fired, that direction of the signal no longer enabled.
-    bdd::Bdd bad = sym.manager().bdd_false();
-    for (const stg::Dir dir : {stg::Dir::kPlus, stg::Dir::kMinus}) {
-      for (const pn::TransitionId ti : net.transitions_of(v.victim, dir)) {
-        bad |= engine.image_via(reached & sym.enabling_cube(ti), v.disabler)
-                   .minus(sym.enabled_signal(v.victim, dir));
-      }
-    }
-    EXPECT_TRUE(one_state_inside(v.witness, bad)) << net.signal_name(v.victim);
+    // Fig. 6(b): the recorded transition ti of the victim signal enabled,
+    // the disabler fired, ti's direction of the signal no longer enabled.
+    const stg::TransitionLabel& label = net.label(v.ti);
+    ASSERT_EQ(label.signal, v.victim) << net.format_label(v.ti);
+    const bdd::Bdd bad =
+        engine.image_via(reached & sym.enabling_cube(v.ti), v.disabler)
+            .minus(sym.enabled_signal(v.victim, label.dir));
+    EXPECT_TRUE(one_state_inside(
+        signal_persistency_witness(tested, reached, v), bad))
+        << net.signal_name(v.victim);
   }
   const bdd::Bdd codes = sym.manager().exists(reached, sym.place_cube());
   for (const SymCscResult::Conflict& c : csc.conflicts) {
@@ -344,8 +344,8 @@ ReportDigest digest(SymbolicStg& sym, EngineKind kind) {
   d.counts = {t.stats.states, t.stats.markings, sym.count_codes(reached),
               sym.count_states(deadlock_states(sym, reached))};
   for (const SymPersistencyViolation& v : persistency) {
-    d.persistency.emplace_back(v.victim, v.disabler, v.victim_is_input,
-                               v.witness);
+    d.persistency.emplace_back(v.victim, v.disabler, v.victim_is_input, v.ti,
+                               signal_persistency_witness(*engine, reached, v));
   }
   for (const SymTransitionPersistencyViolation& v : transitions) {
     d.transition_conflicts.emplace_back(
@@ -373,8 +373,7 @@ TEST_P(ReportParity, EveryEngineReportsTheSameFacts) {
                   /*with_primed_vars=*/true);
   const ReportDigest expected = digest(sym, EngineKind::kCofactor);
   for (const EngineKind kind :
-       {EngineKind::kMonolithicRelation, EngineKind::kPartitionedRelation,
-        EngineKind::kSaturation}) {
+       {EngineKind::kMonolithicRelation, EngineKind::kSaturation}) {
     const ReportDigest got = digest(sym, kind);
     const std::string engine = to_string(kind);
     EXPECT_EQ(got.level, expected.level) << engine;

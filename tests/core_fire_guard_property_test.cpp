@@ -162,7 +162,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Range(0, kNetCount),
         ::testing::Values(EngineKind::kCofactor,
                           EngineKind::kMonolithicRelation,
-                          EngineKind::kPartitionedRelation,
                           EngineKind::kSaturation)));
 
 }  // namespace

@@ -144,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 4),
                        ::testing::Values(EngineKind::kCofactor,
                                          EngineKind::kMonolithicRelation,
-                                         EngineKind::kPartitionedRelation)));
+                                         EngineKind::kSaturation)));
 
 // ---------------------------------------------------------------------------
 // Property: forced sifting never changes the fixed point (satellite of the
@@ -159,7 +159,7 @@ TEST(SiftedTraversalProperty, ForcedSiftMatchesUnsiftedBaselineOnRandomStgs) {
     const stg::Stg s = testutil::random_stg(rng);
     for (EngineKind kind :
          {EngineKind::kCofactor, EngineKind::kMonolithicRelation,
-          EngineKind::kPartitionedRelation}) {
+          EngineKind::kSaturation}) {
       SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                       /*with_primed_vars=*/true);
       const std::unique_ptr<ImageEngine> engine = make_engine(kind, sym);

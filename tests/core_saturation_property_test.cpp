@@ -56,16 +56,21 @@ TEST(SaturationProperty, RelNextImageMatchesClassicSparseProduct) {
     stg::Stg s = testutil::random_stg(rng);
     SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                     /*with_primed_vars=*/true);
-    SaturationEngine sat(sym);              // image_via runs rel_next
-    PartitionedRelationEngine part(sym);    // image_via runs and_exists+permute
+    SaturationEngine sat(sym);  // image_via runs rel_next
+    CofactorEngine cofactor(sym);
+    bdd::Manager& m = sym.manager();
     // Walk a few frontier steps so the compared state sets are nontrivial.
     Bdd states = sym.initial_state();
     for (int step = 0; step < 3; ++step) {
       for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
-        EXPECT_EQ(sat.image_via(states, t), part.image_via(states, t))
+        // The classic sparse product: quantify the support, rename back.
+        const SparseRelation& r = sat.relations()[t];
+        const Bdd classic = m.permute(m.and_exists(states, r.rel, r.quant_cube),
+                                      sym.from_primed());
+        EXPECT_EQ(sat.image_via(states, t), classic)
             << "trial " << trial << " step " << step << " t " << t;
       }
-      states |= part.image(states);
+      states |= cofactor.image(states);
     }
     sym.manager().check_invariants();
   }
@@ -140,11 +145,11 @@ TEST(SaturationPartition, OrderedByTopSupportLevel) {
   SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                   /*with_primed_vars=*/true);
   SaturationEngine eng(sym);
-  const std::vector<LevelClusterInfo>& p = eng.partition();
-  ASSERT_EQ(p.size(), eng.cluster_count());
+  const std::vector<LevelRelationInfo>& p = eng.partition();
+  ASSERT_EQ(p.size(), s.net().transition_count());
   for (std::size_t i = 0; i < p.size(); ++i) {
     // top_level is the recorded variable's current level and the list
-    // ascends (ties keep cluster-index order, hence GE not GT).
+    // ascends (ties keep transition order, hence GE not GT).
     EXPECT_EQ(p[i].top_level, sym.manager().level_of_var(p[i].top_var));
     if (i > 0) EXPECT_GE(p[i].top_level, p[i - 1].top_level);
   }
@@ -160,7 +165,7 @@ TEST(SaturationPartition, RefreshesOnReorderEpoch) {
 
   // Reverse the order block-wise: every (v, v') pair keeps its internal
   // order (groups demand it) but the blocks flip end to end, so every
-  // cluster's top level changes.
+  // relation's top level changes.
   const std::vector<Var> order = sym.manager().current_order();
   ASSERT_EQ(order.size() % 2, 0u);
   std::vector<Var> reversed;
@@ -176,7 +181,7 @@ TEST(SaturationPartition, RefreshesOnReorderEpoch) {
   const Bdd after = eng.reach_fixpoint(init);
   EXPECT_EQ(after, closed);
   for (std::size_t i = 0; i < eng.partition().size(); ++i) {
-    const LevelClusterInfo& info = eng.partition()[i];
+    const LevelRelationInfo& info = eng.partition()[i];
     EXPECT_EQ(info.top_level, sym.manager().level_of_var(info.top_var));
     if (i > 0) EXPECT_GE(info.top_level, eng.partition()[i - 1].top_level);
   }

@@ -247,6 +247,53 @@ TEST(Traversal, SaturationTracesTheClosedSetTests) {
   }
 }
 
+/// A clock that moves one second on every read, so no two span boundaries
+/// coincide and nesting reads off the timestamps exactly.
+class TickingClock final : public Clock {
+ public:
+  double seconds() const override { return now_ += 1.0; }
+
+ private:
+  mutable double now_ = 0;
+};
+
+TEST(Traversal, StepWiseTracesSafenessOutsideImages) {
+  // The cofactor twin of SaturationTracesTheClosedSetTests: the step-wise
+  // loop names each unit's safeness tests, next to its image, not inside.
+  const stg::Stg s = stg::mutex_arbiter(3);
+  SymbolicStg sym(s);
+  TickingClock clock;
+  TraceRecorder rec(&clock);
+  TraversalOptions options;
+  options.engine = EngineKind::kCofactor;
+  options.trace = &rec;
+  ASSERT_TRUE(traverse(sym, options).ok());
+  using Interval = std::pair<double, double>;
+  std::vector<Interval> passes, safeness, images;
+  const json::Value doc = rec.to_json();
+  for (const json::Value& e : doc.at("traceEvents").as_array()) {
+    const double ts = e.at("ts").as_number();
+    const Interval span{ts, ts + e.at("dur").as_number()};
+    const std::string& name = e.at("name").as_string();
+    if (name == "pass") passes.push_back(span);
+    if (name == "safeness") safeness.push_back(span);
+    if (name == "image_unit") images.push_back(span);
+  }
+  const auto inside = [](const Interval& inner, const Interval& outer) {
+    return outer.first < inner.first && inner.second < outer.second;
+  };
+  ASSERT_FALSE(passes.empty());
+  ASSERT_FALSE(images.empty());
+  for (const Interval& pass : passes) {
+    EXPECT_TRUE(std::any_of(safeness.begin(), safeness.end(),
+                            [&](const Interval& x) { return inside(x, pass); }));
+  }
+  for (const Interval& image : images) {
+    EXPECT_FALSE(std::any_of(safeness.begin(), safeness.end(),
+                             [&](const Interval& x) { return inside(x, image); }));
+  }
+}
+
 // deadlock_states is one implication against SymbolicStg::any_enabled(),
 // the balanced union of the enabling cubes. Both must equal the folds
 // they replaced, on every example net (fig3_d1 reaches a deadlock) and on

@@ -1,16 +1,16 @@
-// The partitioned relation backend: clustering respects the node cap, the
-// quantification schedule quantifies each variable at the earliest legal
-// cluster (and nowhere else), and the partitioned image agrees with the
-// monolithic relation and the cofactor pipeline -- including on random
-// STGs far from the hand-built generator families.
+// The relational backends: each sparse relation record quantifies exactly
+// the variables its transition touches, and the saturation engine's
+// per-transition images agree with the monolithic relation and the
+// cofactor pipeline -- including on random STGs far from the hand-built
+// generator families.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <set>
 #include <vector>
 
 #include "core/image_engine.hpp"
+#include "core/saturation.hpp"
 #include "core/traversal.hpp"
 #include "random_stg.hpp"
 #include "stg/generators.hpp"
@@ -41,144 +41,80 @@ std::vector<Var> touched_vars(const SymbolicStg& sym, pn::TransitionId t) {
 }
 
 // ---------------------------------------------------------------------------
-// Clustering
+// Sparse relation records
 // ---------------------------------------------------------------------------
 
-TEST(Clustering, NodeCapRespected) {
-  const stg::Stg s = stg::master_read(5);
-  auto sym = primed_encoding(s);
-  for (const std::size_t cap : {std::size_t{1}, std::size_t{8},
-                                std::size_t{64}, std::size_t{100000}}) {
-    EngineOptions options;
-    options.cluster_node_cap = cap;
-    PartitionedRelationEngine engine(*sym, options);
-    for (std::size_t c = 0; c < engine.cluster_count(); ++c) {
-      // A cap cannot split a single transition; only multi-transition
-      // clusters must obey it.
-      if (engine.cluster_transitions(c).size() > 1) {
-        EXPECT_LE(engine.cluster_nodes(c), cap) << "cap " << cap;
-      }
-    }
-  }
-}
-
-TEST(Clustering, TinyCapYieldsSingletons) {
-  const stg::Stg s = stg::muller_pipeline(4);
-  auto sym = primed_encoding(s);
-  EngineOptions options;
-  options.cluster_node_cap = 1;  // nothing can merge
-  PartitionedRelationEngine engine(*sym, options);
-  EXPECT_EQ(engine.cluster_count(), s.net().transition_count());
-}
-
-TEST(Clustering, HugeCapMergesOverlappingSupports) {
-  // On a pipeline every adjacent transition pair shares a place, so a
-  // boundless cap must produce fewer clusters than transitions.
-  const stg::Stg s = stg::muller_pipeline(6);
-  auto sym = primed_encoding(s);
-  EngineOptions options;
-  options.cluster_node_cap = 1u << 20;
-  PartitionedRelationEngine engine(*sym, options);
-  EXPECT_LT(engine.cluster_count(), s.net().transition_count());
-}
-
-TEST(Clustering, EveryTransitionInExactlyOneCluster) {
-  const stg::Stg s = stg::mutex_arbiter(4);
-  auto sym = primed_encoding(s);
-  PartitionedRelationEngine engine(*sym);
-  std::vector<int> seen(s.net().transition_count(), 0);
-  for (std::size_t c = 0; c < engine.cluster_count(); ++c) {
-    for (pn::TransitionId t : engine.cluster_transitions(c)) ++seen[t];
-  }
-  for (pn::TransitionId t = 0; t < seen.size(); ++t) {
-    EXPECT_EQ(seen[t], 1) << s.format_label(t);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Quantification schedule
-// ---------------------------------------------------------------------------
-
-TEST(QuantificationSchedule, EachVariableAtTheEarliestLegalCluster) {
+TEST(SparseRelations, SupportAndQuantCubeAreTheTouchedVariables) {
   for (const stg::Stg& s : {stg::muller_pipeline(5), stg::master_read(3),
                             stg::mutex_arbiter(3), stg::select_chain(3)}) {
     auto sym = primed_encoding(s);
-    PartitionedRelationEngine engine(*sym);
-    const std::vector<std::vector<Var>> schedule =
-        engine.quantification_schedule();
-    ASSERT_EQ(schedule.size(), engine.cluster_count());
-    for (std::size_t c = 0; c < engine.cluster_count(); ++c) {
-      // The legal quantification set of a cluster is the union of its
-      // members' touched variables: quantifying any of them in an earlier
-      // cluster would lose that cluster's frame; quantifying any other
-      // variable here would lose the state set's own constraint.
-      std::set<Var> legal;
-      for (pn::TransitionId t : engine.cluster_transitions(c)) {
-        for (Var v : touched_vars(*sym, t)) legal.insert(v);
-      }
-      const std::set<Var> scheduled(schedule[c].begin(), schedule[c].end());
-      EXPECT_EQ(scheduled, legal) << s.name() << " cluster " << c;
+    SaturationEngine engine(*sym);
+    ASSERT_EQ(engine.relations().size(), s.net().transition_count());
+    for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
+      // The image step of transition t may quantify exactly the variables
+      // t touches: quantifying any other would lose the state set's own
+      // constraint on it; leaving one out would keep its old value.
+      const SparseRelation& r = engine.relations()[t];
+      const std::vector<Var> touched = touched_vars(*sym, t);
+      EXPECT_EQ(r.support, touched) << s.name() << " " << s.format_label(t);
+      EXPECT_EQ(r.quant_cube, sym->manager().positive_cube(touched))
+          << s.name() << " " << s.format_label(t);
     }
   }
 }
 
-TEST(QuantificationSchedule, MonolithicQuantifiesEverythingAtOnce) {
-  // The contrast the partitioned backend exists for: the monolithic arm's
-  // single step quantifies every state variable; a capped partitioned
-  // cluster quantifies only its own support.
+TEST(SparseRelations, QuantifyLessThanTheMonolithicStep) {
+  // The contrast the sparse records exist for: the monolithic arm's single
+  // step quantifies every state variable; a sparse relation quantifies
+  // only its own support.
   const stg::Stg s = stg::select_chain(4);
   auto sym = primed_encoding(s);
-  EngineOptions options;
-  options.cluster_node_cap = 32;  // keep clusters local
-  PartitionedRelationEngine engine(*sym, options);
+  SaturationEngine engine(*sym);
   const std::size_t state_vars =
       sym->place_var_list().size() + sym->signal_var_list().size();
-  ASSERT_GT(engine.cluster_count(), 1u);
-  for (const std::vector<Var>& cluster_vars : engine.quantification_schedule()) {
-    EXPECT_LT(cluster_vars.size(), state_vars);
+  for (const SparseRelation& r : engine.relations()) {
+    EXPECT_LT(r.support.size(), state_vars);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Random STGs: partitioned == monolithic == cofactor
+// Random STGs: saturation == monolithic == cofactor
 // ---------------------------------------------------------------------------
 
-TEST(RandomStgs, PartitionedMatchesMonolithicAndCofactor) {
+TEST(RandomStgs, SaturationMatchesMonolithicAndCofactor) {
   Rng rng(0xC0FFEE);
   for (int trial = 0; trial < 12; ++trial) {
     const stg::Stg s = testutil::random_stg(rng);
     auto sym = primed_encoding(s);
     CofactorEngine cofactor(*sym);
     MonolithicRelationEngine monolithic(*sym);
-    EngineOptions options;
-    options.cluster_node_cap = 1 + rng.below(500);
-    PartitionedRelationEngine partitioned(*sym, options);
+    SaturationEngine saturation(*sym);
 
     // Random rings may be inconsistent STGs; images must agree regardless.
     TraversalOptions topts;
     topts.abort_on_violation = false;
     const TraversalResult ref = traverse(cofactor, topts);
 
-    EXPECT_EQ(partitioned.image(ref.reached), monolithic.image(ref.reached))
+    EXPECT_EQ(saturation.image(ref.reached), monolithic.image(ref.reached))
         << "trial " << trial;
-    EXPECT_EQ(partitioned.image(ref.reached), cofactor.image(ref.reached))
+    EXPECT_EQ(saturation.image(ref.reached), cofactor.image(ref.reached))
         << "trial " << trial;
-    EXPECT_EQ(partitioned.preimage(ref.reached),
+    EXPECT_EQ(saturation.preimage(ref.reached),
               monolithic.preimage(ref.reached))
         << "trial " << trial;
     for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
-      EXPECT_EQ(partitioned.image_via(ref.reached, t),
+      EXPECT_EQ(saturation.image_via(ref.reached, t),
                 cofactor.image_via(ref.reached, t))
           << "trial " << trial << " " << s.format_label(t);
-      EXPECT_EQ(partitioned.preimage_via(ref.reached, t),
+      EXPECT_EQ(saturation.preimage_via(ref.reached, t),
                 cofactor.preimage_via(ref.reached, t))
           << "trial " << trial << " " << s.format_label(t);
     }
 
     const TraversalResult mono_r = traverse(monolithic, topts);
-    const TraversalResult part_r = traverse(partitioned, topts);
+    const TraversalResult sat_r = traverse(saturation, topts);
     EXPECT_EQ(mono_r.reached, ref.reached) << "trial " << trial;
-    EXPECT_EQ(part_r.reached, ref.reached) << "trial " << trial;
+    EXPECT_EQ(sat_r.reached, ref.reached) << "trial " << trial;
   }
 }
 
@@ -187,7 +123,7 @@ TEST(EngineFactory, BuildsEveryKind) {
   auto sym = primed_encoding(s);
   for (EngineKind kind :
        {EngineKind::kCofactor, EngineKind::kMonolithicRelation,
-        EngineKind::kPartitionedRelation}) {
+        EngineKind::kSaturation}) {
     const std::unique_ptr<ImageEngine> engine = make_engine(kind, *sym);
     EXPECT_EQ(engine->kind(), kind);
     EXPECT_STREQ(engine->name(), to_string(kind));

@@ -8,6 +8,7 @@
 
 #include "core/image_engine.hpp"
 #include "core/relation.hpp"
+#include "core/saturation.hpp"
 #include "core/traversal.hpp"
 #include "stg/generators.hpp"
 #include "util/error.hpp"
@@ -73,7 +74,7 @@ TEST(Relation, RequiresPrimedEncoding) {
   stg::Stg s = stg::examples::pulse_cycle();
   SymbolicStg sym(s);  // no primed vars
   EXPECT_THROW(MonolithicRelationEngine engine(sym), ModelError);
-  EXPECT_THROW(PartitionedRelationEngine engine(sym), ModelError);
+  EXPECT_THROW(SaturationEngine engine(sym), ModelError);
   EXPECT_THROW(build_full_relation(sym, 0), ModelError);
   EXPECT_THROW(build_sparse_relation(sym, 0), ModelError);
 }
@@ -152,7 +153,7 @@ TEST_P(RelationAgainstPipeline, FullRelationIsSparsePlusFrame) {
   const std::vector<bdd::Var> signals = sym->signal_var_list();
   state_vars.insert(state_vars.end(), signals.begin(), signals.end());
   for (pn::TransitionId t = 0; t < net->net().transition_count(); ++t) {
-    const TransitionRelation sparse = build_sparse_relation(*sym, t);
+    const SparseRelation sparse = build_sparse_relation(*sym, t);
     std::vector<bdd::Var> untouched;
     for (bdd::Var v : state_vars) {
       if (std::find(sparse.support.begin(), sparse.support.end(), v) ==

@@ -80,7 +80,7 @@ TEST(Rng, BelowStaysInRange) {
 TEST(CliNames, EngineKindsRoundTripThroughParse) {
   for (core::EngineKind kind :
        {core::EngineKind::kCofactor, core::EngineKind::kMonolithicRelation,
-        core::EngineKind::kPartitionedRelation, core::EngineKind::kSaturation}) {
+        core::EngineKind::kSaturation}) {
     const auto parsed = core::parse_engine_kind(core::to_string(kind));
     ASSERT_TRUE(parsed.has_value()) << core::to_string(kind);
     EXPECT_EQ(*parsed, kind);
@@ -97,10 +97,10 @@ TEST(CliNames, ValidNameListsCoverEveryKind) {
   // The strings the CLI prints on an unknown value must name every kind,
   // so a user can recover without reading the source.
   const std::string engines = core::valid_engine_kind_names();
-  for (const char* name : {"cofactor", "monolithic", "partitioned",
-                           "saturation"}) {
+  for (const char* name : {"cofactor", "monolithic", "saturation"}) {
     EXPECT_NE(engines.find(name), std::string::npos) << name;
   }
+  EXPECT_EQ(engines, "cofactor, monolithic, saturation");
 }
 
 // ---------------------------------------------------------------------------
