@@ -12,15 +12,12 @@
 //
 // The sift toggle measures the reordering lever the paper never had:
 // variable groups keep each primed twin pair together, so even the
-// relational backends can reorder mid-traversal. The sift arms run
-// *converged* sifting (repeat passes until one buys < 1%): a single pass
-// settling in a poor local minimum is exactly the mread8 chaining+sift
-// regression the complement-edge rewrite exposed, and convergence is the
-// candidate fix -- the "reorders" column counts completed passes, so a
-// converged arm shows > 1 where it mattered. The between-pass GC and
-// watermark run on the same schedule in both arms (core::AutoSiftPolicy),
-// so comparing a "+sift" row against its baseline isolates what the
-// reordering itself buys. Expect wins where the traversal's working set
+// relational backends can reorder mid-traversal. The sift arms run the
+// single sift pass the checker runs; the "reorders" column counts sifts.
+// The between-pass GC and watermark run on the same schedule in both
+// arms (core::AutoSiftPolicy), so comparing a "+sift" row against its
+// baseline isolates what the reordering itself buys. Expect wins where
+// the traversal's working set
 // dominates and losses where sifting optimizes the persistent BDDs at the
 // expense of the relational image intermediates (mread8 monolithic):
 // dynamic reordering is a lever, not a free lunch.
@@ -111,9 +108,6 @@ core::TraversalOptions arm_options(core::TraversalStrategy strategy,
   core::TraversalOptions options;
   options.strategy = strategy;
   options.auto_sift = sift;
-  // The sift arms run converged sifting: the candidate fix for a single
-  // pass settling in a poor local minimum (mread8 chaining+sift).
-  options.sift_converged = sift;
   return options;
 }
 

@@ -18,6 +18,10 @@ Compares every (family, arm, sift) row present in both files:
     single image step, where and_exists intermediates live) follows the
     same rules; rows missing the field on either side (older baselines)
     are skipped;
+  * with --exact-sequential-peaks, the traversal's shape must match the
+    baseline exactly too: passes, images, units, relation_nodes and
+    reorders (the counts are as deterministic as the peaks, and a drift
+    in any of them means the traversal or the sift did different work);
   * seconds may grow by at most --time-threshold (default 25%), but only
     for rows whose baseline is at least --min-seconds (default 0.5s):
     shorter rows are timer noise on shared CI runners.
@@ -63,6 +67,10 @@ def fmt(key):
     return f"{family} / {arm}" + (" [sift]" if sift else "")
 
 
+# Counts that --exact-sequential-peaks holds to the baseline.
+EXACT_COUNTS = ("passes", "images", "units", "relation_nodes", "reorders")
+
+
 def direction(base, cur):
     """The drift of an exact gauge as words: "rose 12.5%" / "fell 62%"."""
     if base == 0:
@@ -88,7 +96,9 @@ def main():
                              "arm (prefix match, so NAME covers NAME+sift)")
     parser.add_argument("--exact-sequential-peaks", action="store_true",
                         help="require bit-identical peak node counts "
-                             "instead of the percentage budget (the "
+                             "instead of the percentage budget, and "
+                             "identical passes, images, units, "
+                             "relation_nodes and reorders (the "
                              "sequential kernel is deterministic; any "
                              "drift is a recursion-order change, not "
                              "noise)")
@@ -173,6 +183,13 @@ def main():
                     failures.append(
                         f"{fmt(key)}: peak_intermediate_nodes {b_inter} -> "
                         f"{c_inter} (+{inter_ratio - 1.0:.1%})")
+
+        if args.exact_sequential_peaks:
+            for field in EXACT_COUNTS:
+                if base[field] != cur[field]:
+                    failures.append(
+                        f"{fmt(key)}: {field} {base[field]} -> {cur[field]} "
+                        f"(must be identical)")
 
         b_sec, c_sec = base["seconds"], cur["seconds"]
         if b_sec >= args.min_seconds:

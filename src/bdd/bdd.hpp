@@ -445,12 +445,6 @@ class Manager {
   /// `max_growth` times the best size seen while moving. Returns live node
   /// count after reordering.
   std::size_t sift(double max_growth = 1.2);
-  /// Repeats sift() passes until a pass improves the live node count by
-  /// less than 1% (capped at 8 passes as a safety valve). A single sift
-  /// pass settles in the first local minimum it finds; repeating lets
-  /// blocks react to their neighbours' new positions. Returns the live
-  /// node count after the last pass.
-  std::size_t sift_converged(double max_growth = 1.2);
   /// Reorders to exactly the given order (a permutation of all variables,
   /// listed top to bottom). Every registered group must stay contiguous
   /// and keep its internal order in the target; violations throw
@@ -675,6 +669,10 @@ class Manager {
   void grow_buckets();
   void maybe_gc();
   void free_node(std::uint32_t idx);
+  /// Frees the dead node `idx` and every descendant whose last reference
+  /// that drops. collect_garbage() calls it per dead root; sift swaps call
+  /// it the moment a node dies, so sifting scores exact live counts.
+  void free_dead(std::uint32_t idx);
 
   // Computed cache.
   NodeRef cache_lookup(Op op, NodeRef f, NodeRef g, NodeRef h) const;
@@ -728,8 +726,7 @@ class Manager {
   std::size_t swap_levels(std::size_t upper_level);
   void gather_var_nodes();
   /// Leaves reorder mode after sift() or reorder() -- normally or on a
-  /// budget trip -- and collects the garbage the swaps left behind.
-  /// Bumps reorder_epoch_ when `order_changed`.
+  /// budget trip. Bumps reorder_epoch_ when `order_changed`.
   void finish_reorder(bool order_changed,
                       std::chrono::steady_clock::time_point start);
   std::size_t sift_one_block(const std::vector<Var>& block, double max_growth);
@@ -760,6 +757,7 @@ class Manager {
   std::size_t peak_live_ = 0;
   std::size_t window_peak_live_ = 0;  // reset_peak_window()
   std::size_t gc_runs_ = 0;
+  std::vector<std::uint32_t> free_stack_;  // free_dead()'s cascade, reused
 
   // Profiling state (see set_profiling).
   bool profiling_ = false;

@@ -392,6 +392,25 @@ void Manager::free_node(std::uint32_t idx) {
   --dead_count_;
 }
 
+void Manager::free_dead(std::uint32_t idx) {
+  free_stack_.push_back(idx);
+  while (!free_stack_.empty()) {
+    const std::uint32_t dead = free_stack_.back();
+    free_stack_.pop_back();
+    const Node& n = node_at(dead);
+    const NodeRef low = n.low;
+    const NodeRef high = n.high;
+    unique_remove(dead);
+    free_node(dead);
+    for (const NodeRef child : {low, high}) {
+      dec_ref(child);
+      if (!is_term(child) && deref(child).refs == 0) {
+        free_stack_.push_back(edge_index(child));
+      }
+    }
+  }
+}
+
 void Manager::maybe_gc() {
   if (!gc_enabled_) return;
   if (node_count_ < 4096) return;
@@ -407,35 +426,12 @@ void Manager::collect_garbage() {
   const auto gc_start = profiling_ ? std::chrono::steady_clock::now()
                                    : std::chrono::steady_clock::time_point{};
   // Dead nodes still hold references to their children (dropped lazily,
-  // here). Removing a dead node can therefore kill its children; iterate
-  // until the dead set is stable.
-  std::vector<std::uint32_t> worklist;
-  const std::uint32_t size = nodes_size();
-  for (std::uint32_t idx = 1; idx < size; ++idx) {
-    Node& n = node_at(idx);
-    if (n.var != kInvalidVar && n.refs == 0) worklist.push_back(idx);
-  }
-  while (!worklist.empty()) {
-    const std::uint32_t idx = worklist.back();
-    worklist.pop_back();
-    Node& n = node_at(idx);
-    if (n.var == kInvalidVar || n.refs != 0) continue;  // already freed / resurrected
-    unique_remove(idx);
-    const NodeRef low = n.low;
-    const NodeRef high = n.high;
-    free_node(idx);
-    for (NodeRef child : {low, high}) {
-      const std::uint32_t cidx = edge_index(child);
-      if (cidx != 0) {
-        Node& c = node_at(cidx);
-        assert(c.refs > 0);
-        --c.refs;
-        if (c.refs == 0) {
-          ++dead_count_;
-          worklist.push_back(cidx);
-        }
-      }
-    }
+  // here), so freeing one can kill its children; free_dead cascades. A
+  // dead node has no parent, so no cascade reaches another root. Highest
+  // index first fixes the order in which slots return to the free list.
+  for (std::uint32_t idx = nodes_size(); idx-- > 1;) {
+    const Node& n = node_at(idx);
+    if (n.var != kInvalidVar && n.refs == 0) free_dead(idx);
   }
   clear_cache();
   ++gc_runs_;

@@ -20,9 +20,23 @@
 // child is either a stored then-edge (regular by the canonical form) or
 // the node's own then-edge, so mk never has to pull a complement out; an
 // assert documents the invariant. x-nodes without y-children and y-nodes
-// referenced from above levels are untouched. Reference counts (parents +
-// external handles) are exact in this package, so the live node count
-// used to score positions is exact.
+// referenced from above levels are untouched.
+//
+// Positions are scored by live_nodes(), so a swap must not leave garbage
+// behind: a dead node still holds its children, and garbage that grows
+// with every swap would make a bad position look worse the later it is
+// visited (and inflate the sift's own peak). Each swap therefore frees
+// an old child the moment a rewrite drops its last reference, cascading
+// to its own children as collect_garbage() does (CUDD's cuddSwapInPlace
+// does the same). sift() and reorder() start from a collected table, so
+// no dead node exists between swaps and every score is the exact live
+// count.
+//
+// Freed slots are recycled by later mk() calls while the per-variable
+// node lists (nodes_at_var_) still name them. A swap therefore first
+// compacts its x-list: entries whose slot no longer holds an x-node are
+// dropped, and a slot listed twice (freed, then reused for the same
+// variable) is kept once, so no node is processed twice.
 //
 // Moving a block past a neighbouring block of size m costs size * m
 // adjacent swaps (each variable of one block crosses each variable of the
@@ -109,6 +123,18 @@ std::size_t Manager::sift(double max_growth) {
   gather_var_nodes();
   const std::vector<Var> order_before = level2var_;
 
+  // The span reports the sift's own peak: the window restarts at the
+  // post-GC live count, and the caller's window resumes as if it had
+  // watched the sift itself.
+  const std::size_t caller_window = window_peak_live_;
+  window_peak_live_ = live_nodes();
+  span.arg("live_nodes_before", static_cast<double>(live_nodes()));
+  const auto close_window = [&] {
+    span.arg("peak_live_nodes", static_cast<double>(window_peak_live_));
+    span.arg("live_nodes", static_cast<double>(live_nodes()));
+    window_peak_live_ = std::max(window_peak_live_, caller_window);
+  };
+
   // One block per group plus one per ungrouped variable, sifted in
   // decreasing order of node population: big layers first.
   std::vector<std::vector<Var>> blocks;
@@ -137,9 +163,11 @@ std::size_t Manager::sift(double max_growth) {
     // moved at all.
     clear_cache();
     finish_reorder(level2var_ != order_before, sift_start);
+    close_window();
     throw;
   }
   finish_reorder(true, sift_start);
+  close_window();
   return live_nodes();
 }
 
@@ -149,7 +177,6 @@ void Manager::finish_reorder(bool order_changed,
   nodes_at_var_.clear();
   gc_enabled_ = true;
   if (order_changed) ++reorder_epoch_;
-  collect_garbage();
   if (profiling_) {
     sift_seconds_ += std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
@@ -230,22 +257,6 @@ std::size_t Manager::move_block_down(const std::vector<Var>& block) {
   return live_nodes();
 }
 
-std::size_t Manager::sift_converged(double max_growth) {
-  // A single sift pass settles each block against a frozen snapshot of the
-  // others; repeating lets blocks react to their neighbours' new homes.
-  // Stop as soon as a pass buys less than 1% (integer arithmetic: an
-  // improvement of before/100 nodes or fewer does not count), with a hard
-  // pass cap so a slowly oscillating table cannot spin forever.
-  std::size_t before = live_nodes();
-  std::size_t after = before;
-  for (int pass = 0; pass < 8; ++pass) {
-    after = sift(max_growth);
-    if (after + before / 100 >= before) break;
-    before = after;
-  }
-  return after;
-}
-
 // ---------------------------------------------------------------------------
 // Explicit reorder
 // ---------------------------------------------------------------------------
@@ -315,22 +326,21 @@ std::size_t Manager::swap_levels(std::size_t upper_level) {
   var2level_[x] = upper_level + 1;
   var2level_[y] = upper_level;
 
+  // Compact the x-list before any node changes (see the file comment).
+  // The frees below only ever hit y-nodes and lower ones, so no listed
+  // slot is freed, let alone recycled, during the loop.
   std::vector<std::uint32_t> xs = std::move(nodes_at_var_[x]);
   nodes_at_var_[x].clear();
+  const std::uint32_t listed = next_stamp();
+  std::erase_if(xs, [&](std::uint32_t idx) {
+    Node& n = node_at(idx);
+    if (n.var != x || n.stamp == listed) return true;  // stale or duplicate
+    n.stamp = listed;
+    return false;
+  });
 
   for (const std::uint32_t idx : xs) {
-    if (node_at(idx).var != x) continue;  // stale: freed or already moved to y
-
-    if (node_at(idx).refs == 0) {
-      // Reclaim dead x-nodes instead of rewriting them.
-      unique_remove(idx);
-      const NodeRef low = node_at(idx).low;
-      const NodeRef high = node_at(idx).high;
-      free_node(idx);
-      dec_ref(low);
-      dec_ref(high);
-      continue;
-    }
+    assert(node_at(idx).refs > 0 && "a swap met a dead node");
 
     const NodeRef f = node_at(idx).low;   // attributed edge
     const NodeRef g = node_at(idx).high;  // regular by the canonical form
@@ -362,10 +372,13 @@ std::size_t Manager::swap_levels(std::size_t upper_level) {
     n.high = n1;
     inc_ref(n0);
     inc_ref(n1);
-    dec_ref(f);
-    dec_ref(g);
     unique_insert(idx);
     nodes_at_var_[y].push_back(idx);
+    // Only now drop the old children: n0 or n1 may be one of them.
+    for (const NodeRef old : {f, g}) {
+      dec_ref(old);
+      if (!is_term(old) && deref(old).refs == 0) free_dead(edge_index(old));
+    }
   }
   return live_nodes();
 }

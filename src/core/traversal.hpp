@@ -77,12 +77,6 @@ struct TraversalOptions {
   bool auto_sift = true;
   /// Never sift below this table size (sifting churn is not worth it).
   std::size_t auto_sift_threshold = 50'000;
-  /// With auto_sift: run converged sifting (Manager::sift_converged --
-  /// repeat passes until one buys < 1%) instead of a single pass. A lone
-  /// pass can settle in a poor local minimum when the shared graph changed
-  /// shape under it; repeating lets blocks react to their neighbours' new
-  /// positions at the cost of extra reorder time.
-  bool sift_converged = false;
   /// When set, the traversal emits one kPass record per outer pass and a
   /// kTraversalDone record with the final stats (core/events.hpp). Not
   /// owned; typically the CheckSession's log. Null disables emission --
@@ -103,8 +97,8 @@ struct TraversalOptions {
 /// reordering itself rather than differing GC schedules. A standalone
 /// object so the watermark arithmetic is unit-testable.
 struct AutoSiftPolicy {
-  explicit AutoSiftPolicy(std::size_t floor_, bool converged_ = false)
-      : floor(floor_), watermark(floor_), converged(converged_) {}
+  explicit AutoSiftPolicy(std::size_t floor_)
+      : floor(floor_), watermark(floor_) {}
 
   /// True when `live_nodes` has more than doubled past the watermark.
   bool should_sift(std::size_t live_nodes) const {
@@ -116,15 +110,9 @@ struct AutoSiftPolicy {
   void reset_watermark(std::size_t live_nodes) {
     watermark = std::max(floor, live_nodes);
   }
-  /// Runs the configured flavour of sifting: a single pass, or repeated
-  /// passes to convergence (TraversalOptions::sift_converged).
-  std::size_t run_sift(bdd::Manager& manager) const {
-    return converged ? manager.sift_converged() : manager.sift();
-  }
 
   std::size_t floor;      ///< TraversalOptions::auto_sift_threshold
   std::size_t watermark;  ///< live node count at the last watermark reset
-  bool converged;         ///< TraversalOptions::sift_converged
 };
 
 struct TraversalStats {

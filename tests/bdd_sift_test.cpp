@@ -34,39 +34,6 @@ TEST(BddSift, PreservesSimpleFunctions) {
   EXPECT_EQ(signature(m, f), sig_before);
 }
 
-TEST(BddSiftConverged, MatchesManualIterationAndPreservesFunctions) {
-  // sift_converged() is the packaged form of the iterate-to-convergence
-  // loop ShrinksInterleavedComparator spells out by hand: never worse than
-  // a single pass, function-preserving, and it bumps the reorder epoch.
-  Manager m;
-  constexpr std::size_t kPairs = 6;
-  std::vector<Bdd> as;
-  std::vector<Bdd> bs;
-  for (std::size_t i = 0; i < kPairs; ++i) as.push_back(m.new_var("a" + std::to_string(i)));
-  for (std::size_t i = 0; i < kPairs; ++i) bs.push_back(m.new_var("b" + std::to_string(i)));
-  Bdd f = m.bdd_false();
-  for (std::size_t i = 0; i < kPairs; ++i) f |= as[i] & bs[i];
-
-  // An identical twin manager (same functions, same external handles) for
-  // the single-pass comparison: sifting mutates the table, so the two
-  // flavours cannot run on one manager.
-  Manager m2;
-  std::vector<Bdd> as2;
-  std::vector<Bdd> bs2;
-  for (std::size_t i = 0; i < kPairs; ++i) as2.push_back(m2.new_var("a" + std::to_string(i)));
-  for (std::size_t i = 0; i < kPairs; ++i) bs2.push_back(m2.new_var("b" + std::to_string(i)));
-  Bdd g = m2.bdd_false();
-  for (std::size_t i = 0; i < kPairs; ++i) g |= as2[i] & bs2[i];
-
-  const auto sig_before = signature(m, f);
-  const std::size_t single_pass = m2.sift();
-  const std::size_t converged = m.sift_converged();
-  EXPECT_LE(converged, single_pass);
-  EXPECT_EQ(signature(m, f), sig_before);
-  EXPECT_GE(m.reorder_epoch(), 1u);
-  m.check_invariants();
-}
-
 TEST(BddSift, ShrinksInterleavedComparator) {
   // f = (a0&b0) | (a1&b1) | ... with the bad order a0..an b0..bn has
   // exponential size; sifting must interleave the pairs and shrink it.

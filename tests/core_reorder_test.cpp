@@ -15,7 +15,9 @@
 #include "core/traversal.hpp"
 #include "random_stg.hpp"
 #include "stg/generators.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 namespace stgcheck::core {
 namespace {
@@ -192,22 +194,55 @@ TEST(SiftedTraversalProperty, ForcedSiftMatchesUnsiftedBaselineOnRandomStgs) {
   }
 }
 
-
-// Converged sifting plugs into the traversal without changing the answer.
-TEST(ConvergedSifting, TraversalReachesTheSameFixedPoint) {
-  const stg::Stg net = stg::master_read(4);
+// Sifting scores each position by the live node count, so every swap must
+// free the nodes it kills: garbage left behind grows with every swap and
+// carries the sift's peak far past the table it started from (tens of
+// times over on muller16). Each sift's trace span carries its starting
+// live count and its own peak.
+TEST(SiftScoring, ForcedSiftStaysWithinItsGrowthEnvelope) {
+  const stg::Stg net = stg::make_family_instance("muller16");
   SymbolicStg sym(net);
+  TraceRecorder rec;
+  sym.manager().set_trace(&rec);
+  TraversalOptions forced;
+  forced.auto_sift_threshold = 0;  // sift at the first doubling
+  const TraversalResult sifted = traverse(sym, forced);
+  sym.manager().set_trace(nullptr);
+  sym.manager().check_invariants();
+
+  // A sweep goes on while the table stays within max_growth (1.2) of the
+  // best size seen, which is at most the start; the block move that
+  // crosses that line overshoots by what its swaps build before the
+  // nodes they kill are freed. A tenth of the start bounds that slack.
+  constexpr double kMaxGrowth = 1.2;
+  std::size_t sifts = 0;
+  const json::Value doc = rec.to_json();
+  for (const json::Value& e : doc.at("traceEvents").as_array()) {
+    if (e.at("name").as_string() != "sift") continue;
+    ++sifts;
+    const json::Value& args = e.at("args");
+    const double start = args.at("live_nodes_before").as_number();
+    const double peak = args.at("peak_live_nodes").as_number();
+    EXPECT_LE(peak, (kMaxGrowth + 0.1) * start)
+        << "sift " << sifts << " started at " << start << " live nodes";
+  }
+  EXPECT_GT(sifts, 0u) << "threshold 0 must actually sift";
+
+  // The sifted traversal reports what the unsifted one does.
   TraversalOptions plain;
   plain.auto_sift = false;
   const TraversalResult ref = traverse(sym, plain);
+  EXPECT_EQ(sifted.reached, ref.reached);
+  EXPECT_DOUBLE_EQ(sifted.stats.states, ref.stats.states);
+  EXPECT_DOUBLE_EQ(sifted.stats.markings, ref.stats.markings);
+  EXPECT_EQ(sifted.stats.passes, ref.stats.passes);
+  EXPECT_EQ(sifted.stats.image_computations, ref.stats.image_computations);
+  EXPECT_EQ(sifted.consistent, ref.consistent);
+  EXPECT_EQ(sifted.safe, ref.safe);
+  EXPECT_EQ(sifted.consistency_violations, ref.consistency_violations);
 
-  TraversalOptions converged;
-  converged.auto_sift = true;
-  converged.sift_converged = true;
-  converged.auto_sift_threshold = 1'000;  // force reorders on a small net
-  const TraversalResult r = traverse(sym, converged);
-  EXPECT_EQ(r.reached, ref.reached);
-  EXPECT_DOUBLE_EQ(r.stats.states, ref.stats.states);
+  // An explicit sift of the settled table keeps the kernel invariants.
+  sym.manager().sift();
   sym.manager().check_invariants();
 }
 
