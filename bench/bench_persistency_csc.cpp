@@ -3,7 +3,8 @@
 //
 // Each family is traversed once under the saturation engine, as
 // `stg_check --engine saturation` traverses it; then five checks run on
-// the reached set and are timed separately:
+// the encoding and the reached set, with no engine, and are timed
+// separately:
 //   * deadlock-freedom (deadlock_states, counted),
 //   * transition persistency (Fig. 6a),
 //   * signal persistency (Fig. 6b; the mutex families declare all-pairs
@@ -30,7 +31,6 @@
 
 #include "bench_common.hpp"
 #include "core/checks.hpp"
-#include "core/image_engine.hpp"
 #include "core/traversal.hpp"
 #include "util/stopwatch.hpp"
 
@@ -52,7 +52,6 @@ struct Row {
   std::size_t fake_offending = 0;
   double csc_s = 0;
   std::size_t csc_conflicts = 0;
-  std::size_t check_image_calls = 0;  // image_via calls made by the checks
   std::size_t peak_live_nodes = 0;
 };
 
@@ -74,47 +73,43 @@ Row run(const stg::FamilyInstance& fam) {
   Stopwatch watch;
   core::SymbolicStg sym(s, core::Ordering::kInterleaved, 1 << 14,
                         /*with_primed_vars=*/true);
-  const std::unique_ptr<core::ImageEngine> engine =
-      core::make_engine(core::EngineKind::kSaturation, sym);
   core::TraversalOptions topt;
   topt.engine = core::EngineKind::kSaturation;
-  const core::TraversalResult traversal = core::traverse(*engine, topt);
+  const core::TraversalResult traversal = core::traverse(sym, topt);
   row.traversal_s = watch.restart();
   row.states = traversal.stats.states;
   const bdd::Bdd& reached = traversal.reached;
-  const std::size_t images_before = engine->stats().image_calls;
 
   row.deadlock_states = sym.count_states(core::deadlock_states(sym, reached));
   row.deadlock_s = watch.restart();
 
   row.transition_conflicts =
-      core::transition_persistency(*engine, reached).size();
+      core::transition_persistency(sym, reached).size();
   row.transition_persistency_s = watch.restart();
 
   row.persistency_violations =
-      core::signal_persistency(*engine, reached, arbitration(s, fam)).size();
+      core::signal_persistency(sym, reached, arbitration(s, fam)).size();
   row.signal_persistency_s = watch.restart();
 
   row.fake_offending =
-      core::check_fake_freedom(*engine, reached).offending.size();
+      core::check_fake_freedom(sym, reached).offending.size();
   row.fake_conflicts_s = watch.restart();
 
   row.csc_conflicts = core::check_csc(sym, reached).conflicts.size();
   row.csc_s = watch.restart();
 
-  row.check_image_calls = engine->stats().image_calls - images_before;
   row.peak_live_nodes = sym.manager().peak_live_nodes();
 
   std::printf(
       "%-9s states=%.3e  T+C=%7.3fs  deadlock=%7.3fs (%g)  "
       "trans-pers=%7.3fs (%zu)  sig-pers=%7.3fs (%zu)  fake=%7.3fs (%zu)  "
-      "csc=%7.3fs (%zu)  images=%zu  peak=%zu\n",
+      "csc=%7.3fs (%zu)  peak=%zu\n",
       row.family.c_str(), row.states, row.traversal_s, row.deadlock_s,
       row.deadlock_states, row.transition_persistency_s,
       row.transition_conflicts,
       row.signal_persistency_s, row.persistency_violations,
       row.fake_conflicts_s, row.fake_offending, row.csc_s, row.csc_conflicts,
-      row.check_image_calls, row.peak_live_nodes);
+      row.peak_live_nodes);
   std::fflush(stdout);
   return row;
 }
@@ -128,7 +123,7 @@ bool write_json(const char* path, const std::vector<Row>& rows) {
   std::fputs("[\n", f);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    // select96's state count overflows a double; spell it as Python's
+    // A count past 2^1023 is inf (ROADMAP item 6); spell it as Python's
     // json module reads it back.
     char states[32];
     if (std::isfinite(r.states)) {
@@ -146,13 +141,13 @@ bool write_json(const char* path, const std::vector<Row>& rows) {
                  "\"persistency_violations\": %zu, "
                  "\"fake_conflicts_s\": %.6f, \"fake_offending\": %zu, "
                  "\"csc_s\": %.6f, \"csc_conflicts\": %zu, "
-                 "\"check_image_calls\": %zu, \"peak_live_nodes\": %zu}%s\n",
+                 "\"peak_live_nodes\": %zu}%s\n",
                  r.family.c_str(), states, r.traversal_s, r.deadlock_s,
                  r.deadlock_states, r.transition_persistency_s,
                  r.transition_conflicts, r.signal_persistency_s,
                  r.persistency_violations,
                  r.fake_conflicts_s, r.fake_offending, r.csc_s,
-                 r.csc_conflicts, r.check_image_calls, r.peak_live_nodes,
+                 r.csc_conflicts, r.peak_live_nodes,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fputs("]\n", f);

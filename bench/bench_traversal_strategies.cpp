@@ -1,6 +1,6 @@
 // Fig. 5 ablation: the paper's chaining traversal against a classic
-// frontier BFS, a full-fixpoint recomputation, the monolithic relation
-// and the saturation backend -- each with dynamic reordering off and on.
+// frontier BFS, the monolithic relation and the saturation backend --
+// each with dynamic reordering off and on.
 // The "saturation" arm computes the whole fixpoint with the in-kernel
 // REACH operation (per-transition sparse relations partitioned by level,
 // no whole-space frontiers; see docs/architecture.md).
@@ -23,7 +23,7 @@
 // dynamic reordering is a lever, not a free lunch.
 //
 // Every row reports peak_intermediate_nodes: the worst transient live-node
-// overhead of a single image/preimage step (peak inside the step minus
+// overhead of a single image step (peak inside the step minus
 // live entering it), sampled by the engines' step gauges. The select24
 // monolithic arm's multi-million-node and_exists intermediates live here,
 // not in any stored BDD.
@@ -183,8 +183,6 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on, bool scaled) {
                      core::TraversalStrategy::kChaining, sift);
     run_cofactor_arm(s, std::string("frontier BFS") + suffix,
                      core::TraversalStrategy::kFrontierBfs, sift);
-    run_cofactor_arm(s, std::string("full fixpoint") + suffix,
-                     core::TraversalStrategy::kFullFixpoint, sift);
     run_relation_arm(s, std::string("monolithic rel.") + suffix,
                      core::EngineKind::kMonolithicRelation,
                      core::TraversalStrategy::kFrontierBfs, sift);

@@ -43,9 +43,8 @@ void analyze(const stgcheck::stg::Stg& stg) {
   std::printf("USC: %s, CSC: %s\n", csc.unique_state_coding ? "yes" : "NO",
               csc.complete_state_coding ? "yes" : "NO");
   if (!csc.complete_state_coding) {
-    core::CofactorEngine engine(sym);
     const core::SymReducibilityResult red =
-        core::check_csc_reducibility(engine, traversal.reached);
+        core::check_csc_reducibility(sym, traversal.reached, csc);
     if (red.reducible) {
       std::puts("verdict: REDUCIBLE - internal signal insertion can fix it");
     } else {

@@ -24,10 +24,9 @@ void analyze(const stgcheck::stg::Stg& stg) {
   core::SymbolicStg sym(stg);
   core::TraversalResult traversal = core::traverse(sym);
   std::printf("reachable full states: %.0f\n", traversal.stats.states);
-  core::CofactorEngine engine(sym);
 
   const auto transition_conflicts =
-      core::transition_persistency(engine, traversal.reached);
+      core::transition_persistency(sym, traversal.reached);
   std::printf("non-persistent transition pairs: %zu\n", transition_conflicts.size());
   for (const auto& v : transition_conflicts) {
     std::printf("  transition %s disabled by %s\n",
@@ -35,7 +34,7 @@ void analyze(const stgcheck::stg::Stg& stg) {
                 stg.format_label(v.disabler).c_str());
   }
 
-  const auto signal_violations = core::signal_persistency(engine, traversal.reached);
+  const auto signal_violations = core::signal_persistency(sym, traversal.reached);
   std::printf("signal persistency violations:  %zu\n", signal_violations.size());
   for (const auto& v : signal_violations) {
     std::printf("  signal %s disabled by %s\n",
@@ -43,14 +42,14 @@ void analyze(const stgcheck::stg::Stg& stg) {
                 stg.format_label(v.disabler).c_str());
   }
 
-  for (const auto& report : core::analyze_fake_conflicts(engine, traversal.reached)) {
+  for (const auto& report : core::analyze_fake_conflicts(sym, traversal.reached)) {
     const char* kind = report.symmetric_fake()    ? "symmetric fake"
                        : report.asymmetric_fake() ? "asymmetric fake"
                                                   : "real";
     std::printf("conflict %s vs %s: %s\n", stg.format_label(report.t1).c_str(),
                 stg.format_label(report.t2).c_str(), kind);
   }
-  const auto freedom = core::check_fake_freedom(engine, traversal.reached);
+  const auto freedom = core::check_fake_freedom(sym, traversal.reached);
   std::printf("fake-free STG: %s\n\n", freedom.fake_free ? "yes" : "NO");
 }
 

@@ -25,41 +25,40 @@ std::vector<std::pair<pn::TransitionId, pn::TransitionId>> conflict_pairs(
 }
 
 /// States of `from` that `t` fires into a successor outside `target`:
-/// image_via(from, t) <= target iff `from` is disjoint from this.
-Bdd fires_outside(ImageEngine& engine, pn::TransitionId t, const Bdd& target) {
-  return engine.fire_guard(t).minus(engine.after_firing(target, t));
+/// sym.image(from, t) <= target iff `from` is disjoint from this.
+Bdd fires_outside(SymbolicStg& sym, pn::TransitionId t, const Bdd& target) {
+  return sym.fire_guard(t).minus(sym.after_firing(target, t));
 }
 
-/// States that `t` fires into `target`: image_via(from, t) meets target iff
-/// `from` meets this.
-Bdd fires_into(ImageEngine& engine, pn::TransitionId t, const Bdd& target) {
-  return engine.fire_guard(t) & engine.after_firing(target, t);
+/// States that `t` fires into `target`: sym.image(from, t) meets target
+/// iff `from` meets this.
+Bdd fires_into(SymbolicStg& sym, pn::TransitionId t, const Bdd& target) {
+  return sym.fire_guard(t) & sym.after_firing(target, t);
 }
 
 /// One full state after `t` fires from `enabled & bad`: a single state of
 /// that set is picked, without building it, and only that state is imaged.
-Bdd witness_after(ImageEngine& engine, const Bdd& enabled, const Bdd& bad,
+Bdd witness_after(SymbolicStg& sym, const Bdd& enabled, const Bdd& bad,
                   pn::TransitionId t) {
-  SymbolicStg& sym = engine.sym();
-  return engine.image_via(
+  return sym.image(
       sym.manager().pick_one_minterm(enabled, bad, sym.state_var_list()), t);
 }
 
 /// Fig. 6(a)'s bad set for one ordered pair: the states the disabler fires
 /// into a successor where the victim is no longer enabled.
-Bdd transition_disabling(ImageEngine& engine, pn::TransitionId victim,
+Bdd transition_disabling(SymbolicStg& sym, pn::TransitionId victim,
                          pn::TransitionId disabler) {
-  return fires_outside(engine, disabler, engine.sym().enabling_cube(victim));
+  return fires_outside(sym, disabler, sym.enabling_cube(victim));
 }
 
 /// Fig. 6(b)'s bad set for one ordered pair: the states the disabler fires
 /// into a successor where no transition of ti's signal and direction is
 /// enabled.
-Bdd signal_disabling(ImageEngine& engine, pn::TransitionId ti,
+Bdd signal_disabling(SymbolicStg& sym, pn::TransitionId ti,
                      pn::TransitionId disabler) {
-  const TransitionLabel& label = engine.sym().stg().label(ti);
-  return fires_outside(engine, disabler,
-                       engine.sym().enabled_signal(label.signal, label.dir));
+  const TransitionLabel& label = sym.stg().label(ti);
+  return fires_outside(sym, disabler,
+                       sym.enabled_signal(label.signal, label.dir));
 }
 
 }  // namespace
@@ -69,8 +68,7 @@ Bdd signal_disabling(ImageEngine& engine, pn::TransitionId ti,
 // ---------------------------------------------------------------------------
 
 std::vector<SymTransitionPersistencyViolation> transition_persistency(
-    ImageEngine& engine, const Bdd& reached) {
-  SymbolicStg& sym = engine.sym();
+    SymbolicStg& sym, const Bdd& reached) {
   std::vector<SymTransitionPersistencyViolation> result;
   const pn::PetriNet& net = sym.stg().net();
   for (const auto& [t1, t2] : conflict_pairs(net)) {
@@ -81,7 +79,7 @@ std::vector<SymTransitionPersistencyViolation> transition_persistency(
       const Bdd enabled = reached & sym.enabling_cube(victim);
       if (enabled.is_false()) continue;
       if (enabled.disjoint_with(
-              transition_disabling(engine, victim, disabler))) {
+              transition_disabling(sym, victim, disabler))) {
         continue;
       }
       result.push_back(SymTransitionPersistencyViolation{victim, disabler});
@@ -91,20 +89,18 @@ std::vector<SymTransitionPersistencyViolation> transition_persistency(
 }
 
 Bdd transition_persistency_witness(
-    ImageEngine& engine, const Bdd& reached,
+    SymbolicStg& sym, const Bdd& reached,
     const SymTransitionPersistencyViolation& violation) {
-  const Bdd enabled =
-      reached & engine.sym().enabling_cube(violation.victim);
+  const Bdd enabled = reached & sym.enabling_cube(violation.victim);
   return witness_after(
-      engine, enabled,
-      transition_disabling(engine, violation.victim, violation.disabler),
+      sym, enabled,
+      transition_disabling(sym, violation.victim, violation.disabler),
       violation.disabler);
 }
 
 std::vector<SymPersistencyViolation> signal_persistency(
-    ImageEngine& engine, const Bdd& reached,
+    SymbolicStg& sym, const Bdd& reached,
     const SymPersistencyOptions& options) {
-  SymbolicStg& sym = engine.sym();
   std::vector<SymPersistencyViolation> result;
   const stg::Stg& stg = sym.stg();
   const pn::PetriNet& net = stg.net();
@@ -142,7 +138,7 @@ std::vector<SymPersistencyViolation> signal_persistency(
       // whole signal (same direction, any instance) must still be enabled.
       const Bdd enabled = reached & sym.enabling_cube(ti);
       if (enabled.is_false()) continue;
-      if (enabled.disjoint_with(signal_disabling(engine, ti, tj))) continue;
+      if (enabled.disjoint_with(signal_disabling(sym, ti, tj))) continue;
       reported.insert({victim, tj});
       result.push_back(SymPersistencyViolation{victim, tj, victim_input, ti});
     }
@@ -150,11 +146,11 @@ std::vector<SymPersistencyViolation> signal_persistency(
   return result;
 }
 
-Bdd signal_persistency_witness(ImageEngine& engine, const Bdd& reached,
+Bdd signal_persistency_witness(SymbolicStg& sym, const Bdd& reached,
                                const SymPersistencyViolation& violation) {
-  const Bdd enabled = reached & engine.sym().enabling_cube(violation.ti);
-  return witness_after(engine, enabled,
-                       signal_disabling(engine, violation.ti, violation.disabler),
+  const Bdd enabled = reached & sym.enabling_cube(violation.ti);
+  return witness_after(sym, enabled,
+                       signal_disabling(sym, violation.ti, violation.disabler),
                        violation.disabler);
 }
 
@@ -238,16 +234,14 @@ SymCscResult check_csc(SymbolicStg& sym, const Bdd& reached) {
 // CSC-reducibility
 // ---------------------------------------------------------------------------
 
-SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
+SymReducibilityResult check_csc_reducibility(SymbolicStg& sym,
                                              const Bdd& reached) {
-  return check_csc_reducibility(engine, reached,
-                                check_csc(engine.sym(), reached));
+  return check_csc_reducibility(sym, reached, check_csc(sym, reached));
 }
 
-SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
+SymReducibilityResult check_csc_reducibility(SymbolicStg& sym,
                                              const Bdd& reached,
                                              const SymCscResult& csc) {
-  SymbolicStg& sym = engine.sym();
   SymReducibilityResult result;
   const stg::Stg& stg = sym.stg();
   const pn::PetriNet& net = stg.net();
@@ -280,7 +274,7 @@ SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
     while (changed) {
       changed = false;
       for (pn::TransitionId t : input_transitions) {
-        const Bdd pre = engine.preimage_via(frozen, t) & reached;
+        const Bdd pre = sym.preimage(frozen, t) & reached;
         if (!pre.implies(frozen)) {
           frozen |= pre;
           changed = true;
@@ -292,7 +286,7 @@ SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
     while (changed) {
       changed = false;
       for (pn::TransitionId t : input_transitions) {
-        const Bdd post = engine.image_via(frozen, t) & reached;
+        const Bdd post = sym.image(frozen, t) & reached;
         if (!post.implies(frozen)) {
           frozen |= post;
           changed = true;
@@ -312,9 +306,8 @@ SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
 // Fake conflicts
 // ---------------------------------------------------------------------------
 
-std::vector<SymFakeConflictReport> analyze_fake_conflicts(ImageEngine& engine,
+std::vector<SymFakeConflictReport> analyze_fake_conflicts(SymbolicStg& sym,
                                                           const Bdd& reached) {
-  SymbolicStg& sym = engine.sym();
   std::vector<SymFakeConflictReport> result;
   const stg::Stg& stg = sym.stg();
   const pn::PetriNet& net = stg.net();
@@ -339,9 +332,9 @@ std::vector<SymFakeConflictReport> analyze_fake_conflicts(ImageEngine& engine,
     for (pn::TransitionId tk : stg.transitions_of(li.signal, li.dir)) {
       if (tk != ti && tk != tj) others |= sym.enabling_cube(tk);
     }
-    fake = !enabled.disjoint_with(fires_into(engine, tj, others));
+    fake = !enabled.disjoint_with(fires_into(sym, tj, others));
     disables = !enabled.disjoint_with(
-        fires_outside(engine, tj, sym.enabled_signal_any(li.signal)));
+        fires_outside(sym, tj, sym.enabled_signal_any(li.signal)));
   };
 
   for (const auto& [t1, t2] : conflict_pairs(net)) {
@@ -355,11 +348,10 @@ std::vector<SymFakeConflictReport> analyze_fake_conflicts(ImageEngine& engine,
   return result;
 }
 
-SymFakeFreedomResult check_fake_freedom(ImageEngine& engine, const Bdd& reached) {
-  SymbolicStg& sym = engine.sym();
+SymFakeFreedomResult check_fake_freedom(SymbolicStg& sym, const Bdd& reached) {
   SymFakeFreedomResult result;
   const stg::Stg& stg = sym.stg();
-  for (const SymFakeConflictReport& report : analyze_fake_conflicts(engine, reached)) {
+  for (const SymFakeConflictReport& report : analyze_fake_conflicts(sym, reached)) {
     const TransitionLabel& l1 = stg.label(report.t1);
     const TransitionLabel& l2 = stg.label(report.t2);
     const bool involves_noninput =

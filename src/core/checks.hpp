@@ -12,14 +12,15 @@
 // Every function has an explicit twin in src/sg/explicit_checks.hpp with
 // identical semantics; the cross-validation tests enforce agreement.
 //
-// Checks that fire transitions (persistency, fake conflicts,
-// CSC-reducibility) take an ImageEngine&, so they run unchanged on every
-// backend (cofactor, monolithic relation, saturation). The pair checks
-// never image a set of states: they test `reached & E(ti)` against
-// ImageEngine::fire_guard / after_firing predicates over places and
+// Every check takes the encoding and the reached set, `(SymbolicStg&,
+// reached)`, so it runs unchanged whichever engine traversed. The pair
+// checks never image a set of states: they test `reached & E(ti)` against
+// SymbolicStg::fire_guard / after_firing predicates over places and
 // signals. A violation images nothing unless its witness is asked for
 // (transition_persistency_witness, signal_persistency_witness), and then
-// only the one picked state that witness needs.
+// only the one picked state that witness needs, through the cofactor
+// image (SymbolicStg::image). The CSC-reducibility closure steps through
+// SymbolicStg::image / preimage.
 #pragma once
 
 #include <string>
@@ -44,14 +45,14 @@ struct SymTransitionPersistencyViolation {
 /// victim still enabled after the disabler fires? One disjointness test
 /// per ordered pair; no witness is built (transition_persistency_witness).
 std::vector<SymTransitionPersistencyViolation> transition_persistency(
-    ImageEngine& engine, const bdd::Bdd& reached);
+    SymbolicStg& sym, const bdd::Bdd& reached);
 
 /// One witness state of a transition_persistency violation, on request:
 /// a minterm over the place+signal variables, taken after the disabler
 /// fired from a reached state where the victim was enabled, in which the
 /// victim is no longer enabled.
 bdd::Bdd transition_persistency_witness(
-    ImageEngine& engine, const bdd::Bdd& reached,
+    SymbolicStg& sym, const bdd::Bdd& reached,
     const SymTransitionPersistencyViolation& violation);
 
 struct SymPersistencyViolation {
@@ -71,14 +72,14 @@ struct SymPersistencyOptions {
 /// Fig. 6(b) restricted to the Def. 3.2 conditions: a non-input signal
 /// disabled by anything, or an input signal disabled by a non-input.
 std::vector<SymPersistencyViolation> signal_persistency(
-    ImageEngine& engine, const bdd::Bdd& reached,
+    SymbolicStg& sym, const bdd::Bdd& reached,
     const SymPersistencyOptions& options = {});
 
 /// One witness state of a signal_persistency violation, on request: a
 /// minterm over the place+signal variables, taken after the disabler fired
 /// from a reached state where `ti` was enabled, in which no transition of
 /// the victim signal in ti's direction is enabled.
-bdd::Bdd signal_persistency_witness(ImageEngine& engine,
+bdd::Bdd signal_persistency_witness(SymbolicStg& sym,
                                     const bdd::Bdd& reached,
                                     const SymPersistencyViolation& violation);
 
@@ -143,13 +144,13 @@ struct SymReducibilityResult {
 /// input transitions (within `reached`), and test whether a contradictory
 /// excited state is hit -- that is a mutually complementary input
 /// sequence, which no internal signal insertion can break. `csc` is
-/// check_csc(engine.sym(), reached), passed in so a pipeline that already
-/// has it does not compute it twice.
-SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
+/// check_csc(sym, reached), passed in so a pipeline that already has it
+/// does not compute it twice.
+SymReducibilityResult check_csc_reducibility(SymbolicStg& sym,
                                              const bdd::Bdd& reached,
                                              const SymCscResult& csc);
 /// The same, computing check_csc itself.
-SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
+SymReducibilityResult check_csc_reducibility(SymbolicStg& sym,
                                              const bdd::Bdd& reached);
 
 // ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ struct SymFakeConflictReport {
   bool asymmetric_fake() const { return fake_against_t1 != fake_against_t2; }
 };
 
-std::vector<SymFakeConflictReport> analyze_fake_conflicts(ImageEngine& engine,
+std::vector<SymFakeConflictReport> analyze_fake_conflicts(SymbolicStg& sym,
                                                           const bdd::Bdd& reached);
 
 struct SymFakeFreedomResult {
@@ -178,6 +179,34 @@ struct SymFakeFreedomResult {
 
 /// Sec. 3.5 acceptance rule: no symmetric fakes, no asymmetric fakes
 /// involving a non-input signal.
-SymFakeFreedomResult check_fake_freedom(ImageEngine& engine, const bdd::Bdd& reached);
+SymFakeFreedomResult check_fake_freedom(SymbolicStg& sym, const bdd::Bdd& reached);
+
+// ---------------------------------------------------------------------------
+// Engine forwarders
+// ---------------------------------------------------------------------------
+// perfbench/harness.cpp still calls these four with an engine; each runs
+// the check on engine.sym().
+
+/// Kept for the perfbench harness until ROADMAP item 1's benchmark change.
+inline std::vector<SymPersistencyViolation> signal_persistency(
+    ImageEngine& engine, const bdd::Bdd& reached,
+    const SymPersistencyOptions& options = {}) {
+  return signal_persistency(engine.sym(), reached, options);
+}
+/// Kept for the perfbench harness until ROADMAP item 1's benchmark change.
+inline std::vector<SymTransitionPersistencyViolation> transition_persistency(
+    ImageEngine& engine, const bdd::Bdd& reached) {
+  return transition_persistency(engine.sym(), reached);
+}
+/// Kept for the perfbench harness until ROADMAP item 1's benchmark change.
+inline SymFakeFreedomResult check_fake_freedom(ImageEngine& engine,
+                                               const bdd::Bdd& reached) {
+  return check_fake_freedom(engine.sym(), reached);
+}
+/// Kept for the perfbench harness until ROADMAP item 1's benchmark change.
+inline SymReducibilityResult check_csc_reducibility(ImageEngine& engine,
+                                                    const bdd::Bdd& reached) {
+  return check_csc_reducibility(engine.sym(), reached);
+}
 
 }  // namespace stgcheck::core

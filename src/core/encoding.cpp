@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "core/image_engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -201,6 +200,9 @@ void SymbolicStg::build_cubes() {
   npm_.reserve(net.transition_count());
   nsm_.reserve(net.transition_count());
   asm_.reserve(net.transition_count());
+  unsafe_guard_.resize(net.transition_count());
+  fire_guard_.resize(net.transition_count());
+  firing_cube_.resize(net.transition_count());
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
     bdd::CubeLiterals enabled;
     bdd::CubeLiterals none_pre;
@@ -327,16 +329,100 @@ Bdd SymbolicStg::initial_state() const {
 // ---------------------------------------------------------------------------
 // Image and preimage
 // ---------------------------------------------------------------------------
-// The delta pipeline lives in the engine layer (core/image_engine.cpp);
-// these members delegate so pre-engine call sites keep working.
 
-Bdd SymbolicStg::image(const Bdd& states, pn::TransitionId t,
-                       Bdd* unsafe_out) const {
-  return cofactor_image(*this, states, t, unsafe_out);
+namespace {
+
+/// OR of the place literals a firing of `t` produces into without
+/// consuming from: the states where those are already marked are exactly
+/// the safeness violations of `t`.
+Bdd marked_successor_cube(SymbolicStg& sym, pn::TransitionId t) {
+  const pn::PetriNet& net = sym.stg().net();
+  const std::vector<pn::PlaceId>& pre = net.preset(t);
+  Bdd marked = sym.manager().bdd_false();
+  for (pn::PlaceId p : net.postset(t)) {
+    if (std::find(pre.begin(), pre.end(), p) != pre.end()) continue;
+    marked |= sym.place(p);
+  }
+  return marked;
+}
+
+}  // namespace
+
+Bdd SymbolicStg::image(const Bdd& states, pn::TransitionId t) const {
+  // The paper's pipeline: select the enabled part and drop the preset
+  // variables (cofactor by E(t)), set the preset to empty, check/cofactor
+  // the postset empty, then set the postset full.
+  Bdd step = manager_->cofactor(states, e_[t]);
+  step &= npm_[t];
+  step = manager_->cofactor(step, nsm_[t]);
+  step &= asm_[t];
+  if (step.is_false()) return step;
+  // Keep the consistent half and flip the fired signal's bit. States with
+  // the signal already at its post-transition value would be inconsistent
+  // firings; the consistency check reports them, the image simply never
+  // creates them (Sec. 5.1).
+  const stg::TransitionLabel& label = stg_->label(t);
+  if (label.is_dummy()) return step;
+  const Bdd sig = signal(label.signal);
+  if (label.dir == stg::Dir::kPlus) {
+    return manager_->cofactor(step, !sig) & sig;
+  }
+  return manager_->cofactor(step, sig) & !sig;
 }
 
 Bdd SymbolicStg::preimage(const Bdd& states, pn::TransitionId t) const {
-  return cofactor_preimage(*this, states, t);
+  // The exact inverse: swap the roles of the four cubes and flip the
+  // signal the other way.
+  Bdd step = manager_->cofactor(states, asm_[t]);
+  step &= nsm_[t];
+  step = manager_->cofactor(step, npm_[t]);
+  step &= e_[t];
+  if (step.is_false()) return step;
+  const stg::TransitionLabel& label = stg_->label(t);
+  if (label.is_dummy()) return step;
+  const Bdd sig = signal(label.signal);
+  if (label.dir == stg::Dir::kPlus) {
+    return manager_->cofactor(step, sig) & !sig;  // a was 0 before a+
+  }
+  return manager_->cofactor(step, !sig) & sig;  // a was 1 before a-
+}
+
+Bdd SymbolicStg::unsafe_states(const Bdd& states, pn::TransitionId t) {
+  Bdd& guard = unsafe_guard_[t];
+  if (!guard.valid()) guard = e_[t] & marked_successor_cube(*this, t);
+  // The usual answer is "none": decide that without building anything.
+  if (states.disjoint_with(guard)) return manager_->bdd_false();
+  return states & guard;
+}
+
+const Bdd& SymbolicStg::fire_guard(pn::TransitionId t) {
+  Bdd& guard = fire_guard_[t];
+  if (!guard.valid()) {
+    // The three selections of image() (E(t), NSM after the preset is
+    // emptied, the signal flip) and of the relations' core constraints.
+    guard = e_[t].minus(marked_successor_cube(*this, t));
+    const stg::TransitionLabel& label = stg_->label(t);
+    if (!label.is_dummy()) {
+      const Bdd sig = signal(label.signal);
+      guard &= label.dir == stg::Dir::kPlus ? !sig : sig;
+    }
+  }
+  return guard;
+}
+
+Bdd SymbolicStg::after_firing(const Bdd& predicate, pn::TransitionId t) {
+  Bdd& cube = firing_cube_[t];
+  if (!cube.valid()) {
+    // The assignment image() leaves: postset full (ASM), preset empty
+    // (NPM) except for places the firing also produces into.
+    cube = asm_[t] & manager_->exists(npm_[t], asm_[t]);
+    const stg::TransitionLabel& label = stg_->label(t);
+    if (!label.is_dummy()) {
+      const Bdd sig = signal(label.signal);
+      cube &= label.dir == stg::Dir::kPlus ? sig : !sig;
+    }
+  }
+  return manager_->cofactor(predicate, cube);
 }
 
 // ---------------------------------------------------------------------------

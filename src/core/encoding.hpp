@@ -125,18 +125,34 @@ class SymbolicStg {
   bdd::Bdd marking_cube(const pn::Marking& m) const;
 
   // ---- Image computation -----------------------------------------------------
-  // Thin delegates to the cofactor pipeline in core/image_engine.hpp; new
-  // code should go through an ImageEngine, which makes the backend
-  // swappable (cofactor vs. transition relations).
+  // The paper's cofactor image (Sec. 4) and the fire guards the checks
+  // test against. They need no relation, so they run on any encoding,
+  // primed or not; every check of core/checks.hpp goes through them.
 
-  /// delta_D(states, t): successors of `states` under t. If `unsafe_out`
-  /// is non-null it receives the subset of `states` from which firing t
-  /// would put a second token on a successor place (safeness violations;
-  /// those states are excluded from the image).
-  bdd::Bdd image(const bdd::Bdd& states, pn::TransitionId t,
-                 bdd::Bdd* unsafe_out = nullptr) const;
-  /// Exact inverse of image (on consistently-encoded safe states).
+  /// delta_D(states, t): successors of `states` under t,
+  /// ((states_E(t) . NPM(t))_NSM(t) . ASM(t) plus the fired signal's bit
+  /// flip. Firings that would be unsafe (unsafe_states) or inconsistent
+  /// are never imaged.
+  bdd::Bdd image(const bdd::Bdd& states, pn::TransitionId t) const;
+  /// Exact inverse of image: the states of fire_guard(t) whose successor
+  /// under t lies in `states`.
   bdd::Bdd preimage(const bdd::Bdd& states, pn::TransitionId t) const;
+
+  /// States of `states` from which firing `t` would deposit a second token
+  /// on a successor place. image() excludes such firings (so does every
+  /// image engine); this reports them so the traversal can flag the
+  /// violation.
+  bdd::Bdd unsafe_states(const bdd::Bdd& states, pn::TransitionId t);
+  /// The states image() fires `t` from: E(t), no successor-only place
+  /// marked, and t's signal at its pre-firing value.
+  const bdd::Bdd& fire_guard(pn::TransitionId t);
+  /// `predicate` read one firing of `t` ahead: the states whose successor
+  /// under t satisfies it (the preset-only places fixed to 0, the postset
+  /// to 1, t's signal to its post-firing value). So a state predicate P is
+  /// tested against an image without computing it:
+  ///   image(S, t) <= P  iff  S disjoint from fire_guard(t) & !after_firing(P, t)
+  ///   image(S, t) & P   iff  S meets      fire_guard(t) &  after_firing(P, t)
+  bdd::Bdd after_firing(const bdd::Bdd& predicate, pn::TransitionId t);
 
   // ---- Counting ---------------------------------------------------------------
 
@@ -176,6 +192,13 @@ class SymbolicStg {
   bdd::Bdd primed_cube_;
   bdd::Bdd state_cube_;
   bdd::Bdd any_enabled_;  // built by any_enabled(); invalid until then
+  /// Built per transition on first use (invalid until then): E(t) & (OR
+  /// of the successor-only place literals), the states unsafe_states()
+  /// returns; fire_guard(); and the post-firing assignment cube
+  /// after_firing() cofactors by.
+  std::vector<bdd::Bdd> unsafe_guard_;
+  std::vector<bdd::Bdd> fire_guard_;
+  std::vector<bdd::Bdd> firing_cube_;
 };
 
 }  // namespace stgcheck::core

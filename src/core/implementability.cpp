@@ -30,8 +30,9 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
   Stopwatch total;
   Stopwatch phase;
 
-  // One engine drives the traversal and every firing check, so the whole
-  // suite runs on whichever backend the caller selected.
+  // The engine only traverses; every check after it runs on the encoding.
+  // It still lives to the end of the check: freeing its relations before
+  // the checks would move the session peaks (ROADMAP item 2).
   const std::unique_ptr<ImageEngine> engine =
       make_engine(options.engine, sym, options.engine_options);
 
@@ -105,8 +106,8 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
         popts.arbitration_pairs.push_back({s1, s2});
       }
     }
-    report.persistency_violations = signal_persistency(*engine, reached, popts);
-    report.transition_conflicts = transition_persistency(*engine, reached);
+    report.persistency_violations = signal_persistency(sym, reached, popts);
+    report.transition_conflicts = transition_persistency(sym, reached);
   }
   report.signal_persistent = report.persistency_violations.empty();
   report.times.persistency = phase.restart();
@@ -123,7 +124,7 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
 
   // ---- Phase 3: determinism + commutativity via fake conflicts ------------
   report.deterministic = determinism_violations(sym, reached).is_false();
-  report.fake_freedom = check_fake_freedom(*engine, reached);
+  report.fake_freedom = check_fake_freedom(sym, reached);
   report.fake_free = report.fake_freedom.fake_free;
   report.times.commutativity = phase.restart();
   phase_done("commutativity", report.times.commutativity);
@@ -146,7 +147,7 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
     report.csc_reducible = true;
   } else {
     report.reducibility =
-        check_csc_reducibility(*engine, reached, report.csc_result);
+        check_csc_reducibility(sym, reached, report.csc_result);
     report.csc_reducible = report.reducibility.reducible;
   }
   report.times.csc = phase.restart();

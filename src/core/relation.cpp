@@ -91,14 +91,9 @@ SparseRelation build_sparse_relation(SymbolicStg& sym, pn::TransitionId t) {
   SparseRelation r;
   r.rel = core_constraints(sym, t, r.support);
   r.quant_cube = m.positive_cube(r.support);
-  r.rename_to_primed.resize(m.var_count());
-  for (Var v = 0; v < r.rename_to_primed.size(); ++v) r.rename_to_primed[v] = v;
   std::vector<Var> primed;
   primed.reserve(r.support.size());
-  for (Var v : r.support) {
-    r.rename_to_primed[v] = to_primed[v];
-    primed.push_back(to_primed[v]);
-  }
+  for (Var v : r.support) primed.push_back(to_primed[v]);
   r.primed_quant_cube = m.positive_cube(primed);
   return r;
 }

@@ -21,9 +21,9 @@
 //             (preset/postset places and the fired signal). Its image
 //             quantifies and renames only that support; untouched
 //             variables flow through S unchanged, which is the frame
-//             condition for free. The sparse record carries the cubes
-//             and the rename map that image, preimage and the kernel's
-//             REACH need; the saturation engine keeps one per transition.
+//             condition for free. The sparse record carries the cube
+//             the image and the kernel's REACH quantify; the saturation
+//             engine keeps one per transition.
 #pragma once
 
 #include <vector>
@@ -32,16 +32,17 @@
 
 namespace stgcheck::core {
 
-/// One transition's frame-free relation plus everything a sparse image or
-/// preimage step needs.
+/// One transition's frame-free relation plus everything a sparse image
+/// step needs.
 struct SparseRelation {
   bdd::Bdd rel;
   /// Unprimed state variables constrained by `rel`, sorted by id.
   std::vector<bdd::Var> support;
   bdd::Bdd quant_cube;         ///< positive cube of `support`
+  // No code reads this cube. It stays until the next benchmark change:
+  // building it creates nodes, so dropping it moves every saturation peak
+  // (ROADMAP item 1).
   bdd::Bdd primed_quant_cube;  ///< positive cube of the primed twins
-  /// support -> primed twin, identity elsewhere (a support-local rename).
-  std::vector<bdd::Var> rename_to_primed;
 };
 
 /// Full-frame relation of one transition (constrains every state variable).
@@ -49,7 +50,7 @@ struct SparseRelation {
 bdd::Bdd build_full_relation(SymbolicStg& sym, pn::TransitionId t);
 
 /// Frame-free relation of one transition: constraints only over the
-/// variables `t` touches, with its cubes and rename map. Requires primed
+/// variables `t` touches, with its cubes. Requires primed
 /// variables.
 SparseRelation build_sparse_relation(SymbolicStg& sym, pn::TransitionId t);
 

@@ -37,9 +37,9 @@ SaturationEngine::SaturationEngine(SymbolicStg& sym) : ImageEngine(sym) {
   // per relation, so merging buys no locality, and the padded-disjunction
   // construction of merged relations (select24: ~350k transient live
   // nodes) would dominate the whole fixpoint's footprint.
-  relations_.reserve(transitions_.size());
+  sparse_.reserve(transitions_.size());
   for (const pn::TransitionId t : transitions_) {
-    relations_.push_back(build_sparse_relation(sym, t));
+    sparse_.push_back(build_sparse_relation(sym, t));
   }
   refresh_node_stats();
   rebuild_partition();
@@ -47,18 +47,18 @@ SaturationEngine::SaturationEngine(SymbolicStg& sym) : ImageEngine(sym) {
 
 void SaturationEngine::refresh_node_stats() {
   std::vector<Bdd> rels;
-  rels.reserve(relations_.size());
-  for (const SparseRelation& r : relations_) rels.push_back(r.rel);
+  rels.reserve(sparse_.size());
+  for (const SparseRelation& r : sparse_) rels.push_back(r.rel);
   stats_.relation_nodes = sym_.manager().count_nodes(rels);
 }
 
 void SaturationEngine::rebuild_partition() {
-  partition_ = level_partition(sym_.manager(), relations_);
-  reach_relations_.clear();
-  reach_relations_.reserve(partition_.size());
+  partition_ = level_partition(sym_.manager(), sparse_);
+  reach_operands_.clear();
+  reach_operands_.reserve(partition_.size());
   for (const LevelRelationInfo& info : partition_) {
-    const SparseRelation& r = relations_[info.transition];
-    reach_relations_.push_back(bdd::ReachRelation{r.rel, r.quant_cube});
+    const SparseRelation& r = sparse_[info.transition];
+    reach_operands_.push_back(bdd::ReachRelation{r.rel, r.quant_cube});
   }
 }
 
@@ -74,25 +74,15 @@ Bdd SaturationEngine::reach_fixpoint(const Bdd& from) {
   ++stats_.image_calls;
   ++reach_calls_;
   StepGauge gauge(*this);
-  return sym_.manager().reach(from, reach_relations_);
+  return sym_.manager().reach(from, reach_operands_);
 }
 
 Bdd SaturationEngine::image_via(const Bdd& states, pn::TransitionId t) {
   sync_with_order();
   ++stats_.image_calls;
   StepGauge gauge(*this);
-  const SparseRelation& r = relations_[t];
+  const SparseRelation& r = sparse_[t];
   return sym_.manager().rel_next(states, r.rel, r.quant_cube);
-}
-
-Bdd SaturationEngine::preimage_via(const Bdd& states, pn::TransitionId t) {
-  sync_with_order();
-  ++stats_.preimage_calls;
-  StepGauge gauge(*this);
-  bdd::Manager& m = sym_.manager();
-  const SparseRelation& r = relations_[t];
-  const Bdd primed_states = m.permute(states, r.rename_to_primed);
-  return m.and_exists(primed_states, r.rel, r.primed_quant_cube);
 }
 
 }  // namespace stgcheck::core

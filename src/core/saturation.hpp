@@ -21,13 +21,11 @@
 //
 //   * SaturationEngine plugs the operation in behind the standard
 //     ImageEngine interface: traverse() detects computes_global_fixpoint()
-//     and calls reach_fixpoint() instead of iterating units. The
-//     implementability checks test the reached set against the engine's
-//     fire guards (ImageEngine::fire_guard/after_firing) and image nothing
-//     per pair; only a violation's one-state witness and the
-//     CSC-reducibility closure step through image_via/preimage_via, which
-//     are served from the same sparse relations (the forward image through
-//     the kernel's rel_next product).
+//     and calls reach_fixpoint() instead of iterating units. Its
+//     per-transition image_via (the kernel's rel_next product) serves the
+//     step-wise loop a net with unbound initial values falls back to. The
+//     implementability checks never see the engine: they run on the
+//     encoding (SymbolicStg's fire guards and cofactor image).
 #pragma once
 
 #include "core/image_engine.hpp"
@@ -56,9 +54,8 @@ std::vector<LevelRelationInfo> level_partition(
 /// The third image backend: whole-space reachability through the kernel's
 /// REACH operation. Requires an encoding with primed variables (the
 /// twin-pair layout is what the kernel's positional rename relies on).
-/// Step-wise images run on the same per-transition relations: the forward
-/// image goes through Manager::rel_next (one in-kernel product, no rename
-/// pass), the preimage through the classic sparse relational product.
+/// Step-wise images run on the same per-transition relations through
+/// Manager::rel_next (one in-kernel product, no rename pass).
 class SaturationEngine final : public ImageEngine {
  public:
   explicit SaturationEngine(SymbolicStg& sym);
@@ -72,12 +69,11 @@ class SaturationEngine final : public ImageEngine {
   bdd::Bdd reach_fixpoint(const bdd::Bdd& from) override;
 
   bdd::Bdd image_via(const bdd::Bdd& states, pn::TransitionId t) override;
-  bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
 
   // ---- Introspection (tests, benches, docs) ------------------------------
 
   /// The sparse relations, indexed by transition.
-  const std::vector<SparseRelation>& relations() const { return relations_; }
+  const std::vector<SparseRelation>& relations() const { return sparse_; }
   /// The current level partition (refreshed on every reorder epoch).
   const std::vector<LevelRelationInfo>& partition() const { return partition_; }
   /// Completed kernel reach() calls.
@@ -90,10 +86,10 @@ class SaturationEngine final : public ImageEngine {
   void refresh_node_stats();
   void rebuild_partition();
 
-  std::vector<SparseRelation> relations_;  // indexed by transition
+  std::vector<SparseRelation> sparse_;  // indexed by transition
   std::vector<LevelRelationInfo> partition_;
   /// The relations as kernel reach operands, in partition order.
-  std::vector<bdd::ReachRelation> reach_relations_;
+  std::vector<bdd::ReachRelation> reach_operands_;
   std::size_t reach_calls_ = 0;
 };
 

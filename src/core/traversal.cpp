@@ -13,7 +13,6 @@ const char* to_string(TraversalStrategy strategy) {
   switch (strategy) {
     case TraversalStrategy::kChaining: return "chaining";
     case TraversalStrategy::kFrontierBfs: return "bfs";
-    case TraversalStrategy::kFullFixpoint: return "fixpoint";
   }
   return "?";
 }
@@ -21,15 +20,14 @@ const char* to_string(TraversalStrategy strategy) {
 std::optional<TraversalStrategy> parse_traversal_strategy(
     std::string_view name) {
   for (const TraversalStrategy s :
-       {TraversalStrategy::kChaining, TraversalStrategy::kFrontierBfs,
-        TraversalStrategy::kFullFixpoint}) {
+       {TraversalStrategy::kChaining, TraversalStrategy::kFrontierBfs}) {
     if (names_equal_dashed(name, to_string(s))) return s;
   }
   return std::nullopt;
 }
 
 std::string valid_traversal_strategy_names() {
-  return "chaining, bfs, fixpoint";
+  return "chaining, bfs";
 }
 
 namespace {
@@ -200,7 +198,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
     if (options.check_safeness) {
       TraceSpan span(options.trace, "safeness", "traversal");
       for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
-        if (!engine.unsafe_states(reached, t).is_false()) {
+        if (!sym.unsafe_states(reached, t).is_false()) {
           result.safe = false;
           result.safeness_detail =
               "firing " + sym.stg().format_label(t) +
@@ -228,9 +226,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
       }
 
       Bdd pass_new = sym.manager().bdd_false();
-      Bdd fire_base = options.strategy == TraversalStrategy::kFullFixpoint
-                          ? reached
-                          : from;
+      Bdd fire_base = from;
 
       for (std::size_t u = 0; u < engine.unit_count() && !stop; ++u) {
         {
@@ -248,7 +244,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
               // Every backend silently excludes unsafe firings from its
               // image; detect and report them here (uniformly, from the
               // cubes).
-              const Bdd unsafe = engine.unsafe_states(fire_base, t);
+              const Bdd unsafe = sym.unsafe_states(fire_base, t);
               if (!unsafe.is_false()) {
                 result.safe = false;
                 result.safeness_detail =

@@ -40,9 +40,6 @@ enum class TraversalStrategy {
   /// Classic frontier BFS: all transitions fire from the previous
   /// frontier only; discoveries wait for the next pass.
   kFrontierBfs,
-  /// Fire every transition from the full Reached set each pass. Most
-  /// robust, most redundant work; the ablation baseline.
-  kFullFixpoint,
 };
 
 const char* to_string(TraversalStrategy strategy);

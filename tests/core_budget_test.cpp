@@ -113,17 +113,16 @@ TEST(Budget, TripInsideEmptinessTestLeavesManagerClean) {
   // way once disarmed.
   const stg::Stg net = stg::mutex_arbiter(3);
   SymbolicStg sym(net);
-  CofactorEngine engine(sym);
   TraversalOptions options;
   options.abort_on_violation = false;
-  const TraversalResult r = traverse(engine, options);
+  const TraversalResult r = traverse(sym, options);
   Manager& m = sym.manager();
   const Bdd& reached = r.reached;
   const Bdd e0 = sym.enabling_cube(0);
   const Bdd any0 = sym.enabled_signal_any(net.label(0).signal);
   const bool disjoint = reached.disjoint_with(e0);
   const bool implies = reached.implies(any0);
-  const bool unsafe = !engine.unsafe_states(reached, 0).is_false();
+  const bool unsafe = !sym.unsafe_states(reached, 0).is_false();
 
   for (const LimitKind kind : {LimitKind::kCancelled, LimitKind::kDeadline}) {
     ResourceBudget budget;
@@ -148,14 +147,14 @@ TEST(Budget, TripInsideEmptinessTestLeavesManagerClean) {
     };
     expect_trip([&] { (void)reached.disjoint_with(e0); });
     expect_trip([&] { (void)reached.implies(any0); });
-    expect_trip([&] { (void)engine.unsafe_states(reached, 0); });
+    expect_trip([&] { (void)sym.unsafe_states(reached, 0); });
   }
 
   // Reusable: the same verdicts, and a full check suite still runs.
   EXPECT_EQ(reached.disjoint_with(e0), disjoint);
   EXPECT_EQ(reached.implies(any0), implies);
-  EXPECT_EQ(!engine.unsafe_states(reached, 0).is_false(), unsafe);
-  EXPECT_FALSE(signal_persistency(engine, reached).empty());
+  EXPECT_EQ(!sym.unsafe_states(reached, 0).is_false(), unsafe);
+  EXPECT_FALSE(signal_persistency(sym, reached).empty());
   EXPECT_TRUE(check_csc(sym, reached).complete_state_coding);
   EXPECT_NO_THROW(m.check_invariants());
 }

@@ -20,15 +20,13 @@ using bdd::Bdd;
 
 struct Checked {
   std::unique_ptr<SymbolicStg> sym;
-  std::unique_ptr<CofactorEngine> engine;
   TraversalResult traversal;
 };
 
 Checked run(const stg::Stg& s) {
   Checked c;
   c.sym = std::make_unique<SymbolicStg>(s);
-  c.engine = std::make_unique<CofactorEngine>(*c.sym);
-  c.traversal = traverse(*c.engine);
+  c.traversal = traverse(*c.sym);
   EXPECT_TRUE(c.traversal.ok()) << s.name();
   return c;
 }
@@ -39,24 +37,24 @@ Checked run(const stg::Stg& s) {
 
 TEST(SymPersistency, MarkedGraphsClean) {
   Checked c = run(stg::muller_pipeline(4));
-  EXPECT_TRUE(transition_persistency(*c.engine, c.traversal.reached).empty());
-  EXPECT_TRUE(signal_persistency(*c.engine, c.traversal.reached).empty());
+  EXPECT_TRUE(transition_persistency(*c.sym, c.traversal.reached).empty());
+  EXPECT_TRUE(signal_persistency(*c.sym, c.traversal.reached).empty());
 }
 
 TEST(SymPersistency, Fig3TransitionConflictButSignalPersistent) {
   Checked c = run(stg::examples::fig3_d1());
-  EXPECT_FALSE(transition_persistency(*c.engine, c.traversal.reached).empty());
-  EXPECT_TRUE(signal_persistency(*c.engine, c.traversal.reached).empty());
+  EXPECT_FALSE(transition_persistency(*c.sym, c.traversal.reached).empty());
+  EXPECT_TRUE(signal_persistency(*c.sym, c.traversal.reached).empty());
 }
 
 TEST(SymPersistency, MutexViolatesWithoutArbitration) {
   stg::Stg s = stg::examples::mutex2();
   Checked c = run(s);
-  auto violations = signal_persistency(*c.engine, c.traversal.reached);
+  auto violations = signal_persistency(*c.sym, c.traversal.reached);
   ASSERT_FALSE(violations.empty());
   for (const auto& v : violations) {
     EXPECT_FALSE(v.victim_is_input);
-    EXPECT_TRUE(signal_persistency_witness(*c.engine, c.traversal.reached, v)
+    EXPECT_TRUE(signal_persistency_witness(*c.sym, c.traversal.reached, v)
                     .implies(c.traversal.reached));
   }
 
@@ -64,18 +62,18 @@ TEST(SymPersistency, MutexViolatesWithoutArbitration) {
   options.arbitration_pairs.push_back(
       {s.find_signal("g1"), s.find_signal("g2")});
   EXPECT_TRUE(
-      signal_persistency(*c.engine, c.traversal.reached, options).empty());
+      signal_persistency(*c.sym, c.traversal.reached, options).empty());
 }
 
 TEST(SymPersistency, InputChoiceLegal) {
   Checked c = run(stg::select_chain(2));
-  EXPECT_TRUE(signal_persistency(*c.engine, c.traversal.reached).empty());
-  EXPECT_FALSE(transition_persistency(*c.engine, c.traversal.reached).empty());
+  EXPECT_TRUE(signal_persistency(*c.sym, c.traversal.reached).empty());
+  EXPECT_FALSE(transition_persistency(*c.sym, c.traversal.reached).empty());
 }
 
 TEST(SymPersistency, OutputKilledByOutputDetected) {
   Checked c = run(stg::examples::fake_asymmetric(/*output_ab=*/true));
-  auto violations = signal_persistency(*c.engine, c.traversal.reached);
+  auto violations = signal_persistency(*c.sym, c.traversal.reached);
   ASSERT_FALSE(violations.empty());
 }
 
@@ -243,21 +241,21 @@ TEST(SymReducibility, Verdicts) {
   // CSC ok: vacuously reducible.
   {
     Checked c = run(stg::muller_pipeline(2));
-    SymReducibilityResult r = check_csc_reducibility(*c.engine, c.traversal.reached);
+    SymReducibilityResult r = check_csc_reducibility(*c.sym, c.traversal.reached);
     EXPECT_TRUE(r.csc_satisfied);
     EXPECT_TRUE(r.reducible);
   }
   // output_cycle: reducible (no inputs at all).
   {
     Checked c = run(stg::examples::output_cycle());
-    SymReducibilityResult r = check_csc_reducibility(*c.engine, c.traversal.reached);
+    SymReducibilityResult r = check_csc_reducibility(*c.sym, c.traversal.reached);
     EXPECT_FALSE(r.csc_satisfied);
     EXPECT_TRUE(r.reducible);
   }
   // pulse_cycle: irreducible (input-only path joins the contradiction).
   {
     Checked c = run(stg::examples::pulse_cycle());
-    SymReducibilityResult r = check_csc_reducibility(*c.engine, c.traversal.reached);
+    SymReducibilityResult r = check_csc_reducibility(*c.sym, c.traversal.reached);
     EXPECT_FALSE(r.csc_satisfied);
     EXPECT_FALSE(r.reducible);
     ASSERT_EQ(r.irreducible_signals.size(), 1u);
@@ -266,7 +264,7 @@ TEST(SymReducibility, Verdicts) {
   // input_pulse_counter: irreducible on y.
   {
     Checked c = run(stg::examples::input_pulse_counter());
-    SymReducibilityResult r = check_csc_reducibility(*c.engine, c.traversal.reached);
+    SymReducibilityResult r = check_csc_reducibility(*c.sym, c.traversal.reached);
     EXPECT_FALSE(r.reducible);
   }
 }
@@ -279,18 +277,17 @@ TEST(SymReducibility, PassedInCscResultMatchesRecomputedOne) {
   for (int i = 0; i < testutil::kExampleNetCount; ++i) {
     const stg::Stg net = testutil::example_net(i);
     SymbolicStg sym(net);
-    CofactorEngine engine(sym);
     TraversalOptions options;
     options.abort_on_violation = false;
-    const TraversalResult t = traverse(engine, options);
+    const TraversalResult t = traverse(sym, options);
     if (!t.ok()) continue;
     const SymCscResult csc = check_csc(sym, t.reached);
     if (csc.complete_state_coding) continue;
     ++failing;
     const SymReducibilityResult passed =
-        check_csc_reducibility(engine, t.reached, csc);
+        check_csc_reducibility(sym, t.reached, csc);
     const SymReducibilityResult recomputed =
-        check_csc_reducibility(engine, t.reached);
+        check_csc_reducibility(sym, t.reached);
     EXPECT_FALSE(passed.csc_satisfied) << net.name();
     EXPECT_EQ(passed.csc_satisfied, recomputed.csc_satisfied) << net.name();
     EXPECT_EQ(passed.reducible, recomputed.reducible) << net.name();
@@ -306,32 +303,32 @@ TEST(SymReducibility, PassedInCscResultMatchesRecomputedOne) {
 
 TEST(SymFake, Fig3D1Symmetric) {
   Checked c = run(stg::examples::fig3_d1());
-  auto reports = analyze_fake_conflicts(*c.engine, c.traversal.reached);
+  auto reports = analyze_fake_conflicts(*c.sym, c.traversal.reached);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_TRUE(reports[0].symmetric_fake());
-  EXPECT_FALSE(check_fake_freedom(*c.engine, c.traversal.reached).fake_free);
+  EXPECT_FALSE(check_fake_freedom(*c.sym, c.traversal.reached).fake_free);
 }
 
 TEST(SymFake, AsymmetricClassification) {
   Checked c = run(stg::examples::fake_asymmetric());
-  auto reports = analyze_fake_conflicts(*c.engine, c.traversal.reached);
+  auto reports = analyze_fake_conflicts(*c.sym, c.traversal.reached);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_TRUE(reports[0].asymmetric_fake());
   // Between two inputs: tolerated.
-  EXPECT_TRUE(check_fake_freedom(*c.engine, c.traversal.reached).fake_free);
+  EXPECT_TRUE(check_fake_freedom(*c.sym, c.traversal.reached).fake_free);
 
   Checked c2 = run(stg::examples::fake_asymmetric(/*output_ab=*/true));
-  EXPECT_FALSE(check_fake_freedom(*c2.engine, c2.traversal.reached).fake_free);
+  EXPECT_FALSE(check_fake_freedom(*c2.sym, c2.traversal.reached).fake_free);
 }
 
 TEST(SymFake, MutexConflictsReal) {
   Checked c = run(stg::examples::mutex2());
-  for (const auto& r : analyze_fake_conflicts(*c.engine, c.traversal.reached)) {
+  for (const auto& r : analyze_fake_conflicts(*c.sym, c.traversal.reached)) {
     EXPECT_FALSE(r.symmetric_fake());
     EXPECT_FALSE(r.asymmetric_fake());
     EXPECT_TRUE(r.disables_t1 || r.disables_t2);
   }
-  EXPECT_TRUE(check_fake_freedom(*c.engine, c.traversal.reached).fake_free);
+  EXPECT_TRUE(check_fake_freedom(*c.sym, c.traversal.reached).fake_free);
 }
 
 }  // namespace

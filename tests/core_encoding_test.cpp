@@ -100,18 +100,18 @@ TEST(Encoding, ImageDetectsUnsafeFiring) {
   stg::Stg s = stg::examples::unsafe_two_token_ring();
   SymbolicStg sym(s);
   const pn::TransitionId ap = s.net().find_transition("a+");
-  Bdd unsafe;
-  sym.image(sym.initial_state(), ap, &unsafe);
-  // Firing a+ puts a second token on p1 (already marked initially).
-  EXPECT_FALSE(unsafe.is_false());
+  // Firing a+ puts a second token on p1 (already marked initially); the
+  // image leaves that firing out.
+  EXPECT_FALSE(sym.unsafe_states(sym.initial_state(), ap).is_false());
+  EXPECT_TRUE(sym.image(sym.initial_state(), ap).is_false());
 }
 
 TEST(Encoding, ImageSafeFiringReportsNothing) {
   stg::Stg s = stg::examples::pulse_cycle();
   SymbolicStg sym(s);
-  Bdd unsafe;
-  sym.image(sym.initial_state(), s.net().find_transition("a+"), &unsafe);
-  EXPECT_TRUE(unsafe.is_false());
+  EXPECT_TRUE(
+      sym.unsafe_states(sym.initial_state(), s.net().find_transition("a+"))
+          .is_false());
 }
 
 TEST(Encoding, MarkingCubeRejectsUnsafeMarking) {

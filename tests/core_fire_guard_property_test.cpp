@@ -1,25 +1,27 @@
 // The pair checks and the CSC clash test never image a set of states. They
-// rest on identities this suite checks against the images themselves, on
-// every engine, every example net, random STGs and a net with a read arc:
+// rest on identities this suite checks against the encoding's cofactor
+// image itself, on every example net, random STGs and a net with a read
+// arc:
 //   * for every transition t, state set S and state predicate P,
-//       image_via(S, t) <= P      iff  S disjoint from fire_guard(t) & !after_firing(P, t)
-//       image_via(S, t) meets P   iff  S meets fire_guard(t) & after_firing(P, t)
+//       image(S, t) <= P      iff  S disjoint from fire_guard(t) & !after_firing(P, t)
+//       image(S, t) meets P   iff  S meets fire_guard(t) & after_firing(P, t)
 //     with S ranging over the reached set, `reached & E(ti)` and random
 //     cube unions of the whole space (unsafe and inconsistent states
 //     included), and P over E(tk), enabled_signal and enabled_signal_any;
+//   * the saturation engine's per-transition image_via equals
+//     SymbolicStg::image on the same sets;
 //   * check_csc's two-product conflict code sets equal the four-region
 //     formula (ER(a+) & QR(a-)) | (ER(a-) & QR(a+)) as BDD handles, on
 //     reached sets and on arbitrary state sets alike.
 // That every persistency witness is one full state of its violation's bad
-// set is checked per engine by ReportParity (core_cross_validation_test).
+// set is checked by ReportParity (core_cross_validation_test).
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include "core/checks.hpp"
-#include "core/image_engine.hpp"
+#include "core/saturation.hpp"
 #include "core/traversal.hpp"
 #include "example_nets.hpp"
 #include "random_stg.hpp"
@@ -51,17 +53,16 @@ stg::Stg net_by_index(int index) {
   return testutil::random_stg(rng);
 }
 
-class FireGuardProperties
-    : public ::testing::TestWithParam<std::tuple<int, EngineKind>> {
+class FireGuardProperties : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
-    net = std::make_unique<stg::Stg>(net_by_index(std::get<0>(GetParam())));
+    net = std::make_unique<stg::Stg>(net_by_index(GetParam()));
+    // Primed, so the saturation engine can build its relations on it.
     sym = std::make_unique<SymbolicStg>(*net, Ordering::kInterleaved, 1 << 14,
                                         /*with_primed_vars=*/true);
-    engine = make_engine(std::get<1>(GetParam()), *sym);
     TraversalOptions options;
     options.abort_on_violation = false;  // keep unsafe/inconsistent states
-    reached = traverse(*engine, options).reached;
+    reached = traverse(*sym, options).reached;
   }
 
   std::size_t transitions() const { return net->net().transition_count(); }
@@ -104,7 +105,6 @@ class FireGuardProperties
 
   std::unique_ptr<stg::Stg> net;
   std::unique_ptr<SymbolicStg> sym;
-  std::unique_ptr<ImageEngine> engine;
   Bdd reached;
 };
 
@@ -113,18 +113,21 @@ TEST_P(FireGuardProperties, GuardFormsAgreeWithImages) {
   for (pn::TransitionId ti = 0; ti < transitions(); ++ti) {
     sets.push_back(reached & sym->enabling_cube(ti));
   }
-  for (const Bdd& s : random_sets(std::get<0>(GetParam()) + 1, 4)) {
+  for (const Bdd& s : random_sets(GetParam() + 1, 4)) {
     sets.push_back(s);
   }
   const std::vector<Bdd> ps = predicates();
+  SaturationEngine saturation(*sym);
   for (pn::TransitionId t = 0; t < transitions(); ++t) {
-    const Bdd& guard = engine->fire_guard(t);
+    const Bdd& guard = sym->fire_guard(t);
     for (std::size_t i = 0; i < sets.size(); ++i) {
       const Bdd& s = sets[i];
-      const Bdd image = engine->image_via(s, t);
+      const Bdd image = sym->image(s, t);
+      EXPECT_EQ(saturation.image_via(s, t), image)
+          << net->format_label(t) << " set " << i;
       for (std::size_t j = 0; j < ps.size(); ++j) {
         const Bdd& p = ps[j];
-        const Bdd after = engine->after_firing(p, t);
+        const Bdd after = sym->after_firing(p, t);
         EXPECT_EQ(image.implies(p), s.disjoint_with(guard.minus(after)))
             << net->format_label(t) << " set " << i << " predicate " << j;
         EXPECT_EQ(image.disjoint_with(p), s.disjoint_with(guard & after))
@@ -136,7 +139,7 @@ TEST_P(FireGuardProperties, GuardFormsAgreeWithImages) {
 
 TEST_P(FireGuardProperties, TwoProductCscEqualsFourRegions) {
   std::vector<Bdd> sets = {reached};
-  for (const Bdd& s : random_sets(std::get<0>(GetParam()) + 101, 3)) {
+  for (const Bdd& s : random_sets(GetParam() + 101, 3)) {
     sets.push_back(s);
   }
   for (const Bdd& s : sets) {
@@ -156,13 +159,8 @@ TEST_P(FireGuardProperties, TwoProductCscEqualsFourRegions) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    NetsTimesEngines, FireGuardProperties,
-    ::testing::Combine(
-        ::testing::Range(0, kNetCount),
-        ::testing::Values(EngineKind::kCofactor,
-                          EngineKind::kMonolithicRelation,
-                          EngineKind::kSaturation)));
+INSTANTIATE_TEST_SUITE_P(Nets, FireGuardProperties,
+                         ::testing::Range(0, kNetCount));
 
 }  // namespace
 }  // namespace stgcheck::core

@@ -124,8 +124,7 @@ TEST(Implementability, MarkedGraphShortcutSkipsPersistency) {
 
 TEST(Implementability, StrategiesGiveSameVerdict) {
   for (auto strategy : {TraversalStrategy::kChaining,
-                        TraversalStrategy::kFrontierBfs,
-                        TraversalStrategy::kFullFixpoint}) {
+                        TraversalStrategy::kFrontierBfs}) {
     CheckOptions options;
     options.strategy = strategy;
     ImplementabilityReport r =

@@ -96,18 +96,25 @@ class EngineReorder : public ::testing::TestWithParam<std::tuple<int, EngineKind
   TraversalResult traversal;
 };
 
+/// Successors of `states` under every unit of the engine: one full step.
+Bdd full_step(ImageEngine& engine, const Bdd& states) {
+  Bdd result = engine.sym().manager().bdd_false();
+  for (std::size_t u = 0; u < engine.unit_count(); ++u) {
+    result |= engine.image_unit(states, u);
+  }
+  return result;
+}
+
 // The headline regression: reorder the manager under a live engine, then
-// compute images and preimages. Pre-fix this threw ModelError
-// ("permutation is not monotone") on both relational backends.
+// compute images. Pre-fix this threw ModelError ("permutation is not
+// monotone") on both relational backends.
 TEST_P(EngineReorder, ImagesSurviveSiftingAndManualReorder) {
   const Bdd& reached = traversal.reached;
-  const Bdd image_before = engine->image(reached);
-  const Bdd preimage_before = engine->preimage(reached);
+  const Bdd image_before = full_step(*engine, reached);
 
   sym->manager().sift();
   expect_pairs_adjacent(*sym);
-  EXPECT_EQ(engine->image(reached), image_before);
-  EXPECT_EQ(engine->preimage(reached), preimage_before);
+  EXPECT_EQ(full_step(*engine, reached), image_before);
 
   // A manual reorder that reverses the block sequence *must* change the
   // relative order of the twin pairs (sifting alone might settle back).
@@ -116,17 +123,15 @@ TEST_P(EngineReorder, ImagesSurviveSiftingAndManualReorder) {
   sym->manager().reorder(reversed);
   ASSERT_EQ(sym->manager().current_order(), reversed);
   expect_pairs_adjacent(*sym);
-  EXPECT_EQ(engine->image(reached), image_before);
-  EXPECT_EQ(engine->preimage(reached), preimage_before);
+  EXPECT_EQ(full_step(*engine, reached), image_before);
 
+  Bdd expected = sym->manager().bdd_false();
   for (pn::TransitionId t = 0; t < net->net().transition_count(); ++t) {
-    EXPECT_EQ(engine->image_via(reached, t),
-              cofactor_image(*sym, reached, t))
+    EXPECT_EQ(engine->image_via(reached, t), sym->image(reached, t))
         << net->format_label(t);
-    EXPECT_EQ(engine->preimage_via(reached, t),
-              cofactor_preimage(*sym, reached, t))
-        << net->format_label(t);
+    expected |= sym->image(reached, t);
   }
+  EXPECT_EQ(image_before, expected);
 }
 
 // A full traversal started *after* the reorder must reach the same fixed

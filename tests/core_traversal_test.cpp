@@ -27,8 +27,7 @@ TEST(Traversal, PulseCycleReachesFourStates) {
 }
 
 TEST(Traversal, AllStrategiesAgree) {
-  for (auto strategy : {TraversalStrategy::kChaining, TraversalStrategy::kFrontierBfs,
-                        TraversalStrategy::kFullFixpoint}) {
+  for (auto strategy : {TraversalStrategy::kChaining, TraversalStrategy::kFrontierBfs}) {
     stg::Stg s = stg::mutex_arbiter(3);
     SymbolicStg sym(s);
     TraversalOptions options;

@@ -1,8 +1,8 @@
 // The relational backends: each sparse relation record quantifies exactly
 // the variables its transition touches, and the saturation engine's
-// per-transition images agree with the monolithic relation and the
-// cofactor pipeline -- including on random STGs far from the hand-built
-// generator families.
+// per-transition images and the monolithic step agree with the cofactor
+// pipeline -- including on random STGs far from the hand-built generator
+// families.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -95,21 +95,15 @@ TEST(RandomStgs, SaturationMatchesMonolithicAndCofactor) {
     topts.abort_on_violation = false;
     const TraversalResult ref = traverse(cofactor, topts);
 
-    EXPECT_EQ(saturation.image(ref.reached), monolithic.image(ref.reached))
-        << "trial " << trial;
-    EXPECT_EQ(saturation.image(ref.reached), cofactor.image(ref.reached))
-        << "trial " << trial;
-    EXPECT_EQ(saturation.preimage(ref.reached),
-              monolithic.preimage(ref.reached))
-        << "trial " << trial;
+    Bdd all_transitions = sym->manager().bdd_false();
     for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
-      EXPECT_EQ(saturation.image_via(ref.reached, t),
-                cofactor.image_via(ref.reached, t))
+      const Bdd next = sym->image(ref.reached, t);
+      EXPECT_EQ(saturation.image_via(ref.reached, t), next)
           << "trial " << trial << " " << s.format_label(t);
-      EXPECT_EQ(saturation.preimage_via(ref.reached, t),
-                cofactor.preimage_via(ref.reached, t))
-          << "trial " << trial << " " << s.format_label(t);
+      all_transitions |= next;
     }
+    EXPECT_EQ(monolithic.image_unit(ref.reached, 0), all_transitions)
+        << "trial " << trial;
 
     const TraversalResult mono_r = traverse(monolithic, topts);
     const TraversalResult sat_r = traverse(saturation, topts);

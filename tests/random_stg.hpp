@@ -1,6 +1,7 @@
-// Shared random-STG generator for property tests (image engines, dynamic
-// reordering). Kept out of any test's anonymous namespace so every suite
-// draws from the same distribution.
+// Shared random-STG generators for property tests (image engines, dynamic
+// reordering, the explicit-oracle cross-validation). Kept out of any
+// test's anonymous namespace so every suite draws from the same
+// distributions.
 #pragma once
 
 #include <string>
@@ -46,6 +47,60 @@ inline stg::Stg random_stg(Rng& rng) {
   }
   // Known initial values (first occurrence of each signal is a rise).
   for (stg::SignalId sid : sigs) s.set_initial_value(sid, false);
+  return s;
+}
+
+/// A random safe STG with one free choice: a ring through a marked choice
+/// place whose two branches each fire a rise and a fall of their own
+/// signal, then join in one place; a tail of one or two further signals
+/// leads back to the choice. Every signal's kind is drawn at random, so a
+/// branch signal disabled by the other branch is a signal-persistency
+/// violation unless both are inputs.
+inline stg::Stg random_choice_stg(Rng& rng) {
+  stg::Stg s;
+  s.set_name("random_choice");
+  const auto random_kind = [&] {
+    switch (rng.below(3)) {
+      case 0: return stg::SignalKind::kInput;
+      case 1: return stg::SignalKind::kOutput;
+      default: return stg::SignalKind::kInternal;
+    }
+  };
+  const pn::PlaceId choice = s.add_place("choice", 1);
+  const pn::PlaceId join = s.add_place("join");
+  for (const char* name : {"a", "b"}) {
+    const stg::SignalId sig = s.add_signal(name, random_kind());
+    const pn::TransitionId rise = s.add_transition(sig, stg::Dir::kPlus);
+    const pn::TransitionId fall = s.add_transition(sig, stg::Dir::kMinus);
+    s.arc_pt(choice, rise);
+    s.connect(rise, fall);
+    s.arc_tp(fall, join);
+  }
+  // The tail: every rise, then every fall, or each rise followed by its
+  // own fall.
+  const std::size_t n_tail = 1 + rng.below(2);
+  std::vector<stg::SignalId> tail;
+  for (std::size_t i = 0; i < n_tail; ++i) {
+    tail.push_back(s.add_signal("c" + std::to_string(i), random_kind()));
+  }
+  std::vector<pn::TransitionId> order;
+  if (rng.flip()) {
+    for (stg::SignalId sig : tail) order.push_back(s.add_transition(sig, stg::Dir::kPlus));
+    for (stg::SignalId sig : tail) order.push_back(s.add_transition(sig, stg::Dir::kMinus));
+  } else {
+    for (stg::SignalId sig : tail) {
+      order.push_back(s.add_transition(sig, stg::Dir::kPlus));
+      order.push_back(s.add_transition(sig, stg::Dir::kMinus));
+    }
+  }
+  s.arc_pt(join, order.front());
+  for (std::size_t j = 0; j + 1 < order.size(); ++j) {
+    s.connect(order[j], order[j + 1]);
+  }
+  s.arc_tp(order.back(), choice);
+  for (stg::SignalId sig = 0; sig < s.signal_count(); ++sig) {
+    s.set_initial_value(sig, false);
+  }
   return s;
 }
 
