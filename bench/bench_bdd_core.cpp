@@ -124,6 +124,74 @@ void BM_FullTraversal(benchmark::State& state) {
 }
 BENCHMARK(BM_FullTraversal)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
+/// The closed-set tests of a saturated traversal at the kernel layer:
+/// mutex48's reached set against its consistency and safeness cubes,
+/// built once and shared by the two arms below.
+struct ClosedSet {
+  stg::Stg net = stg::mutex_arbiter(48);
+  core::SymbolicStg sym{net, core::Ordering::kInterleaved, 1 << 14,
+                        /*with_primed_vars=*/true};
+  Bdd reached;
+  std::vector<bdd::CubeLiterals> cubes;
+  std::vector<Bdd> cube_bdds;
+  std::vector<bool> per_cube;  // the answers of one disjoint call per cube
+
+  ClosedSet() {
+    core::TraversalOptions options;
+    options.engine = core::EngineKind::kSaturation;
+    reached = core::traverse(sym, options).reached;
+    for (const auto* list : {&sym.consistency_cubes(), &sym.safeness_cubes()}) {
+      cubes.insert(cubes.end(), list->cubes.begin(), list->cubes.end());
+    }
+    for (const bdd::CubeLiterals& c : cubes) {
+      cube_bdds.push_back(sym.manager().cube(c));
+      per_cube.push_back(!reached.disjoint_with(cube_bdds.back()));
+    }
+  }
+
+  static ClosedSet& get() {
+    static ClosedSet instance;
+    return instance;
+  }
+  void counters(benchmark::State& state) const {
+    state.counters["cubes"] = static_cast<double>(cubes.size());
+    state.counters["reached_nodes"] =
+        static_cast<double>(sym.manager().count_nodes(reached));
+  }
+};
+
+// One disjoint_with walk per cube. Each iteration starts from an empty
+// computed cache, as the traversal's first test of a new reached set does.
+void BM_ClosedSetDisjointPerCube(benchmark::State& state) {
+  ClosedSet& cs = ClosedSet::get();
+  for (auto _ : state) {
+    state.PauseTiming();
+    cs.sym.manager().collect_garbage();
+    state.ResumeTiming();
+    std::vector<bool> meets;
+    meets.reserve(cs.cube_bdds.size());
+    for (const Bdd& c : cs.cube_bdds) meets.push_back(!cs.reached.disjoint_with(c));
+    if (meets != cs.per_cube) state.SkipWithError("answers differ");
+  }
+  cs.counters(state);
+}
+BENCHMARK(BM_ClosedSetDisjointPerCube)->Unit(benchmark::kMillisecond);
+
+// The same answers from one cubes_meeting call.
+void BM_ClosedSetCubesMeeting(benchmark::State& state) {
+  ClosedSet& cs = ClosedSet::get();
+  for (auto _ : state) {
+    state.PauseTiming();
+    cs.sym.manager().collect_garbage();
+    state.ResumeTiming();
+    const std::vector<bool> meets =
+        cs.sym.manager().cubes_meeting(cs.reached, cs.cubes);
+    if (meets != cs.per_cube) state.SkipWithError("answers differ");
+  }
+  cs.counters(state);
+}
+BENCHMARK(BM_ClosedSetCubesMeeting)->Unit(benchmark::kMillisecond);
+
 void BM_Sifting(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();

@@ -379,6 +379,18 @@ class Manager {
   /// computed cache under their own tag (Op::kDisjoint) and dropped with it
   /// at every GC and reorder, so no verdict outlives its operands.
   bool disjoint(const Bdd& f, const Bdd& g);
+  /// Bit c is !f.disjoint_with(cube(cubes[c])): which cubes meet f, all in
+  /// one memoized walk of f per 64-cube chunk. Each edge's word holds one
+  /// bit per cube of the chunk that meets the function under it; a node
+  /// at level l keeps its low child's bits for the cubes that allow
+  /// var(l) = 0 and its high child's for those that allow var(l) = 1, and
+  /// levels a path skips constrain nothing. A contradictory cube meets
+  /// nothing, an empty one meets any non-false f. Creates no nodes and
+  /// counts as one call on the disjoint profile slot. The literals name
+  /// variables, so a cube list stays valid across reorders; an unknown
+  /// variable throws ModelError.
+  std::vector<bool> cubes_meeting(const Bdd& f,
+                                  const std::vector<CubeLiterals>& cubes);
   /// Variable substitution f[v := perm[v]], valid for any variable order.
   /// `perm` must cover f's support, map into existing variables, and be
   /// injective on the support (a duplicated target would not be a
@@ -711,6 +723,8 @@ class Manager {
   NodeRef permute_general_rec(NodeRef f, const std::vector<Var>& perm,
                               std::unordered_map<NodeRef, NodeRef>& memo);
   bool disjoint_rec(NodeRef f, NodeRef g);
+  struct MeetWalk;  // cubes_meeting's per-chunk masks and edge memo
+  std::uint64_t meets_rec(NodeRef e, MeetWalk& walk) const;
 
   // ISOP core. Returns the BDD of the cover and appends cubes (sharing the
   // current prefix passed by the caller).

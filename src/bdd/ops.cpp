@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -545,6 +546,111 @@ bool Manager::disjoint_rec(NodeRef f, NodeRef g) {
 
   const bool result = disjoint_rec(f0, g0) && disjoint_rec(f1, g1);
   cache_store(Op::kDisjoint, f, g, kFalse, result ? kTrue : kFalse);
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// Many cubes against one function (no new nodes; the memo is private to
+// the call, one open-addressing table of edge -> cube bits per chunk)
+// ---------------------------------------------------------------------------
+
+struct Manager::MeetWalk {
+  std::uint64_t all = 0;            // the chunk's non-contradictory cubes
+  std::vector<std::uint64_t> pos;   // per level: cubes allowing var = 1
+  std::vector<std::uint64_t> neg;   // per level: cubes allowing var = 0
+  std::vector<NodeRef> keys;        // kInvalidRef = empty slot
+  std::vector<std::uint64_t> words;
+  std::size_t used = 0;
+
+  std::size_t slot(NodeRef e) const {
+    const std::size_t mask = keys.size() - 1;
+    std::size_t i = (static_cast<std::size_t>(e) * 0x9E3779B97F4A7C15ull) >> 32;
+    for (i &= mask; keys[i] != kInvalidRef && keys[i] != e; i = (i + 1) & mask) {
+    }
+    return i;
+  }
+  void store(NodeRef e, std::uint64_t word) {
+    // At most three quarters full. A walk usually memoizes about one edge
+    // per node, but both polarities of a node may show up.
+    if (4 * (used + 1) > 3 * keys.size()) {
+      const std::vector<NodeRef> old_keys = std::exchange(
+          keys, std::vector<NodeRef>(2 * keys.size(), kInvalidRef));
+      const std::vector<std::uint64_t> old_words = std::exchange(
+          words, std::vector<std::uint64_t>(2 * words.size()));
+      for (std::size_t i = 0; i < old_keys.size(); ++i) {
+        if (old_keys[i] == kInvalidRef) continue;
+        const std::size_t j = slot(old_keys[i]);
+        keys[j] = old_keys[i];
+        words[j] = old_words[i];
+      }
+    }
+    const std::size_t i = slot(e);
+    keys[i] = e;
+    words[i] = word;
+    ++used;
+  }
+};
+
+std::uint64_t Manager::meets_rec(NodeRef e, MeetWalk& walk) const {
+  if (e == kTrue) return walk.all;
+  if (e == kFalse) return 0;
+  const std::size_t hit = walk.slot(e);
+  if (walk.keys[hit] == e) return walk.words[hit];
+  const std::size_t l = level(e);
+  std::uint64_t meets = 0;
+  if (walk.neg[l] != 0) meets = meets_rec(low_of(e), walk) & walk.neg[l];
+  // The high child can only add cubes that allow var(l) = 1 and are not
+  // already known to meet.
+  if ((walk.pos[l] & ~meets) != 0) {
+    meets |= meets_rec(high_of(e), walk) & walk.pos[l];
+  }
+  walk.store(e, meets);
+  return meets;
+}
+
+std::vector<bool> Manager::cubes_meeting(
+    const Bdd& f, const std::vector<CubeLiterals>& cubes) {
+  poll_budget();
+  ++counters_.calls[op_slot(OpKind::kDisjoint)];
+  ProfileTimer timer(*this, OpKind::kDisjoint);
+  for (const CubeLiterals& c : cubes) {
+    for (const Literal& lit : c) {
+      if (lit.var >= var2level_.size()) {
+        throw ModelError("cubes_meeting: unknown variable v" +
+                         std::to_string(lit.var));
+      }
+    }
+  }
+  std::vector<bool> result(cubes.size(), false);
+  if (f.ref() == kFalse || cubes.empty()) return result;
+
+  MeetWalk walk;
+  const std::size_t nodes = count_nodes(f);
+  std::size_t capacity = 16;
+  while (3 * capacity < 4 * nodes) capacity <<= 1;
+  walk.keys.resize(capacity);
+  walk.words.resize(capacity);
+  for (std::size_t first = 0; first < cubes.size(); first += 64) {
+    const std::size_t n = std::min<std::size_t>(64, cubes.size() - first);
+    const std::uint64_t chunk = n == 64 ? ~0ull : (1ull << n) - 1;
+    walk.pos.assign(var2level_.size(), chunk);
+    walk.neg.assign(var2level_.size(), chunk);
+    walk.all = chunk;
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::uint64_t bit = 1ull << c;
+      for (const Literal& lit : cubes[first + c]) {
+        const std::size_t l = var2level_[lit.var];
+        (lit.positive ? walk.neg : walk.pos)[l] &= ~bit;
+        if (((walk.pos[l] | walk.neg[l]) & bit) == 0) {
+          walk.all &= ~bit;  // both polarities: the cube is empty
+        }
+      }
+    }
+    std::fill(walk.keys.begin(), walk.keys.end(), kInvalidRef);
+    walk.used = 0;
+    const std::uint64_t meets = meets_rec(f.ref(), walk);
+    for (std::size_t c = 0; c < n; ++c) result[first + c] = (meets >> c) & 1u;
+  }
   return result;
 }
 

@@ -220,6 +220,27 @@ void SymbolicStg::build_cubes() {
     npm_.push_back(manager_->cube(none_pre));
     nsm_.push_back(manager_->cube(none_post));
     asm_.push_back(manager_->cube(all_post));
+
+    const std::vector<pn::PlaceId>& pre = net.preset(t);
+    for (pn::PlaceId p : net.postset(t)) {
+      if (std::find(pre.begin(), pre.end(), p) != pre.end()) continue;
+      safeness_cubes_.cubes.push_back(enabled);
+      safeness_cubes_.cubes.back().push_back({place_vars_[p], true});
+      safeness_cubes_.owners.push_back(t);
+    }
+  }
+  for (stg::SignalId s = 0; s < stg_->signal_count(); ++s) {
+    for (const stg::Dir dir : {stg::Dir::kPlus, stg::Dir::kMinus}) {
+      // a+ is inconsistent where a = 1 already, a- where a = 0.
+      const bool value = dir == stg::Dir::kPlus;
+      for (pn::TransitionId t : stg_->transitions_of(s, dir)) {
+        bdd::CubeLiterals cube;
+        for (pn::PlaceId p : net.preset(t)) cube.push_back({place_vars_[p], true});
+        cube.push_back({signal_vars_[s], value});
+        consistency_cubes_.cubes.push_back(std::move(cube));
+        consistency_cubes_.owners.push_back(2 * s + (value ? 0 : 1));
+      }
+    }
   }
   place_cube_ = manager_->positive_cube(place_var_list());
   signal_cube_ = manager_->positive_cube(signal_var_list());

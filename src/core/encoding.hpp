@@ -114,6 +114,21 @@ class SymbolicStg {
   /// the encoding's lifetime.
   const bdd::Bdd& any_enabled();
 
+  /// Cubes whose emptiness within a set of states decides a closed-set
+  /// test, each tagged with the owner it reports for. They are literal
+  /// lists over variables (bdd::Manager::cubes_meeting), so they stay
+  /// valid across reorders.
+  struct OwnedCubes {
+    std::vector<bdd::CubeLiterals> cubes;
+    std::vector<std::size_t> owners;  ///< owners[c] owns cubes[c]
+  };
+  /// Per signal s, E(t) & s for each s+ transition t (owner 2s: s+ enabled
+  /// while s = 1), then E(t) & !s for each s- transition (owner 2s + 1).
+  const OwnedCubes& consistency_cubes() const { return consistency_cubes_; }
+  /// Per transition t, E(t) & p for each place p that t produces into
+  /// without consuming from (owner t): the states unsafe_states() returns.
+  const OwnedCubes& safeness_cubes() const { return safeness_cubes_; }
+
   // ---- States --------------------------------------------------------------
 
   /// Characteristic function of the initial full state: the initial
@@ -192,6 +207,8 @@ class SymbolicStg {
   bdd::Bdd primed_cube_;
   bdd::Bdd state_cube_;
   bdd::Bdd any_enabled_;  // built by any_enabled(); invalid until then
+  OwnedCubes consistency_cubes_;
+  OwnedCubes safeness_cubes_;
   /// Built per transition on first use (invalid until then): E(t) & (OR
   /// of the successor-only place literals), the states unsafe_states()
   /// returns; fire_guard(); and the post-firing assignment cube

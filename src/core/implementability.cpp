@@ -85,8 +85,12 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
   const bdd::Bdd& reached = report.traversal.reached;
 
   // ---- Deadlock-freedom -----------------------------------------------------
-  report.deadlock_states_count = sym.count_states(deadlock_states(sym, reached));
-  report.deadlock_free = report.deadlock_states_count == 0;
+  {
+    // The verdict is the BDD test; the count is only for the report.
+    const bdd::Bdd dead = deadlock_states(sym, reached);
+    report.deadlock_free = dead.is_false();
+    report.deadlock_states_count = sym.count_states(dead);
+  }
   report.times.deadlock = phase.restart();
   phase_done("deadlock", report.times.deadlock);
   verdict("deadlock_free", report.deadlock_free,

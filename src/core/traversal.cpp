@@ -77,24 +77,36 @@ class LazyBinder {
   bool all_bound_ = false;
 };
 
+/// Per owner of `list`, whether any of its cubes meets `states`: one
+/// node-free walk of `states` for the whole list.
+std::vector<bool> owners_meeting(SymbolicStg& sym, const Bdd& states,
+                                 const SymbolicStg::OwnedCubes& list,
+                                 std::size_t owner_count) {
+  const std::vector<bool> meets =
+      sym.manager().cubes_meeting(states, list.cubes);
+  std::vector<bool> hit(owner_count, false);
+  for (std::size_t c = 0; c < meets.size(); ++c) {
+    if (meets[c]) hit[list.owners[c]] = true;
+  }
+  return hit;
+}
+
 /// Appends consistency violations found in `states` to the result.
 void check_consistency_on(SymbolicStg& sym, const Bdd& states,
                           TraversalResult& result) {
   const stg::Stg& stg = sym.stg();
+  // Inconsistent(a+) = E(a+) & a, Inconsistent(a-) = E(a-) & a', tested
+  // within `states` cube by cube (E(t) & a per a+ transition t), so
+  // neither union is built.
+  const std::vector<bool> bad = owners_meeting(
+      sym, states, sym.consistency_cubes(), 2 * stg.signal_count());
   for (stg::SignalId s = 0; s < stg.signal_count(); ++s) {
-    const Bdd sig = sym.signal(s);
-    // Inconsistent(a+) = E(a+) & a, Inconsistent(a-) = E(a-) & a'. Only
-    // their emptiness within `states` matters, so neither is built.
-    const bool bad_rise =
-        !states.disjoint_with(sym.enabled_signal(s, stg::Dir::kPlus) & sig);
-    const bool bad_fall =
-        !states.disjoint_with(sym.enabled_signal(s, stg::Dir::kMinus) & !sig);
-    if (bad_rise) {
+    if (bad[2 * s]) {
       result.consistent = false;
       result.consistency_violations.push_back(
           stg.signal_name(s) + "+ enabled while " + stg.signal_name(s) + " = 1");
     }
-    if (bad_fall) {
+    if (bad[2 * s + 1]) {
       result.consistent = false;
       result.consistency_violations.push_back(
           stg.signal_name(s) + "- enabled while " + stg.signal_name(s) + " = 0");
@@ -197,8 +209,12 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
     }
     if (options.check_safeness) {
       TraceSpan span(options.trace, "safeness", "traversal");
+      // Every transition's unsafe states in one walk; the report names the
+      // lowest-index unsafe transition.
+      const std::vector<bool> unsafe = owners_meeting(
+          sym, reached, sym.safeness_cubes(), net.transition_count());
       for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
-        if (!sym.unsafe_states(reached, t).is_false()) {
+        if (unsafe[t]) {
           result.safe = false;
           result.safeness_detail =
               "firing " + sym.stg().format_label(t) +

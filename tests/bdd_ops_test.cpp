@@ -481,5 +481,21 @@ TEST_F(BddOps, EmptinessTestsCountAsOneOpAndUseTheCache) {
   EXPECT_EQ(after.op(OpKind::kAnd).calls, warm.op(OpKind::kAnd).calls);
 }
 
+TEST_F(BddOps, CubesMeetingIsOneDisjointCallAndChecksItsVariables) {
+  const Bdd f = (a & !b) | (c & d);
+  const std::vector<CubeLiterals> cubes{{{0, true}, {1, true}, {2, false}},
+                                        {{2, true}},
+                                        {{0, false}, {2, true}, {3, false}}};
+  const ManagerProfile before = m.profile();
+  EXPECT_EQ(m.cubes_meeting(f, cubes), (std::vector<bool>{false, true, false}));
+  const ManagerProfile after = m.profile();
+  EXPECT_EQ(after.op(OpKind::kDisjoint).calls,
+            before.op(OpKind::kDisjoint).calls + 1);
+  // The memo is private to the call, not the shared computed cache.
+  EXPECT_EQ(after.op(OpKind::kDisjoint).cache_lookups,
+            before.op(OpKind::kDisjoint).cache_lookups);
+  EXPECT_THROW(m.cubes_meeting(f, {{{Var{4}, true}}}), ModelError);
+}
+
 }  // namespace
 }  // namespace stgcheck::bdd

@@ -168,6 +168,63 @@ TEST_P(BddRandom, DisjointMatchesConjunction) {
   EXPECT_EQ(e1.f.disjoint_with(e2.f), (e1.f & e2.f).is_false());
 }
 
+/// `count` random cubes over the kVars variables: up to four literals
+/// each, duplicates allowed, so some are contradictory.
+std::vector<CubeLiterals> random_cubes(Rng& rng, std::size_t count) {
+  std::vector<CubeLiterals> cubes(count);
+  for (CubeLiterals& c : cubes) {
+    const std::size_t literals = rng.below(5);
+    for (std::size_t i = 0; i < literals; ++i) {
+      c.push_back({static_cast<Var>(rng.below(kVars)), rng.flip()});
+    }
+  }
+  return cubes;
+}
+
+/// cubes_meeting against one disjoint_with per cube, and the call creates
+/// and frees nothing.
+void expect_cubes_meeting_exact(Manager& m, const Bdd& f,
+                                const std::vector<CubeLiterals>& cubes) {
+  const std::size_t live = m.live_nodes();
+  const std::size_t nodes = m.stats().node_count;
+  const std::vector<bool> meets = m.cubes_meeting(f, cubes);
+  EXPECT_EQ(m.live_nodes(), live);
+  EXPECT_EQ(m.stats().node_count, nodes);
+  ASSERT_EQ(meets.size(), cubes.size());
+  for (std::size_t c = 0; c < cubes.size(); ++c) {
+    EXPECT_EQ(meets[c], !f.disjoint_with(m.cube(cubes[c]))) << "cube " << c;
+  }
+}
+
+TEST_P(BddRandom, CubesMeetingMatchesDisjointPerCube) {
+  RandomExpr e = random_expr(m, rng, 5);
+  // An empty cube meets any non-false f; a contradictory one nothing.
+  const CubeLiterals empty;
+  const CubeLiterals contradictory{{0, true}, {3, false}, {0, false}};
+  std::vector<std::vector<CubeLiterals>> lists{{empty}, {contradictory}};
+  for (const std::size_t count : {1u, 63u, 64u, 65u, 200u}) {
+    lists.push_back(random_cubes(rng, count));
+    if (count > 1) {
+      lists.back().front() = empty;
+      lists.back().back() = contradictory;
+    }
+  }
+  // Parity reaches both polarities of every node below its root, so the
+  // walk memoizes about two edges per node and has to grow its table.
+  Bdd parity = m.bdd_false();
+  for (Var v = 0; v < kVars; ++v) parity ^= m.var(v);
+  for (const std::vector<CubeLiterals>& cubes : lists) {
+    for (const Bdd& f : {e.f, !e.f, parity, m.bdd_true(), m.bdd_false()}) {
+      expect_cubes_meeting_exact(m, f, cubes);
+    }
+  }
+  // Levels move under sifting; the cube literals name variables.
+  m.sift();
+  const std::vector<CubeLiterals> cubes = random_cubes(rng, 130);
+  expect_cubes_meeting_exact(m, e.f, cubes);
+  expect_cubes_meeting_exact(m, !e.f, cubes);
+}
+
 TEST_P(BddRandom, GarbageCollectionPreservesFunctions) {
   RandomExpr e1 = random_expr(m, rng, 5);
   RandomExpr e2 = random_expr(m, rng, 5);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/implementability.hpp"
+#include "stg/astg_io.hpp"
 #include "stg/generators.hpp"
 
 namespace stgcheck::core {
@@ -133,6 +134,25 @@ TEST(Implementability, StrategiesGiveSameVerdict) {
         << static_cast<int>(strategy);
     EXPECT_FALSE(r.csc);
     EXPECT_TRUE(r.csc_reducible);
+  }
+}
+
+TEST(Implementability, DeadlockVerdictDoesNotReadTheCount) {
+  // Without the arc z0- -> st1 the select chain stops after z0- fires.
+  // At 192 stages the state count underflows to 0, so a verdict read off
+  // the count would call the net deadlock-free.
+  for (const std::size_t n : {24u, 192u}) {
+    std::string text = stg::write_astg_string(stg::select_chain(n));
+    const std::string arc = "z0-/2 st1\n";
+    const std::size_t at = text.find(arc);
+    ASSERT_NE(at, std::string::npos);
+    text.erase(at, arc.size());
+    CheckOptions options;
+    options.engine = EngineKind::kSaturation;
+    const ImplementabilityReport r =
+        check_implementability(stg::parse_astg_string(text), options);
+    ASSERT_TRUE(r.traversal.ok()) << n;
+    EXPECT_FALSE(r.deadlock_free) << n;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -243,6 +244,35 @@ TEST(Traversal, SaturationTracesTheClosedSetTests) {
   for (const char* name :
        {"reach_fixpoint", "consistency", "safeness", "count"}) {
     EXPECT_EQ(std::count(names.begin(), names.end(), name), 1) << name;
+  }
+}
+
+TEST(Traversal, SaturationReachedSetsHaveClosedForms) {
+  // The roster families' reached sets grow linearly in BDD nodes and by
+  // a closed form in states. An encoding or ordering change that breaks
+  // one of these fails here, not as a drift in a benchmark.
+  struct Case {
+    stg::Stg net;
+    std::size_t nodes;
+    double states;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t n : {64u, 128u}) {
+    cases.push_back({stg::muller_pipeline(n), 20 * n + 9,
+                     std::ldexp(1.0, static_cast<int>(n) + 1)});
+  }
+  for (const std::size_t n : {24u, 48u, 96u}) {
+    cases.push_back({stg::select_chain(n), 33 * n - 6, 7.0 * n});
+  }
+  for (const Case& c : cases) {
+    SymbolicStg sym(c.net, Ordering::kInterleaved, 1 << 14,
+                    /*with_primed_vars=*/true);
+    TraversalOptions options;
+    options.engine = EngineKind::kSaturation;
+    const TraversalResult r = traverse(sym, options);
+    ASSERT_TRUE(r.ok()) << c.net.name();
+    EXPECT_EQ(r.stats.final_reached_nodes, c.nodes) << c.net.name();
+    EXPECT_EQ(r.stats.states, c.states) << c.net.name();
   }
 }
 
