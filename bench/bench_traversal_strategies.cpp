@@ -1,14 +1,14 @@
-// Fig. 5 ablation: the paper's chaining traversal against a classic
-// frontier BFS, the monolithic relation and the saturation backend --
-// each with dynamic reordering off and on.
+// Fig. 5 ablation: the paper's chaining traversal against the monolithic
+// relation and the saturation backend -- each with dynamic reordering off
+// and on.
 // The "saturation" arm computes the whole fixpoint with the in-kernel
 // REACH operation (per-transition sparse relations partitioned by level,
 // no whole-space frontiers; see docs/architecture.md).
 //
 // Chaining lets transitions later in the pass fire from states discovered
-// earlier in the same pass, cutting the number of outer passes (and hence
-// peak intermediate BDDs) on long pipelines. The monolithic relation is
-// the textbook baseline the paper argued against.
+// earlier in the same pass, cutting the number of outer passes on long
+// pipelines. The monolithic relation is the textbook baseline the paper
+// argued against.
 //
 // The sift toggle measures the reordering lever the paper never had:
 // variable groups keep each primed twin pair together, so even the
@@ -103,22 +103,20 @@ void record(const Row& row) {
   g_rows.push_back(row);
 }
 
-core::TraversalOptions arm_options(core::TraversalStrategy strategy,
-                                   bool sift) {
+core::TraversalOptions arm_options(bool sift) {
   core::TraversalOptions options;
-  options.strategy = strategy;
   options.auto_sift = sift;
   return options;
 }
 
 void run_cofactor_arm(const stg::Stg& s, const std::string& name,
-                      core::TraversalStrategy strategy, bool sift) {
+                      bool sift) {
   Stopwatch watch;
   core::SymbolicStg sym(s);
   sym.manager().set_profiling(true);  // arm GC/sift phase timings
   core::CofactorEngine engine(sym);
   core::TraversalResult r =
-      core::traverse(engine, arm_options(strategy, sift));
+      core::traverse(engine, arm_options(sift));
   const bdd::ManagerStats ms = sym.manager().stats();
   const bdd::ManagerProfile prof = sym.manager().profile();
   record(Row{s.name(), name, sift, r.stats.passes,
@@ -134,8 +132,7 @@ void run_cofactor_arm(const stg::Stg& s, const std::string& name,
 }
 
 void run_relation_arm(const stg::Stg& s, const std::string& name,
-                      core::EngineKind kind, core::TraversalStrategy strategy,
-                      bool sift) {
+                      core::EngineKind kind, bool sift) {
   Stopwatch watch;
   core::SymbolicStg sym(s, core::Ordering::kInterleaved, 1 << 14,
                         /*with_primed_vars=*/true);
@@ -143,7 +140,7 @@ void run_relation_arm(const stg::Stg& s, const std::string& name,
   const std::unique_ptr<core::ImageEngine> engine =
       core::make_engine(kind, sym);
   core::TraversalResult r =
-      core::traverse(*engine, arm_options(strategy, sift));
+      core::traverse(*engine, arm_options(sift));
   const bdd::ManagerStats ms = sym.manager().stats();
   const bdd::ManagerProfile prof = sym.manager().profile();
   record(Row{s.name(), name, sift, r.stats.passes,
@@ -166,30 +163,24 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on, bool scaled) {
   if (sift_on) toggles.push_back(true);
   // The scaled tiers (muller32/64, mutex24/48, select48/96) measure
   // saturation at size, not the full ablation: they run only the
-  // saturation arm, whose wall-clock stays in seconds where the frontier
+  // saturation arm, whose wall-clock stays in seconds where the step-wise
   // arms would take minutes to hours.
   if (scaled) {
     for (const bool sift : toggles) {
       const char* suffix = sift ? "+sift" : "";
       run_relation_arm(s, std::string("saturation") + suffix,
-                       core::EngineKind::kSaturation,
-                       core::TraversalStrategy::kChaining, sift);
+                       core::EngineKind::kSaturation, sift);
     }
     return;
   }
   for (const bool sift : toggles) {
     const char* suffix = sift ? "+sift" : "";
-    run_cofactor_arm(s, std::string("chaining (Fig.5)") + suffix,
-                     core::TraversalStrategy::kChaining, sift);
-    run_cofactor_arm(s, std::string("frontier BFS") + suffix,
-                     core::TraversalStrategy::kFrontierBfs, sift);
+    run_cofactor_arm(s, std::string("chaining (Fig.5)") + suffix, sift);
     run_relation_arm(s, std::string("monolithic rel.") + suffix,
-                     core::EngineKind::kMonolithicRelation,
-                     core::TraversalStrategy::kFrontierBfs, sift);
+                     core::EngineKind::kMonolithicRelation, sift);
     // The saturation arm: the whole fixpoint in one in-kernel REACH.
     run_relation_arm(s, std::string("saturation") + suffix,
-                     core::EngineKind::kSaturation,
-                     core::TraversalStrategy::kChaining, sift);
+                     core::EngineKind::kSaturation, sift);
   }
 }
 

@@ -11,7 +11,7 @@
 //     --arbitrate A,B   declare an arbitration pair (repeatable; footnote 1)
 //     --ordering  O     interleaved | clustered | declaration |
 //                       signals-first | random
-//     --strategy  S     chaining | bfs
+//     --strategy  S     chaining
 //     --engine    E     cofactor | monolithic | saturation
 //                       (image backend; see docs/architecture.md)
 //     --threads   1     accepted and ignored (the BDD kernel is
@@ -73,7 +73,7 @@ void usage() {
       "  --arbitrate A,B   declare an arbitration signal pair (repeatable)\n"
       "  --ordering  O     interleaved | clustered | declaration |\n"
       "                    signals-first | random\n"
-      "  --strategy  S     chaining | bfs\n"
+      "  --strategy  S     chaining\n"
       "  --engine    E     cofactor | monolithic | saturation\n"
       "  --threads   1     accepted and ignored (the kernel is sequential)\n"
       "  --initial-nodes N   initial BDD manager capacity\n"

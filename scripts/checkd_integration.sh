@@ -164,7 +164,7 @@ echo "== metrics op: saturation check, then scrape"
 # A saturation check drives the in-kernel REACH machinery; the cumulative
 # scrape must then show nonzero reach / rel_next op counters (rel_next
 # counts every saturation rule firing), and the finished session's own
-# snapshot must be served from the per-session ring.
+# snapshot must be served from the finished-session ring.
 "$BUILD_DIR/stg_checkd_client" --socket "$SOCKET" --quiet \
   --engine saturation "$NETS_DIR/muller4.g" > "$WORK_DIR/sat_check.jsonl"
 "$BUILD_DIR/stg_checkd_client" --socket "$SOCKET" --quiet \

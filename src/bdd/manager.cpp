@@ -124,7 +124,9 @@ Bdd Manager::new_var(const std::string& name) {
   const Var v = static_cast<Var>(var2level_.size());
   var2level_.push_back(level2var_.size());
   level2var_.push_back(v);
-  var_names_.push_back(name.empty() ? "x" + std::to_string(v) : name);
+  std::string generated = "x";
+  generated += std::to_string(v);
+  var_names_.push_back(name.empty() ? std::move(generated) : name);
   var_group_.push_back(kNoGroup);
   return var(v);
 }

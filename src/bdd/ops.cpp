@@ -110,8 +110,11 @@ Bdd Manager::restrict(const Bdd& f, const Bdd& care) {
 }
 
 std::string Manager::var_desc(Var v) const {
-  return "v" + std::to_string(v) + " ('" + var_names_[v] + "', level " +
-         std::to_string(var2level_[v]) + ")";
+  std::string desc = "v";
+  desc += std::to_string(v);
+  desc += " ('" + var_names_[v] + "', level " +
+          std::to_string(var2level_[v]) + ")";
+  return desc;
 }
 
 Bdd Manager::permute(const Bdd& f, const std::vector<Var>& perm) {

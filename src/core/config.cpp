@@ -160,9 +160,6 @@ json::Value CheckConfig::to_json() const {
   if (check.ordering != defaults.check.ordering) {
     obj.set("ordering", Value(std::string(to_string(check.ordering))));
   }
-  if (check.strategy != defaults.check.strategy) {
-    obj.set("strategy", Value(std::string(to_string(check.strategy))));
-  }
   if (check.engine != defaults.check.engine) {
     obj.set("engine", Value(std::string(to_string(check.engine))));
   }
@@ -252,9 +249,6 @@ std::vector<std::string> CheckConfig::to_args() const {
   if (check.ordering != defaults.check.ordering) {
     flag("--ordering", to_string(check.ordering));
   }
-  if (check.strategy != defaults.check.strategy) {
-    flag("--strategy", to_string(check.strategy));
-  }
   if (check.engine != defaults.check.engine) {
     flag("--engine", to_string(check.engine));
   }
@@ -284,7 +278,6 @@ std::vector<std::string> CheckConfig::to_args() const {
 
 bool operator==(const CheckConfig& a, const CheckConfig& b) {
   return a.check.ordering == b.check.ordering &&
-         a.check.strategy == b.check.strategy &&
          a.check.engine == b.check.engine &&
          a.check.arbitration_pairs == b.check.arbitration_pairs &&
          a.initial_nodes == b.initial_nodes &&

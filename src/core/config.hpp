@@ -10,7 +10,7 @@
 //
 // Layers:
 //   check          -- everything check_implementability takes (ordering,
-//                     strategy, engine, arbitration pairs), minus the
+//                     engine, arbitration pairs), minus the
 //                     event log the session injects;
 //   initial_nodes  -- initial node capacity of the session's manager;
 //   limits         -- the resource budget (util/budget.hpp) the session
@@ -18,13 +18,15 @@
 //
 // Wire form (the daemon's "options" object and `stg_check --json` input;
 // all members optional, unknown keys rejected):
-//   {"ordering":"interleaved","strategy":"chaining","engine":"cofactor",
+//   {"ordering":"interleaved","engine":"cofactor",
 //    "arbitrate":[["g1","g2"]],"initial_nodes":16384,"max_live_nodes":0,
 //    "max_seconds":0,"max_steps":0,"trace":"out.json","profile":true}
 //
 // The BDD kernel is sequential. For older clients, "threads":1 (and the
 // flag --threads 1) is still accepted and discarded; any other count
-// throws ModelError, and neither form is ever emitted.
+// throws ModelError, and neither form is ever emitted. Likewise
+// "strategy":"chaining" (--strategy chaining), the only traversal; any
+// other name throws. ROADMAP item 1's benchmark batch deletes both.
 //
 // to_json()/to_args() emit only non-default members, so defaults
 // round-trip as the empty object / empty flag list and rendered requests
@@ -79,9 +81,9 @@ struct CheckConfig {
   /// If args[i] is a config flag, consumes it (and its value, advancing
   /// i) and returns true; returns false on anything else. Throws
   /// ModelError on a missing or malformed value. Flags:
-  ///   --ordering --strategy --engine --threads (1 only) --arbitrate
-  ///   --initial-nodes --max-live-nodes --max-seconds --max-steps --trace
-  ///   --profile
+  ///   --ordering --strategy (chaining only) --engine --threads (1 only)
+  ///   --arbitrate --initial-nodes --max-live-nodes --max-seconds
+  ///   --max-steps --trace --profile
   bool consume_flag(const std::vector<std::string>& args, std::size_t& i);
 
   /// Parses a vector that must consist solely of config flags. Throws

@@ -82,10 +82,10 @@ ImageEngine::StepGauge::~StepGauge() {
   }
 }
 
-Bdd ImageEngine::image_via(const Bdd& states, pn::TransitionId t) {
+Bdd ImageEngine::image_unit(const Bdd& states, std::size_t u) {
   ++stats_.image_calls;
   StepGauge gauge(*this);
-  return sym_.image(states, t);
+  return sym_.image(states, static_cast<pn::TransitionId>(u));
 }
 
 Bdd ImageEngine::reach_fixpoint(const Bdd&) {

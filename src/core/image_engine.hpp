@@ -21,12 +21,11 @@
 //                                 (computes_global_fixpoint) and replaces
 //                                 its pass loop with reach_fixpoint calls.
 //
-// Traversal granularity is expressed as "units": the indivisible firing
-// steps a backend offers. By default unit u is transition u (the paper's
-// Fig. 5 inner loop), imaged by image_via; the monolithic backend
-// overrides that with a single unit. traverse() iterates units, so
-// chaining, lazy initial-value binding and the on-the-fly
-// safeness/consistency checks run unchanged on every backend.
+// traverse() fires "units", the indivisible steps a backend offers: by
+// default unit u is transition u, imaged by the cofactor pipeline (the
+// paper's Fig. 5 inner loop); saturation images it by its relation, and
+// the monolithic backend offers one unit for all transitions. Chaining,
+// lazy binding and the on-the-fly checks run unchanged on every backend.
 #pragma once
 
 #include <memory>
@@ -61,7 +60,7 @@ std::string valid_engine_kind_names();
 struct EngineOptions {};
 
 struct ImageEngineStats {
-  std::size_t image_calls = 0;     ///< image_via / image_unit / reach_fixpoint calls
+  std::size_t image_calls = 0;     ///< image_unit / reach_fixpoint calls
   std::size_t relation_nodes = 0;  ///< BDD size of the backend's relations (0 for cofactor)
   std::size_t units = 0;           ///< firing units the backend exposes
   /// Worst transient overhead of a single image step: the live-node
@@ -80,13 +79,8 @@ class ImageEngine {
   virtual const char* name() const = 0;
   virtual EngineKind kind() const = 0;
 
-  /// Successors of `states` under one transition. The default is the
-  /// encoding's cofactor image (SymbolicStg::image); every backend's
-  /// result is the same set.
-  virtual bdd::Bdd image_via(const bdd::Bdd& states, pn::TransitionId t);
-
   // ---- Firing units (traversal granularity) -------------------------------
-  // Default: one unit per transition, unit u = {u}, imaged by image_via.
+  // Default: one unit per transition, unit u = {u}.
 
   virtual std::size_t unit_count() const { return transitions_.size(); }
   /// The transitions unit `u` fires (for lazy binding and safeness
@@ -94,10 +88,10 @@ class ImageEngine {
   virtual std::span<const pn::TransitionId> unit_transitions(std::size_t u) const {
     return {&transitions_[u], 1};
   }
-  /// Successors of `states` under every transition of unit `u`.
-  virtual bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) {
-    return image_via(states, static_cast<pn::TransitionId>(u));
-  }
+  /// Successors of `states` under every transition of unit `u`. The
+  /// default is the encoding's cofactor image of transition u
+  /// (SymbolicStg::image).
+  virtual bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u);
 
   // ---- Whole-space fixpoints ----------------------------------------------
 
@@ -166,8 +160,7 @@ class CofactorEngine final : public ImageEngine {
 
 /// The textbook baseline: full-frame per-transition relations ORed into
 /// one monolithic relation; a single relational product per step.
-/// Keeps no per-transition relation, so its inherited image_via is the
-/// cofactor image. Requires an encoding with primed variables.
+/// Requires an encoding with primed variables.
 class MonolithicRelationEngine final : public ImageEngine {
  public:
   explicit MonolithicRelationEngine(SymbolicStg& sym);

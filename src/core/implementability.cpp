@@ -55,7 +55,6 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
 
   // ---- Phase 1: traversal + consistency (+ safeness) ----------------------
   TraversalOptions traversal_options;
-  traversal_options.strategy = options.strategy;
   traversal_options.engine = options.engine;
   traversal_options.engine_options = options.engine_options;
   traversal_options.events = events;

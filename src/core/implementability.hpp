@@ -40,6 +40,7 @@ std::string to_string(ImplementabilityLevel level);
 
 struct CheckOptions {
   Ordering ordering = Ordering::kInterleaved;
+  /// Read by nothing; ROADMAP item 1's benchmark batch deletes it.
   TraversalStrategy strategy = TraversalStrategy::kChaining;
   /// Image backend for the traversal and every firing check
   /// (core/image_engine.hpp). The relational backends need an encoding

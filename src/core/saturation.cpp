@@ -77,11 +77,11 @@ Bdd SaturationEngine::reach_fixpoint(const Bdd& from) {
   return sym_.manager().reach(from, reach_operands_);
 }
 
-Bdd SaturationEngine::image_via(const Bdd& states, pn::TransitionId t) {
+Bdd SaturationEngine::image_unit(const Bdd& states, std::size_t u) {
   sync_with_order();
   ++stats_.image_calls;
   StepGauge gauge(*this);
-  const SparseRelation& r = sparse_[t];
+  const SparseRelation& r = sparse_[u];
   return sym_.manager().rel_next(states, r.rel, r.quant_cube);
 }
 

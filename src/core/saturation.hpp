@@ -1,9 +1,9 @@
 // The saturation subsystem: the core half of the in-kernel REACH fixpoint.
 //
 // The paper's traversal -- and the two step-wise backends -- computes the
-// reached set as a global breadth-first/chaining fixpoint: frontier BDDs
+// reached set as a global chaining fixpoint: frontier BDDs
 // spanning the whole state space are materialized once per pass, which is
-// exactly where the peak-live blowups live (mread8 chaining 1.09M).
+// exactly where the peak-live blowups live (mread8 chaining 1.31M).
 // Saturation pushes the fixpoint *into* the BDD recursion
 // (bdd::Manager::reach, after Brand-Baeck-Laarman, arXiv:2212.03684):
 // relations are partitioned by the current level of their top support
@@ -22,7 +22,7 @@
 //   * SaturationEngine plugs the operation in behind the standard
 //     ImageEngine interface: traverse() detects computes_global_fixpoint()
 //     and calls reach_fixpoint() instead of iterating units. Its
-//     per-transition image_via (the kernel's rel_next product) serves the
+//     per-transition image_unit (the kernel's rel_next product) serves the
 //     step-wise loop a net with unbound initial values falls back to. The
 //     implementability checks never see the engine: they run on the
 //     encoding (SymbolicStg's fire guards and cofactor image).
@@ -68,7 +68,8 @@ class SaturationEngine final : public ImageEngine {
   /// reach() call.
   bdd::Bdd reach_fixpoint(const bdd::Bdd& from) override;
 
-  bdd::Bdd image_via(const bdd::Bdd& states, pn::TransitionId t) override;
+  /// Successors of `states` under transition u, through its relation.
+  bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
 
   // ---- Introspection (tests, benches, docs) ------------------------------
 

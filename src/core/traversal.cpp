@@ -9,25 +9,18 @@ namespace stgcheck::core {
 
 using bdd::Bdd;
 
-const char* to_string(TraversalStrategy strategy) {
-  switch (strategy) {
-    case TraversalStrategy::kChaining: return "chaining";
-    case TraversalStrategy::kFrontierBfs: return "bfs";
-  }
-  return "?";
-}
+const char* to_string(TraversalStrategy) { return "chaining"; }
 
 std::optional<TraversalStrategy> parse_traversal_strategy(
     std::string_view name) {
-  for (const TraversalStrategy s :
-       {TraversalStrategy::kChaining, TraversalStrategy::kFrontierBfs}) {
-    if (names_equal_dashed(name, to_string(s))) return s;
+  if (names_equal_dashed(name, to_string(TraversalStrategy::kChaining))) {
+    return TraversalStrategy::kChaining;
   }
   return std::nullopt;
 }
 
 std::string valid_traversal_strategy_names() {
-  return "chaining, bfs";
+  return "chaining";
 }
 
 namespace {
@@ -130,9 +123,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
     binder.maybe_bind(t, from, {&reached, &from});
   }
-  if (options.check_consistency) {
-    check_consistency_on(sym, reached, result);
-  }
+  check_consistency_on(sym, reached, result);
 
   const auto track_peak = [&](const Bdd& r) {
     const std::size_t nodes = sym.manager().count_nodes(r);
@@ -183,9 +174,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
   // consistency/safeness checks run once on the final closed set, which
   // contains every state the step-wise engines would have checked.
   if (engine.computes_global_fixpoint() && binder.unbound().empty()) {
-    // One pass, always: the whole closure is a single kernel operation,
-    // so options.max_passes (a safety valve for iterative engines) cannot
-    // bound it -- any nonzero cap admits this one pass.
+    // One pass, always: the whole closure is a single kernel operation.
     ++result.stats.passes;
     sym.manager().count_budget_step();
     {
@@ -203,11 +192,11 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
                            sym.manager().peak_live_nodes(), reached_nodes,
                            /*frontier_nodes=*/0);
     }
-    if (options.check_consistency) {
+    {
       TraceSpan span(options.trace, "consistency", "traversal");
       check_consistency_on(sym, reached, result);
     }
-    if (options.check_safeness) {
+    {
       TraceSpan span(options.trace, "safeness", "traversal");
       // Every transition's unsafe states in one walk; the report names the
       // lowest-index unsafe transition.
@@ -236,10 +225,6 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
       // Pass boundary: the coarsest budget safe point (one pass = one
       // budget step). Finer trips land on the kernel wrapper entries.
       sym.manager().count_budget_step();
-      if (options.max_passes != 0 && result.stats.passes > options.max_passes) {
-        result.complete = false;
-        break;
-      }
 
       Bdd pass_new = sym.manager().bdd_false();
       Bdd fire_base = from;
@@ -248,28 +233,25 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
         {
           // Binding shares this loop (it must precede each transition's
           // test); it is a flag test once every signal is bound.
-          TraceSpan safeness(options.check_safeness ? options.trace : nullptr,
-                             "safeness", "traversal");
+          TraceSpan safeness(options.trace, "safeness", "traversal");
           for (pn::TransitionId t : engine.unit_transitions(u)) {
             // Lazy initial-value binding: the first enabling of a signal
             // pins its value in everything collected so far.
             binder.maybe_bind(t, fire_base,
                               {&reached, &from, &fire_base, &pass_new});
 
-            if (options.check_safeness) {
-              // Every backend silently excludes unsafe firings from its
-              // image; detect and report them here (uniformly, from the
-              // cubes).
-              const Bdd unsafe = sym.unsafe_states(fire_base, t);
-              if (!unsafe.is_false()) {
-                result.safe = false;
-                result.safeness_detail =
-                    "firing " + sym.stg().format_label(t) +
-                    " deposits a second token on a successor place";
-                if (options.abort_on_violation) {
-                  stop = true;
-                  break;
-                }
+            // Every backend silently excludes unsafe firings from its
+            // image; detect and report them here (uniformly, from the
+            // cubes).
+            const Bdd unsafe = sym.unsafe_states(fire_base, t);
+            if (!unsafe.is_false()) {
+              result.safe = false;
+              result.safeness_detail =
+                  "firing " + sym.stg().format_label(t) +
+                  " deposits a second token on a successor place";
+              if (options.abort_on_violation) {
+                stop = true;
+                break;
               }
             }
           }
@@ -287,14 +269,15 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
         if (fresh.is_false()) continue;
         reached |= fresh;
         pass_new |= fresh;
-        if (options.strategy == TraversalStrategy::kChaining) {
+        if (u + 1 < engine.unit_count()) {
           // Later units in this pass fire from the enriched set (the
-          // paper's chaining, Fig. 5).
+          // paper's chaining, Fig. 5); after the last unit nothing reads
+          // it.
           fire_base |= fresh;
         }
       }
 
-      if (options.check_consistency && !pass_new.is_false()) {
+      if (!pass_new.is_false()) {
         TraceSpan span(options.trace, "consistency", "traversal");
         const std::size_t before = result.consistency_violations.size();
         check_consistency_on(sym, pass_new, result);

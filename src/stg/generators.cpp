@@ -29,7 +29,9 @@ Stg muller_pipeline(std::size_t n) {
   std::vector<SignalId> c(n + 1);
   c[0] = in;  // stage 0 is the environment input
   for (std::size_t i = 1; i <= n; ++i) {
-    c[i] = stg.add_signal("c" + std::to_string(i), SignalKind::kOutput);
+    std::string name = "c";
+    name += std::to_string(i);
+    c[i] = stg.add_signal(name, SignalKind::kOutput);
   }
 
   std::vector<TransitionId> plus(n + 1);

@@ -65,7 +65,10 @@ std::vector<SignalId> Stg::noninput_signals() const {
 std::string Stg::label_string(SignalId signal, Dir dir, std::uint32_t instance) const {
   std::string text = signal_names_.at(signal);
   text += dir == Dir::kPlus ? '+' : '-';
-  if (instance != 1) text += "/" + std::to_string(instance);
+  if (instance != 1) {
+    text += '/';
+    text += std::to_string(instance);
+  }
   return text;
 }
 

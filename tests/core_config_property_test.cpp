@@ -25,7 +25,6 @@ CheckConfig random_config(std::mt19937& rng) {
   };
   CheckConfig config;
   config.check.ordering = static_cast<Ordering>(pick(5));
-  config.check.strategy = static_cast<TraversalStrategy>(pick(2));
   config.check.engine = static_cast<EngineKind>(pick(3));
   const int pairs = pick(3);
   for (int p = 0; p < pairs; ++p) {
@@ -183,27 +182,29 @@ TEST(CheckConfigProperty, RemovedKnobsAreUnknownOptions) {
       model_error_of([&] { CheckConfig::from_args({"--engine", engine}); });
   EXPECT_NE(flag_error.find(expected), std::string::npos) << flag_error;
 
-  // Likewise the removed full-fixpoint strategy, while the surviving
-  // names still parse.
-  const std::string strategy = "fix" "point";
-  const std::string strategy_expected =
-      "unknown strategy '" + strategy + "' (valid: chaining, bfs)";
-  Value strategy_obj = Value::object();
-  strategy_obj.set("strategy", Value(strategy));
-  const std::string strategy_key_error =
-      model_error_of([&] { CheckConfig::from_json(strategy_obj); });
-  EXPECT_NE(strategy_key_error.find(strategy_expected), std::string::npos)
-      << strategy_key_error;
-  const std::string strategy_flag_error = model_error_of(
-      [&] { CheckConfig::from_args({"--strategy", strategy}); });
-  EXPECT_NE(strategy_flag_error.find(strategy_expected), std::string::npos)
-      << strategy_flag_error;
+  // Likewise the removed strategies (the full fixpoint and frontier
+  // BFS), while chaining still parses on both paths.
+  for (const std::string strategy : {std::string("fix" "point"),
+                                     std::string("bfs")}) {
+    const std::string strategy_expected =
+        "unknown strategy '" + strategy + "' (valid: chaining)";
+    Value strategy_obj = Value::object();
+    strategy_obj.set("strategy", Value(strategy));
+    const std::string strategy_key_error =
+        model_error_of([&] { CheckConfig::from_json(strategy_obj); });
+    EXPECT_NE(strategy_key_error.find(strategy_expected), std::string::npos)
+        << strategy_key_error;
+    const std::string strategy_flag_error = model_error_of(
+        [&] { CheckConfig::from_args({"--strategy", strategy}); });
+    EXPECT_NE(strategy_flag_error.find(strategy_expected), std::string::npos)
+        << strategy_flag_error;
+  }
   Value chaining = Value::object();
   chaining.set("strategy", Value(std::string("chaining")));
   EXPECT_EQ(CheckConfig::from_json(chaining).check.strategy,
             TraversalStrategy::kChaining);
-  EXPECT_EQ(CheckConfig::from_args({"--strategy", "bfs"}).check.strategy,
-            TraversalStrategy::kFrontierBfs);
+  EXPECT_EQ(CheckConfig::from_args({"--strategy", "chaining"}).check.strategy,
+            TraversalStrategy::kChaining);
 }
 
 TEST(CheckConfigProperty, BadValuesAreRejected) {

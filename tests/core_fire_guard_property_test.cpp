@@ -8,7 +8,7 @@
 //     with S ranging over the reached set, `reached & E(ti)` and random
 //     cube unions of the whole space (unsafe and inconsistent states
 //     included), and P over E(tk), enabled_signal and enabled_signal_any;
-//   * the saturation engine's per-transition image_via equals
+//   * the saturation engine's per-transition image_unit equals
 //     SymbolicStg::image on the same sets;
 //   * check_csc's two-product conflict code sets equal the four-region
 //     formula (ER(a+) & QR(a-)) | (ER(a-) & QR(a+)) as BDD handles, on
@@ -123,7 +123,7 @@ TEST_P(FireGuardProperties, GuardFormsAgreeWithImages) {
     for (std::size_t i = 0; i < sets.size(); ++i) {
       const Bdd& s = sets[i];
       const Bdd image = sym->image(s, t);
-      EXPECT_EQ(saturation.image_via(s, t), image)
+      EXPECT_EQ(saturation.image_unit(s, t), image)
           << net->format_label(t) << " set " << i;
       for (std::size_t j = 0; j < ps.size(); ++j) {
         const Bdd& p = ps[j];

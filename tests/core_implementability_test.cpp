@@ -123,20 +123,6 @@ TEST(Implementability, MarkedGraphShortcutSkipsPersistency) {
   EXPECT_TRUE(r2.signal_persistent);
 }
 
-TEST(Implementability, StrategiesGiveSameVerdict) {
-  for (auto strategy : {TraversalStrategy::kChaining,
-                        TraversalStrategy::kFrontierBfs}) {
-    CheckOptions options;
-    options.strategy = strategy;
-    ImplementabilityReport r =
-        check_implementability(stg::examples::vme_read(), options);
-    EXPECT_EQ(r.level, ImplementabilityLevel::kIoImplementable)
-        << static_cast<int>(strategy);
-    EXPECT_FALSE(r.csc);
-    EXPECT_TRUE(r.csc_reducible);
-  }
-}
-
 TEST(Implementability, DeadlockVerdictDoesNotReadTheCount) {
   // Without the arc z0- -> st1 the select chain stops after z0- fires.
   // At 192 stages the state count underflows to 0, so a verdict read off

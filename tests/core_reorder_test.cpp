@@ -125,11 +125,15 @@ TEST_P(EngineReorder, ImagesSurviveSiftingAndManualReorder) {
   expect_pairs_adjacent(*sym);
   EXPECT_EQ(full_step(*engine, reached), image_before);
 
+  // Each unit still images exactly its transitions' cofactor images.
   Bdd expected = sym->manager().bdd_false();
-  for (pn::TransitionId t = 0; t < net->net().transition_count(); ++t) {
-    EXPECT_EQ(engine->image_via(reached, t), sym->image(reached, t))
-        << net->format_label(t);
-    expected |= sym->image(reached, t);
+  for (std::size_t u = 0; u < engine->unit_count(); ++u) {
+    Bdd unit_image = sym->manager().bdd_false();
+    for (const pn::TransitionId t : engine->unit_transitions(u)) {
+      unit_image |= sym->image(reached, t);
+    }
+    EXPECT_EQ(engine->image_unit(reached, u), unit_image) << "unit " << u;
+    expected |= unit_image;
   }
   EXPECT_EQ(image_before, expected);
 }

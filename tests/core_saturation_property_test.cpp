@@ -65,7 +65,7 @@ TEST(SaturationProperty, RelNextImageMatchesClassicSparseProduct) {
     stg::Stg s = testutil::random_stg(rng);
     SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                     /*with_primed_vars=*/true);
-    SaturationEngine sat(sym);  // image_via runs rel_next
+    SaturationEngine sat(sym);  // image_unit runs rel_next
     bdd::Manager& m = sym.manager();
     // Walk a few frontier steps so the compared state sets are nontrivial.
     Bdd states = sym.initial_state();
@@ -75,7 +75,7 @@ TEST(SaturationProperty, RelNextImageMatchesClassicSparseProduct) {
         const SparseRelation& r = sat.relations()[t];
         const Bdd classic = m.permute(m.and_exists(states, r.rel, r.quant_cube),
                                       sym.from_primed());
-        EXPECT_EQ(sat.image_via(states, t), classic)
+        EXPECT_EQ(sat.image_unit(states, t), classic)
             << "trial " << trial << " step " << step << " t " << t;
       }
       states |= cofactor_step(sym, states);
@@ -94,7 +94,6 @@ TEST(SaturationProperty, TraversalAgreesWithCofactorOnRandomStgs) {
     CofactorEngine reference(sym);
     TraversalOptions options;
     options.abort_on_violation = false;
-    options.strategy = TraversalStrategy::kFrontierBfs;
     const TraversalResult a = traverse(sat, options);
     sym.manager().check_invariants();
     const TraversalResult b = traverse(reference, options);

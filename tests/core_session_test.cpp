@@ -170,14 +170,14 @@ TEST(CheckSession, SessionsDoNotShareState) {
 
 TEST(CheckSession, OptionsAreResolvedPerSession) {
   SessionOptions options;
-  options.check.strategy = TraversalStrategy::kFrontierBfs;
-  CheckSession bfs(stg::muller_pipeline(2), options);
-  CheckSession chained(stg::muller_pipeline(2));
-  const ImplementabilityReport& a = bfs.run();
-  const ImplementabilityReport& c = chained.run();
-  EXPECT_EQ(bfs.options().check.strategy, TraversalStrategy::kFrontierBfs);
-  EXPECT_EQ(chained.options().check.strategy, TraversalStrategy::kChaining);
-  // Different strategies, same fixpoint.
+  options.check.ordering = Ordering::kClustered;
+  CheckSession clustered(stg::muller_pipeline(2), options);
+  CheckSession interleaved(stg::muller_pipeline(2));
+  const ImplementabilityReport& a = clustered.run();
+  const ImplementabilityReport& c = interleaved.run();
+  EXPECT_EQ(clustered.options().check.ordering, Ordering::kClustered);
+  EXPECT_EQ(interleaved.options().check.ordering, Ordering::kInterleaved);
+  // Different orderings, same fixpoint.
   EXPECT_EQ(a.traversal.stats.states, c.traversal.stats.states);
 }
 

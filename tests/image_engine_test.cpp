@@ -98,7 +98,7 @@ TEST(RandomStgs, SaturationMatchesMonolithicAndCofactor) {
     Bdd all_transitions = sym->manager().bdd_false();
     for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
       const Bdd next = sym->image(ref.reached, t);
-      EXPECT_EQ(saturation.image_via(ref.reached, t), next)
+      EXPECT_EQ(saturation.image_unit(ref.reached, t), next)
           << "trial " << trial << " " << s.format_label(t);
       all_transitions |= next;
     }

@@ -44,14 +44,14 @@ TEST(ServerProtocol, ParseControlOps) {
 TEST(ServerProtocol, ParseCheckRequest) {
   const Request r = parse_request(
       R"({"op":"check","id":"net1","net":".model m\n.end\n",)"
-      R"("options":{"ordering":"clustered","strategy":"bfs"}})");
+      R"("options":{"ordering":"clustered","engine":"saturation"}})");
   EXPECT_EQ(r.op, Request::Op::kCheck);
   ASSERT_EQ(r.checks.size(), 1u);
   EXPECT_EQ(r.checks[0].id, "net1");
   EXPECT_EQ(r.checks[0].net_text, ".model m\n.end\n");
   EXPECT_EQ(r.checks[0].options.check.ordering, core::Ordering::kClustered);
-  EXPECT_EQ(r.checks[0].options.check.strategy,
-            core::TraversalStrategy::kFrontierBfs);
+  EXPECT_EQ(r.checks[0].options.check.engine,
+            core::EngineKind::kSaturation);
 
   EXPECT_THROW(parse_request(R"({"op":"check","id":"x"})"), ModelError);
 }
@@ -252,6 +252,32 @@ std::string report_fingerprint(const Value& report) {
     if (key != "times") stripped.set(key, value);
   }
   return stripped.dump();
+}
+
+/// Sends `request` and returns its terminal reply (`result` for a check,
+/// `batch_done` for a batch), skipping events and the replies before it;
+/// an error reply fails the test and is returned.
+Value run_to_end(int fd, LineReader& reader, const Value& request) {
+  send_line(fd, request.dump());
+  const std::string last =
+      request.at("op").as_string() == "batch" ? "batch_done" : "result";
+  while (const auto line = reader.next()) {
+    Value reply = Value::parse(*line);
+    if (reply.find("event") != nullptr) continue;
+    const std::string kind = reply.at("reply").as_string();
+    if (kind == "error") ADD_FAILURE() << *line;
+    if (kind == last || kind == "error") return reply;
+  }
+  ADD_FAILURE() << "stream ended before " << last;
+  return Value::object();
+}
+
+/// The reply to a per-session metrics request for `id`.
+Value session_metrics(int fd, LineReader& reader, const std::string& id) {
+  send_line(fd, R"({"op":"metrics","session":")" + id + R"("})");
+  const auto line = reader.next();
+  EXPECT_TRUE(line.has_value());
+  return line.has_value() ? Value::parse(*line) : Value::object();
 }
 
 TEST(ServerDaemon, PingStatusAndShutdown) {
@@ -518,18 +544,8 @@ TEST(ServerDaemon, RemovedConfigKeyIsAnErrorAndTheDaemonKeepsServing) {
   good.set("op", Value("check"));
   good.set("id", Value("new-client"));
   good.set("net", Value(net));
-  send_line(fd, good.dump());
-  bool saw_result = false;
-  while (!saw_result) {
-    line = reader.next();
-    ASSERT_TRUE(line.has_value());
-    reply = Value::parse(*line);
-    if (reply.find("event") != nullptr) continue;
-    if (reply.at("reply").as_string() == "accepted") continue;
-    ASSERT_EQ(reply.at("reply").as_string(), "result") << *line;
-    EXPECT_EQ(reply.at("session").as_string(), "new-client");
-    saw_result = true;
-  }
+  EXPECT_EQ(run_to_end(fd, reader, good).at("session").as_string(),
+            "new-client");
   send_line(fd, R"({"op":"ping"})");
   line = reader.next();
   ASSERT_TRUE(line.has_value());
@@ -596,17 +612,8 @@ TEST(ServerDaemon, NodeBudgetExhaustionFreesSlotAndKeepsServing) {
   normal.set("op", Value("check"));
   normal.set("id", Value("free"));
   normal.set("net", Value(net));
-  send_line(fd, normal.dump());
-  for (;;) {
-    const auto line = reader.next();
-    ASSERT_TRUE(line.has_value());
-    const Value reply = Value::parse(*line);
-    if (reply.find("event") != nullptr) continue;
-    if (reply.at("reply").as_string() == "accepted") continue;
-    ASSERT_EQ(reply.at("reply").as_string(), "result") << *line;
-    EXPECT_EQ(report_fingerprint(reply.at("report")), expected);
-    break;
-  }
+  EXPECT_EQ(report_fingerprint(run_to_end(fd, reader, normal).at("report")),
+            expected);
 
   // The bookkeeping saw both endings.
   send_line(fd, R"({"op":"status"})");
@@ -648,17 +655,7 @@ TEST(ServerDaemon, CancelAndPerSessionStatusLifecycle) {
   check.set("op", Value("check"));
   check.set("id", Value("c1"));
   check.set("net", Value(net));
-  send_line(fd, check.dump());
-  for (;;) {
-    line = reader.next();
-    ASSERT_TRUE(line.has_value());
-    const Value reply = Value::parse(*line);
-    if (reply.find("event") != nullptr) continue;
-    if (reply.at("reply").as_string() == "accepted") continue;
-    ASSERT_EQ(reply.at("reply").as_string(), "result");
-    EXPECT_NE(reply.find("report"), nullptr);
-    break;
-  }
+  EXPECT_NE(run_to_end(fd, reader, check).find("report"), nullptr);
 
   // ...then the finished-session ring answers status (finished, with its
   // terminal state) and refuses cancel with the typed code.
@@ -722,6 +719,64 @@ TEST(ServerDaemon, CancelAndPerSessionStatusLifecycle) {
   line = reader.next();
   ASSERT_TRUE(line.has_value());
   EXPECT_TRUE(Value::parse(*line).at("finished").as_bool());
+
+  ::close(fd);
+  server.stop();
+  server.wait();
+}
+
+TEST(ServerDaemon, PerSessionMetricsAnswerFromTheFinishedRing) {
+  ServerOptions options;
+  options.socket_path = test_socket_path("ring");
+  options.threads = 1;
+  CheckServer server(options);
+  server.start();
+  const int fd = connect_client(options.socket_path);
+  LineReader reader(fd);
+  const std::string net = stg::write_astg_string(testutil::example_net(0));
+  const auto entry = [&](const std::string& id) {
+    Value e = Value::object();
+    e.set("id", Value(id));
+    e.set("net", Value(net));
+    return e;
+  };
+  const auto check = [&](const std::string& id, const char* engine) {
+    Value request = entry(id);
+    request.set("op", Value("check"));
+    Value opts = Value::object();
+    opts.set("engine", Value(engine));
+    request.set("options", std::move(opts));
+    return request;
+  };
+  const auto reach_calls = [](const Value& reply) {
+    return reply.at("metrics").at("counters").at("op_calls_reach").as_number();
+  };
+
+  // A finished session's snapshot answers after finish()...
+  run_to_end(fd, reader, check("m1", "cofactor"));
+  Value reply = session_metrics(fd, reader, "m1");
+  ASSERT_EQ(reply.at("reply").as_string(), "metrics") << reply.dump();
+  EXPECT_EQ(reply.at("session").as_string(), "m1");
+  EXPECT_EQ(reach_calls(reply), 0.0);
+  // ...a reused id answers for its new run (saturation calls REACH)...
+  run_to_end(fd, reader, check("m1", "saturation"));
+  reply = session_metrics(fd, reader, "m1");
+  ASSERT_EQ(reply.at("reply").as_string(), "metrics") << reply.dump();
+  EXPECT_GE(reach_calls(reply), 1.0);
+
+  // ...and a full ring of later sessions pushes it off.
+  Value nets = Value::array();
+  for (std::size_t i = 0; i < SessionRegistry::kFinishedRingSize; ++i) {
+    nets.push_back(entry("fill" + std::to_string(i)));
+  }
+  Value batch = Value::object();
+  batch.set("op", Value("batch"));
+  batch.set("nets", std::move(nets));
+  run_to_end(fd, reader, batch);
+  EXPECT_EQ(session_metrics(fd, reader, "m1").at("code").as_string(),
+            "unknown_session");
+  EXPECT_EQ(session_metrics(fd, reader, "fill0").at("reply").as_string(),
+            "metrics");
 
   ::close(fd);
   server.stop();
