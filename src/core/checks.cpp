@@ -206,13 +206,25 @@ SymCscResult check_csc(SymbolicStg& sym, const Bdd& reached) {
   // USC: every full state has a unique code iff |states| == |codes|.
   bool states_exact = false;
   bool codes_exact = false;
-  result.unique_state_coding = sym.count_states(reached, &states_exact) ==
-                               sym.count_codes(reached, &codes_exact);
-  // A CSC clash needs two states with one code, so USC implies CSC. Only
-  // exact counts prove USC: two roundings can agree on unequal counts.
-  if (result.unique_state_coding && states_exact && codes_exact) {
-    return result;
+  const double states = sym.count_states(reached, &states_exact);
+  const double codes = sym.count_codes(reached, &codes_exact);
+  if (states_exact && codes_exact) {
+    result.unique_state_coding = states == codes;
+  } else {
+    // A rounded count decides nothing: two roundings can agree on unequal
+    // counts, and an underflow reads 0. Two states with one code differ at
+    // some place p, so USC fails iff for some p a state with p empty has a
+    // code that also occurs with p marked.
+    for (pn::PlaceId p = 0; p < sym.stg().net().place_count(); ++p) {
+      const Bdd marked = m.and_exists(reached, sym.place(p), places);
+      if (!reached.disjoint_with(marked & !sym.place(p))) {
+        result.unique_state_coding = false;
+        break;
+      }
+    }
   }
+  // A CSC clash needs two states with one code, so USC implies CSC.
+  if (result.unique_state_coding) return result;
 
   for (SignalId a : sym.stg().noninput_signals()) {
     // Exc_a: a is excited in its own direction. The code literal a is not

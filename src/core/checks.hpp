@@ -120,13 +120,14 @@ struct SymCscResult {
   std::vector<Conflict> conflicts;
 };
 
-/// The USC check (|states| == |codes|), then CSC(a) for every non-input
-/// signal. When both counts are exact (bdd::Manager::sat_count) and equal,
-/// USC holds and implies CSC (a clash needs two states with one code), so
-/// the signals are not visited. Otherwise two relational products per
-/// signal: with Exc_a = ite(a, E(a-), E(a+)), the codes of excited and of
-/// quiet reached states; their intersection is exactly the conflict set
-/// below.
+/// The USC check, then CSC(a) for every non-input signal. USC compares
+/// |states| with |codes| when both counts are exact
+/// (bdd::Manager::sat_count); otherwise it is one BDD test per place (no
+/// code occurs both with the place marked and empty). USC implies CSC (a
+/// clash needs two states with one code), so then the signals are not
+/// visited. Otherwise two relational products per signal: with
+/// Exc_a = ite(a, E(a-), E(a+)), the codes of excited and of quiet reached
+/// states; their intersection is exactly the conflict set below.
 SymCscResult check_csc(SymbolicStg& sym, const bdd::Bdd& reached);
 
 // ---------------------------------------------------------------------------

@@ -200,7 +200,6 @@ void SymbolicStg::build_cubes() {
   npm_.reserve(net.transition_count());
   nsm_.reserve(net.transition_count());
   asm_.reserve(net.transition_count());
-  unsafe_guard_.resize(net.transition_count());
   fire_guard_.resize(net.transition_count());
   firing_cube_.resize(net.transition_count());
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
@@ -406,14 +405,6 @@ Bdd SymbolicStg::preimage(const Bdd& states, pn::TransitionId t) const {
     return manager_->cofactor(step, sig) & !sig;  // a was 0 before a+
   }
   return manager_->cofactor(step, !sig) & sig;  // a was 1 before a-
-}
-
-Bdd SymbolicStg::unsafe_states(const Bdd& states, pn::TransitionId t) {
-  Bdd& guard = unsafe_guard_[t];
-  if (!guard.valid()) guard = e_[t] & marked_successor_cube(*this, t);
-  // The usual answer is "none": decide that without building anything.
-  if (states.disjoint_with(guard)) return manager_->bdd_false();
-  return states & guard;
 }
 
 const Bdd& SymbolicStg::fire_guard(pn::TransitionId t) {

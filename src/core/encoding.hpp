@@ -126,7 +126,8 @@ class SymbolicStg {
   /// while s = 1), then E(t) & !s for each s- transition (owner 2s + 1).
   const OwnedCubes& consistency_cubes() const { return consistency_cubes_; }
   /// Per transition t, E(t) & p for each place p that t produces into
-  /// without consuming from (owner t): the states unsafe_states() returns.
+  /// without consuming from (owner t): the states from which firing t
+  /// would deposit a second token on a successor place.
   const OwnedCubes& safeness_cubes() const { return safeness_cubes_; }
 
   // ---- States --------------------------------------------------------------
@@ -146,18 +147,13 @@ class SymbolicStg {
 
   /// delta_D(states, t): successors of `states` under t,
   /// ((states_E(t) . NPM(t))_NSM(t) . ASM(t) plus the fired signal's bit
-  /// flip. Firings that would be unsafe (unsafe_states) or inconsistent
+  /// flip. Firings that would be unsafe (safeness_cubes) or inconsistent
   /// are never imaged.
   bdd::Bdd image(const bdd::Bdd& states, pn::TransitionId t) const;
   /// Exact inverse of image: the states of fire_guard(t) whose successor
   /// under t lies in `states`.
   bdd::Bdd preimage(const bdd::Bdd& states, pn::TransitionId t) const;
 
-  /// States of `states` from which firing `t` would deposit a second token
-  /// on a successor place. image() excludes such firings (so does every
-  /// image engine); this reports them so the traversal can flag the
-  /// violation.
-  bdd::Bdd unsafe_states(const bdd::Bdd& states, pn::TransitionId t);
   /// The states image() fires `t` from: E(t), no successor-only place
   /// marked, and t's signal at its pre-firing value.
   const bdd::Bdd& fire_guard(pn::TransitionId t);
@@ -209,11 +205,8 @@ class SymbolicStg {
   bdd::Bdd any_enabled_;  // built by any_enabled(); invalid until then
   OwnedCubes consistency_cubes_;
   OwnedCubes safeness_cubes_;
-  /// Built per transition on first use (invalid until then): E(t) & (OR
-  /// of the successor-only place literals), the states unsafe_states()
-  /// returns; fire_guard(); and the post-firing assignment cube
-  /// after_firing() cofactors by.
-  std::vector<bdd::Bdd> unsafe_guard_;
+  /// Built per transition on first use (invalid until then): fire_guard()
+  /// and the post-firing assignment cube after_firing() cofactors by.
   std::vector<bdd::Bdd> fire_guard_;
   std::vector<bdd::Bdd> firing_cube_;
 };

@@ -86,15 +86,9 @@ Bdd frame_constraint(SymbolicStg& sym, const std::vector<Var>& vars) {
 
 SparseRelation build_sparse_relation(SymbolicStg& sym, pn::TransitionId t) {
   require_primed(sym);
-  bdd::Manager& m = sym.manager();
-  const std::vector<Var>& to_primed = sym.to_primed();
   SparseRelation r;
   r.rel = core_constraints(sym, t, r.support);
-  r.quant_cube = m.positive_cube(r.support);
-  std::vector<Var> primed;
-  primed.reserve(r.support.size());
-  for (Var v : r.support) primed.push_back(to_primed[v]);
-  r.primed_quant_cube = m.positive_cube(primed);
+  r.quant_cube = sym.manager().positive_cube(r.support);
   return r;
 }
 

@@ -38,11 +38,7 @@ struct SparseRelation {
   bdd::Bdd rel;
   /// Unprimed state variables constrained by `rel`, sorted by id.
   std::vector<bdd::Var> support;
-  bdd::Bdd quant_cube;         ///< positive cube of `support`
-  // No code reads this cube. It stays until the next benchmark change:
-  // building it creates nodes, so dropping it moves every saturation peak
-  // (ROADMAP item 1).
-  bdd::Bdd primed_quant_cube;  ///< positive cube of the primed twins
+  bdd::Bdd quant_cube;  ///< positive cube of `support`
 };
 
 /// Full-frame relation of one transition (constrains every state variable).

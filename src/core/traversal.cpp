@@ -84,29 +84,6 @@ std::vector<bool> owners_meeting(SymbolicStg& sym, const Bdd& states,
   return hit;
 }
 
-/// Appends consistency violations found in `states` to the result.
-void check_consistency_on(SymbolicStg& sym, const Bdd& states,
-                          TraversalResult& result) {
-  const stg::Stg& stg = sym.stg();
-  // Inconsistent(a+) = E(a+) & a, Inconsistent(a-) = E(a-) & a', tested
-  // within `states` cube by cube (E(t) & a per a+ transition t), so
-  // neither union is built.
-  const std::vector<bool> bad = owners_meeting(
-      sym, states, sym.consistency_cubes(), 2 * stg.signal_count());
-  for (stg::SignalId s = 0; s < stg.signal_count(); ++s) {
-    if (bad[2 * s]) {
-      result.consistent = false;
-      result.consistency_violations.push_back(
-          stg.signal_name(s) + "+ enabled while " + stg.signal_name(s) + " = 1");
-    }
-    if (bad[2 * s + 1]) {
-      result.consistent = false;
-      result.consistency_violations.push_back(
-          stg.signal_name(s) + "- enabled while " + stg.signal_name(s) + " = 0");
-    }
-  }
-}
-
 }  // namespace
 
 TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
@@ -123,7 +100,6 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
     binder.maybe_bind(t, from, {&reached, &from});
   }
-  check_consistency_on(sym, reached, result);
 
   const auto track_peak = [&](const Bdd& r) {
     const std::size_t nodes = sym.manager().count_nodes(r);
@@ -157,11 +133,8 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
     }
   };
 
-  bool stop = false;
-
   // The saturation path: the engine computes the whole least fixpoint in
-  // one in-kernel operation, so there is no pass/unit loop to interleave
-  // the on-the-fly checks with. That is only sound when no lazy binding
+  // one in-kernel operation. That is only sound when no lazy binding
   // remains: binding infers a signal's initial value from the *first*
   // enabling of one of its transitions, a temporal fact the closed set
   // has erased (both directions of the signal may be enabled somewhere in
@@ -170,9 +143,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
   // declared initial values -- every bench family and example net -- and
   // signals enabled in the very first state are already bound by the
   // preamble above; anything still unbound routes to the step-wise loop
-  // below, which runs correctly on this engine's per-transition units. The
-  // consistency/safeness checks run once on the final closed set, which
-  // contains every state the step-wise engines would have checked.
+  // below, which runs correctly on this engine's per-transition units.
   if (engine.computes_global_fixpoint() && binder.unbound().empty()) {
     // One pass, always: the whole closure is a single kernel operation.
     ++result.stats.passes;
@@ -192,33 +163,8 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
                            sym.manager().peak_live_nodes(), reached_nodes,
                            /*frontier_nodes=*/0);
     }
-    {
-      TraceSpan span(options.trace, "consistency", "traversal");
-      check_consistency_on(sym, reached, result);
-    }
-    {
-      TraceSpan span(options.trace, "safeness", "traversal");
-      // Every transition's unsafe states in one walk; the report names the
-      // lowest-index unsafe transition.
-      const std::vector<bool> unsafe = owners_meeting(
-          sym, reached, sym.safeness_cubes(), net.transition_count());
-      for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
-        if (unsafe[t]) {
-          result.safe = false;
-          result.safeness_detail =
-              "firing " + sym.stg().format_label(t) +
-              " deposits a second token on a successor place";
-          break;
-        }
-      }
-    }
-    // Match the step-wise engines' verdict: a violation under
-    // abort_on_violation reports the traversal as incomplete.
-    if (options.abort_on_violation && (!result.consistent || !result.safe)) {
-      stop = true;
-    }
   } else {
-    while (!stop) {
+    while (true) {
       ++result.stats.passes;
       TraceSpan pass_span(options.trace, "pass", "traversal");
       pass_span.arg("pass", static_cast<double>(result.stats.passes));
@@ -229,34 +175,14 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
       Bdd pass_new = sym.manager().bdd_false();
       Bdd fire_base = from;
 
-      for (std::size_t u = 0; u < engine.unit_count() && !stop; ++u) {
-        {
-          // Binding shares this loop (it must precede each transition's
-          // test); it is a flag test once every signal is bound.
-          TraceSpan safeness(options.trace, "safeness", "traversal");
-          for (pn::TransitionId t : engine.unit_transitions(u)) {
-            // Lazy initial-value binding: the first enabling of a signal
-            // pins its value in everything collected so far.
-            binder.maybe_bind(t, fire_base,
-                              {&reached, &from, &fire_base, &pass_new});
-
-            // Every backend silently excludes unsafe firings from its
-            // image; detect and report them here (uniformly, from the
-            // cubes).
-            const Bdd unsafe = sym.unsafe_states(fire_base, t);
-            if (!unsafe.is_false()) {
-              result.safe = false;
-              result.safeness_detail =
-                  "firing " + sym.stg().format_label(t) +
-                  " deposits a second token on a successor place";
-              if (options.abort_on_violation) {
-                stop = true;
-                break;
-              }
-            }
-          }
+      for (std::size_t u = 0; u < engine.unit_count(); ++u) {
+        // Lazy initial-value binding: the first enabling of a signal pins
+        // its value in everything collected so far. A flag test once every
+        // signal is bound.
+        for (pn::TransitionId t : engine.unit_transitions(u)) {
+          binder.maybe_bind(t, fire_base,
+                            {&reached, &from, &fire_base, &pass_new});
         }
-        if (stop) break;
 
         Bdd to = sym.manager().bdd_false();
         {
@@ -277,16 +203,6 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
         }
       }
 
-      if (!pass_new.is_false()) {
-        TraceSpan span(options.trace, "consistency", "traversal");
-        const std::size_t before = result.consistency_violations.size();
-        check_consistency_on(sym, pass_new, result);
-        if (options.abort_on_violation &&
-            result.consistency_violations.size() > before) {
-          stop = true;
-        }
-      }
-
       const std::size_t reached_nodes = track_peak(reached);
       maintain();
       if (options.events != nullptr) {
@@ -301,15 +217,48 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
       from = pass_new;
     }
   }  // step-wise path
-  if (stop) result.complete = false;
 
-  // De-duplicate violation messages (the same signal can trip many passes).
-  std::sort(result.consistency_violations.begin(),
-            result.consistency_violations.end());
-  result.consistency_violations.erase(
-      std::unique(result.consistency_violations.begin(),
-                  result.consistency_violations.end()),
-      result.consistency_violations.end());
+  // The companion checks (Sec. 5.1) run once, on the closed set, whichever
+  // path built it: every engine reports the same verdicts and lists.
+  const stg::Stg& stg = sym.stg();
+  {
+    TraceSpan span(options.trace, "consistency", "traversal");
+    // Inconsistent(a+) = E(a+) & a, Inconsistent(a-) = E(a-) & a', tested
+    // cube by cube (E(t) & a per a+ transition t), so neither union is
+    // built.
+    const std::vector<bool> bad = owners_meeting(
+        sym, reached, sym.consistency_cubes(), 2 * stg.signal_count());
+    for (stg::SignalId s = 0; s < stg.signal_count(); ++s) {
+      if (bad[2 * s]) {
+        result.consistency_violations.push_back(
+            stg.signal_name(s) + "+ enabled while " + stg.signal_name(s) + " = 1");
+      }
+      if (bad[2 * s + 1]) {
+        result.consistency_violations.push_back(
+            stg.signal_name(s) + "- enabled while " + stg.signal_name(s) + " = 0");
+      }
+    }
+    result.consistent = result.consistency_violations.empty();
+    std::sort(result.consistency_violations.begin(),
+              result.consistency_violations.end());
+  }
+  {
+    TraceSpan span(options.trace, "safeness", "traversal");
+    // Every backend silently excludes unsafe firings from its image, so
+    // they are found here, from the cubes: every transition's unsafe
+    // states in one walk. The report names the lowest-index unsafe
+    // transition.
+    const std::vector<bool> unsafe = owners_meeting(
+        sym, reached, sym.safeness_cubes(), net.transition_count());
+    for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
+      if (unsafe[t]) {
+        result.safe = false;
+        result.safeness_detail = "firing " + stg.format_label(t) +
+                                 " deposits a second token on a successor place";
+        break;
+      }
+    }
+  }
 
   result.reached = reached;
   result.unbound_signals = binder.unbound();

@@ -1,7 +1,8 @@
 // Symbolic reachability traversal (Fig. 5 of the paper): passes over the
 // engine's firing units, where each unit fires from the pass's frontier
 // plus every state found earlier in the same pass (chaining), until a
-// pass finds nothing new. Two companion checks run on the fly:
+// pass finds nothing new. Every traversal runs to its fixpoint; then two
+// companion checks run once on the closed set:
 //
 //   * consistency of the state assignment (Sec. 5.1): a state reached with
 //     a+ enabled while a = 1 (or a- while a = 0) is inconsistent;
@@ -56,9 +57,6 @@ struct TraversalOptions {
   /// traverse(ImageEngine&, ...) overload uses the engine it is given.
   EngineKind engine = EngineKind::kCofactor;
   EngineOptions engine_options;
-  /// Stop as soon as an inconsistency or safeness violation is found
-  /// (the paper rejects such STGs outright).
-  bool abort_on_violation = true;
   /// Dynamic reordering (an extension beyond the paper, which used static
   /// orders only): sift the variable order whenever the live node count
   /// has doubled since the last reorder (AutoSiftPolicy below). Rescues
@@ -75,8 +73,8 @@ struct TraversalOptions {
   /// the benches and the paper-style CLI path pay nothing.
   EventLog* events = nullptr;
   /// When set, the traversal records Chrome trace_event spans (one per
-  /// pass, one per engine image call / fixpoint closure, the consistency
-  /// tests, the saturated set's safeness tests, the final counts) into it
+  /// pass, one per engine image call / fixpoint closure, the closed set's
+  /// consistency and safeness tests, the final counts) into it
   /// (util/trace.hpp). Not owned; null disables recording.
   TraceRecorder* trace = nullptr;
 };
@@ -122,26 +120,25 @@ struct TraversalResult {
   TraversalStats stats;
 
   bool consistent = true;
-  /// Human-readable descriptions, one per offending signal.
+  /// Human-readable descriptions, one per offending signal direction,
+  /// sorted.
   std::vector<std::string> consistency_violations;
 
   bool safe = true;
+  /// Names the lowest-index unsafe transition; empty when safe.
   std::string safeness_detail;
 
   /// Signals whose value never became known (no transition ever enabled);
   /// they remain unconstrained in `reached`.
   std::vector<stg::SignalId> unbound_signals;
 
-  /// True if the fixed point was reached (false only when a violation
-  /// stopped the traversal early).
-  bool complete = true;
-
-  bool ok() const { return consistent && safe && complete; }
+  bool ok() const { return consistent && safe; }
 };
 
 /// Computes the reachable full states of the STG through the given image
-/// backend. Chaining, lazy initial-value binding and the on-the-fly
-/// consistency/safeness checks run identically on every backend.
+/// backend, always to the fixpoint. Chaining, lazy initial-value binding
+/// and the closed-set consistency/safeness checks run identically on every
+/// backend.
 TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options = {});
 
 /// Convenience: builds the backend selected by `options.engine` internally.

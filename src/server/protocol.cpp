@@ -173,7 +173,6 @@ json::Value report_to_json(const stg::Stg& stg,
   traversal.set("image_computations", Value(stats.image_computations));
   traversal.set("peak_reached_nodes", Value(stats.peak_reached_nodes));
   traversal.set("final_reached_nodes", Value(stats.final_reached_nodes));
-  traversal.set("complete", Value(report.traversal.complete));
   obj.set("traversal", std::move(traversal));
 
   obj.set("deadlock_states", Value(report.deadlock_states_count));

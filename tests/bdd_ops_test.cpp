@@ -438,9 +438,7 @@ TEST_P(EmptinessProperty, RandomStgReachedSets) {
   Rng rng(GetParam());
   const stg::Stg net = testutil::random_stg(rng);
   core::SymbolicStg sym(net);
-  core::TraversalOptions options;
-  options.abort_on_violation = false;
-  const core::TraversalResult r = core::traverse(sym, options);
+  const core::TraversalResult r = core::traverse(sym);
   // The sets the checks test: the reached set, enabling cubes, signal
   // regions and their intersections with the reached set.
   std::vector<Bdd> fs = {r.reached, sym.place_cube()};

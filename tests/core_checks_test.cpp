@@ -181,9 +181,7 @@ TEST_P(CscShortcut, MatchesThePerSignalLoop) {
                   /*with_primed_vars=*/true);
   const std::unique_ptr<ImageEngine> engine =
       make_engine(EngineKind::kSaturation, sym);
-  TraversalOptions options;
-  options.abort_on_violation = false;
-  const TraversalResult t = traverse(*engine, options);
+  const TraversalResult t = traverse(*engine);
 
   const SymCscResult got = check_csc(sym, t.reached);
   const SymCscResult want = csc_per_signal(sym, t.reached);
@@ -233,6 +231,22 @@ TEST(SymCsc, LargeRosterCountsAreExact) {
   }
 }
 
+TEST(SymCsc, UnderflowingCountsDecideUscByBdd) {
+  // Over muller270's state variables one state is a probability below
+  // 2^-1074: its count underflows to 0 against one code. The
+  // verdict comes from the BDD test instead: one state has a unique code,
+  // and two markings under one code do not.
+  const stg::Stg net = stg::muller_pipeline(270);
+  SymbolicStg sym(net);
+  const bdd::Bdd one = sym.initial_state();
+  bool exact = true;
+  ASSERT_EQ(sym.count_states(one, &exact), 0.0);
+  ASSERT_FALSE(exact);
+  EXPECT_TRUE(check_csc(sym, one).unique_state_coding);
+  const bdd::Bdd two = sym.manager().exists(one, sym.place(0));
+  EXPECT_FALSE(check_csc(sym, two).unique_state_coding);
+}
+
 // ---------------------------------------------------------------------------
 // Reducibility
 // ---------------------------------------------------------------------------
@@ -277,9 +291,7 @@ TEST(SymReducibility, PassedInCscResultMatchesRecomputedOne) {
   for (int i = 0; i < testutil::kExampleNetCount; ++i) {
     const stg::Stg net = testutil::example_net(i);
     SymbolicStg sym(net);
-    TraversalOptions options;
-    options.abort_on_violation = false;
-    const TraversalResult t = traverse(sym, options);
+    const TraversalResult t = traverse(sym);
     if (!t.ok()) continue;
     const SymCscResult csc = check_csc(sym, t.reached);
     if (csc.complete_state_coding) continue;

@@ -51,9 +51,7 @@ class CrossValidation : public ::testing::TestWithParam<int> {
   void SetUp() override {
     net = std::make_unique<stg::Stg>(net_by_index(GetParam()));
     sym = std::make_unique<SymbolicStg>(*net);
-    TraversalOptions options;
-    options.abort_on_violation = false;  // keep exploring for comparisons
-    traversal = traverse(*sym, options);
+    traversal = traverse(*sym);
     graph = sg::build_state_graph(*net);
     ASSERT_TRUE(graph.complete);
   }
@@ -210,16 +208,14 @@ class EngineCrossValidation
     engine = make_engine(std::get<1>(GetParam()), *sym);
     reference = std::make_unique<CofactorEngine>(*sym);
 
-    options.abort_on_violation = false;  // keep exploring for comparisons
-    traversal = traverse(*engine, options);
-    ref_traversal = traverse(*reference, options);
+    traversal = traverse(*engine);
+    ref_traversal = traverse(*reference);
   }
 
   std::unique_ptr<stg::Stg> net;
   std::unique_ptr<SymbolicStg> sym;
   std::unique_ptr<ImageEngine> engine;
   std::unique_ptr<CofactorEngine> reference;
-  TraversalOptions options;
   TraversalResult traversal;
   TraversalResult ref_traversal;
 };
@@ -233,7 +229,9 @@ TEST_P(EngineCrossValidation, ReachedSetsAreIdentical) {
 TEST_P(EngineCrossValidation, TraversalVerdictsAgree) {
   EXPECT_EQ(traversal.consistent, ref_traversal.consistent);
   EXPECT_EQ(traversal.safe, ref_traversal.safe);
-  EXPECT_EQ(traversal.complete, ref_traversal.complete);
+  EXPECT_EQ(traversal.consistency_violations,
+            ref_traversal.consistency_violations);
+  EXPECT_EQ(traversal.safeness_detail, ref_traversal.safeness_detail);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -245,58 +243,87 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Report parity: every engine must report the same facts, not only reach
-// the same BDD. Per net and engine, on one shared primed encoding:
-//   * the full check_implementability pipeline: level and verdict flags;
-//   * a non-aborting traversal: the reached set as a handle, its counts,
-//     consistency and safeness verdicts, consistency list, unbound
-//     signals. (The
-//     pipeline stops at the first consistency or safeness violation, at a
-//     point that depends on each engine's firing order, so its partial
-//     lists are not comparable.)
-// The checks take only the encoding and the reached set, so their lists
-// are computed once, on that set; each witness must lie inside its
-// violation's bad set, recomputed from its definition. Nets: every
-// example net, then random STGs (seeds 1..kRandomNets).
+// the same BDD, on failing nets as on passing ones. Per net and engine, on
+// one shared primed encoding, the check_implementability pipeline: level
+// and verdict flags, the reached set as a handle, its state, marking and
+// code counts, the consistency list, the safeness detail and the unbound
+// signals. Every traversal runs to its fixpoint, so an unsafe or
+// inconsistent net gets its full counts and lists, and its state count
+// equals the explicit oracle's. The checks take only the encoding and the
+// reached set, so their lists are computed once, on that set; each
+// witness must lie inside its violation's bad set, recomputed from its
+// definition. Nets: every example net, an inconsistent and an unsafe one,
+// then random STGs (seeds 1..kRandomNets): token rings over a shared
+// signal pool, often inconsistent, all with declared initial values.
 // ---------------------------------------------------------------------------
 
-constexpr int kRandomNets = 12;
+constexpr int kFailingNets = 2;
+constexpr int kRandomNets = 48;
 
 stg::Stg parity_net(int index) {
   if (index < kNetCount) return net_by_index(index);
-  Rng rng(static_cast<std::uint64_t>(index - kNetCount + 1));
+  if (index == kNetCount) return stg::examples::inconsistent_rise_rise();
+  if (index == kNetCount + 1) return stg::examples::unsafe_two_token_ring();
+  Rng rng(static_cast<std::uint64_t>(index - kNetCount - kFailingNets + 1));
   return testutil::random_stg(rng);
 }
 
-/// What one engine's pipeline and traversal report about a net.
+/// The explicit oracle's state count under the encoding's firing rule:
+/// the states of the explicit state graph reachable from its initial
+/// state through firings that leave every place at one token at most and
+/// flip their signal. The symbolic image fires nothing else, so on a safe
+/// and consistent net this is every state.
+double oracle_states(const stg::Stg& net) {
+  const sg::StateGraph graph = sg::build_state_graph(net);
+  EXPECT_TRUE(graph.complete) << net.name();
+  std::vector<bool> seen(graph.size(), false);
+  std::vector<std::size_t> stack{0};
+  seen[0] = true;
+  double count = 0;
+  while (!stack.empty()) {
+    const std::size_t s = stack.back();
+    stack.pop_back();
+    ++count;
+    for (const sg::SgEdge& e : graph.edges[s]) {
+      if (seen[e.target] || graph.markings[e.target].max_tokens() > 1) continue;
+      const stg::TransitionLabel& label = net.label(e.transition);
+      if (!label.is_dummy() &&
+          graph.codes[s][label.signal] == graph.codes[e.target][label.signal]) {
+        continue;  // an inconsistent firing leaves its signal as it was
+      }
+      seen[e.target] = true;
+      stack.push_back(e.target);
+    }
+  }
+  return count;
+}
+
+/// What one engine's check_implementability run reports about a net.
 struct EngineDigest {
   ImplementabilityLevel level = ImplementabilityLevel::kNotImplementable;
-  std::vector<bool> pipeline_verdicts;
+  std::vector<bool> verdicts;
   bdd::Bdd reached;
-  std::vector<bool> verdicts;  // consistent, safe, complete
+  std::vector<double> counts;  // states, markings, codes
   std::vector<std::string> consistency_violations;
+  std::string safeness_detail;
   std::vector<stg::SignalId> unbound_signals;
-  std::vector<double> counts;  // states, markings
 };
 
 EngineDigest digest(SymbolicStg& sym, EngineKind kind) {
+  CheckOptions options;
+  options.engine = kind;
+  const ImplementabilityReport r = check_implementability(sym, options);
+  const TraversalResult& t = r.traversal;
   EngineDigest d;
-  CheckOptions pipeline;
-  pipeline.engine = kind;
-  const ImplementabilityReport r = check_implementability(sym, pipeline);
   d.level = r.level;
-  d.pipeline_verdicts = {r.safe,          r.consistent, r.signal_persistent,
-                         r.deterministic, r.fake_free,  r.usc,
-                         r.csc,           r.csc_reducible, r.deadlock_free};
-
-  const std::unique_ptr<ImageEngine> engine = make_engine(kind, sym);
-  TraversalOptions options;
-  options.abort_on_violation = false;
-  const TraversalResult t = traverse(*engine, options);
+  d.verdicts = {r.safe,          r.consistent, r.signal_persistent,
+                r.deterministic, r.fake_free,  r.usc,
+                r.csc,           r.csc_reducible, r.deadlock_free};
   d.reached = t.reached;
-  d.verdicts = {t.consistent, t.safe, t.complete};
+  d.counts = {t.stats.states, t.stats.markings, sym.count_codes(t.reached)};
   d.consistency_violations = t.consistency_violations;
+  d.safeness_detail = t.safeness_detail;
   d.unbound_signals = t.unbound_signals;
-  d.counts = {t.stats.states, t.stats.markings};
   return d;
 }
 
@@ -343,24 +370,26 @@ TEST_P(ReportParity, EveryEngineReportsTheSameFacts) {
   SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14,
                   /*with_primed_vars=*/true);
   const EngineDigest expected = digest(sym, EngineKind::kCofactor);
+  EXPECT_DOUBLE_EQ(expected.counts[0], oracle_states(net));
   for (const EngineKind kind :
        {EngineKind::kMonolithicRelation, EngineKind::kSaturation}) {
     const EngineDigest got = digest(sym, kind);
     const std::string engine = to_string(kind);
     EXPECT_EQ(got.level, expected.level) << engine;
-    EXPECT_EQ(got.pipeline_verdicts, expected.pipeline_verdicts) << engine;
-    EXPECT_EQ(got.reached, expected.reached) << engine;
     EXPECT_EQ(got.verdicts, expected.verdicts) << engine;
+    EXPECT_EQ(got.reached, expected.reached) << engine;
+    EXPECT_EQ(got.counts, expected.counts) << engine;
     EXPECT_EQ(got.consistency_violations, expected.consistency_violations)
         << engine;
+    EXPECT_EQ(got.safeness_detail, expected.safeness_detail) << engine;
     EXPECT_EQ(got.unbound_signals, expected.unbound_signals) << engine;
-    EXPECT_EQ(got.counts, expected.counts) << engine;
   }
   expect_witnesses_inside_bad_sets(sym, expected.reached);
 }
 
-INSTANTIATE_TEST_SUITE_P(ExampleAndRandomNets, ReportParity,
-                         ::testing::Range(0, kNetCount + kRandomNets));
+INSTANTIATE_TEST_SUITE_P(
+    ExampleFailingAndRandomNets, ReportParity,
+    ::testing::Range(0, kNetCount + kFailingNets + kRandomNets));
 
 }  // namespace
 }  // namespace stgcheck::core

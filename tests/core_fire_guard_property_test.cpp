@@ -60,9 +60,7 @@ class FireGuardProperties : public ::testing::TestWithParam<int> {
     // Primed, so the saturation engine can build its relations on it.
     sym = std::make_unique<SymbolicStg>(*net, Ordering::kInterleaved, 1 << 14,
                                         /*with_primed_vars=*/true);
-    TraversalOptions options;
-    options.abort_on_violation = false;  // keep unsafe/inconsistent states
-    reached = traverse(*sym, options).reached;
+    reached = traverse(*sym).reached;
   }
 
   std::size_t transitions() const { return net->net().transition_count(); }

@@ -142,6 +142,17 @@ TEST(Implementability, DeadlockVerdictDoesNotReadTheCount) {
   }
 }
 
+TEST(Implementability, UscVerdictDoesNotReadAnInexactCount) {
+  // At 270 stages muller's state count underflows to 0 while its code
+  // count does not, so comparing the two would call the net non-USC.
+  CheckOptions options;
+  options.engine = EngineKind::kSaturation;
+  const ImplementabilityReport muller =
+      check_implementability(stg::muller_pipeline(270), options);
+  ASSERT_TRUE(muller.traversal.ok());
+  EXPECT_TRUE(muller.usc);
+}
+
 TEST(Implementability, LevelToString) {
   EXPECT_EQ(to_string(ImplementabilityLevel::kGateImplementable),
             "gate-implementable");

@@ -177,13 +177,11 @@ TEST(SiftedTraversalProperty, ForcedSiftMatchesUnsiftedBaselineOnRandomStgs) {
 
       TraversalOptions off;
       off.auto_sift = false;
-      off.abort_on_violation = false;  // random rings may be inconsistent
       const TraversalResult baseline = traverse(*engine, off);
 
       TraversalOptions on;
       on.auto_sift = true;
       on.auto_sift_threshold = 0;  // sift at the first opportunity
-      on.abort_on_violation = false;
       const TraversalResult sifted = traverse(*engine, on);
 
       EXPECT_EQ(sifted.reached, baseline.reached)

@@ -92,16 +92,14 @@ TEST(SaturationProperty, TraversalAgreesWithCofactorOnRandomStgs) {
                     /*with_primed_vars=*/true);
     SaturationEngine sat(sym);
     CofactorEngine reference(sym);
-    TraversalOptions options;
-    options.abort_on_violation = false;
-    const TraversalResult a = traverse(sat, options);
+    const TraversalResult a = traverse(sat);
     sym.manager().check_invariants();
-    const TraversalResult b = traverse(reference, options);
+    const TraversalResult b = traverse(reference);
     EXPECT_EQ(a.reached, b.reached) << "trial " << trial;
     EXPECT_DOUBLE_EQ(a.stats.states, b.stats.states);
     EXPECT_EQ(a.consistent, b.consistent);
     EXPECT_EQ(a.safe, b.safe);
-    EXPECT_EQ(a.complete, b.complete);
+    EXPECT_EQ(a.consistency_violations, b.consistency_violations);
   }
 }
 
@@ -131,11 +129,9 @@ TEST(SaturationProperty, LazyBindingNetsRouteStepWiseAndStillAgree) {
                   /*with_primed_vars=*/true);
   SaturationEngine sat(sym);
   CofactorEngine reference(sym);
-  TraversalOptions options;
-  options.abort_on_violation = false;
-  const TraversalResult x = traverse(sat, options);
+  const TraversalResult x = traverse(sat);
   EXPECT_EQ(sat.reach_calls(), 0u);  // the step-wise route was taken
-  const TraversalResult y = traverse(reference, options);
+  const TraversalResult y = traverse(reference);
   EXPECT_EQ(x.reached, y.reached);
   EXPECT_DOUBLE_EQ(x.stats.states, y.stats.states);
   EXPECT_EQ(x.consistent, y.consistent);

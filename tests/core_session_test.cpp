@@ -24,7 +24,7 @@ TEST(CheckSession, RunProducesReportAndEncoding) {
   ASSERT_NE(session.encoding(), nullptr);
   EXPECT_EQ(&report, &session.report());
   EXPECT_EQ(report.level, ImplementabilityLevel::kGateImplementable);
-  EXPECT_TRUE(report.traversal.complete);
+  EXPECT_TRUE(report.traversal.ok());
   EXPECT_GT(report.traversal.stats.states, 0u);
 }
 

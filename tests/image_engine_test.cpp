@@ -91,9 +91,7 @@ TEST(RandomStgs, SaturationMatchesMonolithicAndCofactor) {
     SaturationEngine saturation(*sym);
 
     // Random rings may be inconsistent STGs; images must agree regardless.
-    TraversalOptions topts;
-    topts.abort_on_violation = false;
-    const TraversalResult ref = traverse(cofactor, topts);
+    const TraversalResult ref = traverse(cofactor);
 
     Bdd all_transitions = sym->manager().bdd_false();
     for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
@@ -105,8 +103,8 @@ TEST(RandomStgs, SaturationMatchesMonolithicAndCofactor) {
     EXPECT_EQ(monolithic.image_unit(ref.reached, 0), all_transitions)
         << "trial " << trial;
 
-    const TraversalResult mono_r = traverse(monolithic, topts);
-    const TraversalResult sat_r = traverse(saturation, topts);
+    const TraversalResult mono_r = traverse(monolithic);
+    const TraversalResult sat_r = traverse(saturation);
     EXPECT_EQ(mono_r.reached, ref.reached) << "trial " << trial;
     EXPECT_EQ(sat_r.reached, ref.reached) << "trial " << trial;
   }
