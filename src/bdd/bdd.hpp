@@ -6,7 +6,8 @@
 // provides exactly the operations the paper's algorithms need:
 //
 //   * mk / ITE / AND / OR / XOR / NOT                      (Sec. 4)
-//   * cofactor with respect to a cube of literals           (delta_N)
+//   * cofactor with respect to a cube of literals, and the cube
+//     substitution that fires a transition in one walk      (delta_N)
 //   * existential / universal abstraction and AND-EXISTS    (ER/QR, Sec. 5.3)
 //   * rel_next / reach: the twin-pair relational product and the in-kernel
 //     saturation fixpoint (REACH) behind the SaturationEngine backend
@@ -333,6 +334,17 @@ class Manager {
   /// Generalized cofactor of f with respect to a cube of literals
   /// (f with every cube variable fixed to its polarity).
   Bdd cofactor(const Bdd& f, const Bdd& cube);
+  /// cofactor(f, pre) & post for two cubes over the same variables, in
+  /// one memoized walk of f: the substitution that fires a transition
+  /// (core::SymbolicStg::image). Above a cube variable the walk rebuilds
+  /// f's node from its two results; at one it follows pre's branch and
+  /// emits a single node carrying post's literal, and a pre literal above
+  /// f's top still emits its post literal. No intermediate set is built.
+  /// Counts as one call on the cofactor profile slot and shares its cache
+  /// tag, with post as the third key (a plain cofactor stores false
+  /// there, and no cube is false). Throws ModelError unless both are
+  /// cubes over the same variables.
+  Bdd substitute_cube(const Bdd& f, const Bdd& pre, const Bdd& post);
   /// Existential abstraction of the (positive) cube variables.
   Bdd exists(const Bdd& f, const Bdd& cube);
   /// Universal abstraction of the (positive) cube variables.
@@ -713,6 +725,7 @@ class Manager {
   NodeRef xor_rec(NodeRef f, NodeRef g);
   NodeRef ite_rec(NodeRef f, NodeRef g, NodeRef h);
   NodeRef cofactor_rec(NodeRef f, NodeRef cube);
+  NodeRef substitute_rec(NodeRef f, NodeRef pre, NodeRef post);
   NodeRef exists_rec(NodeRef f, NodeRef cube);
   NodeRef and_exists_rec(NodeRef f, NodeRef g, NodeRef cube);
   NodeRef rel_next_rec(NodeRef s, NodeRef r, NodeRef cube);

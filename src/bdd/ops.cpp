@@ -72,6 +72,34 @@ Bdd Manager::cofactor(const Bdd& f, const Bdd& cube) {
   return result;
 }
 
+Bdd Manager::substitute_cube(const Bdd& f, const Bdd& pre, const Bdd& post) {
+  poll_budget();
+  // The recursion steps both cubes one literal at a time in lockstep, so
+  // they must be cubes over one variable list, in one order.
+  const auto next_literal = [&](NodeRef c) {
+    if (!is_term(c)) {
+      if (low_of(c) == kFalse) return high_of(c);
+      if (high_of(c) == kFalse) return low_of(c);
+    }
+    throw ModelError("substitute_cube: operand is not a cube");
+  };
+  for (NodeRef a = pre.ref(), b = post.ref(); a != kTrue || b != kTrue;
+       a = next_literal(a), b = next_literal(b)) {
+    if (is_term(a) || is_term(b) || deref(a).var != deref(b).var) {
+      const auto at = [&](NodeRef c) {
+        return is_term(c) ? std::string("no literal") : var_desc(deref(c).var);
+      };
+      throw ModelError("substitute_cube: pre has " + at(a) +
+                       " where post has " + at(b));
+    }
+  }
+  ++counters_.calls[op_slot(OpKind::kCofactor)];
+  ProfileTimer timer(*this, OpKind::kCofactor);
+  Bdd result = make_handle(substitute_rec(f.ref(), pre.ref(), post.ref()));
+  maybe_gc();
+  return result;
+}
+
 Bdd Manager::exists(const Bdd& f, const Bdd& cube) {
   poll_budget();
   ++counters_.calls[op_slot(OpKind::kExists)];
@@ -404,6 +432,43 @@ NodeRef Manager::cofactor_rec(NodeRef f, NodeRef cube) {
     r = mk(v, low, cofactor_rec(fhigh, cube));
   }
   cache_store(Op::kCofactor, f, cube, kFalse, r);
+  return r;
+}
+
+NodeRef Manager::substitute_rec(NodeRef f, NodeRef pre, NodeRef post) {
+  if (f == kFalse) return kFalse;
+  if (pre == kTrue) return f;  // post is used up in the same step
+  if (f == kTrue) return post;
+
+  NodeRef cached = cache_lookup(Op::kCofactor, f, pre, post);
+  if (cached != kInvalidRef) return cached;
+
+  const std::size_t lf = level(f);
+  const std::size_t lc = level(pre);
+  NodeRef r;
+  if (lf < lc) {
+    const Var v = deref(f).var;
+    const NodeRef fhigh = high_of(f);
+    const NodeRef low = substitute_rec(low_of(f), pre, post);
+    r = mk(v, low, substitute_rec(fhigh, pre, post));
+  } else {
+    // Follow pre's literal (f is unconstrained by it when its top lies
+    // below) and put post's literal in its place.
+    const Var v = deref(pre).var;
+    const bool pre_high = low_of(pre) == kFalse;
+    const bool post_high = low_of(post) == kFalse;
+    const NodeRef branch =
+        lf > lc ? f : (pre_high ? high_of(f) : low_of(f));
+    const NodeRef rest =
+        substitute_rec(branch, pre_high ? high_of(pre) : low_of(pre),
+                       post_high ? high_of(post) : low_of(post));
+    if (rest == kFalse) {
+      r = kFalse;
+    } else {
+      r = post_high ? mk(v, kFalse, rest) : mk(v, rest, kFalse);
+    }
+  }
+  cache_store(Op::kCofactor, f, pre, post, r);
   return r;
 }
 

@@ -197,28 +197,14 @@ void SymbolicStg::order_variables(Ordering ordering) {
 void SymbolicStg::build_cubes() {
   const pn::PetriNet& net = stg_->net();
   e_.reserve(net.transition_count());
-  npm_.reserve(net.transition_count());
-  nsm_.reserve(net.transition_count());
-  asm_.reserve(net.transition_count());
   fire_guard_.resize(net.transition_count());
   firing_cube_.resize(net.transition_count());
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
     bdd::CubeLiterals enabled;
-    bdd::CubeLiterals none_pre;
-    bdd::CubeLiterals none_post;
-    bdd::CubeLiterals all_post;
     for (pn::PlaceId p : net.preset(t)) {
       enabled.push_back({place_vars_[p], true});
-      none_pre.push_back({place_vars_[p], false});
-    }
-    for (pn::PlaceId p : net.postset(t)) {
-      none_post.push_back({place_vars_[p], false});
-      all_post.push_back({place_vars_[p], true});
     }
     e_.push_back(manager_->cube(enabled));
-    npm_.push_back(manager_->cube(none_pre));
-    nsm_.push_back(manager_->cube(none_post));
-    asm_.push_back(manager_->cube(all_post));
 
     const std::vector<pn::PlaceId>& pre = net.preset(t);
     for (pn::PlaceId p : net.postset(t)) {
@@ -350,91 +336,61 @@ Bdd SymbolicStg::initial_state() const {
 // Image and preimage
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// OR of the place literals a firing of `t` produces into without
-/// consuming from: the states where those are already marked are exactly
-/// the safeness violations of `t`.
-Bdd marked_successor_cube(SymbolicStg& sym, pn::TransitionId t) {
-  const pn::PetriNet& net = sym.stg().net();
+bdd::CubeLiterals SymbolicStg::firing_literals(pn::TransitionId t,
+                                               bool after) const {
+  const pn::PetriNet& net = stg_->net();
   const std::vector<pn::PlaceId>& pre = net.preset(t);
-  Bdd marked = sym.manager().bdd_false();
-  for (pn::PlaceId p : net.postset(t)) {
+  const std::vector<pn::PlaceId>& post = net.postset(t);
+  bdd::CubeLiterals literals;
+  for (pn::PlaceId p : pre) {
+    const bool refilled = std::find(post.begin(), post.end(), p) != post.end();
+    literals.push_back({place_vars_[p], !after || refilled});
+  }
+  for (pn::PlaceId p : post) {
     if (std::find(pre.begin(), pre.end(), p) != pre.end()) continue;
-    marked |= sym.place(p);
+    literals.push_back({place_vars_[p], after});
   }
-  return marked;
-}
-
-}  // namespace
-
-Bdd SymbolicStg::image(const Bdd& states, pn::TransitionId t) const {
-  // The paper's pipeline: select the enabled part and drop the preset
-  // variables (cofactor by E(t)), set the preset to empty, check/cofactor
-  // the postset empty, then set the postset full.
-  Bdd step = manager_->cofactor(states, e_[t]);
-  step &= npm_[t];
-  step = manager_->cofactor(step, nsm_[t]);
-  step &= asm_[t];
-  if (step.is_false()) return step;
-  // Keep the consistent half and flip the fired signal's bit. States with
-  // the signal already at its post-transition value would be inconsistent
-  // firings; the consistency check reports them, the image simply never
-  // creates them (Sec. 5.1).
   const stg::TransitionLabel& label = stg_->label(t);
-  if (label.is_dummy()) return step;
-  const Bdd sig = signal(label.signal);
-  if (label.dir == stg::Dir::kPlus) {
-    return manager_->cofactor(step, !sig) & sig;
+  if (!label.is_dummy()) {
+    // a+ fires from a = 0 into a = 1, a- the other way.
+    literals.push_back(
+        {signal_vars_[label.signal], (label.dir == stg::Dir::kPlus) == after});
   }
-  return manager_->cofactor(step, sig) & !sig;
-}
-
-Bdd SymbolicStg::preimage(const Bdd& states, pn::TransitionId t) const {
-  // The exact inverse: swap the roles of the four cubes and flip the
-  // signal the other way.
-  Bdd step = manager_->cofactor(states, asm_[t]);
-  step &= nsm_[t];
-  step = manager_->cofactor(step, npm_[t]);
-  step &= e_[t];
-  if (step.is_false()) return step;
-  const stg::TransitionLabel& label = stg_->label(t);
-  if (label.is_dummy()) return step;
-  const Bdd sig = signal(label.signal);
-  if (label.dir == stg::Dir::kPlus) {
-    return manager_->cofactor(step, sig) & !sig;  // a was 0 before a+
-  }
-  return manager_->cofactor(step, !sig) & sig;  // a was 1 before a-
+  return literals;
 }
 
 const Bdd& SymbolicStg::fire_guard(pn::TransitionId t) {
   Bdd& guard = fire_guard_[t];
-  if (!guard.valid()) {
-    // The three selections of image() (E(t), NSM after the preset is
-    // emptied, the signal flip) and of the relations' core constraints.
-    guard = e_[t].minus(marked_successor_cube(*this, t));
-    const stg::TransitionLabel& label = stg_->label(t);
-    if (!label.is_dummy()) {
-      const Bdd sig = signal(label.signal);
-      guard &= label.dir == stg::Dir::kPlus ? !sig : sig;
-    }
-  }
+  if (!guard.valid()) guard = manager_->cube(firing_literals(t, false));
   return guard;
 }
 
-Bdd SymbolicStg::after_firing(const Bdd& predicate, pn::TransitionId t) {
+const Bdd& SymbolicStg::firing_cube(pn::TransitionId t) {
   Bdd& cube = firing_cube_[t];
-  if (!cube.valid()) {
-    // The assignment image() leaves: postset full (ASM), preset empty
-    // (NPM) except for places the firing also produces into.
-    cube = asm_[t] & manager_->exists(npm_[t], asm_[t]);
-    const stg::TransitionLabel& label = stg_->label(t);
-    if (!label.is_dummy()) {
-      const Bdd sig = signal(label.signal);
-      cube &= label.dir == stg::Dir::kPlus ? sig : !sig;
-    }
-  }
-  return manager_->cofactor(predicate, cube);
+  if (!cube.valid()) cube = manager_->cube(firing_literals(t, true));
+  return cube;
+}
+
+Bdd SymbolicStg::image(const Bdd& states, pn::TransitionId t) {
+  // The paper's pipeline as one substitution: the guard selects the
+  // states t fires from (E(t), the empty-postset test of NSM(t), the
+  // consistent signal value) and the post cube writes what the firing
+  // leaves (NPM(t), ASM(t), the flipped signal). States with the signal
+  // already at its post-firing value would be inconsistent firings; the
+  // consistency check reports them, the image never creates them
+  // (Sec. 5.1).
+  const Bdd& guard = fire_guard(t);
+  return manager_->substitute_cube(states, guard, firing_cube(t));
+}
+
+Bdd SymbolicStg::preimage(const Bdd& states, pn::TransitionId t) {
+  // The exact inverse: the same substitution with the cubes swapped.
+  const Bdd& guard = fire_guard(t);
+  return manager_->substitute_cube(states, firing_cube(t), guard);
+}
+
+Bdd SymbolicStg::after_firing(const Bdd& predicate, pn::TransitionId t) {
+  return manager_->cofactor(predicate, firing_cube(t));
 }
 
 // ---------------------------------------------------------------------------

@@ -7,9 +7,14 @@
 //
 //     delta_N(M, t) = ((M_{E(t)} . NPM(t))_{NSM(t)} . ASM(t)
 //
-// extended with the fired signal's bit flip for STGs (delta_D), and its
-// mirror image (swap the four cubes, flip the signal the other way) gives
-// the exact preimage used by the backward frozen traversal of Sec. 5.3.
+// extended with the fired signal's bit flip for STGs (delta_D). All four
+// cubes and the flip range over t's own support, so the pipeline is one
+// substitution: fix the guard cube (preset marked, postset-only places
+// empty, signal at its pre-firing value) and put the post cube (postset
+// marked, preset-only places empty, signal flipped) in its place, in one
+// kernel walk (bdd::Manager::substitute_cube). Swapping the two cubes
+// gives the exact preimage used by the backward frozen traversal of
+// Sec. 5.3.
 #pragma once
 
 #include <memory>
@@ -98,12 +103,6 @@ class SymbolicStg {
 
   /// E(t): all predecessor places marked (t enabled).
   const bdd::Bdd& enabling_cube(pn::TransitionId t) const { return e_[t]; }
-  /// NPM(t): no predecessor place marked.
-  const bdd::Bdd& npm_cube(pn::TransitionId t) const { return npm_[t]; }
-  /// NSM(t): no successor place marked.
-  const bdd::Bdd& nsm_cube(pn::TransitionId t) const { return nsm_[t]; }
-  /// ASM(t): all successor places marked.
-  const bdd::Bdd& asm_cube(pn::TransitionId t) const { return asm_[t]; }
   /// E(a*) = OR of E(t) over transitions labelled with (signal, dir).
   bdd::Bdd enabled_signal(stg::SignalId s, stg::Dir dir) const;
   /// OR of E(t) over all transitions of the signal (either direction).
@@ -143,19 +142,21 @@ class SymbolicStg {
   // ---- Image computation -----------------------------------------------------
   // The paper's cofactor image (Sec. 4) and the fire guards the checks
   // test against. They need no relation, so they run on any encoding,
-  // primed or not; every check of core/checks.hpp goes through them.
+  // primed or not; every check of core/checks.hpp goes through them. The
+  // guard and post cubes are built per transition on first use.
 
-  /// delta_D(states, t): successors of `states` under t,
+  /// delta_D(states, t): successors of `states` under t, the paper's
   /// ((states_E(t) . NPM(t))_NSM(t) . ASM(t) plus the fired signal's bit
-  /// flip. Firings that would be unsafe (safeness_cubes) or inconsistent
-  /// are never imaged.
-  bdd::Bdd image(const bdd::Bdd& states, pn::TransitionId t) const;
+  /// flip, computed as the one substitution
+  /// substitute_cube(states, fire_guard(t), post cube of t). Firings that
+  /// would be unsafe (safeness_cubes) or inconsistent are never imaged.
+  bdd::Bdd image(const bdd::Bdd& states, pn::TransitionId t);
   /// Exact inverse of image: the states of fire_guard(t) whose successor
-  /// under t lies in `states`.
-  bdd::Bdd preimage(const bdd::Bdd& states, pn::TransitionId t) const;
+  /// under t lies in `states` (the same substitution, cubes swapped).
+  bdd::Bdd preimage(const bdd::Bdd& states, pn::TransitionId t);
 
-  /// The states image() fires `t` from: E(t), no successor-only place
-  /// marked, and t's signal at its pre-firing value.
+  /// The states image() fires `t` from, as a cube: preset marked,
+  /// postset-only places empty, and t's signal at its pre-firing value.
   const bdd::Bdd& fire_guard(pn::TransitionId t);
   /// `predicate` read one firing of `t` ahead: the states whose successor
   /// under t satisfies it (the preset-only places fixed to 0, the postset
@@ -181,6 +182,13 @@ class SymbolicStg {
  private:
   void order_variables(Ordering ordering);
   void build_cubes();
+  /// The assignment a firing of `t` requires (`after` false: the guard)
+  /// or leaves (`after` true: the post cube) on t's places and signal. A
+  /// place t both reads and refills is marked on both sides; a dummy has
+  /// no signal literal.
+  bdd::CubeLiterals firing_literals(pn::TransitionId t, bool after) const;
+  /// The post cube of `t`, built on first use.
+  const bdd::Bdd& firing_cube(pn::TransitionId t);
 
   std::shared_ptr<const stg::Stg> stg_;
   std::unique_ptr<bdd::Manager> manager_;
@@ -195,9 +203,6 @@ class SymbolicStg {
   std::vector<bdd::Var> state_vars_;
 
   std::vector<bdd::Bdd> e_;
-  std::vector<bdd::Bdd> npm_;
-  std::vector<bdd::Bdd> nsm_;
-  std::vector<bdd::Bdd> asm_;
   bdd::Bdd place_cube_;
   bdd::Bdd signal_cube_;
   bdd::Bdd primed_cube_;
@@ -206,7 +211,7 @@ class SymbolicStg {
   OwnedCubes consistency_cubes_;
   OwnedCubes safeness_cubes_;
   /// Built per transition on first use (invalid until then): fire_guard()
-  /// and the post-firing assignment cube after_firing() cofactors by.
+  /// and firing_cube(), the two sides of the image substitution.
   std::vector<bdd::Bdd> fire_guard_;
   std::vector<bdd::Bdd> firing_cube_;
 };

@@ -6,12 +6,13 @@
 // traversal -- the implementability checks, witnesses, the
 // CSC-reducibility closure -- works on the encoding alone, through
 // SymbolicStg's cofactor image and fire guards. That keeps the paper's
-// central claim (the per-transition cofactor pipeline beats transition
+// central claim (the per-transition cofactor image beats transition
 // relations) a swappable, benchmarkable choice for the traversal.
 //
-//   * CofactorEngine           -- the paper's delta_N pipeline (Sec. 4),
-//                                 SymbolicStg::image per transition; no
-//                                 relation ever built.
+//   * CofactorEngine           -- the paper's delta_N (Sec. 4) as one cube
+//                                 substitution per transition
+//                                 (SymbolicStg::image); no relation ever
+//                                 built.
 //   * MonolithicRelationEngine -- the textbook baseline: one relation
 //                                 T(V, V') = OR_t T_t, applied by a single
 //                                 relational product per step.
@@ -22,7 +23,7 @@
 //                                 its pass loop with reach_fixpoint calls.
 //
 // traverse() fires "units", the indivisible steps a backend offers: by
-// default unit u is transition u, imaged by the cofactor pipeline (the
+// default unit u is transition u, imaged by the cube substitution (the
 // paper's Fig. 5 inner loop); saturation images it by its relation, and
 // the monolithic backend offers one unit for all transitions. Chaining,
 // lazy binding and the on-the-fly checks run unchanged on every backend.
@@ -41,7 +42,7 @@ namespace stgcheck::core {
 
 /// Which backend computes images; TraversalOptions::engine selects one.
 enum class EngineKind {
-  kCofactor,            ///< the paper's delta_N pipeline
+  kCofactor,            ///< the paper's delta_N, one cube substitution
   kMonolithicRelation,  ///< one relation over (V, V')
   kSaturation,          ///< in-kernel REACH fixpoint over per-transition
                         ///< sparse relations (core/saturation.hpp)
@@ -89,8 +90,8 @@ class ImageEngine {
     return {&transitions_[u], 1};
   }
   /// Successors of `states` under every transition of unit `u`. The
-  /// default is the encoding's cofactor image of transition u
-  /// (SymbolicStg::image).
+  /// default is the encoding's image of transition u (SymbolicStg::image,
+  /// one cube substitution).
   virtual bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u);
 
   // ---- Whole-space fixpoints ----------------------------------------------
@@ -148,7 +149,7 @@ class ImageEngine {
   std::size_t order_epoch_;
 };
 
-/// The paper's engine: per-transition cofactor pipeline, one unit per
+/// The paper's engine: one cube substitution per transition, one unit per
 /// transition, no relations. Works on any encoding (primed or not).
 class CofactorEngine final : public ImageEngine {
  public:

@@ -2,11 +2,12 @@
 // material for the relational ImageEngine backends (core/image_engine.hpp).
 //
 // The paper's image operator never builds a relation -- delta_N is four
-// cube operations -- which is one of its contributions. This module lets
-// that claim be tested against relational baselines, and it is the door
-// to encodings the cofactor trick cannot express (k-bounded places,
-// multi-token arcs): those only need a different relation builder behind
-// the same ImageEngine interface.
+// cube steps over the transition's own support, which the kernel runs as
+// one cube substitution -- and that is one of its contributions. This
+// module lets that claim be tested against relational baselines, and it
+// is the door to encodings the cofactor trick cannot express (k-bounded
+// places, multi-token arcs): those only need a different relation builder
+// behind the same ImageEngine interface.
 //
 // Two flavours of per-transition relation are built here:
 //

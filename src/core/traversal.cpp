@@ -203,6 +203,10 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
         }
       }
 
+      // Drop this pass's firing sets before maintenance, so the GC frees
+      // them and the sift orders only what the next pass reads.
+      fire_base = sym.manager().bdd_false();
+      from = pass_new;
       const std::size_t reached_nodes = track_peak(reached);
       maintain();
       if (options.events != nullptr) {
@@ -214,7 +218,6 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
       }
 
       if (pass_new.is_false()) break;  // fixed point
-      from = pass_new;
     }
   }  // step-wise path
 

@@ -113,6 +113,39 @@ TEST_F(BddOps, CofactorBelowSupportIsIdentity) {
   EXPECT_EQ(m.cofactor(f, m.bdd_true()), f);
 }
 
+TEST_F(BddOps, SubstituteCubeFixesPreAndWritesPost) {
+  const Bdd f = (a & b & c) | (!b & d);
+  // b := 1 selects a & c, and b = 0 is written in its place.
+  EXPECT_EQ(m.substitute_cube(f, b, !b), a & c & !b);
+  // A literal f does not test still writes its post literal.
+  EXPECT_EQ(m.substitute_cube(a & b, c & !d, !c & d), a & b & !c & d);
+  EXPECT_TRUE(m.substitute_cube(a & b, !a & b, a & b).is_false());
+  EXPECT_EQ(m.substitute_cube(f, m.bdd_true(), m.bdd_true()), f);
+  EXPECT_EQ(m.substitute_cube(m.bdd_true(), a & !c, !a & c), !a & c);
+}
+
+TEST_F(BddOps, SubstituteCubeIsOneCofactorCallAndChecksItsCubes) {
+  const Bdd f = (a ^ b) | (c & d);
+  const Bdd pre = a & !c;
+  const Bdd post = !a & c;
+  const Bdd expected = m.cofactor(f, pre) & post;
+  const ManagerProfile before = m.profile();
+  EXPECT_EQ(m.substitute_cube(f, pre, post), expected);
+  const ManagerProfile after = m.profile();
+  // One cofactor-slot call, and no conjunction behind it.
+  EXPECT_EQ(after.op(OpKind::kCofactor).calls,
+            before.op(OpKind::kCofactor).calls + 1);
+  EXPECT_EQ(after.op(OpKind::kAnd).calls, before.op(OpKind::kAnd).calls);
+  EXPECT_GT(after.op(OpKind::kCofactor).cache_lookups,
+            before.op(OpKind::kCofactor).cache_lookups);
+  // Both cubes must name the same variables in the same order.
+  EXPECT_THROW(m.substitute_cube(f, a, b), ModelError);
+  EXPECT_THROW(m.substitute_cube(f, a, a & b), ModelError);
+  EXPECT_THROW(m.substitute_cube(f, a & b, b), ModelError);
+  EXPECT_THROW(m.substitute_cube(f, a | b, a | b), ModelError);
+  EXPECT_THROW(m.substitute_cube(f, m.bdd_false(), m.bdd_false()), ModelError);
+}
+
 TEST_F(BddOps, ExistsSingleVariable) {
   Bdd f = (a & b) | (!a & c);
   // exists a: b | c

@@ -154,6 +154,39 @@ TEST_P(BddRandom, CofactorByRandomCube) {
   }
 }
 
+TEST_P(BddRandom, SubstituteCubeIsCofactorThenAnd) {
+  RandomExpr e = random_expr(m, rng, 5);
+  // The same function with the top three variables quantified away, so
+  // cube literals fall above, at and below its top.
+  const Bdd low = m.exists(e.f, m.positive_cube({0, 1, 2}));
+  const std::vector<Bdd> fs = {e.f,  !e.f, low, !low, m.bdd_true(),
+                               m.bdd_false()};
+  const auto check_all = [&] {
+    for (const Bdd& f : fs) {
+      for (int round = 0; round < 6; ++round) {
+        // Two cubes over one random variable set, polarities drawn
+        // independently.
+        CubeLiterals pre;
+        CubeLiterals post;
+        for (Var v = 0; v < kVars; ++v) {
+          if (rng.below(3) != 0) continue;
+          pre.push_back({v, rng.flip()});
+          post.push_back({v, rng.flip()});
+        }
+        const Bdd a = m.cube(pre);
+        const Bdd b = m.cube(post);
+        EXPECT_EQ(m.substitute_cube(f, a, b), m.cofactor(f, a) & b);
+        EXPECT_EQ(m.substitute_cube(f, b, a), m.cofactor(f, b) & a);
+      }
+    }
+  };
+  check_all();
+  // Levels move under sifting; the cubes are rebuilt in the new order.
+  m.sift();
+  check_all();
+  m.check_invariants();
+}
+
 TEST_P(BddRandom, RestrictAgreesOnCareSet) {
   RandomExpr f = random_expr(m, rng, 4);
   RandomExpr care = random_expr(m, rng, 3);
