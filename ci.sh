@@ -6,9 +6,10 @@
 #   --fast   run only the `unit` ctest label (skips the property and
 #            integration suites; the CI sanitize job always runs everything)
 #   --bench  instead of the tests, the bench-smoke gate (CI's bench-smoke
-#            job runs exactly this): a Release bench_traversal_strategies
-#            run on the smoke families into build-bench/bench_smoke.json,
-#            checked against BENCH_traversal.json
+#            job runs exactly this): Release bench_traversal_strategies
+#            and bench_check runs on the smoke families into
+#            build-bench/bench_smoke.json and bench_check_smoke.json,
+#            checked against BENCH_traversal.json and BENCH_check.json
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -33,14 +34,24 @@ if [[ "$BENCH" == 1 ]]; then
   BENCH_DIR="${BENCH_BUILD_DIR:-build-bench}"
   cmake -B "$BENCH_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DSTGCHECK_WERROR=ON \
     "${CMAKE_EXTRA[@]}"
-  cmake --build "$BENCH_DIR" -j "$(nproc)" --target bench_traversal_strategies
+  cmake --build "$BENCH_DIR" -j "$(nproc)" \
+    --target bench_traversal_strategies bench_check
   timeout 600 "./$BENCH_DIR/bench_traversal_strategies" \
     --family muller16 --family mutex12 --family muller64 \
     --family mread8 --out "$BENCH_DIR/bench_smoke.json"
-  exec python3 scripts/check_bench_regression.py \
+  python3 scripts/check_bench_regression.py \
     BENCH_traversal.json "$BENCH_DIR/bench_smoke.json" \
     --time-threshold 4.0 --min-seconds 1.0 \
     --require-arm saturation \
+    --exact-sequential-peaks
+  timeout 600 "./$BENCH_DIR/bench_check" --repeat 1 \
+    --family muller16 --family mutex12 --family muller64 \
+    --family mread8 --family muller64-extra-token \
+    --out "$BENCH_DIR/bench_check_smoke.json"
+  exec python3 scripts/check_bench_regression.py \
+    BENCH_check.json "$BENCH_DIR/bench_check_smoke.json" \
+    --time-threshold 4.0 --min-seconds 1.0 \
+    --require-arm default \
     --exact-sequential-peaks
 fi
 

@@ -12,8 +12,9 @@
 //     --ordering  O     interleaved | clustered | declaration |
 //                       signals-first | random
 //     --strategy  S     chaining
-//     --engine    E     cofactor | monolithic | saturation
-//                       (image backend; see docs/architecture.md)
+//     --engine    E     saturation (default) | cofactor | monolithic
+//                       (image backend; cofactor is the paper's method,
+//                       Fig. 5 chaining; see docs/architecture.md)
 //     --threads   1     accepted and ignored (the BDD kernel is
 //                       sequential; other counts are an error)
 //     --initial-nodes N   initial node capacity of the BDD manager
@@ -74,7 +75,8 @@ void usage() {
       "  --ordering  O     interleaved | clustered | declaration |\n"
       "                    signals-first | random\n"
       "  --strategy  S     chaining\n"
-      "  --engine    E     cofactor | monolithic | saturation\n"
+      "  --engine    E     saturation (default) | cofactor | monolithic\n"
+      "                    (cofactor: the paper's method, Fig. 5 chaining)\n"
       "  --threads   1     accepted and ignored (the kernel is sequential)\n"
       "  --initial-nodes N   initial BDD manager capacity\n"
       "  --max-live-nodes N  budget: live-node cap (0 = unlimited)\n"

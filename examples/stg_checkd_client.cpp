@@ -58,6 +58,8 @@ void usage() {
       "  --batch          force the batch op for a single file\n"
       "  --quiet          suppress streamed event lines\n"
       "  --ordering O  --strategy S  --engine E  --arbitrate A,B\n"
+      "                   (engine: saturation by default; cofactor is the\n"
+      "                   paper's method)\n"
       "  --initial-nodes N  --max-live-nodes N  --max-seconds S\n"
       "  --max-steps N\n",
       stderr);

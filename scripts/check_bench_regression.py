@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Gate a fresh bench_traversal_strategies run against the checked-in baseline.
+"""Gate a fresh bench run against the checked-in baseline.
 
 Usage:
     check_bench_regression.py BASELINE.json FRESH.json [options]
 
-Compares every (family, arm, sift) row present in both files:
+Reads either baseline: bench_traversal_strategies' BENCH_traversal.json
+or bench_check's BENCH_check.json (whole checks). Compares every
+(family, arm, sift) row present in both files:
 
   * states must be finite in every row of either file (an overflowed
     count is a wrong answer, however equal it compares), and must match
@@ -20,8 +22,13 @@ Compares every (family, arm, sift) row present in both files:
     are skipped;
   * with --exact-sequential-peaks, the traversal's shape must match the
     baseline exactly too: passes, images, units, relation_nodes and
-    reorders (the counts are as deterministic as the peaks, and a drift
-    in any of them means the traversal or the sift did different work);
+    reorders, each one the baseline row records (the counts are as
+    deterministic as the peaks, and a drift in any of them means the
+    traversal or the sift did different work); a field the baseline has
+    and the fresh row lacks fails;
+  * a whole-check row's outcome -- level, tripped and limit, where the
+    baseline records them -- must match exactly, regardless of flags: a
+    changed verdict or budget trip is a different answer, not a cost;
   * seconds may grow by at most --time-threshold (default 25%), but only
     for rows whose baseline is at least --min-seconds (default 0.5s):
     shorter rows are timer noise on shared CI runners.
@@ -69,6 +76,8 @@ def fmt(key):
 
 # Counts that --exact-sequential-peaks holds to the baseline.
 EXACT_COUNTS = ("passes", "images", "units", "relation_nodes", "reorders")
+# Whole-check outcomes (BENCH_check.json), always held to the baseline.
+EXACT_OUTCOMES = ("level", "tripped", "limit")
 
 
 def direction(base, cur):
@@ -149,6 +158,15 @@ def main():
     for key in shared:
         base, cur = baseline[key], fresh[key]
 
+        changed = [f"{field} {base[field]!r} -> {cur.get(field)!r}"
+                   for field in EXACT_OUTCOMES
+                   if field in base and base[field] != cur.get(field)]
+        if changed:
+            failures.append(f"{fmt(key)}: " + ", ".join(changed) +
+                            " (a different answer, not perf)")
+            print(f"  FAIL  {fmt(key):44s} " + ", ".join(changed))
+            continue
+
         if base["states"] != cur["states"]:
             failures.append(
                 f"{fmt(key)}: states changed {base['states']:g} -> "
@@ -186,10 +204,10 @@ def main():
 
         if args.exact_sequential_peaks:
             for field in EXACT_COUNTS:
-                if base[field] != cur[field]:
+                if field in base and base[field] != cur.get(field):
                     failures.append(
-                        f"{fmt(key)}: {field} {base[field]} -> {cur[field]} "
-                        f"(must be identical)")
+                        f"{fmt(key)}: {field} {base[field]} -> "
+                        f"{cur.get(field)} (must be identical)")
 
         b_sec, c_sec = base["seconds"], cur["seconds"]
         if b_sec >= args.min_seconds:

@@ -2,7 +2,8 @@
 # End-to-end exercise of the resident check server, as CI runs it:
 # start stg_checkd, submit every example net as one batch, stream the
 # event records to completion, compare each daemon report field-for-field
-# against a one-shot `stg_check --json` run of the same net, exercise the
+# against a one-shot `stg_check --json` run of the same net, check that
+# stg_check without --engine runs saturation, exercise the
 # resource-governance path (a node-budgeted check answers a typed
 # resource_exhausted result, then the same daemon serves a normal check),
 # round-trip a cancel, scrape the metrics op (cumulative + per-session,
@@ -107,6 +108,18 @@ for net in nets:
                  f"  daemon:  {json.dumps(got, sort_keys=True)}\n"
                  f"  oneshot: {json.dumps(expected, sort_keys=True)}")
     print(f"  {net.stem}: {got['level']} -- identical ({events} events streamed in total)")
+PY
+
+echo "== stg_check without --engine saturates muller16 in one pass"
+"$BUILD_DIR/stg_check_tool" --family muller16 --json > "$WORK_DIR/default_engine.json"
+python3 - "$WORK_DIR" <<'PY'
+import json, pathlib, sys
+
+report = json.loads((pathlib.Path(sys.argv[1]) / "default_engine.json").read_text())["report"]
+config, traversal = report["config"], report["traversal"]
+if config["engine"] != "saturation" or traversal["passes"] != 1:
+    sys.exit(f"the default check is not one saturation pass: {config} {traversal}")
+print(f"  engine {config['engine']}, {traversal['passes']} pass, {report['level']}")
 PY
 
 echo "== node-budget check trips, then the daemon keeps serving"
@@ -231,8 +244,9 @@ wait "$DAEMON_PID"
 DAEMON_PID=
 
 echo "== 2 threads: a small check is not queued behind a slow batch net"
-# One worker takes a batch holding one slow net (a default-config
-# muller64 runs for minutes); a small check sent once that net has
+# One worker takes a batch holding one slow net (muller64 under the
+# cofactor engine runs for seconds; the default engine, saturation,
+# finishes it in milliseconds); a small check sent once that net has
 # started must get its result from the other worker before the batch's
 # batch_done. The slow net is then cancelled, so this pass stays short
 # on any build; a scheduler that queues the small check behind it fails
@@ -244,7 +258,7 @@ SOCKET2="$WORK_DIR/checkd2.sock"
 "$BUILD_DIR/stg_checkd" --socket "$SOCKET2" --threads 2 &
 DAEMON_PID=$!
 wait_for_daemon "$SOCKET2"
-"$BUILD_DIR/stg_checkd_client" --socket "$SOCKET2" --batch \
+"$BUILD_DIR/stg_checkd_client" --socket "$SOCKET2" --batch --engine cofactor \
   "$WORK_DIR/muller64.g" > "$WORK_DIR/slow_batch.jsonl" &
 BATCH_PID=$!
 for _ in $(seq 1 300); do

@@ -17,7 +17,9 @@
 //                     arms on its manager for the duration of the check.
 //
 // Wire form (the daemon's "options" object and `stg_check --json` input;
-// all members optional, unknown keys rejected):
+// all members optional, unknown keys rejected). The engine defaults to
+// saturation; "engine":"cofactor" selects the paper's method (Fig. 5
+// chaining over the cofactor image) and is emitted like any non-default:
 //   {"ordering":"interleaved","engine":"cofactor",
 //    "arbitrate":[["g1","g2"]],"initial_nodes":16384,"max_live_nodes":0,
 //    "max_seconds":0,"max_steps":0,"trace":"out.json","profile":true}

@@ -26,7 +26,11 @@ std::string to_string(ImplementabilityLevel level) {
 ImplementabilityReport check_implementability(SymbolicStg& sym,
                                               const CheckOptions& options) {
   ImplementabilityReport report;
+  report.engine = options.engine;
+  report.ordering = options.ordering;
   const stg::Stg& stg = sym.stg();
+  // Only the traversal reorders (its auto-sift); the checks never do.
+  const std::size_t sift_runs_before = sym.manager().profile().sift_runs;
   Stopwatch total;
   Stopwatch phase;
 
@@ -63,6 +67,7 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
   report.safe = report.traversal.safe;
   report.consistent = report.traversal.consistent;
   report.times.traversal_consistency = phase.restart();
+  report.sift_runs = sym.manager().profile().sift_runs - sift_runs_before;
   phase_done("traversal", report.times.traversal_consistency);
   verdict("safe", report.safe, report.traversal.safeness_detail);
   {
@@ -209,6 +214,8 @@ std::string ImplementabilityReport::summary(const stg::Stg& stg) const {
       << traversal.stats.passes << " passes, BDD peak "
       << traversal.stats.peak_reached_nodes << " / final "
       << traversal.stats.final_reached_nodes << " nodes)\n";
+  out << "  config:            engine " << to_string(engine) << ", ordering "
+      << to_string(ordering) << ", " << sift_runs << " sift runs\n";
   out << "  safe:              " << yesno(safe);
   if (!safe) out << "  [" << traversal.safeness_detail << "]";
   out << "\n";

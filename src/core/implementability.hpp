@@ -42,11 +42,16 @@ struct CheckOptions {
   Ordering ordering = Ordering::kInterleaved;
   /// Read by nothing; ROADMAP item 1's benchmark batch deletes it.
   TraversalStrategy strategy = TraversalStrategy::kChaining;
-  /// Image backend for the traversal and every firing check
-  /// (core/image_engine.hpp). The relational backends need an encoding
-  /// with primed variables; the convenience overload builds one
-  /// automatically when a relational engine is selected.
-  EngineKind engine = EngineKind::kCofactor;
+  /// Image backend for the traversal (core/image_engine.hpp). Saturation
+  /// by default: it reports what the other engines report, and a whole
+  /// check under it is within 2x of the fastest engine on every roster
+  /// family (BENCH_check.json). kCofactor selects the
+  /// paper's method (Fig. 5 chaining over the cofactor image), which
+  /// bench_table1 pins. The relational backends, the default among them,
+  /// need an encoding with primed variables: the convenience overload
+  /// and CheckSession build one, and the SymbolicStg& overload throws
+  /// ModelError on an encoding without them.
+  EngineKind engine = EngineKind::kSaturation;
   EngineOptions engine_options;
   /// Arbitration points by signal name (e.g. {"g1","g2"} for an ME
   /// element); resolved against the STG at check time.
@@ -102,6 +107,11 @@ struct ImplementabilityReport {
   SymFakeFreedomResult fake_freedom;
   double deadlock_states_count = 0;
 
+  // Effective configuration: what ran, as the report's own record.
+  EngineKind engine = EngineKind::kSaturation;
+  Ordering ordering = Ordering::kInterleaved;
+  std::size_t sift_runs = 0;  ///< variable reorders run during the check
+
   PhaseTimes times;
 
   /// Multi-line human-readable summary.
@@ -112,7 +122,8 @@ struct ImplementabilityReport {
 ImplementabilityReport check_implementability(SymbolicStg& sym,
                                               const CheckOptions& options = {});
 
-/// Convenience: builds the encoding internally.
+/// Convenience: builds the encoding internally, with primed variables
+/// unless options.engine is kCofactor.
 ImplementabilityReport check_implementability(const stg::Stg& stg,
                                               const CheckOptions& options = {});
 

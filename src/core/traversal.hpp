@@ -55,6 +55,9 @@ struct TraversalOptions {
   /// The relational backends require an encoding built with primed
   /// variables. Only used by the traverse(SymbolicStg&, ...) overload; the
   /// traverse(ImageEngine&, ...) overload uses the engine it is given.
+  /// Cofactor here, unlike CheckOptions::engine: this is the library
+  /// traversal default for the plain (unprimed) encodings that tests and
+  /// benches build, and it runs on any encoding.
   EngineKind engine = EngineKind::kCofactor;
   EngineOptions engine_options;
   /// Dynamic reordering (an extension beyond the paper, which used static

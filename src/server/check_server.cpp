@@ -29,7 +29,8 @@ namespace {
 constexpr std::size_t kMaxSchedulerThreads = 64;  // sanity cap on --threads
 
 /// Bucket upper bounds (seconds) of the daemon latency histograms: an
-/// interactive check is milliseconds, a default-config muller64 minutes.
+/// interactive check is milliseconds, a large net under the step-wise
+/// engines seconds to minutes.
 std::vector<double> latency_edges() {
   return {0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100, 300};
 }

@@ -153,6 +153,12 @@ json::Value report_to_json(const stg::Stg& stg,
   obj.set("name", Value(stg.name()));
   obj.set("level", Value(core::to_string(report.level)));
 
+  Value config = Value::object();
+  config.set("engine", Value(std::string(core::to_string(report.engine))));
+  config.set("ordering", Value(std::string(core::to_string(report.ordering))));
+  config.set("sift_runs", Value(report.sift_runs));
+  obj.set("config", std::move(config));
+
   Value verdicts = Value::object();
   verdicts.set("safe", Value(report.safe));
   verdicts.set("consistent", Value(report.consistent));

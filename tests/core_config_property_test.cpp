@@ -65,6 +65,24 @@ TEST(CheckConfigProperty, DefaultsRenderEmpty) {
   EXPECT_EQ(CheckConfig::from_args({}), defaults);
 }
 
+TEST(CheckConfigProperty, DefaultEngineIsSaturationAndCofactorIsEmitted) {
+  // A check runs saturation unless it names another engine; the paper's
+  // method is the non-default "engine":"cofactor" / --engine cofactor.
+  EXPECT_EQ(CheckConfig{}.check.engine, EngineKind::kSaturation);
+  EXPECT_EQ(CheckConfig::from_json(Value::object()).check.engine,
+            EngineKind::kSaturation);
+  EXPECT_EQ(CheckConfig::from_args({}).check.engine, EngineKind::kSaturation);
+  EXPECT_EQ(CheckConfig::from_args({"--engine", "saturation"}), CheckConfig{});
+
+  CheckConfig cofactor;
+  cofactor.check.engine = EngineKind::kCofactor;
+  EXPECT_EQ(cofactor.to_json().dump(), R"({"engine":"cofactor"})");
+  EXPECT_EQ(cofactor.to_args(),
+            (std::vector<std::string>{"--engine", "cofactor"}));
+  EXPECT_EQ(CheckConfig::from_json(cofactor.to_json()), cofactor);
+  EXPECT_EQ(CheckConfig::from_args(cofactor.to_args()), cofactor);
+}
+
 TEST(CheckConfigProperty, RoundTripPreservesEquality) {
   // Two distinct configs stay distinct through the wire: the round-trip
   // is injective over what it serializes.

@@ -4,6 +4,7 @@
 #include "core/implementability.hpp"
 #include "stg/astg_io.hpp"
 #include "stg/generators.hpp"
+#include "util/error.hpp"
 
 namespace stgcheck::core {
 namespace {
@@ -108,6 +109,79 @@ TEST(Implementability, TimesAndSummaryPopulated) {
   EXPECT_NE(text.find("gate-implementable"), std::string::npos);
   EXPECT_NE(text.find("states"), std::string::npos);
   EXPECT_NE(text.find("T+C"), std::string::npos);
+  EXPECT_NE(text.find("config:            engine saturation, ordering "
+                      "interleaved, 0 sift runs"),
+            std::string::npos)
+      << text;
+}
+
+TEST(Implementability, ReportStatesTheEffectiveConfiguration) {
+  CheckOptions options;
+  options.engine = EngineKind::kCofactor;
+  options.ordering = Ordering::kClustered;
+  const ImplementabilityReport r =
+      check_implementability(stg::muller_pipeline(3), options);
+  EXPECT_EQ(r.engine, EngineKind::kCofactor);
+  EXPECT_EQ(r.ordering, Ordering::kClustered);
+  EXPECT_EQ(r.sift_runs, 0u);  // far below the auto-sift floor
+
+  // Only the check's own sifts count, not the manager's earlier ones.
+  SymbolicStg sym(stg::muller_pipeline(3));
+  sym.manager().sift();
+  ASSERT_EQ(sym.manager().profile().sift_runs, 1u);
+  EXPECT_EQ(check_implementability(sym, options).sift_runs, 0u);
+}
+
+TEST(Implementability, DefaultEngineIsSaturationOnAPrimedEncoding) {
+  const ImplementabilityReport r =
+      check_implementability(stg::muller_pipeline(4));
+  EXPECT_EQ(r.engine, EngineKind::kSaturation);
+  ASSERT_NE(r.encoding, nullptr);
+  EXPECT_TRUE(r.encoding->has_primed_vars());
+  EXPECT_EQ(r.traversal.stats.passes, 1u);
+}
+
+TEST(Implementability, DefaultOnAPlainEncodingThrowsInsteadOfFallingBack) {
+  SymbolicStg plain(stg::muller_pipeline(4));
+  try {
+    check_implementability(plain);
+    FAIL() << "expected ModelError";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("primed variables"),
+              std::string::npos)
+        << e.what();
+  }
+  // The paper's method runs on the plain encoding.
+  CheckOptions cofactor;
+  cofactor.engine = EngineKind::kCofactor;
+  EXPECT_EQ(check_implementability(plain, cofactor).level,
+            ImplementabilityLevel::kGateImplementable);
+}
+
+TEST(Implementability, FailingMutationIsRejectedAtTheDefaultLikeUnderCofactor) {
+  // muller16 with an extra token on <in+,c1+>: saturation closes the set
+  // in one call, cofactor in many passes; both must say the same.
+  stg::Stg net = stg::muller_pipeline(16);
+  net.net().set_initial_tokens(net.net().find_place("<in+,c1+>"), 1);
+  CheckOptions paper;
+  paper.engine = EngineKind::kCofactor;
+  const ImplementabilityReport def = check_implementability(net);
+  const ImplementabilityReport cof = check_implementability(net, paper);
+  EXPECT_EQ(def.level, ImplementabilityLevel::kNotImplementable);
+  EXPECT_FALSE(def.traversal.ok());
+  EXPECT_EQ(def.traversal.stats.passes, 1u);
+  EXPECT_GT(cof.traversal.stats.passes, 1u);
+  EXPECT_EQ(def.level, cof.level);
+  EXPECT_EQ(def.safe, cof.safe);
+  EXPECT_EQ(def.consistent, cof.consistent);
+  EXPECT_EQ(def.traversal.stats.states, cof.traversal.stats.states);
+  EXPECT_EQ(def.traversal.stats.markings, cof.traversal.stats.markings);
+  EXPECT_EQ(def.traversal.safeness_detail, cof.traversal.safeness_detail);
+  EXPECT_EQ(def.traversal.consistency_violations,
+            cof.traversal.consistency_violations);
+  EXPECT_EQ(def.traversal.unbound_signals, cof.traversal.unbound_signals);
+  EXPECT_FALSE(def.traversal.consistency_violations.empty() &&
+               def.traversal.safeness_detail.empty());
 }
 
 TEST(Implementability, MarkedGraphShortcutSkipsPersistency) {

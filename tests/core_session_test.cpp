@@ -168,6 +168,19 @@ TEST(CheckSession, SessionsDoNotShareState) {
             b.traversal.stats.final_reached_nodes);
 }
 
+TEST(CheckSession, DefaultConfigSaturatesInOnePass) {
+  // What stg_check runs without --engine: saturation on a primed
+  // encoding, the whole fixpoint in one pass.
+  CheckSession session(stg::make_family_instance("muller16"),
+                       CheckConfig::from_args({}));
+  const ImplementabilityReport& report = session.run();
+  EXPECT_EQ(report.engine, EngineKind::kSaturation);
+  ASSERT_NE(session.encoding(), nullptr);
+  EXPECT_TRUE(session.encoding()->has_primed_vars());
+  EXPECT_EQ(report.traversal.stats.passes, 1u);
+  EXPECT_EQ(report.level, ImplementabilityLevel::kGateImplementable);
+}
+
 TEST(CheckSession, OptionsAreResolvedPerSession) {
   SessionOptions options;
   options.check.ordering = Ordering::kClustered;

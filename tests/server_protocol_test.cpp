@@ -159,6 +159,25 @@ TEST(ServerProtocol, TripToJsonCarriesGauges) {
   EXPECT_EQ(obj.at("steps").as_number(), 7.0);
 }
 
+TEST(ServerProtocol, ReportToJsonStatesTheEffectiveConfiguration) {
+  core::SessionOptions options;
+  options.check.engine = core::EngineKind::kCofactor;
+  options.check.ordering = core::Ordering::kClustered;
+  core::CheckSession session(stg::muller_pipeline(3), options);
+  const Value config =
+      report_to_json(session.stg(), session.run()).at("config");
+  EXPECT_EQ(config.at("engine").as_string(), "cofactor");
+  EXPECT_EQ(config.at("ordering").as_string(), "clustered");
+  EXPECT_EQ(config.at("sift_runs").as_number(), 0.0);
+
+  core::CheckSession plain(stg::muller_pipeline(3));
+  EXPECT_EQ(report_to_json(plain.stg(), plain.run())
+                .at("config")
+                .at("engine")
+                .as_string(),
+            "saturation");
+}
+
 TEST(ServerProtocol, EventLineRoundTrips) {
   core::EventRecord record;
   record.kind = core::EventKind::kVerdict;
@@ -798,12 +817,16 @@ TEST(ServerDaemon, SmallCheckIsNotQueuedBehindALongBatchNet) {
   LineReader reader_a(fd_a);
   LineReader reader_b(fd_b);
 
-  // Connection A: a batch holding one long net. A default-config
-  // muller64 runs for minutes; it is cancelled below.
+  // Connection A: a batch holding one long net. muller64 under the
+  // cofactor engine runs for seconds (the default, saturation, finishes
+  // it in milliseconds); it is cancelled below.
   Value slow = Value::object();
   slow.set("id", Value("slow"));
   slow.set("net", Value(stg::write_astg_string(
                       stg::make_family_instance("muller64"))));
+  Value slow_options = Value::object();
+  slow_options.set("engine", Value("cofactor"));
+  slow.set("options", std::move(slow_options));
   Value nets = Value::array();
   nets.push_back(std::move(slow));
   Value batch = Value::object();
