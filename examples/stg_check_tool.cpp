@@ -9,8 +9,7 @@
 //                       mread8, mutex12, ... -- the bench roster of
 //                       stg/generators.hpp) instead of a .g file
 //     --arbitrate A,B   declare an arbitration pair (repeatable; footnote 1)
-//     --ordering  O     interleaved | clustered | declaration |
-//                       signals-first | random
+//     --ordering  O     interleaved (default) | clustered | random
 //     --strategy  S     chaining
 //     --engine    E     saturation (default) | cofactor | monolithic
 //                       (image backend; cofactor is the paper's method,
@@ -72,8 +71,7 @@ void usage() {
       "  --family NAME     check a generated family instance (muller16,\n"
       "                    mread8, mutex12, ...) instead of a .g file\n"
       "  --arbitrate A,B   declare an arbitration signal pair (repeatable)\n"
-      "  --ordering  O     interleaved | clustered | declaration |\n"
-      "                    signals-first | random\n"
+      "  --ordering  O     interleaved (default) | clustered | random\n"
       "  --strategy  S     chaining\n"
       "  --engine    E     saturation (default) | cofactor | monolithic\n"
       "                    (cofactor: the paper's method, Fig. 5 chaining)\n"

@@ -16,8 +16,6 @@ const char* to_string(Ordering ordering) {
   switch (ordering) {
     case Ordering::kInterleaved: return "interleaved";
     case Ordering::kClustered: return "clustered";
-    case Ordering::kDeclaration: return "declaration";
-    case Ordering::kSignalsFirst: return "signals-first";
     case Ordering::kRandom: return "random";
   }
   return "?";
@@ -25,15 +23,14 @@ const char* to_string(Ordering ordering) {
 
 std::optional<Ordering> parse_ordering(std::string_view name) {
   for (const Ordering o :
-       {Ordering::kInterleaved, Ordering::kClustered, Ordering::kDeclaration,
-        Ordering::kSignalsFirst, Ordering::kRandom}) {
+       {Ordering::kInterleaved, Ordering::kClustered, Ordering::kRandom}) {
     if (names_equal_dashed(name, to_string(o))) return o;
   }
   return std::nullopt;
 }
 
 std::string valid_ordering_names() {
-  return "interleaved, clustered, declaration, signals-first, random";
+  return "interleaved, clustered, random";
 }
 
 SymbolicStg::SymbolicStg(const stg::Stg& stg, Ordering ordering,
@@ -104,16 +101,6 @@ void SymbolicStg::order_variables(Ordering ordering) {
   };
 
   switch (ordering) {
-    case Ordering::kDeclaration: {
-      for (pn::PlaceId p = 0; p < net.place_count(); ++p) declare_place(p);
-      for (stg::SignalId s = 0; s < stg_->signal_count(); ++s) declare_signal(s);
-      break;
-    }
-    case Ordering::kSignalsFirst: {
-      for (stg::SignalId s = 0; s < stg_->signal_count(); ++s) declare_signal(s);
-      for (pn::PlaceId p = 0; p < net.place_count(); ++p) declare_place(p);
-      break;
-    }
     case Ordering::kRandom: {
       // Deterministic shuffle of the declaration order.
       std::vector<std::pair<bool, std::uint32_t>> items;  // (is_signal, id)
@@ -200,31 +187,26 @@ void SymbolicStg::build_cubes() {
   fire_guard_.resize(net.transition_count());
   firing_cube_.resize(net.transition_count());
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
+    // In the guard, the positive place literals are E(t); every other
+    // literal is a premise (a postset-only place empty, the signal at its
+    // pre-firing value), and flipping it on top of E(t) gives the states
+    // where that premise fails.
+    const stg::TransitionLabel& label = stg_->label(t);
+    const Var signal =
+        label.is_dummy() ? bdd::kInvalidVar : signal_vars_[label.signal];
     bdd::CubeLiterals enabled;
-    for (pn::PlaceId p : net.preset(t)) {
-      enabled.push_back({place_vars_[p], true});
+    bdd::CubeLiterals premises;
+    for (const bdd::Literal& l : firing_literals(t, false)) {
+      (l.var != signal && l.positive ? enabled : premises).push_back(l);
     }
     e_.push_back(manager_->cube(enabled));
-
-    const std::vector<pn::PlaceId>& pre = net.preset(t);
-    for (pn::PlaceId p : net.postset(t)) {
-      if (std::find(pre.begin(), pre.end(), p) != pre.end()) continue;
-      safeness_cubes_.cubes.push_back(enabled);
-      safeness_cubes_.cubes.back().push_back({place_vars_[p], true});
-      safeness_cubes_.owners.push_back(t);
-    }
-  }
-  for (stg::SignalId s = 0; s < stg_->signal_count(); ++s) {
-    for (const stg::Dir dir : {stg::Dir::kPlus, stg::Dir::kMinus}) {
-      // a+ is inconsistent where a = 1 already, a- where a = 0.
-      const bool value = dir == stg::Dir::kPlus;
-      for (pn::TransitionId t : stg_->transitions_of(s, dir)) {
-        bdd::CubeLiterals cube;
-        for (pn::PlaceId p : net.preset(t)) cube.push_back({place_vars_[p], true});
-        cube.push_back({signal_vars_[s], value});
-        consistency_cubes_.cubes.push_back(std::move(cube));
-        consistency_cubes_.owners.push_back(2 * s + (value ? 0 : 1));
-      }
+    for (const bdd::Literal& l : premises) {
+      const bool is_signal = l.var == signal;
+      OwnedCubes& list = is_signal ? consistency_cubes_ : safeness_cubes_;
+      list.cubes.push_back(enabled);
+      list.cubes.back().push_back({l.var, !l.positive});
+      list.owners.push_back(is_signal ? 2 * label.signal + (l.positive ? 1 : 0)
+                                      : t);
     }
   }
   place_cube_ = manager_->positive_cube(place_var_list());

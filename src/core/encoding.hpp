@@ -34,9 +34,7 @@ enum class Ordering {
   kInterleaved,   ///< structural BFS interleaving places with their signals
   kClustered,     ///< like kInterleaved, but wide forks defer their output
                   ///< places to the consuming branch (fork-join friendly)
-  kDeclaration,   ///< places in id order, then signals
-  kSignalsFirst,  ///< all signal variables above all place variables
-  kRandom,        ///< deterministically shuffled (ablation worst case)
+  kRandom,        ///< deterministically shuffled (the Sec. 6 contrast)
 };
 
 const char* to_string(Ordering ordering);
@@ -121,8 +119,11 @@ class SymbolicStg {
     std::vector<bdd::CubeLiterals> cubes;
     std::vector<std::size_t> owners;  ///< owners[c] owns cubes[c]
   };
-  /// Per signal s, E(t) & s for each s+ transition t (owner 2s: s+ enabled
-  /// while s = 1), then E(t) & !s for each s- transition (owner 2s + 1).
+  /// Both lists come from the fire guard: E(t) with one of its premises
+  /// flipped is exactly the set of states where that premise fails.
+  /// Per signal transition t of s, E(t) & s for an s+ (owner 2s: s+
+  /// enabled while s = 1) or E(t) & !s for an s- (owner 2s + 1); a dummy
+  /// has none.
   const OwnedCubes& consistency_cubes() const { return consistency_cubes_; }
   /// Per transition t, E(t) & p for each place p that t produces into
   /// without consuming from (owner t): the states from which firing t
@@ -155,6 +156,13 @@ class SymbolicStg {
   /// under t lies in `states` (the same substitution, cubes swapped).
   bdd::Bdd preimage(const bdd::Bdd& states, pn::TransitionId t);
 
+  /// The firing rule of `t`, the one place it is stated: the assignment a
+  /// firing requires (`after` false: the guard) or leaves (`after` true:
+  /// the post cube) on t's places and signal. A place t both reads and
+  /// refills is marked on both sides; a dummy has no signal literal. The
+  /// fire guards, the image cubes, the closed-set cubes and the
+  /// transition relations (core/relation.hpp) are all built from it.
+  bdd::CubeLiterals firing_literals(pn::TransitionId t, bool after) const;
   /// The states image() fires `t` from, as a cube: preset marked,
   /// postset-only places empty, and t's signal at its pre-firing value.
   const bdd::Bdd& fire_guard(pn::TransitionId t);
@@ -182,11 +190,6 @@ class SymbolicStg {
  private:
   void order_variables(Ordering ordering);
   void build_cubes();
-  /// The assignment a firing of `t` requires (`after` false: the guard)
-  /// or leaves (`after` true: the post cube) on t's places and signal. A
-  /// place t both reads and refills is marked on both sides; a dummy has
-  /// no signal literal.
-  bdd::CubeLiterals firing_literals(pn::TransitionId t, bool after) const;
   /// The post cube of `t`, built on first use.
   const bdd::Bdd& firing_cube(pn::TransitionId t);
 

@@ -119,8 +119,8 @@ class ImageEngine {
   /// lets the backend refresh order-dependent metadata via on_reorder().
   /// The relation BDDs themselves survive a reorder -- sifting rewrites
   /// nodes in place, preserving every external handle -- but anything
-  /// derived from the *shape* of the order (node-count statistics,
-  /// level-sorted supports) goes stale.
+  /// derived from the *shape* of the order (node-count statistics) goes
+  /// stale.
   void sync_with_order();
   /// Backend hook invoked by sync_with_order() after a reorder.
   virtual void on_reorder() {}
@@ -176,9 +176,6 @@ class MonolithicRelationEngine final : public ImageEngine {
   /// Successors of `states` under every transition, in one relational
   /// product.
   bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
-
-  /// The monolithic relation (disjunction over all transitions).
-  const bdd::Bdd& monolithic() const { return monolithic_; }
 
  protected:
   void on_reorder() override;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/flat_map.hpp"
 
 namespace stgcheck::core {
 
@@ -19,56 +18,20 @@ void require_primed(const SymbolicStg& sym) {
   }
 }
 
-/// The constraints shared by both relation flavours: token moves for the
-/// places around `t` and the fired signal's flip, one primitive constraint
-/// per touched variable. Sets `support` to the touched unprimed variables,
-/// sorted by id, and returns the conjunction: the sparse relation.
-Bdd core_constraints(SymbolicStg& sym, pn::TransitionId t,
-                     std::vector<Var>& support) {
-  bdd::Manager& m = sym.manager();
-  const stg::Stg& stg = sym.stg();
-  const pn::PetriNet& net = stg.net();
-
-  const std::vector<pn::PlaceId>& pre = net.preset(t);
-  const std::vector<pn::PlaceId>& post = net.postset(t);
-  // Binary-searchable membership (util/flat_map.hpp) instead of a linear
-  // std::find per query: presets of wide joins make this quadratic.
-  const FlatSet<pn::PlaceId> pre_set(pre.begin(), pre.end());
-  const FlatSet<pn::PlaceId> post_set(post.begin(), post.end());
-  std::vector<Bdd> factors;
-  const auto in_pre = [&](pn::PlaceId p) { return pre_set.contains(p); };
-  const auto in_post = [&](pn::PlaceId p) { return post_set.contains(p); };
-
-  const auto touch_place = [&](pn::PlaceId p) {
-    const Bdd cur = m.var(sym.place_var(p));
-    const Bdd nxt = m.var(sym.primed_place_var(p));
-    support.push_back(sym.place_var(p));
-    if (in_pre(p) && in_post(p)) {
-      factors.push_back(cur & nxt);  // self-loop place: stays marked
-    } else if (in_pre(p)) {
-      factors.push_back(cur & !nxt);  // consumed
-    } else {
-      factors.push_back((!cur) & nxt);  // produced; !cur is the safeness premise
-    }
-  };
-  for (pn::PlaceId p : pre) touch_place(p);
-  for (pn::PlaceId p : post) {
-    if (!in_pre(p)) touch_place(p);
-  }
-
-  const stg::TransitionLabel& label = stg.label(t);
-  if (!label.is_dummy()) {
-    const Bdd cur = m.var(sym.signal_var(label.signal));
-    const Bdd nxt = m.var(sym.primed_signal_var(label.signal));
-    support.push_back(sym.signal_var(label.signal));
-    factors.push_back(label.dir == stg::Dir::kPlus ? ((!cur) & nxt)
-                                                   : (cur & !nxt));
-  }
+/// The firing rule of `t` as one cube: its guard over the unprimed
+/// variables and its post cube over their primed twins
+/// (SymbolicStg::firing_literals). Sets `support` to the guard's
+/// variables, sorted by id.
+Bdd guard_post_cube(SymbolicStg& sym, pn::TransitionId t,
+                    std::vector<Var>& support) {
+  const std::vector<Var>& to_primed = sym.to_primed();
+  bdd::CubeLiterals literals = sym.firing_literals(t, false);
+  for (const bdd::Literal& l : literals) support.push_back(l.var);
   std::sort(support.begin(), support.end());
-  support.erase(std::unique(support.begin(), support.end()), support.end());
-  Bdd rel = m.bdd_true();
-  for (const Bdd& f : factors) rel &= f;
-  return rel;
+  for (const bdd::Literal& l : sym.firing_literals(t, true)) {
+    literals.push_back({to_primed[l.var], l.positive});
+  }
+  return sym.manager().cube(literals);
 }
 
 }  // namespace
@@ -87,7 +50,7 @@ Bdd frame_constraint(SymbolicStg& sym, const std::vector<Var>& vars) {
 SparseRelation build_sparse_relation(SymbolicStg& sym, pn::TransitionId t) {
   require_primed(sym);
   SparseRelation r;
-  r.rel = core_constraints(sym, t, r.support);
+  r.rel = guard_post_cube(sym, t, r.support);
   r.quant_cube = sym.manager().positive_cube(r.support);
   return r;
 }
@@ -95,13 +58,10 @@ SparseRelation build_sparse_relation(SymbolicStg& sym, pn::TransitionId t) {
 Bdd build_full_relation(SymbolicStg& sym, pn::TransitionId t) {
   require_primed(sym);
   std::vector<Var> support;
-  const Bdd sparse = core_constraints(sym, t, support);
+  const Bdd sparse = guard_post_cube(sym, t, support);
   // Frame every state variable the transition does not touch.
   std::vector<Var> untouched;
-  std::vector<Var> state_vars = sym.place_var_list();
-  const std::vector<Var> signals = sym.signal_var_list();
-  state_vars.insert(state_vars.end(), signals.begin(), signals.end());
-  for (Var v : state_vars) {
+  for (Var v : sym.state_var_list()) {
     if (!std::binary_search(support.begin(), support.end(), v)) {
       untouched.push_back(v);
     }

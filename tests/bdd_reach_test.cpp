@@ -1,11 +1,12 @@
 // The in-kernel reachability operations: rel_next (the twin-pair
 // relational product) against the classic and_exists + permute pipeline,
 // reach (the saturation REACH fixpoint) against an explicit iterated
-// closure, the operand validation errors, and the exact-key cache across
-// repeated and reseeded calls. check_invariants() runs after every
-// operation.
+// closure, its own rule order (any caller order gives the same set), the
+// operand validation errors, and the exact-key cache across repeated and
+// reseeded calls. check_invariants() runs after every operation.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -238,6 +239,57 @@ TEST(Reach, SurvivesSiftingBetweenCalls) {
   EXPECT_EQ(after, before);
   EXPECT_DOUBLE_EQ(ts.m.sat_count(after), count);
   ts.m.check_invariants();
+}
+
+TEST(Reach, OrdersItsOwnRules) {
+  // reach() sorts its rules by their current top support level (ties in
+  // the caller's order), so a caller hands them over in any order: a
+  // reversed and a shuffled list give the identical Bdd, before and after
+  // the levels move.
+  TwinSpace ts(6);
+  for (std::size_t i = 0; i < 6; ++i) ts.m.group_vars({ts.cur(i), ts.nxt(i)});
+  Rng rng(0x0DE5);
+  std::vector<ReachRelation> rules;
+  for (std::size_t k = 0; k < 8; ++k) {
+    // A six-slot token ring, then two rules from slots 0 and 1 into random
+    // slots: several rules share x0's top level, so the lists differ in
+    // their tie order too.
+    const std::size_t i = k % 6;
+    const std::size_t j = k < 6 ? (i + 1) % 6 : rng.below(6);
+    ReachRelation r;
+    r.rel = ts.v(i) & !ts.vn(i);
+    if (j != i) r.rel &= !ts.v(j) & ts.vn(j);
+    r.support = ts.support(j != i ? std::vector<std::size_t>{i, j}
+                                  : std::vector<std::size_t>{i});
+    rules.push_back(r);
+  }
+  const std::vector<ReachRelation> reversed(rules.rbegin(), rules.rend());
+  std::vector<ReachRelation> shuffled = rules;
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+  }
+  const Bdd init = ts.v(0) & ts.v(3) & !ts.v(1) & !ts.v(2) & !ts.v(4) & !ts.v(5);
+  const Bdd closed = ts.m.reach(init, rules);
+  EXPECT_EQ(closed, iterated_closure(ts.m, init, rules));
+
+  const auto expect_same = [&](const char* when) {
+    EXPECT_EQ(ts.m.reach(init, reversed), closed) << when;
+    EXPECT_EQ(ts.m.reach(init, shuffled), closed) << when;
+    EXPECT_EQ(ts.m.reach(init, rules), closed) << when;
+    ts.m.check_invariants();
+  };
+  expect_same("initial order");
+  // Flip the twin blocks end to end, so every rule's top level moves.
+  const std::vector<Var> order = ts.m.current_order();
+  std::vector<Var> flipped;
+  for (std::size_t block = order.size() / 2; block-- > 0;) {
+    flipped.push_back(order[2 * block]);
+    flipped.push_back(order[2 * block + 1]);
+  }
+  ts.m.reorder(flipped);
+  expect_same("after reorder");
+  ts.m.sift();
+  expect_same("after sift");
 }
 
 // ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ CheckConfig random_config(std::mt19937& rng) {
     return static_cast<int>(rng() % static_cast<unsigned>(n));
   };
   CheckConfig config;
-  config.check.ordering = static_cast<Ordering>(pick(5));
+  config.check.ordering = static_cast<Ordering>(pick(3));
   config.check.engine = static_cast<EngineKind>(pick(3));
   const int pairs = pick(3);
   for (int p = 0; p < pairs; ++p) {
@@ -232,6 +232,17 @@ TEST(CheckConfigProperty, BadValuesAreRejected) {
     EXPECT_THROW(CheckConfig::from_json(obj), ModelError) << key;
   };
   bad_json("ordering", Value(std::string("sideways")));
+  // Only the three orders parse; the error lists them.
+  for (const char* name : {"declaration", "signals-first"}) {
+    try {
+      CheckConfig::from_args({"--ordering", name});
+      ADD_FAILURE() << "expected ModelError for " << name;
+    } catch (const ModelError& e) {
+      EXPECT_NE(std::string(e.what()).find("interleaved, clustered, random"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   bad_json("strategy", Value(std::string("guess")));
   bad_json("engine", Value(std::string("steam")));
   bad_json("threads", Value(0.0));
@@ -259,10 +270,10 @@ TEST(CheckConfigProperty, BadValuesAreRejected) {
 TEST(CheckConfigProperty, FlagSpellingMatchesWireSpelling) {
   // The same names work dashed on the CLI and underscored on the wire.
   const CheckConfig from_flags = CheckConfig::from_args(
-      {"--ordering", "signals-first", "--engine", "monolithic",
+      {"--ordering", "clustered", "--engine", "monolithic",
        "--max-live-nodes", "4096"});
   Value obj = Value::object();
-  obj.set("ordering", Value(std::string("signals_first")));
+  obj.set("ordering", Value(std::string("clustered")));
   obj.set("engine", Value(std::string("monolithic")));
   obj.set("max_live_nodes", Value(4096.0));
   EXPECT_EQ(from_flags, CheckConfig::from_json(obj));

@@ -183,8 +183,7 @@ TEST_P(OrderingInvariance, VerdictsAreOrderIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(Orders, OrderingInvariance,
                          ::testing::Values(Ordering::kInterleaved,
-                                           Ordering::kDeclaration,
-                                           Ordering::kSignalsFirst,
+                                           Ordering::kClustered,
                                            Ordering::kRandom));
 
 // ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ using bdd::Bdd;
 TEST(Encoding, VariablesCoverPlacesAndSignals) {
   stg::Stg s = stg::examples::pulse_cycle();
   for (Ordering ordering :
-       {Ordering::kInterleaved, Ordering::kDeclaration, Ordering::kSignalsFirst,
-        Ordering::kRandom}) {
+       {Ordering::kInterleaved, Ordering::kClustered, Ordering::kRandom}) {
     SymbolicStg sym(s, ordering);
     EXPECT_EQ(sym.manager().var_count(),
               s.net().place_count() + s.signal_count());

@@ -2,7 +2,7 @@
 // on random STGs (with kernel invariants checked after every reach call),
 // the per-transition rel_next image against the classic sparse relational
 // product, full-traversal agreement with the cofactor reference, and the
-// level partition's reorder-epoch refresh.
+// same fixpoint after a reorder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -140,25 +140,10 @@ TEST(SaturationProperty, LazyBindingNetsRouteStepWiseAndStillAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// The level partition
+// Reordering: the kernel sorts the rules by their current levels
 // ---------------------------------------------------------------------------
 
-TEST(SaturationPartition, OrderedByTopSupportLevel) {
-  stg::Stg s = stg::mutex_arbiter(3);
-  SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
-                  /*with_primed_vars=*/true);
-  SaturationEngine eng(sym);
-  const std::vector<LevelRelationInfo>& p = eng.partition();
-  ASSERT_EQ(p.size(), s.net().transition_count());
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    // top_level is the recorded variable's current level and the list
-    // ascends (ties keep transition order, hence GE not GT).
-    EXPECT_EQ(p[i].top_level, sym.manager().level_of_var(p[i].top_var));
-    if (i > 0) EXPECT_GE(p[i].top_level, p[i - 1].top_level);
-  }
-}
-
-TEST(SaturationPartition, RefreshesOnReorderEpoch) {
+TEST(SaturationReorder, SameFixpointAfterBlockReversal) {
   stg::Stg s = stg::muller_pipeline(4);
   SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                   /*with_primed_vars=*/true);
@@ -179,15 +164,10 @@ TEST(SaturationPartition, RefreshesOnReorderEpoch) {
   sym.manager().reorder(reversed);
   sym.manager().check_invariants();
 
-  // The next fixpoint resyncs the partition to the new levels and still
-  // computes the same set.
+  // The engine hands the kernel the same relation list; REACH orders it
+  // by the new levels and computes the same set.
   const Bdd after = eng.reach_fixpoint(init);
   EXPECT_EQ(after, closed);
-  for (std::size_t i = 0; i < eng.partition().size(); ++i) {
-    const LevelRelationInfo& info = eng.partition()[i];
-    EXPECT_EQ(info.top_level, sym.manager().level_of_var(info.top_var));
-    if (i > 0) EXPECT_GE(info.top_level, eng.partition()[i - 1].top_level);
-  }
   sym.manager().check_invariants();
 }
 

@@ -10,6 +10,7 @@
 #include "core/relation.hpp"
 #include "core/saturation.hpp"
 #include "core/traversal.hpp"
+#include "stg/astg_io.hpp"
 #include "stg/generators.hpp"
 #include "util/error.hpp"
 
@@ -157,6 +158,85 @@ TEST_P(RelationAgainstPipeline, FullRelationIsSparsePlusFrame) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Nets, RelationAgainstPipeline, ::testing::Range(0, 6));
+
+/// a+ and the dummy eps read r (r is in both their presets and postsets)
+/// and each fills one postset-only place; b+ consumes r.
+stg::Stg read_arc_dummy_net() {
+  return stg::parse_astg_string(
+      ".inputs a\n.outputs b\n.dummy eps\n.graph\n"
+      "p0 a+\nr a+\na+ p1 r\np1 eps\nr eps\neps p2 r\np2 a-\na- p0\n"
+      "r b+\nb+ q\nq b-\nb- r\n"
+      ".marking { p0 r }\n.end\n");
+}
+
+TEST(FiringRule, RelationAndClosedSetCubesComeFromTheGuard) {
+  const stg::Stg s = read_arc_dummy_net();
+  const pn::PetriNet& net = s.net();
+  SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
+                  /*with_primed_vars=*/true);
+  bdd::Manager& m = sym.manager();
+
+  std::vector<Bdd> inconsistent;  // E(t) & s for s+, E(t) & !s for s-
+  for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
+    // The sparse relation is the fire guard and the post cube on the
+    // primed twins, nothing else.
+    const Bdd post = m.cube(sym.firing_literals(t, true));
+    EXPECT_EQ(build_sparse_relation(sym, t).rel,
+              sym.fire_guard(t) & m.permute(post, sym.to_primed()))
+        << s.format_label(t);
+
+    // One safeness cube E(t) & p per postset-only place p; a read place
+    // is part of E(t) and gets none.
+    std::vector<Bdd> expected;
+    for (pn::PlaceId p : net.postset(t)) {
+      const std::vector<pn::PlaceId>& pre = net.preset(t);
+      if (std::find(pre.begin(), pre.end(), p) == pre.end()) {
+        expected.push_back(sym.enabling_cube(t) & sym.place(p));
+      }
+    }
+    std::vector<Bdd> owned;
+    const SymbolicStg::OwnedCubes& safeness = sym.safeness_cubes();
+    for (std::size_t c = 0; c < safeness.cubes.size(); ++c) {
+      if (safeness.owners[c] == t) owned.push_back(m.cube(safeness.cubes[c]));
+    }
+    EXPECT_EQ(owned, expected) << s.format_label(t);
+
+    const stg::TransitionLabel& label = s.label(t);
+    if (!label.is_dummy()) {
+      const Bdd value = sym.signal(label.signal);
+      inconsistent.push_back(sym.enabling_cube(t) &
+                             (label.dir == stg::Dir::kPlus ? value : !value));
+    }
+  }
+
+  // a+ by hand: p0 and r marked, p1 empty, a = 0 before; p0 empty, r and
+  // p1 marked, a = 1 after.
+  const pn::TransitionId ap = net.find_transition("a+");
+  const auto place = [&](const char* name) { return net.find_place(name); };
+  const auto primed = [&](bdd::Var v) { return m.var(sym.to_primed()[v]); };
+  const stg::SignalId a = s.find_signal("a");
+  EXPECT_EQ(build_sparse_relation(sym, ap).rel,
+            sym.place(place("p0")) & sym.place(place("r")) &
+                !sym.place(place("p1")) & !sym.signal(a) &
+                !primed(sym.place_var(place("p0"))) &
+                primed(sym.place_var(place("r"))) &
+                primed(sym.place_var(place("p1"))) &
+                primed(sym.signal_var(a)));
+
+  // One consistency cube per signal transition, none for the dummy, each
+  // owned by 2s (s+ at s = 1) or 2s + 1 (s- at s = 0).
+  const SymbolicStg::OwnedCubes& consistency = sym.consistency_cubes();
+  ASSERT_EQ(consistency.cubes.size(), inconsistent.size());
+  ASSERT_EQ(inconsistent.size(), net.transition_count() - 1);
+  for (std::size_t c = 0; c < consistency.cubes.size(); ++c) {
+    const Bdd cube = m.cube(consistency.cubes[c]);
+    EXPECT_NE(std::find(inconsistent.begin(), inconsistent.end(), cube),
+              inconsistent.end());
+    const stg::SignalId sig = consistency.owners[c] / 2;
+    const bool plus = consistency.owners[c] % 2 == 0;
+    EXPECT_TRUE(cube.implies(plus ? sym.signal(sig) : !sym.signal(sig)));
+  }
+}
 
 TEST(Relation, CountsUnaffectedByPrimedVars) {
   stg::Stg s = stg::mutex_arbiter(3);

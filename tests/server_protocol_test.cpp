@@ -73,10 +73,10 @@ TEST(ServerProtocol, ParseBatchWithPerNetOverrides) {
 
 TEST(ServerProtocol, SessionOptionsRejectUnknownKeysAndValues) {
   Value ok = Value::object();
-  ok.set("ordering", Value("signals-first"));
+  ok.set("ordering", Value("random"));
   ok.set("initial_nodes", Value(1024));
   const core::SessionOptions options = parse_session_options(ok);
-  EXPECT_EQ(options.check.ordering, core::Ordering::kSignalsFirst);
+  EXPECT_EQ(options.check.ordering, core::Ordering::kRandom);
   EXPECT_EQ(options.initial_nodes, 1024u);
 
   Value unknown_key = Value::object();
