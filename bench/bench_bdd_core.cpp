@@ -113,6 +113,61 @@ void BM_ImageKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_ImageKernel)->Arg(8)->Arg(16)->Arg(24);
 
+/// The chained firing of the traversal loop at the kernel layer: the fresh
+/// states of every transition of muller<n> (first argument) from its
+/// reached set. With the second argument 0, known is the whole reached
+/// set, as in chaining's last pass, where every image is already known;
+/// with 1, only the half of it with signal 0 high, so half of each image
+/// is fresh. The Minus arm builds the image and subtracts; the Fresh arm
+/// is the one walk (SymbolicStg::fresh_image) that replaces the two. A
+/// garbage collection outside the timed region frees each iteration's
+/// results and clears the computed cache, so every iteration times the
+/// walks themselves, not one cache hit per call; the fixed iteration
+/// count bounds the untimed collections.
+struct FreshKernelInput {
+  stg::Stg s;
+  core::SymbolicStg sym;
+  Bdd reached;
+  Bdd known;
+
+  explicit FreshKernelInput(const benchmark::State& state)
+      : s(stg::muller_pipeline(static_cast<std::size_t>(state.range(0)))),
+        sym(s) {
+    reached = core::traverse(sym).reached;
+    known = state.range(1) == 0 ? reached : reached & sym.signal(0);
+  }
+};
+
+void BM_ImageMinusKernel(benchmark::State& state) {
+  FreshKernelInput in(state);
+  for (auto _ : state) {
+    for (pn::TransitionId t = 0; t < in.s.net().transition_count(); ++t) {
+      benchmark::DoNotOptimize(in.sym.image(in.reached, t).minus(in.known));
+    }
+    state.PauseTiming();
+    in.sym.manager().collect_garbage();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_ImageMinusKernel)
+    ->ArgsProduct({{8, 16, 24}, {0, 1}})
+    ->Iterations(50);
+
+void BM_FreshImageKernel(benchmark::State& state) {
+  FreshKernelInput in(state);
+  for (auto _ : state) {
+    for (pn::TransitionId t = 0; t < in.s.net().transition_count(); ++t) {
+      benchmark::DoNotOptimize(in.sym.fresh_image(in.reached, t, in.known));
+    }
+    state.PauseTiming();
+    in.sym.manager().collect_garbage();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_FreshImageKernel)
+    ->ArgsProduct({{8, 16, 24}, {0, 1}})
+    ->Iterations(50);
+
 void BM_FullTraversal(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   stg::Stg s = stg::muller_pipeline(n);

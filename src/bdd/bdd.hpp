@@ -334,17 +334,25 @@ class Manager {
   /// Generalized cofactor of f with respect to a cube of literals
   /// (f with every cube variable fixed to its polarity).
   Bdd cofactor(const Bdd& f, const Bdd& cube);
-  /// cofactor(f, pre) & post for two cubes over the same variables, in
-  /// one memoized walk of f: the substitution that fires a transition
-  /// (core::SymbolicStg::image). Above a cube variable the walk rebuilds
-  /// f's node from its two results; at one it follows pre's branch and
-  /// emits a single node carrying post's literal, and a pre literal above
-  /// f's top still emits its post literal. No intermediate set is built.
+  /// The states of f that agree with the cube `flip`, each with every
+  /// flip variable negated, minus `known`:
+  ///
+  ///     (cofactor(f, flip) & flip~) \ known
+  ///
+  /// where flip~ is flip with every literal negated. This is the firing
+  /// of a transition that flips the literals of its guard
+  /// (core::SymbolicStg::image), chained into the set it must leave out,
+  /// in one memoized walk with no intermediate set. Above a flip variable
+  /// the walk branches f and known together and rebuilds the node; at one
+  /// it follows f's pre-value branch and known's post-value branch and
+  /// emits one node carrying the post literal; below the last one it is
+  /// f & !known. It stops where known's cofactor is true or f's is false.
+  /// Literals a firing keeps (1 -> 1) go into known as `known | !keep`.
   /// Counts as one call on the cofactor profile slot and shares its cache
-  /// tag, with post as the third key (a plain cofactor stores false
-  /// there, and no cube is false). Throws ModelError unless both are
-  /// cubes over the same variables.
-  Bdd substitute_cube(const Bdd& f, const Bdd& pre, const Bdd& post);
+  /// tag, with !known as the third key: a plain cofactor stores false
+  /// there, and a walk with known = true returns before the cache. Throws
+  /// ModelError unless flip is a cube.
+  Bdd flip_image(const Bdd& f, const Bdd& flip, const Bdd& known);
   /// Existential abstraction of the (positive) cube variables.
   Bdd exists(const Bdd& f, const Bdd& cube);
   /// Universal abstraction of the (positive) cube variables.
@@ -725,7 +733,7 @@ class Manager {
   NodeRef xor_rec(NodeRef f, NodeRef g);
   NodeRef ite_rec(NodeRef f, NodeRef g, NodeRef h);
   NodeRef cofactor_rec(NodeRef f, NodeRef cube);
-  NodeRef substitute_rec(NodeRef f, NodeRef pre, NodeRef post);
+  NodeRef flip_image_rec(NodeRef f, NodeRef flip, NodeRef known);
   NodeRef exists_rec(NodeRef f, NodeRef cube);
   NodeRef and_exists_rec(NodeRef f, NodeRef g, NodeRef cube);
   NodeRef rel_next_rec(NodeRef s, NodeRef r, NodeRef cube);

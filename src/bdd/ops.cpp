@@ -72,30 +72,18 @@ Bdd Manager::cofactor(const Bdd& f, const Bdd& cube) {
   return result;
 }
 
-Bdd Manager::substitute_cube(const Bdd& f, const Bdd& pre, const Bdd& post) {
+Bdd Manager::flip_image(const Bdd& f, const Bdd& flip, const Bdd& known) {
   poll_budget();
-  // The recursion steps both cubes one literal at a time in lockstep, so
-  // they must be cubes over one variable list, in one order.
-  const auto next_literal = [&](NodeRef c) {
-    if (!is_term(c)) {
-      if (low_of(c) == kFalse) return high_of(c);
-      if (high_of(c) == kFalse) return low_of(c);
+  for (NodeRef c = flip.ref(); c != kTrue;) {
+    if (is_term(c) || (low_of(c) != kFalse && high_of(c) != kFalse)) {
+      throw ModelError("flip_image: flip is not a cube");
     }
-    throw ModelError("substitute_cube: operand is not a cube");
-  };
-  for (NodeRef a = pre.ref(), b = post.ref(); a != kTrue || b != kTrue;
-       a = next_literal(a), b = next_literal(b)) {
-    if (is_term(a) || is_term(b) || deref(a).var != deref(b).var) {
-      const auto at = [&](NodeRef c) {
-        return is_term(c) ? std::string("no literal") : var_desc(deref(c).var);
-      };
-      throw ModelError("substitute_cube: pre has " + at(a) +
-                       " where post has " + at(b));
-    }
+    c = low_of(c) == kFalse ? high_of(c) : low_of(c);
   }
   ++counters_.calls[op_slot(OpKind::kCofactor)];
   ProfileTimer timer(*this, OpKind::kCofactor);
-  Bdd result = make_handle(substitute_rec(f.ref(), pre.ref(), post.ref()));
+  Bdd result =
+      make_handle(flip_image_rec(f.ref(), flip.ref(), known.ref()));
   maybe_gc();
   return result;
 }
@@ -435,40 +423,39 @@ NodeRef Manager::cofactor_rec(NodeRef f, NodeRef cube) {
   return r;
 }
 
-NodeRef Manager::substitute_rec(NodeRef f, NodeRef pre, NodeRef post) {
-  if (f == kFalse) return kFalse;
-  if (pre == kTrue) return f;  // post is used up in the same step
-  if (f == kTrue) return post;
+NodeRef Manager::flip_image_rec(NodeRef f, NodeRef flip, NodeRef known) {
+  if (f == kFalse || known == kTrue) return kFalse;
+  if (flip == kTrue) return and_rec(f, bdd_not(known));  // nothing to flip
 
-  NodeRef cached = cache_lookup(Op::kCofactor, f, pre, post);
+  // !known is never false here, so the key never meets a plain cofactor's.
+  NodeRef cached = cache_lookup(Op::kCofactor, f, flip, bdd_not(known));
   if (cached != kInvalidRef) return cached;
 
   const std::size_t lf = level(f);
-  const std::size_t lc = level(pre);
+  const std::size_t lc = level(flip);
+  const std::size_t lk = level(known);
+  const std::size_t top = std::min({lf, lc, lk});
+  const Var v = level2var_[top];
   NodeRef r;
-  if (lf < lc) {
-    const Var v = deref(f).var;
-    const NodeRef fhigh = high_of(f);
-    const NodeRef low = substitute_rec(low_of(f), pre, post);
-    r = mk(v, low, substitute_rec(fhigh, pre, post));
-  } else {
-    // Follow pre's literal (f is unconstrained by it when its top lies
-    // below) and put post's literal in its place.
-    const Var v = deref(pre).var;
-    const bool pre_high = low_of(pre) == kFalse;
-    const bool post_high = low_of(post) == kFalse;
-    const NodeRef branch =
-        lf > lc ? f : (pre_high ? high_of(f) : low_of(f));
+  if (lc == top) {
+    // Follow f's pre value (f is unconstrained by it when its top lies
+    // below), test known at the post value, and emit the post literal.
+    const bool pre_high = low_of(flip) == kFalse;
+    const NodeRef fb = lf != top ? f : pre_high ? high_of(f) : low_of(f);
+    const NodeRef kb = lk != top ? known : pre_high ? low_of(known)
+                                                    : high_of(known);
     const NodeRef rest =
-        substitute_rec(branch, pre_high ? high_of(pre) : low_of(pre),
-                       post_high ? high_of(post) : low_of(post));
-    if (rest == kFalse) {
-      r = kFalse;
-    } else {
-      r = post_high ? mk(v, kFalse, rest) : mk(v, rest, kFalse);
-    }
+        flip_image_rec(fb, pre_high ? high_of(flip) : low_of(flip), kb);
+    r = pre_high ? mk(v, rest, kFalse) : mk(v, kFalse, rest);
+  } else {
+    const NodeRef f0 = lf == top ? low_of(f) : f;
+    const NodeRef f1 = lf == top ? high_of(f) : f;
+    const NodeRef k0 = lk == top ? low_of(known) : known;
+    const NodeRef k1 = lk == top ? high_of(known) : known;
+    const NodeRef low = flip_image_rec(f0, flip, k0);
+    r = mk(v, low, flip_image_rec(f1, flip, k1));
   }
-  cache_store(Op::kCofactor, f, pre, post, r);
+  cache_store(Op::kCofactor, f, flip, bdd_not(known), r);
   return r;
 }
 

@@ -281,26 +281,20 @@ SymReducibilityResult check_csc_reducibility(SymbolicStg& sym,
     Bdd frozen = quiescent & conflict.codes;
     if (frozen.is_false()) continue;
 
-    // Backward closure with frozen non-inputs (within the reachable set).
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (pn::TransitionId t : input_transitions) {
-        const Bdd pre = sym.preimage(frozen, t) & reached;
-        if (!pre.implies(frozen)) {
-          frozen |= pre;
-          changed = true;
-        }
-      }
-    }
-    // Forward closure with frozen non-inputs.
-    changed = true;
-    while (changed) {
-      changed = false;
-      for (pn::TransitionId t : input_transitions) {
-        const Bdd post = sym.image(frozen, t) & reached;
-        if (!post.implies(frozen)) {
-          frozen |= post;
+    // Backward, then forward closure with frozen non-inputs, within the
+    // reachable set. Each step is one walk that fires into the reached
+    // states not yet frozen: known = frozen | !reached.
+    Bdd known = frozen | !reached;
+    for (const bool forward : {false, true}) {
+      bool changed = true;
+      while (changed) {
+        changed = false;
+        for (pn::TransitionId t : input_transitions) {
+          const Bdd fresh = forward ? sym.fresh_image(frozen, t, known)
+                                    : sym.fresh_preimage(frozen, t, known);
+          if (fresh.is_false()) continue;
+          frozen |= fresh;
+          known |= fresh;
           changed = true;
         }
       }

@@ -186,6 +186,7 @@ void SymbolicStg::build_cubes() {
   e_.reserve(net.transition_count());
   fire_guard_.resize(net.transition_count());
   firing_cube_.resize(net.transition_count());
+  flip_cubes_.resize(net.transition_count());
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
     // In the guard, the positive place literals are E(t); every other
     // literal is a premise (a postset-only place empty, the signal at its
@@ -353,22 +354,63 @@ const Bdd& SymbolicStg::firing_cube(pn::TransitionId t) {
   return cube;
 }
 
+const SymbolicStg::FlipCubes& SymbolicStg::flip_cubes(pn::TransitionId t) {
+  FlipCubes& cubes = flip_cubes_[t];
+  if (cubes.unread.valid()) return cubes;
+  // The two sides of the firing rule list the same variables in the same
+  // order; a literal that keeps its value is a place t reads and refills.
+  const bdd::CubeLiterals before = firing_literals(t, false);
+  const bdd::CubeLiterals after = firing_literals(t, true);
+  bdd::CubeLiterals pre;
+  bdd::CubeLiterals post;
+  bdd::CubeLiterals keep;
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    if (before[i].positive == after[i].positive) {
+      keep.push_back(before[i]);
+    } else {
+      pre.push_back(before[i]);
+      post.push_back(after[i]);
+    }
+  }
+  cubes.pre = manager_->cube(pre);
+  cubes.post = manager_->cube(post);
+  cubes.unread = !manager_->cube(keep);
+  return cubes;
+}
+
 Bdd SymbolicStg::image(const Bdd& states, pn::TransitionId t) {
-  // The paper's pipeline as one substitution: the guard selects the
-  // states t fires from (E(t), the empty-postset test of NSM(t), the
-  // consistent signal value) and the post cube writes what the firing
-  // leaves (NPM(t), ASM(t), the flipped signal). States with the signal
-  // already at its post-firing value would be inconsistent firings; the
-  // consistency check reports them, the image never creates them
-  // (Sec. 5.1).
-  const Bdd& guard = fire_guard(t);
-  return manager_->substitute_cube(states, guard, firing_cube(t));
+  // The paper's pipeline as one walk: the guard's flipped literals at
+  // their pre values select the states t fires from (E(t), the
+  // empty-postset test of NSM(t), the consistent signal value), and the
+  // walk writes their post values (NPM(t), ASM(t), the flipped signal).
+  // States with the signal already at its post-firing value would be
+  // inconsistent firings; the consistency check reports them, the image
+  // never creates them (Sec. 5.1). The places t reads stay marked, so
+  // the walk leaves out the states where one is empty.
+  const FlipCubes& cubes = flip_cubes(t);
+  return manager_->flip_image(states, cubes.pre, cubes.unread);
+}
+
+Bdd SymbolicStg::fresh_image(const Bdd& states, pn::TransitionId t,
+                             const Bdd& known) {
+  const FlipCubes& cubes = flip_cubes(t);
+  return manager_->flip_image(
+      states, cubes.pre,
+      cubes.unread.is_false() ? known : known | cubes.unread);
 }
 
 Bdd SymbolicStg::preimage(const Bdd& states, pn::TransitionId t) {
-  // The exact inverse: the same substitution with the cubes swapped.
-  const Bdd& guard = fire_guard(t);
-  return manager_->substitute_cube(states, firing_cube(t), guard);
+  // The exact inverse: the same walk from the post values back.
+  const FlipCubes& cubes = flip_cubes(t);
+  return manager_->flip_image(states, cubes.post, cubes.unread);
+}
+
+Bdd SymbolicStg::fresh_preimage(const Bdd& states, pn::TransitionId t,
+                                const Bdd& known) {
+  const FlipCubes& cubes = flip_cubes(t);
+  return manager_->flip_image(
+      states, cubes.post,
+      cubes.unread.is_false() ? known : known | cubes.unread);
 }
 
 Bdd SymbolicStg::after_firing(const Bdd& predicate, pn::TransitionId t) {

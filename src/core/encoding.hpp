@@ -8,13 +8,14 @@
 //     delta_N(M, t) = ((M_{E(t)} . NPM(t))_{NSM(t)} . ASM(t)
 //
 // extended with the fired signal's bit flip for STGs (delta_D). All four
-// cubes and the flip range over t's own support, so the pipeline is one
-// substitution: fix the guard cube (preset marked, postset-only places
-// empty, signal at its pre-firing value) and put the post cube (postset
-// marked, preset-only places empty, signal flipped) in its place, in one
-// kernel walk (bdd::Manager::substitute_cube). Swapping the two cubes
-// gives the exact preimage used by the backward frozen traversal of
-// Sec. 5.3.
+// cubes and the flip range over t's own support, and a firing negates
+// every literal of its guard (preset marked, postset-only places empty,
+// signal at its pre-firing value) except the places it reads and
+// refills. So the pipeline is one kernel walk (bdd::Manager::flip_image)
+// that flips those literals, and the same walk leaves out a set of known
+// states on the way (the paper's chaining keeps only fresh states).
+// Flipping the post values instead gives the exact preimage used by the
+// backward frozen traversal of Sec. 5.3.
 #pragma once
 
 #include <memory>
@@ -148,13 +149,19 @@ class SymbolicStg {
 
   /// delta_D(states, t): successors of `states` under t, the paper's
   /// ((states_E(t) . NPM(t))_NSM(t) . ASM(t) plus the fired signal's bit
-  /// flip, computed as the one substitution
-  /// substitute_cube(states, fire_guard(t), post cube of t). Firings that
+  /// flip, in one kernel walk (bdd::Manager::flip_image). Firings that
   /// would be unsafe (safeness_cubes) or inconsistent are never imaged.
   bdd::Bdd image(const bdd::Bdd& states, pn::TransitionId t);
+  /// image(states, t) minus `known`, in the same single walk: the
+  /// successor set is never built.
+  bdd::Bdd fresh_image(const bdd::Bdd& states, pn::TransitionId t,
+                       const bdd::Bdd& known);
   /// Exact inverse of image: the states of fire_guard(t) whose successor
-  /// under t lies in `states` (the same substitution, cubes swapped).
+  /// under t lies in `states` (the same walk from the post values).
   bdd::Bdd preimage(const bdd::Bdd& states, pn::TransitionId t);
+  /// preimage(states, t) minus `known`, in one kernel walk.
+  bdd::Bdd fresh_preimage(const bdd::Bdd& states, pn::TransitionId t,
+                          const bdd::Bdd& known);
 
   /// The firing rule of `t`, the one place it is stated: the assignment a
   /// firing requires (`after` false: the guard) or leaves (`after` true:
@@ -192,6 +199,17 @@ class SymbolicStg {
   void build_cubes();
   /// The post cube of `t`, built on first use.
   const bdd::Bdd& firing_cube(pn::TransitionId t);
+  /// What a firing of `t` does to its guard, split for flip_image: the
+  /// literals it negates, at their pre and at their post values, and the
+  /// states where a place it reads and refills (1 -> 1) is empty, which
+  /// it neither fires from nor into (false for most transitions).
+  struct FlipCubes {
+    bdd::Bdd pre;
+    bdd::Bdd post;
+    bdd::Bdd unread;
+  };
+  /// The flip cubes of `t`, built on first use.
+  const FlipCubes& flip_cubes(pn::TransitionId t);
 
   std::shared_ptr<const stg::Stg> stg_;
   std::unique_ptr<bdd::Manager> manager_;
@@ -213,10 +231,11 @@ class SymbolicStg {
   bdd::Bdd any_enabled_;  // built by any_enabled(); invalid until then
   OwnedCubes consistency_cubes_;
   OwnedCubes safeness_cubes_;
-  /// Built per transition on first use (invalid until then): fire_guard()
-  /// and firing_cube(), the two sides of the image substitution.
+  /// Built per transition on first use (invalid until then): fire_guard(),
+  /// firing_cube() and flip_cubes().
   std::vector<bdd::Bdd> fire_guard_;
   std::vector<bdd::Bdd> firing_cube_;
+  std::vector<FlipCubes> flip_cubes_;
 };
 
 }  // namespace stgcheck::core

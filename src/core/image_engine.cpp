@@ -88,6 +88,18 @@ Bdd ImageEngine::image_unit(const Bdd& states, std::size_t u) {
   return sym_.image(states, static_cast<pn::TransitionId>(u));
 }
 
+Bdd ImageEngine::fresh_unit(const Bdd& states, std::size_t u,
+                            const Bdd& known) {
+  return image_unit(states, u).minus(known);
+}
+
+Bdd CofactorEngine::fresh_unit(const Bdd& states, std::size_t u,
+                               const Bdd& known) {
+  ++stats_.image_calls;
+  StepGauge gauge(*this);
+  return sym_.fresh_image(states, static_cast<pn::TransitionId>(u), known);
+}
+
 Bdd ImageEngine::reach_fixpoint(const Bdd&) {
   throw ModelError(std::string(name()) +
                    " engine does not compute whole-space fixpoints "

@@ -11,8 +11,9 @@
 //
 //   * CofactorEngine           -- the paper's delta_N (Sec. 4) as one cube
 //                                 substitution per transition
-//                                 (SymbolicStg::image); no relation ever
-//                                 built.
+//                                 (SymbolicStg::image), fired straight
+//                                 into the unreached states
+//                                 (fresh_unit); no relation ever built.
 //   * MonolithicRelationEngine -- the textbook baseline: one relation
 //                                 T(V, V') = OR_t T_t, applied by a single
 //                                 relational product per step.
@@ -25,8 +26,9 @@
 // traverse() fires "units", the indivisible steps a backend offers: by
 // default unit u is transition u, imaged by the cube substitution (the
 // paper's Fig. 5 inner loop); saturation images it by its relation, and
-// the monolithic backend offers one unit for all transitions. Chaining,
-// lazy binding and the on-the-fly checks run unchanged on every backend.
+// the monolithic backend offers one unit for all transitions. Chaining
+// asks a unit only for the states it adds (fresh_unit), and it and lazy
+// binding run unchanged on every backend.
 #pragma once
 
 #include <memory>
@@ -93,6 +95,11 @@ class ImageEngine {
   /// default is the encoding's image of transition u (SymbolicStg::image,
   /// one cube substitution).
   virtual bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u);
+  /// image_unit(states, u) minus `known`: the fresh states a chained
+  /// firing adds. The default builds the image and subtracts; the
+  /// cofactor engine fires into the complement of `known` in one walk.
+  virtual bdd::Bdd fresh_unit(const bdd::Bdd& states, std::size_t u,
+                              const bdd::Bdd& known);
 
   // ---- Whole-space fixpoints ----------------------------------------------
 
@@ -157,6 +164,11 @@ class CofactorEngine final : public ImageEngine {
 
   const char* name() const override { return "cofactor"; }
   EngineKind kind() const override { return EngineKind::kCofactor; }
+
+  /// SymbolicStg::fresh_image of transition u: the successor set is never
+  /// built.
+  bdd::Bdd fresh_unit(const bdd::Bdd& states, std::size_t u,
+                      const bdd::Bdd& known) override;
 };
 
 /// The textbook baseline: full-frame per-transition relations ORed into

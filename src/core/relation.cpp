@@ -40,8 +40,15 @@ Bdd frame_constraint(SymbolicStg& sym, const std::vector<Var>& vars) {
   require_primed(sym);
   bdd::Manager& m = sym.manager();
   const std::vector<Var>& to_primed = sym.to_primed();
+  // Bottom-up in level order, as Manager::cube builds a cube: each
+  // v <-> v' pair lands above the frame built so far, so a step makes a
+  // few nodes instead of walking the whole frame.
+  std::vector<Var> bottom_up = vars;
+  std::sort(bottom_up.begin(), bottom_up.end(), [&](Var a, Var b) {
+    return m.level_of_var(a) > m.level_of_var(b);
+  });
   Bdd frame = m.bdd_true();
-  for (Var v : vars) {
+  for (Var v : bottom_up) {
     frame &= !(m.var(v) ^ m.var(to_primed[v]));
   }
   return frame;

@@ -184,14 +184,16 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
                             {&reached, &from, &fire_base, &pass_new});
         }
 
-        Bdd to = sym.manager().bdd_false();
+        // Only the states this firing adds matter (Fig. 5 keeps New =
+        // To - Reached): the engine fires straight into the complement of
+        // reached, so the cofactor engine never builds the successor set.
+        Bdd fresh = sym.manager().bdd_false();
         {
-          TraceSpan image(options.trace, "image_unit", "engine");
+          TraceSpan image(options.trace, "fresh_unit", "engine");
           image.arg("unit", static_cast<double>(u));
-          to = engine.image_unit(fire_base, u);
+          fresh = engine.fresh_unit(fire_base, u, reached);
         }
         ++result.stats.image_computations;
-        const Bdd fresh = to.minus(reached);
         if (fresh.is_false()) continue;
         reached |= fresh;
         pass_new |= fresh;

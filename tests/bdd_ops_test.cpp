@@ -113,24 +113,40 @@ TEST_F(BddOps, CofactorBelowSupportIsIdentity) {
   EXPECT_EQ(m.cofactor(f, m.bdd_true()), f);
 }
 
-TEST_F(BddOps, SubstituteCubeFixesPreAndWritesPost) {
+TEST_F(BddOps, FlipImageFixesPreAndWritesPost) {
   const Bdd f = (a & b & c) | (!b & d);
+  const Bdd none = m.bdd_false();
   // b := 1 selects a & c, and b = 0 is written in its place.
-  EXPECT_EQ(m.substitute_cube(f, b, !b), a & c & !b);
-  // A literal f does not test still writes its post literal.
-  EXPECT_EQ(m.substitute_cube(a & b, c & !d, !c & d), a & b & !c & d);
-  EXPECT_TRUE(m.substitute_cube(a & b, !a & b, a & b).is_false());
-  EXPECT_EQ(m.substitute_cube(f, m.bdd_true(), m.bdd_true()), f);
-  EXPECT_EQ(m.substitute_cube(m.bdd_true(), a & !c, !a & c), !a & c);
+  EXPECT_EQ(m.flip_image(f, b, none), a & c & !b);
+  // A literal f does not test still writes its flipped literal.
+  EXPECT_EQ(m.flip_image(a & b, c & !d, none), a & b & !c & d);
+  EXPECT_TRUE(m.flip_image(a & b, !a & b, none).is_false());
+  EXPECT_EQ(m.flip_image(f, m.bdd_true(), none), f);
+  EXPECT_EQ(m.flip_image(m.bdd_true(), a & !c, none), !a & c);
 }
 
-TEST_F(BddOps, SubstituteCubeIsOneCofactorCallAndChecksItsCubes) {
+TEST_F(BddOps, FlipImageLeavesOutKnownAtThePostValue) {
+  const Bdd f = (a & b & c) | (!b & d);
+  // The image a & c & !b lies where b = 0: known is read there, not at
+  // the pre value b = 1.
+  EXPECT_EQ(m.flip_image(f, b, b), a & c & !b);
+  EXPECT_TRUE(m.flip_image(f, b, !b).is_false());
+  EXPECT_EQ(m.flip_image(f, b, a & !c), a & c & !b);
+  EXPECT_EQ(m.flip_image(f, !b, !d), b & d);
+  EXPECT_TRUE(m.flip_image(f, !b, d).is_false());
+  EXPECT_TRUE(m.flip_image(f, b, m.bdd_true()).is_false());
+  // Below the last flipped variable it is f & !known.
+  EXPECT_EQ(m.flip_image(f, a, c), !a & !b & !c & d);
+}
+
+TEST_F(BddOps, FlipImageIsOneCofactorCallAndChecksItsCube) {
   const Bdd f = (a ^ b) | (c & d);
   const Bdd pre = a & !c;
   const Bdd post = !a & c;
-  const Bdd expected = m.cofactor(f, pre) & post;
+  const Bdd known = b & d;
+  const Bdd expected = (m.cofactor(f, pre) & post).minus(known);
   const ManagerProfile before = m.profile();
-  EXPECT_EQ(m.substitute_cube(f, pre, post), expected);
+  EXPECT_EQ(m.flip_image(f, pre, known), expected);
   const ManagerProfile after = m.profile();
   // One cofactor-slot call, and no conjunction behind it.
   EXPECT_EQ(after.op(OpKind::kCofactor).calls,
@@ -138,12 +154,10 @@ TEST_F(BddOps, SubstituteCubeIsOneCofactorCallAndChecksItsCubes) {
   EXPECT_EQ(after.op(OpKind::kAnd).calls, before.op(OpKind::kAnd).calls);
   EXPECT_GT(after.op(OpKind::kCofactor).cache_lookups,
             before.op(OpKind::kCofactor).cache_lookups);
-  // Both cubes must name the same variables in the same order.
-  EXPECT_THROW(m.substitute_cube(f, a, b), ModelError);
-  EXPECT_THROW(m.substitute_cube(f, a, a & b), ModelError);
-  EXPECT_THROW(m.substitute_cube(f, a & b, b), ModelError);
-  EXPECT_THROW(m.substitute_cube(f, a | b, a | b), ModelError);
-  EXPECT_THROW(m.substitute_cube(f, m.bdd_false(), m.bdd_false()), ModelError);
+  // The flip operand must be a cube.
+  EXPECT_THROW(m.flip_image(f, a | b, known), ModelError);
+  EXPECT_THROW(m.flip_image(f, a ^ b, known), ModelError);
+  EXPECT_THROW(m.flip_image(f, m.bdd_false(), known), ModelError);
 }
 
 TEST_F(BddOps, ExistsSingleVariable) {

@@ -154,29 +154,36 @@ TEST_P(BddRandom, CofactorByRandomCube) {
   }
 }
 
-TEST_P(BddRandom, SubstituteCubeIsCofactorThenAnd) {
+TEST_P(BddRandom, FlipImageIsCofactorThenAndMinusKnown) {
   RandomExpr e = random_expr(m, rng, 5);
   // The same function with the top three variables quantified away, so
   // cube literals fall above, at and below its top.
   const Bdd low = m.exists(e.f, m.positive_cube({0, 1, 2}));
   const std::vector<Bdd> fs = {e.f,  !e.f, low, !low, m.bdd_true(),
                                m.bdd_false()};
+  const Bdd other = random_expr(m, rng, 4).f;
+  const std::vector<Bdd> knowns = {m.bdd_false(), m.bdd_true(), other, !other,
+                                   low};
   const auto check_all = [&] {
     for (const Bdd& f : fs) {
       for (int round = 0; round < 6; ++round) {
-        // Two cubes over one random variable set, polarities drawn
-        // independently.
+        // A random cube and the same cube with every literal negated.
         CubeLiterals pre;
         CubeLiterals post;
         for (Var v = 0; v < kVars; ++v) {
           if (rng.below(3) != 0) continue;
-          pre.push_back({v, rng.flip()});
-          post.push_back({v, rng.flip()});
+          const bool value = rng.flip();
+          pre.push_back({v, value});
+          post.push_back({v, !value});
         }
         const Bdd a = m.cube(pre);
         const Bdd b = m.cube(post);
-        EXPECT_EQ(m.substitute_cube(f, a, b), m.cofactor(f, a) & b);
-        EXPECT_EQ(m.substitute_cube(f, b, a), m.cofactor(f, b) & a);
+        for (const Bdd& known : knowns) {
+          EXPECT_EQ(m.flip_image(f, a, known),
+                    (m.cofactor(f, a) & b).minus(known));
+          EXPECT_EQ(m.flip_image(f, b, known),
+                    (m.cofactor(f, b) & a).minus(known));
+        }
       }
     }
   };
