@@ -79,13 +79,12 @@ struct Row {
   double states = 0;
   // Observability extras (profiling armed on every arm): phase timings
   // and the per-group cache hit rates that split the aggregate
-  // cache_hit_rate (binary ops / REACH / permute memo -- the groups
-  // partition the aggregate exactly).
+  // cache_hit_rate (binary ops / REACH -- the groups partition the
+  // aggregate exactly).
   double gc_time_ms = 0;
   double sift_time_ms = 0;
   double cache_hit_binary = 0;
   double cache_hit_reach = 0;
-  double cache_hit_permute = 0;
 };
 
 std::vector<Row> g_rows;
@@ -127,8 +126,7 @@ void run_cofactor_arm(const stg::Stg& s, const std::string& name,
              sym.manager().reorder_epoch(), ms.cache_hit_rate(),
              ms.unique_load_factor(), watch.seconds(), r.stats.states,
              prof.gc_seconds * 1e3, prof.sift_seconds * 1e3,
-             ms.binary_cache_hit_rate(), ms.reach_cache_hit_rate(),
-             ms.permute_cache_hit_rate()});
+             ms.binary_cache_hit_rate(), ms.reach_cache_hit_rate()});
 }
 
 void run_relation_arm(const stg::Stg& s, const std::string& name,
@@ -152,8 +150,7 @@ void run_relation_arm(const stg::Stg& s, const std::string& name,
              ms.cache_hit_rate(), ms.unique_load_factor(), watch.seconds(),
              r.stats.states,
              prof.gc_seconds * 1e3, prof.sift_seconds * 1e3,
-             ms.binary_cache_hit_rate(), ms.reach_cache_hit_rate(),
-             ms.permute_cache_hit_rate()});
+             ms.binary_cache_hit_rate(), ms.reach_cache_hit_rate()});
 }
 
 void run(const stg::Stg& s, bool sift_off, bool sift_on, bool scaled) {
@@ -214,7 +211,6 @@ void write_json(const char* path) {
                  "\"cache_hit_rate\": %.4f, \"unique_table_load\": %.4f, "
                  "\"gc_time_ms\": %.3f, \"sift_time_ms\": %.3f, "
                  "\"cache_hit_binary\": %.4f, \"cache_hit_reach\": %.4f, "
-                 "\"cache_hit_permute\": %.4f, "
                  "\"seconds\": %.6f, \"states\": %s}%s\n",
                  r.family.c_str(), r.arm.c_str(), r.sift ? "true" : "false",
                  r.passes, r.images,
@@ -222,7 +218,7 @@ void write_json(const char* path) {
                  r.peak_live, r.peak_intermediate, r.relation_nodes, r.units,
                  r.reorders, r.cache_hit_rate,
                  r.unique_load, r.gc_time_ms, r.sift_time_ms,
-                 r.cache_hit_binary, r.cache_hit_reach, r.cache_hit_permute,
+                 r.cache_hit_binary, r.cache_hit_reach,
                  r.seconds, states_buf,
                  i + 1 < g_rows.size() ? "," : "");
   }

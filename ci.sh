@@ -55,7 +55,7 @@ if [[ "$BENCH" == 1 ]]; then
     --exact-sequential-peaks
   timeout 600 "./$BENCH_DIR/bench_check" --repeat 1 \
     --family muller16 --family mutex12 --family muller64 \
-    --family mread8 --family muller64-extra-token \
+    --family mread8 --family mutex24 --family muller64-extra-token \
     --out "$BENCH_DIR/bench_check_smoke.json"
   exec python3 scripts/check_bench_regression.py \
     BENCH_check.json "$BENCH_DIR/bench_check_smoke.json" \

@@ -6,12 +6,11 @@
 // provides exactly the operations the paper's algorithms need:
 //
 //   * mk / ITE / AND / OR / XOR / NOT                      (Sec. 4)
-//   * cofactor with respect to a cube of literals, and the cube
-//     substitution that fires a transition in one walk      (delta_N)
-//   * existential / universal abstraction and AND-EXISTS    (ER/QR, Sec. 5.3)
-//   * rel_next / reach: the twin-pair relational product and the in-kernel
-//     saturation fixpoint (REACH) behind the SaturationEngine backend
-//   * Coudert-Madre restrict (cover simplification)
+//   * cofactor with respect to a cube of literals, and flip_image, the
+//     one walk that fires a transition                      (delta_N)
+//   * existential abstraction and AND-EXISTS                (ER/QR, Sec. 5.3)
+//   * rel_next / reach: the twin-pair relational product (the relational
+//     engines' one image) and the in-kernel saturation fixpoint (REACH)
 //   * SAT counting (the "# of states" column of Table 1)
 //   * node counting (the "BDD size peak|final" column of Table 1)
 //   * garbage collection driven by reference counts
@@ -36,8 +35,8 @@
 // normalizes its standard triple the same way -- first argument regular,
 // then-argument regular, output complement pulled out -- so the
 // (f, g, NOT h) variants of a call share one computed-cache slot, and
-// OR/NOT/FORALL are derived from AND/EXISTS through De Morgan instead of
-// holding cache space of their own.
+// OR/NOT are derived from AND through De Morgan instead of holding cache
+// space of their own.
 //
 // Nodes live in a chunked arena: a chunk never moves once allocated, so
 // a `Node&` taken before an mk() stays valid when the table grows.
@@ -60,7 +59,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/budget.hpp"
@@ -182,21 +180,21 @@ struct Literal {
 /// A product term as an explicit list of literals (used by ISOP covers).
 using CubeLiterals = std::vector<Literal>;
 
-/// Aggregate statistics for reporting and the benches.
 /// Per-operation profile slot names (ManagerProfile::ops index). Every
-/// slot but the last two mirrors the kernel's internal computed-cache op
-/// tag of the same value. kPermute is the cross-call permute memo, which
-/// has no cache tag of its own. kAndExistsMulti is retired: the n-ary
-/// product is gone and nothing counts there, but the benchmark's
-/// per-layer schema (perfbench) still lists "and_exists_multi", so the
-/// slot stays until that schema drops it.
+/// slot but the last three mirrors the kernel's internal computed-cache
+/// op tag of the same value. The last three are retired: restrict,
+/// permute and the n-ary and_exists_multi are gone and nothing counts
+/// there, but the benchmark's per-layer schema (perfbench) still lists
+/// their names, so the slots stay, reading 0, until that schema drops
+/// them.
 enum class OpKind : std::uint8_t {
-  kAnd, kXor, kIte, kExists, kAndExists, kCofactor, kRestrict,
-  kRelNext, kReach, kDisjoint, kPermute, kAndExistsMulti,
+  kAnd, kXor, kIte, kExists, kAndExists, kCofactor,
+  kRelNext, kReach, kDisjoint, kRestrict, kPermute, kAndExistsMulti,
 };
 constexpr std::size_t kOpKindCount = 12;
 const char* to_string(OpKind kind);
 
+/// Aggregate statistics for reporting and the benches.
 struct ManagerStats {
   std::size_t node_count = 0;   ///< nodes in the table, including dead ones
   std::size_t live_count = 0;   ///< nodes with at least one reference
@@ -206,15 +204,17 @@ struct ManagerStats {
   std::size_t unique_hits = 0;  ///< unique-table lookups that found a node
   std::size_t cache_hits = 0;   ///< computed-cache hits, all caches summed
   std::size_t cache_lookups = 0;
-  // The aggregate above, split by cache group; the three groups partition
+  // The aggregate above, split by cache group; the groups partition
   // cache_lookups/cache_hits exactly (binary + reach + permute == total,
   // pinned by a regression test).
-  std::size_t binary_cache_lookups = 0;  ///< And..Restrict + Disjoint
+  std::size_t binary_cache_lookups = 0;  ///< And..Cofactor + Disjoint
   std::size_t binary_cache_hits = 0;
   std::size_t reach_cache_lookups = 0;  ///< RelNext + Reach traffic: the
   std::size_t reach_cache_hits = 0;     ///< main cache's RelNext entries
                                         ///< and the REACH cache
-  std::size_t permute_cache_lookups = 0;  ///< cross-call permute memo
+  /// Retired with the permute memo: always 0. The benchmark's per-layer
+  /// schema (perfbench) still reads them, so they stay until it drops them.
+  std::size_t permute_cache_lookups = 0;
   std::size_t permute_cache_hits = 0;
   std::size_t bucket_count = 0;  ///< unique-table buckets (for load factor)
   std::size_t var_count = 0;
@@ -236,9 +236,6 @@ struct ManagerStats {
   }
   double reach_cache_hit_rate() const {
     return hit_rate(reach_cache_hits, reach_cache_lookups);
-  }
-  double permute_cache_hit_rate() const {
-    return hit_rate(permute_cache_hits, permute_cache_lookups);
   }
   /// Unique-table load factor: nodes per bucket.
   double unique_load_factor() const {
@@ -284,7 +281,12 @@ struct ManagerProfile {
 /// handles must not outlive their manager.
 class Manager {
  public:
-  /// `initial_capacity` pre-sizes the node table (grows automatically).
+  /// The node table's limit: node indices are 31 bits wide.
+  static constexpr std::size_t kMaxNodes = std::size_t{1} << 31;
+
+  /// `initial_capacity` pre-sizes the node table, its unique-table buckets
+  /// and the computed cache (all grow automatically). It is clamped to
+  /// [1024, kMaxNodes], so no request sizes a table past the node limit.
   explicit Manager(std::size_t initial_capacity = 1 << 14);
   ~Manager();
 
@@ -355,8 +357,6 @@ class Manager {
   Bdd flip_image(const Bdd& f, const Bdd& flip, const Bdd& known);
   /// Existential abstraction of the (positive) cube variables.
   Bdd exists(const Bdd& f, const Bdd& cube);
-  /// Universal abstraction of the (positive) cube variables.
-  Bdd forall(const Bdd& f, const Bdd& cube);
   /// exists(f & g, cube) computed without building f & g (relational
   /// product).
   Bdd and_exists(const Bdd& f, const Bdd& g, const Bdd& cube);
@@ -367,15 +367,15 @@ class Manager {
   ///
   /// where `sup` is the positive cube `support` of rel's unprimed support
   /// variables and twin(v) is the variable directly below v in the current
-  /// order. Quantification and rename happen inside one recursion -- the
-  /// renamed-but-unquantified intermediate of and_exists + permute never
-  /// exists. Variables outside the support flow through `states` untouched
-  /// (the frame condition for free, as with sparse relations). Results are
-  /// cached under Op::kRelNext; the cache is sound across reorders because
-  /// every reorder clears it. Like permute, every call validates its
-  /// operands with linear walks (the twin layout over the supports) --
-  /// the same per-call cost class the classic and_exists + permute image
-  /// pipelines pay inside their validated permute.
+  /// order. Quantification and rename happen inside one recursion, so no
+  /// primed intermediate is ever built. Variables outside the support flow
+  /// through `states` untouched (the frame condition for free, as with
+  /// sparse relations); a full-frame relation over every state variable
+  /// (the monolithic engine's) passes the whole state cube as `support`.
+  /// Results are cached under Op::kRelNext; the cache is sound across
+  /// reorders because every reorder clears it. Every call validates its
+  /// operands with linear walks: the support cube, rel's support and
+  /// states' support against the twin layout.
   Bdd rel_next(const Bdd& states, const Bdd& rel, const Bdd& support);
   /// The in-kernel saturation REACH operation: the least fixpoint of
   /// `states` under every relation, computed level-by-level. Relations are
@@ -390,9 +390,6 @@ class Manager {
   /// from related seed sets share work. Every relation must satisfy the
   /// twin-pair layout of rel_next.
   Bdd reach(const Bdd& states, const std::vector<ReachRelation>& relations);
-  /// Coudert-Madre restrict: simplifies f using `care` as a care set; the
-  /// result agrees with f on `care`.
-  Bdd restrict(const Bdd& f, const Bdd& care);
   /// True iff f & g == 0 (Bdd::disjoint_with). Creates no nodes: the
   /// recursion only walks the two graphs and returns at the first
   /// satisfiable pair of cofactors. Verdicts are memoized in the shared
@@ -411,18 +408,6 @@ class Manager {
   /// variable throws ModelError.
   std::vector<bool> cubes_meeting(const Bdd& f,
                                   const std::vector<CubeLiterals>& cubes);
-  /// Variable substitution f[v := perm[v]], valid for any variable order.
-  /// `perm` must cover f's support, map into existing variables, and be
-  /// injective on the support (a duplicated target would not be a
-  /// substitution); violations throw ModelError naming the offending
-  /// variables and their levels. Renames that preserve relative level
-  /// order take a linear top-down pass; general renames fall back to a
-  /// level-aware ITE composition. Results are memoized across calls in a
-  /// direct-mapped cache keyed on (root, support-restricted mapping), so
-  /// repeating a rename of the same root is a lookup, not a second
-  /// traversal; the cache is dropped with the computed caches (GC,
-  /// reorder), never returning a stale node.
-  Bdd permute(const Bdd& f, const std::vector<Var>& perm);
 
   // ---- Analysis ----------------------------------------------------------
 
@@ -444,9 +429,6 @@ class Manager {
   /// so the returned value is the count itself, not a rounding of it.
   double sat_count(const Bdd& f, std::size_t nvars,
                    bool* exact = nullptr) const;
-  /// Number of satisfying assignments over the `vars` subset. The support
-  /// of f must be contained in `vars`.
-  double sat_count_over(const Bdd& f, const std::vector<Var>& vars) const;
   /// Evaluates f under a complete assignment indexed by variable id.
   bool eval(const Bdd& f, const std::vector<bool>& assignment) const;
   /// One satisfying assignment of f as a cube over `vars` (f must not be
@@ -457,10 +439,6 @@ class Manager {
   /// test, so it picks the same minterm. f & g must not be false.
   Bdd pick_one_minterm(const Bdd& f, const Bdd& g,
                        const std::vector<Var>& vars);
-  /// All satisfying assignments of f over `vars`, enumerated as literal
-  /// vectors. Throws LimitError if there are more than `limit`.
-  std::vector<CubeLiterals> all_sat(const Bdd& f, const std::vector<Var>& vars,
-                                    std::size_t limit = 1u << 20) const;
 
   // ---- ISOP --------------------------------------------------------------
 
@@ -601,7 +579,7 @@ class Manager {
   };
 
   enum class Op : std::uint8_t {
-    kAnd, kXor, kIte, kExists, kAndExists, kCofactor, kRestrict,
+    kAnd, kXor, kIte, kExists, kAndExists, kCofactor,
     kRelNext, kReach, kDisjoint
   };
 
@@ -623,16 +601,6 @@ class Manager {
     std::size_t top = 0;
   };
 
-  /// One slot of the cross-call permute memo. The key is the root edge
-  /// plus the support-restricted (source, target) pairs -- mappings that
-  /// differ only outside the support are the same substitution -- stored
-  /// in full so a hash collision misses. Entries die with the computed
-  /// caches (clear_cache), so a GC'd or reordered result never resurfaces.
-  struct PermuteCacheEntry {
-    std::vector<NodeRef> key;
-    NodeRef result = kInvalidRef;
-  };
-
   /// One slot of the REACH cache. (states, rule index) is an exact key
   /// *given* the relation list the rules were built from, so the cache
   /// carries the flattened (rel, cube) signature of that list
@@ -648,7 +616,6 @@ class Manager {
   static constexpr std::uint32_t kNilIndex =
       std::numeric_limits<std::uint32_t>::max();
   static constexpr std::size_t kReachCacheSize = std::size_t{1} << 15;
-  static constexpr std::size_t kPermuteCacheSize = std::size_t{1} << 12;
 
   // Node storage: a chunked arena instead of one flat vector. Chunks never
   // move once allocated, so table growth inside mk() cannot invalidate a
@@ -656,7 +623,7 @@ class Manager {
   // The extra indirection is one dependent load.
   static constexpr unsigned kChunkBits = 16;
   static constexpr std::size_t kChunkCapacity = std::size_t{1} << kChunkBits;
-  static constexpr std::size_t kMaxChunks = std::size_t{1} << (31 - kChunkBits);
+  static constexpr std::size_t kMaxChunks = kMaxNodes >> kChunkBits;
 
   // Node helpers. deref() ignores the complement flag: both polarities of
   // an edge share the node. low_of()/high_of() apply the flag, so they
@@ -724,8 +691,8 @@ class Manager {
                              const std::vector<char>& twin_mask) const;
 
   // Recursive cores (raw NodeRef level; no GC may run while these are on
-  // the stack). OR, NOT and FORALL are not recursions of their own: they
-  // are De Morgan duals of AND and EXISTS, sharing their caches.
+  // the stack). OR and NOT are not recursions of their own: they are De
+  // Morgan duals of AND, sharing its cache.
   NodeRef and_rec(NodeRef f, NodeRef g);
   NodeRef or_rec(NodeRef f, NodeRef g) {
     return bdd_not(and_rec(bdd_not(f), bdd_not(g)));
@@ -738,11 +705,6 @@ class Manager {
   NodeRef and_exists_rec(NodeRef f, NodeRef g, NodeRef cube);
   NodeRef rel_next_rec(NodeRef s, NodeRef r, NodeRef cube);
   NodeRef reach_rec(NodeRef s, std::size_t rule);
-  NodeRef restrict_rec(NodeRef f, NodeRef care);
-  NodeRef permute_rec(NodeRef f, const std::vector<Var>& perm,
-                      std::unordered_map<NodeRef, NodeRef>& memo);
-  NodeRef permute_general_rec(NodeRef f, const std::vector<Var>& perm,
-                              std::unordered_map<NodeRef, NodeRef>& memo);
   bool disjoint_rec(NodeRef f, NodeRef g);
   struct MeetWalk;  // cubes_meeting's per-chunk masks and edge memo
   std::uint64_t meets_rec(NodeRef e, MeetWalk& walk) const;
@@ -863,11 +825,6 @@ class Manager {
   std::vector<ReachCacheEntry> reach_cache_;
   std::size_t reach_cache_mask_ = 0;
   std::vector<NodeRef> reach_sig_;
-
-  // Cross-call permute memo (allocated lazily; cleared with the computed
-  // caches).
-  std::vector<PermuteCacheEntry> permute_cache_;
-  std::size_t permute_cache_mask_ = 0;
 
   std::vector<std::size_t> var2level_;
   std::vector<Var> level2var_;

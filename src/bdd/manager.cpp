@@ -85,9 +85,9 @@ Bdd Bdd::minus(const Bdd& other) const {
 // ---------------------------------------------------------------------------
 
 Manager::Manager(std::size_t initial_capacity) {
-  const std::size_t cap = std::max<std::size_t>(initial_capacity, 1024);
-  ensure_chunks(static_cast<std::uint32_t>(
-      std::min<std::size_t>(cap, kMaxChunks * kChunkCapacity)));
+  const std::size_t cap =
+      std::clamp<std::size_t>(initial_capacity, 1024, kMaxNodes);
+  ensure_chunks(static_cast<std::uint32_t>(cap));
 
   // The single terminal (constant 1) occupies index 0 and is permanently
   // referenced; constant 0 is the complemented edge to it.
@@ -375,10 +375,6 @@ void Manager::clear_cache() {
   // stale (states, rule) result can never resurface after a GC or reorder.
   std::fill(reach_cache_.begin(), reach_cache_.end(), ReachCacheEntry{});
   reach_sig_.clear();
-  for (PermuteCacheEntry& e : permute_cache_) {
-    e.key.clear();
-    e.result = kInvalidRef;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -496,10 +492,10 @@ const char* to_string(OpKind kind) {
     case OpKind::kExists: return "exists";
     case OpKind::kAndExists: return "and_exists";
     case OpKind::kCofactor: return "cofactor";
-    case OpKind::kRestrict: return "restrict";
     case OpKind::kRelNext: return "rel_next";
     case OpKind::kReach: return "reach";
     case OpKind::kDisjoint: return "disjoint";
+    case OpKind::kRestrict: return "restrict";
     case OpKind::kPermute: return "permute";
     case OpKind::kAndExistsMulti: return "and_exists_multi";
   }

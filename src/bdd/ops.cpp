@@ -4,10 +4,10 @@
 // external reference, and only then call maybe_gc().
 //
 // Complement-edge cache discipline: NOT is free (flip the flag), OR is
-// De Morgan over AND, FORALL is De Morgan over EXISTS, XOR strips both
-// complement flags into an output flag, and ITE normalizes its standard
-// triple (regular predicate, regular then-argument) -- so every variant of
-// a call that differs only in argument polarity lands on one cache slot.
+// De Morgan over AND, XOR strips both complement flags into an output
+// flag, and ITE normalizes its standard triple (regular predicate, regular
+// then-argument) -- so every variant of a call that differs only in
+// argument polarity lands on one cache slot.
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
@@ -97,30 +97,11 @@ Bdd Manager::exists(const Bdd& f, const Bdd& cube) {
   return result;
 }
 
-Bdd Manager::forall(const Bdd& f, const Bdd& cube) {
-  poll_budget();
-  ++counters_.calls[op_slot(OpKind::kExists)];
-  ProfileTimer timer(*this, OpKind::kExists);
-  // De Morgan: forall x. f == not exists x. not f -- shares the EXISTS cache.
-  Bdd result = make_handle(bdd_not(exists_rec(bdd_not(f.ref()), cube.ref())));
-  maybe_gc();
-  return result;
-}
-
 Bdd Manager::and_exists(const Bdd& f, const Bdd& g, const Bdd& cube) {
   poll_budget();
   ++counters_.calls[op_slot(OpKind::kAndExists)];
   ProfileTimer timer(*this, OpKind::kAndExists);
   Bdd result = make_handle(and_exists_rec(f.ref(), g.ref(), cube.ref()));
-  maybe_gc();
-  return result;
-}
-
-Bdd Manager::restrict(const Bdd& f, const Bdd& care) {
-  poll_budget();
-  ++counters_.calls[op_slot(OpKind::kRestrict)];
-  ProfileTimer timer(*this, OpKind::kRestrict);
-  Bdd result = make_handle(restrict_rec(f.ref(), care.ref()));
   maybe_gc();
   return result;
 }
@@ -131,130 +112,6 @@ std::string Manager::var_desc(Var v) const {
   desc += " ('" + var_names_[v] + "', level " +
           std::to_string(var2level_[v]) + ")";
   return desc;
-}
-
-Bdd Manager::permute(const Bdd& f, const std::vector<Var>& perm) {
-  poll_budget();
-  ++counters_.calls[op_slot(OpKind::kPermute)];
-  ProfileTimer timer(*this, OpKind::kPermute);
-  // Validate over f's support (sorted by current level): every variable
-  // mapped, every target known, no two variables sharing a target. A
-  // duplicated target is not a substitution -- it would silently merge two
-  // variables -- so it is an error, not a smaller BDD.
-  const std::vector<Var> sup = support(f);
-  std::unordered_map<Var, Var> target_source;
-  target_source.reserve(sup.size());
-  bool monotone = true;
-  bool identity = true;
-  for (std::size_t i = 0; i < sup.size(); ++i) {
-    const Var v = sup[i];
-    if (v >= perm.size()) {
-      throw ModelError("permute: no mapping for support variable " +
-                       var_desc(v) + " (permutation covers only " +
-                       std::to_string(perm.size()) + " variables)");
-    }
-    const Var w = perm[v];
-    if (w >= var2level_.size()) {
-      throw ModelError("permute: support variable " + var_desc(v) +
-                       " maps to unknown variable v" + std::to_string(w));
-    }
-    const auto [it, inserted] = target_source.emplace(w, v);
-    if (!inserted) {
-      throw ModelError("permute: not injective on the support: " +
-                       var_desc(it->second) + " and " + var_desc(v) +
-                       " both map to " + var_desc(w));
-    }
-    identity = identity && w == v;
-    monotone =
-        monotone && (i == 0 || var2level_[perm[sup[i - 1]]] < var2level_[w]);
-  }
-  if (identity) return f;
-  // Cross-call memo: applying the same substitution to the same root
-  // twice -- the same image or preimage rename requested again -- is a
-  // lookup, not a second traversal (the
-  // non-monotone path redoes a full ITE composition otherwise). The key is
-  // support-restricted, because mappings differing only outside the
-  // support are the same substitution, and stored in full so a hash
-  // collision misses instead of lying. Entries are dropped with the
-  // computed caches, so a GC'd or reordered result never resurfaces.
-  std::vector<NodeRef> key;
-  key.reserve(sup.size() * 2 + 1);
-  key.push_back(f.ref());
-  for (const Var v : sup) {
-    key.push_back(static_cast<NodeRef>(v));
-    key.push_back(static_cast<NodeRef>(perm[v]));
-  }
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (const NodeRef k : key) {
-    h ^= (static_cast<std::uint64_t>(k) + 0x517cc1b727220a95ULL) *
-         0xff51afd7ed558ccdULL;
-    h = (h << 13) | (h >> 51);
-  }
-  h ^= h >> 33;
-  ++counters_.cache_lookups[op_slot(OpKind::kPermute)];
-  if (!permute_cache_.empty()) {
-    const PermuteCacheEntry& e =
-        permute_cache_[static_cast<std::size_t>(h) & permute_cache_mask_];
-    if (e.result != kInvalidRef && e.key == key) {
-      ++counters_.cache_hits[op_slot(OpKind::kPermute)];
-      return make_handle(e.result);
-    }
-  }
-  std::unordered_map<NodeRef, NodeRef> memo;
-  // A rename that preserves relative level order rebuilds the graph in one
-  // top-down pass; anything else needs the level-aware composition.
-  Bdd result = make_handle(monotone
-                               ? permute_rec(f.ref(), perm, memo)
-                               : permute_general_rec(f.ref(), perm, memo));
-  if (permute_cache_.empty()) {
-    permute_cache_.resize(kPermuteCacheSize);
-    permute_cache_mask_ = kPermuteCacheSize - 1;
-  }
-  PermuteCacheEntry& e =
-      permute_cache_[static_cast<std::size_t>(h) & permute_cache_mask_];
-  e.key = std::move(key);
-  e.result = result.ref();
-  maybe_gc();
-  return result;
-}
-
-NodeRef Manager::permute_rec(NodeRef f, const std::vector<Var>& perm,
-                             std::unordered_map<NodeRef, NodeRef>& memo) {
-  if (is_term(f)) return f;
-  // permute(not f) == not permute(f): memoize on the regular edge and
-  // re-apply the complement flag on the way out.
-  const NodeRef flag = f & 1u;
-  const NodeRef fr = edge_regular(f);
-  auto it = memo.find(fr);
-  if (it != memo.end()) return it->second ^ flag;
-  // Copy fields before recursing: mk may reallocate the node vector.
-  const Var v = deref(fr).var;
-  const NodeRef flow = deref(fr).low;
-  const NodeRef fhigh = deref(fr).high;
-  const NodeRef low = permute_rec(flow, perm, memo);
-  const NodeRef r = mk(perm[v], low, permute_rec(fhigh, perm, memo));
-  memo.emplace(fr, r);
-  return r ^ flag;
-}
-
-NodeRef Manager::permute_general_rec(NodeRef f, const std::vector<Var>& perm,
-                                     std::unordered_map<NodeRef, NodeRef>& memo) {
-  if (is_term(f)) return f;
-  const NodeRef flag = f & 1u;
-  const NodeRef fr = edge_regular(f);
-  auto it = memo.find(fr);
-  if (it != memo.end()) return it->second ^ flag;
-  // Shannon expansion composed through ITE: the renamed variable may land
-  // at any level, above or below the recursively renamed cofactors, and
-  // ite_rec re-normalizes regardless.
-  const Var v = deref(fr).var;
-  const NodeRef flow = deref(fr).low;
-  const NodeRef fhigh = deref(fr).high;
-  const NodeRef low = permute_general_rec(flow, perm, memo);
-  const NodeRef high = permute_general_rec(fhigh, perm, memo);
-  const NodeRef r = ite_rec(mk(perm[v], kFalse, kTrue), high, low);
-  memo.emplace(fr, r);
-  return r ^ flag;
 }
 
 bool Manager::disjoint(const Bdd& f, const Bdd& g) {
@@ -529,50 +386,6 @@ NodeRef Manager::and_exists_rec(NodeRef f, NodeRef g, NodeRef cube) {
     r = mk(v, and_exists_rec(f0, g0, cube), and_exists_rec(f1, g1, cube));
   }
   cache_store(Op::kAndExists, f, g, cube, r);
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Coudert-Madre restrict
-// ---------------------------------------------------------------------------
-
-NodeRef Manager::restrict_rec(NodeRef f, NodeRef care) {
-  if (care == kTrue || is_term(f)) return f;
-  if (care == kFalse) return f;  // degenerate care set: leave f unchanged
-
-  NodeRef cached = cache_lookup(Op::kRestrict, f, care, kFalse);
-  if (cached != kInvalidRef) return cached;
-
-  const std::size_t lf = level(f);
-  const std::size_t lc = level(care);
-  NodeRef r;
-  if (lc < lf) {
-    // The care set constrains a variable f does not test: smooth it out.
-    const NodeRef clow = low_of(care);
-    const NodeRef chigh = high_of(care);
-    if (clow == kFalse) {
-      r = restrict_rec(f, chigh);
-    } else if (chigh == kFalse) {
-      r = restrict_rec(f, clow);
-    } else {
-      r = restrict_rec(f, or_rec(clow, chigh));
-    }
-  } else {
-    const Var v = deref(f).var;
-    const NodeRef flow = low_of(f);
-    const NodeRef fhigh = high_of(f);
-    const NodeRef c0 = lc == lf ? low_of(care) : care;
-    const NodeRef c1 = lc == lf ? high_of(care) : care;
-    if (c0 == kFalse) {
-      r = restrict_rec(fhigh, c1);
-    } else if (c1 == kFalse) {
-      r = restrict_rec(flow, c0);
-    } else {
-      const NodeRef low = restrict_rec(flow, c0);
-      r = mk(v, low, restrict_rec(fhigh, c1));
-    }
-  }
-  cache_store(Op::kRestrict, f, care, kFalse, r);
   return r;
 }
 

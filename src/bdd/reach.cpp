@@ -10,9 +10,10 @@
 // caches stay sound across reorders because every reorder clears them.
 //
 // rel_next is a single product: quantify the support, substitute each
-// twin back onto its unprimed variable, all in one recursion (the
-// renamed-but-unquantified intermediate of and_exists + permute never
-// exists).
+// twin back onto its unprimed variable, all in one recursion, so no
+// primed intermediate is ever built. It is the kernel's only rename: the
+// saturation engine images one sparse relation with it, the monolithic
+// engine its whole full-frame relation (support = every state variable).
 //
 // reach pushes the whole reachability fixpoint below the apply layer
 // (Brand, Baeck & Laarman, "A Decision Diagram Operation for

@@ -1,8 +1,10 @@
 #include "core/config.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "core/encoding.hpp"
@@ -19,10 +21,15 @@ namespace {
 [[noreturn]] void bad(const std::string& what) { throw ModelError(what); }
 
 /// Whole non-negative integer out of a JSON number, or a loud failure.
+/// A double at or above 2^64 has no size_t value (the cast would be
+/// undefined), so it fails like a fraction does.
 std::size_t json_size(const Value& value, const std::string& key) {
   const double n = value.as_number();
-  if (n < 0 || n != std::floor(n)) {
-    bad(key + " must be a non-negative integer");
+  const double size_limit =
+      std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
+  if (!(n >= 0 && n < size_limit) || n != std::floor(n)) {
+    bad(key + " must be a non-negative integer below 2^" +
+        std::to_string(std::numeric_limits<std::size_t>::digits));
   }
   return static_cast<std::size_t>(n);
 }
@@ -30,9 +37,13 @@ std::size_t json_size(const Value& value, const std::string& key) {
 /// Whole non-negative integer out of a flag value string.
 std::size_t arg_size(const std::string& text, const std::string& flag) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long n = std::strtoull(text.c_str(), &end, 10);
   if (end == text.c_str() || *end != '\0' || text[0] == '-') {
     bad(flag + " expects a non-negative integer, got '" + text + "'");
+  }
+  if (errno == ERANGE || n > std::numeric_limits<std::size_t>::max()) {
+    bad(flag + " value '" + text + "' does not fit in a size_t");
   }
   return static_cast<std::size_t>(n);
 }
@@ -108,6 +119,11 @@ std::pair<std::string, std::string> parse_arbitrate_pair(
 
 void CheckConfig::validate() const {
   if (initial_nodes == 0) bad("initial_nodes must be at least 1");
+  if (initial_nodes > bdd::Manager::kMaxNodes) {
+    bad("initial_nodes must be at most " +
+        std::to_string(bdd::Manager::kMaxNodes) +
+        ", the BDD node table's limit");
+  }
   if (!(limits.max_seconds >= 0) || !std::isfinite(limits.max_seconds)) {
     bad("max_seconds must be a finite non-negative number");
   }

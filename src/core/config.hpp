@@ -65,8 +65,9 @@ struct CheckConfig {
   /// clock, so default runs stay bit-identical and overhead-free.
   bool profile = false;
 
-  /// Throws ModelError when a member is out of range (zero initial_nodes,
-  /// negative or non-finite max_seconds, empty arbitration signal name).
+  /// Throws ModelError when a member is out of range (initial_nodes zero
+  /// or above bdd::Manager::kMaxNodes, negative or non-finite max_seconds,
+  /// empty arbitration signal name).
   void validate() const;
 
   // -- JSON round-trip (the wire "options" object) --------------------

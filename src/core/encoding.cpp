@@ -219,26 +219,14 @@ void SymbolicStg::build_cubes() {
   state_cube_ = manager_->positive_cube(state_vars_);
 
   if (with_primed_) {
-    std::vector<Var> primed;
     to_primed_.resize(manager_->var_count());
-    from_primed_.resize(manager_->var_count());
-    for (Var v = 0; v < to_primed_.size(); ++v) {
-      to_primed_[v] = v;
-      from_primed_[v] = v;
-    }
+    for (Var v = 0; v < to_primed_.size(); ++v) to_primed_[v] = v;
     for (pn::PlaceId p = 0; p < stg_->net().place_count(); ++p) {
-      primed.push_back(primed_place_vars_[p]);
       to_primed_[place_vars_[p]] = primed_place_vars_[p];
-      from_primed_[primed_place_vars_[p]] = place_vars_[p];
     }
     for (stg::SignalId s = 0; s < stg_->signal_count(); ++s) {
-      primed.push_back(primed_signal_vars_[s]);
       to_primed_[signal_vars_[s]] = primed_signal_vars_[s];
-      from_primed_[primed_signal_vars_[s]] = signal_vars_[s];
     }
-    primed_cube_ = manager_->positive_cube(primed);
-  } else {
-    primed_cube_ = manager_->bdd_true();
   }
 }
 

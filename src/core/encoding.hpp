@@ -77,11 +77,8 @@ class SymbolicStg {
   /// Primed twin of a place/signal variable (requires with_primed_vars).
   bdd::Var primed_place_var(pn::PlaceId p) const;
   bdd::Var primed_signal_var(stg::SignalId s) const;
-  /// var -> primed-var map (identity elsewhere) and its inverse.
+  /// var -> primed-var map (identity elsewhere).
   const std::vector<bdd::Var>& to_primed() const { return to_primed_; }
-  const std::vector<bdd::Var>& from_primed() const { return from_primed_; }
-  /// Positive cube of all primed variables.
-  const bdd::Bdd& primed_cube() const { return primed_cube_; }
   /// Positive cube of all unprimed state variables.
   const bdd::Bdd& state_cube() const { return state_cube_; }
   /// Projection function of a place variable.
@@ -220,13 +217,11 @@ class SymbolicStg {
   std::vector<bdd::Var> primed_place_vars_;
   std::vector<bdd::Var> primed_signal_vars_;
   std::vector<bdd::Var> to_primed_;
-  std::vector<bdd::Var> from_primed_;
   std::vector<bdd::Var> state_vars_;
 
   std::vector<bdd::Bdd> e_;
   bdd::Bdd place_cube_;
   bdd::Bdd signal_cube_;
-  bdd::Bdd primed_cube_;
   bdd::Bdd state_cube_;
   bdd::Bdd any_enabled_;  // built by any_enabled(); invalid until then
   OwnedCubes consistency_cubes_;

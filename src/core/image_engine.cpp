@@ -131,9 +131,7 @@ Bdd MonolithicRelationEngine::image_unit(const Bdd& states, std::size_t) {
   sync_with_order();
   ++stats_.image_calls;
   StepGauge gauge(*this);
-  bdd::Manager& m = sym_.manager();
-  const Bdd next_primed = m.and_exists(states, monolithic_, sym_.state_cube());
-  return m.permute(next_primed, sym_.from_primed());
+  return sym_.manager().rel_next(states, monolithic_, sym_.state_cube());
 }
 
 // ---------------------------------------------------------------------------

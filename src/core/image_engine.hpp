@@ -9,14 +9,14 @@
 // central claim (the per-transition cofactor image beats transition
 // relations) a swappable, benchmarkable choice for the traversal.
 //
-//   * CofactorEngine           -- the paper's delta_N (Sec. 4) as one cube
-//                                 substitution per transition
+//   * CofactorEngine           -- the paper's delta_N (Sec. 4) as one
+//                                 flip_image walk per transition
 //                                 (SymbolicStg::image), fired straight
 //                                 into the unreached states
 //                                 (fresh_unit); no relation ever built.
 //   * MonolithicRelationEngine -- the textbook baseline: one relation
-//                                 T(V, V') = OR_t T_t, applied by a single
-//                                 relational product per step.
+//                                 T(V, V') = OR_t T_t, applied by one
+//                                 twin-pair product (rel_next) per step.
 //   * SaturationEngine         -- the in-kernel fixpoint (saturation.hpp)
 //                                 over one sparse relation per transition.
 //                                 traverse() detects it
@@ -24,7 +24,7 @@
 //                                 its pass loop with reach_fixpoint calls.
 //
 // traverse() fires "units", the indivisible steps a backend offers: by
-// default unit u is transition u, imaged by the cube substitution (the
+// default unit u is transition u, imaged by one flip_image walk (the
 // paper's Fig. 5 inner loop); saturation images it by its relation, and
 // the monolithic backend offers one unit for all transitions. Chaining
 // asks a unit only for the states it adds (fresh_unit), and it and lazy
@@ -44,7 +44,7 @@ namespace stgcheck::core {
 
 /// Which backend computes images; TraversalOptions::engine selects one.
 enum class EngineKind {
-  kCofactor,            ///< the paper's delta_N, one cube substitution
+  kCofactor,            ///< the paper's delta_N, one flip_image walk
   kMonolithicRelation,  ///< one relation over (V, V')
   kSaturation,          ///< in-kernel REACH fixpoint over per-transition
                         ///< sparse relations (core/saturation.hpp)
@@ -68,9 +68,9 @@ struct ImageEngineStats {
   std::size_t units = 0;           ///< firing units the backend exposes
   /// Worst transient overhead of a single image step: the live-node
   /// high-water mark inside the step minus the live count entering it,
-  /// maximized over all steps. This is where and_exists intermediates
-  /// show up (the reached set and the relations are part of the entering
-  /// count, so they do not pollute it).
+  /// maximized over all steps. This is where a relational product's
+  /// intermediates show up (the reached set and the relations are part of
+  /// the entering count, so they do not pollute it).
   std::size_t peak_intermediate_nodes = 0;
 };
 
@@ -93,7 +93,7 @@ class ImageEngine {
   }
   /// Successors of `states` under every transition of unit `u`. The
   /// default is the encoding's image of transition u (SymbolicStg::image,
-  /// one cube substitution).
+  /// one flip_image walk).
   virtual bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u);
   /// image_unit(states, u) minus `known`: the fresh states a chained
   /// firing adds. The default builds the image and subtracts; the
@@ -156,7 +156,7 @@ class ImageEngine {
   std::size_t order_epoch_;
 };
 
-/// The paper's engine: one cube substitution per transition, one unit per
+/// The paper's engine: one flip_image walk per transition, one unit per
 /// transition, no relations. Works on any encoding (primed or not).
 class CofactorEngine final : public ImageEngine {
  public:
@@ -172,8 +172,8 @@ class CofactorEngine final : public ImageEngine {
 };
 
 /// The textbook baseline: full-frame per-transition relations ORed into
-/// one monolithic relation; a single relational product per step.
-/// Requires an encoding with primed variables.
+/// one monolithic relation; one rel_next over every state variable per
+/// step. Requires an encoding with primed variables.
 class MonolithicRelationEngine final : public ImageEngine {
  public:
   explicit MonolithicRelationEngine(SymbolicStg& sym);
@@ -185,8 +185,9 @@ class MonolithicRelationEngine final : public ImageEngine {
   std::span<const pn::TransitionId> unit_transitions(std::size_t) const override {
     return transitions_;
   }
-  /// Successors of `states` under every transition, in one relational
-  /// product.
+  /// Successors of `states` under every transition:
+  /// rel_next(states, T, state_cube), which quantifies every state
+  /// variable and renames every twin back in one recursion.
   bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
 
  protected:

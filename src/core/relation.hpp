@@ -3,7 +3,7 @@
 //
 // The paper's image operator never builds a relation -- delta_N is four
 // cube steps over the transition's own support, which the kernel runs as
-// one cube substitution -- and that is one of its contributions. This
+// one flip_image walk -- and that is one of its contributions. This
 // module lets that claim be tested against relational baselines. It
 // states no firing rule of its own: both relations are read off
 // SymbolicStg::firing_literals, the rule the cofactor image fires by.
@@ -23,7 +23,8 @@
 //
 //   * full:   the sparse cube /\ a frame v <-> v' over *every* untouched
 //             state variable. ORing these yields the monolithic engine's
-//             relation; its image is image(S) = (exists V : S /\ T)[V' := V].
+//             relation; its image is image(S) = (exists V : S /\ T)[V' := V],
+//             one bdd::Manager::rel_next over every state variable.
 #pragma once
 
 #include <vector>

@@ -135,7 +135,7 @@ void expect_matches_oracle(Manager& m, const Bdd& f) {
   const std::uint32_t root = plain.from_table(table, sup.size());
 
   // SAT count over the support agrees with the truth table oracle.
-  EXPECT_DOUBLE_EQ(m.sat_count_over(f, sup),
+  EXPECT_DOUBLE_EQ(m.sat_count(f, sup.size()),
                    static_cast<double>(plain.sat_count(root, sup.size())));
 
   // A complement-edge BDD is never larger than the plain BDD of the same

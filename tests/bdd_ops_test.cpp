@@ -177,19 +177,6 @@ TEST_F(BddOps, ExistsOfUnsupportedVarIsIdentity) {
   EXPECT_EQ(m.exists(f, c), f);
 }
 
-TEST_F(BddOps, ForallSingleVariable) {
-  Bdd f = (a & b) | (!a & b);
-  EXPECT_EQ(m.forall(f, a), b);
-  Bdd g = (a & b) | (!a & c);
-  EXPECT_EQ(m.forall(g, a), b & c);
-}
-
-TEST_F(BddOps, ForallDualOfExists) {
-  Bdd f = (a & b) | (c ^ d);
-  Bdd cube = m.positive_cube({0, 2});
-  EXPECT_EQ(m.forall(f, cube), !m.exists(!f, cube));
-}
-
 TEST_F(BddOps, AndExistsMatchesComposition) {
   Bdd f = (a & b) | (c & d);
   Bdd g = (a ^ c) | (b & !d);
@@ -203,28 +190,6 @@ TEST_F(BddOps, AndExistsTerminalCases) {
   EXPECT_EQ(m.and_exists(a & b, m.bdd_true(), cube), b);
 }
 
-TEST_F(BddOps, RestrictAgreesOnCareSet) {
-  Bdd f = (a & b) | (!a & c);
-  Bdd care = a;
-  Bdd r = m.restrict(f, care);
-  // On the care set the restriction must equal f.
-  EXPECT_EQ(r & care, f & care);
-  // And it should not be bigger than f.
-  EXPECT_LE(m.count_nodes(r), m.count_nodes(f));
-}
-
-TEST_F(BddOps, RestrictOnFullCareIsIdentity) {
-  Bdd f = (a ^ b) | (c & d);
-  EXPECT_EQ(m.restrict(f, m.bdd_true()), f);
-}
-
-TEST_F(BddOps, RestrictSimplifiesAcrossNonSupportCare) {
-  // Care set constrains variable c which f never tests.
-  Bdd f = (a & b) | (!a & !b);
-  Bdd r = m.restrict(f, c | !c);
-  EXPECT_EQ(r, f);
-}
-
 TEST_F(BddOps, SatCountSmall) {
   // 4 variables total.
   EXPECT_DOUBLE_EQ(m.sat_count(m.bdd_true()), 16.0);
@@ -235,12 +200,6 @@ TEST_F(BddOps, SatCountSmall) {
   EXPECT_DOUBLE_EQ(m.sat_count(a | b | c | d), 15.0);
 }
 
-TEST_F(BddOps, SatCountOverSubset) {
-  EXPECT_DOUBLE_EQ(m.sat_count_over(a & b, {0, 1}), 1.0);
-  EXPECT_DOUBLE_EQ(m.sat_count_over(a | b, {0, 1, 2}), 6.0);
-  EXPECT_THROW(m.sat_count_over(a & d, {0, 1}), ModelError);
-}
-
 TEST(BddSatCount, FiniteOverFewVariablesOfAHugeManager) {
   // 2^1100 overflows a double; a count over 3 of those variables must not
   // go through it.
@@ -249,7 +208,6 @@ TEST(BddSatCount, FiniteOverFewVariablesOfAHugeManager) {
   const Bdd f = big.var(0) & !big.var(1);
   EXPECT_FALSE(std::isfinite(big.sat_count(f)));
   EXPECT_DOUBLE_EQ(big.sat_count(f, 3), 2.0);
-  EXPECT_DOUBLE_EQ(big.sat_count_over(f, {0, 1, 2}), 2.0);
   EXPECT_DOUBLE_EQ(big.sat_count(big.bdd_false(), 3), 0.0);
 }
 
@@ -307,96 +265,6 @@ TEST_F(BddOps, PickOneMintermIsContainedAndComplete) {
   EXPECT_TRUE(pick.implies(f));
   EXPECT_EQ(m.cube_literals(pick).size(), 4u);
   EXPECT_THROW(m.pick_one_minterm(m.bdd_false(), {0}), ModelError);
-}
-
-TEST_F(BddOps, AllSatEnumeratesEveryAssignment) {
-  Bdd f = a ^ b;
-  auto sols = m.all_sat(f, {0, 1});
-  EXPECT_EQ(sols.size(), 2u);
-  for (const CubeLiterals& s : sols) {
-    std::vector<bool> assignment(4, false);
-    for (const Literal& l : s) assignment[l.var] = l.positive;
-    EXPECT_TRUE(m.eval(f, assignment));
-  }
-}
-
-TEST_F(BddOps, AllSatHonorsLimit) {
-  Bdd f = m.bdd_true();
-  EXPECT_THROW(m.all_sat(f, {0, 1, 2, 3}, 7), LimitError);
-}
-
-TEST_F(BddOps, PermuteHandlesLevelReversingRenames) {
-  // a -> d and b -> c reverses relative level order (monotone fast path
-  // does not apply); the result must still be the plain substitution.
-  Bdd f = (a & b) | (!a & !b);
-  std::vector<Var> perm{3, 2, 2, 3};
-  EXPECT_EQ(m.permute(f, perm), (d & c) | (!d & !c));
-  // A 3-cycle a -> b -> c -> a.
-  std::vector<Var> cycle{1, 2, 0, 3};
-  Bdd g = (a & !b) | c;
-  EXPECT_EQ(m.permute(g, cycle), (b & !c) | a);
-  EXPECT_EQ(m.permute(m.permute(m.permute(g, cycle), cycle), cycle), g);
-}
-
-TEST_F(BddOps, PermuteIdentityReturnsSameNode) {
-  Bdd f = (a & b) | c;
-  EXPECT_EQ(m.permute(f, {0, 1, 2, 3}), f);
-}
-
-TEST_F(BddOps, PermuteRejectsNonInjectiveMaps) {
-  // a and b both map to c: a silent merge, reported with the offenders.
-  Bdd f = a & b;
-  try {
-    m.permute(f, {2, 2, 2, 3});
-    FAIL() << "expected ModelError";
-  } catch (const ModelError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("injective"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("v0"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("v1"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("v2"), std::string::npos) << msg;
-  }
-  // Injective on the support is enough: b -> c with a untouched is fine
-  // even though the whole vector maps a and c's slots onto the same ids.
-  EXPECT_EQ(m.permute(b, {0, 2, 2, 3}), c);
-}
-
-TEST_F(BddOps, PermuteErrorsNameTheVariableAndLevel) {
-  try {
-    m.permute(c & d, {1, 0});  // support vars c, d not covered
-    FAIL() << "expected ModelError";
-  } catch (const ModelError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("v2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'c'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("level 2"), std::string::npos) << msg;
-  }
-  try {
-    m.permute(a, {17, 1, 2, 3});  // target does not exist
-    FAIL() << "expected ModelError";
-  } catch (const ModelError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("v17"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("unknown"), std::string::npos) << msg;
-  }
-}
-
-TEST_F(BddOps, PermuteAgreesWithEvalUnderReorderedManager) {
-  Bdd f = (a & !c) | (b & d);
-  std::vector<Var> perm{1, 0, 3, 2};  // swap within both pairs
-  const Bdd before = m.permute(f, perm);
-  m.reorder({3, 1, 0, 2});  // scramble the levels
-  const Bdd after = m.permute(f, perm);
-  EXPECT_EQ(before, after);  // same function regardless of current order
-  for (int row = 0; row < 16; ++row) {
-    std::vector<bool> x(4);
-    for (int v = 0; v < 4; ++v) x[v] = (row >> v) & 1;
-    // permute substitutes variables: evaluating the result under x equals
-    // evaluating f under the pulled-back assignment.
-    std::vector<bool> pulled(4);
-    for (int v = 0; v < 4; ++v) pulled[v] = x[perm[v]];
-    EXPECT_EQ(m.eval(after, x), m.eval(f, pulled)) << "row " << row;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
 // Kernel observability: the per-op profile (Manager::profile()) and the
 // ManagerStats cache-group split.
 //
-// The load-bearing regression here is the partition law: the three cache
-// groups (binary ops / REACH / permute memo) must sum to exactly the
-// aggregate cache_lookups / cache_hits. Before the split, the permute memo
-// was folded into the binary totals, which skewed cache_hit_rate() on
-// permute-heavy runs (the relational preimages) -- this test pins the
-// accounting so no future cache can silently fall outside the groups.
+// The load-bearing regression here is the partition law: the cache groups
+// (binary ops / REACH, plus the retired permute group, which reads 0) must
+// sum to exactly the aggregate cache_lookups / cache_hits. This test pins
+// the accounting so no future cache can silently fall outside the groups.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,9 +17,9 @@ namespace stgcheck::bdd {
 namespace {
 
 /// A manager with `pairs` interleaved twin pairs (state var 2i, its
-/// next-state twin 2i + 1) and a workload that exercises every cache
-/// group: binary ops and emptiness tests, permute, and the REACH
-/// saturation with its in-kernel rel_next firings.
+/// next-state twin 2i + 1) and a workload that exercises every live cache
+/// group: binary ops and emptiness tests, and the REACH saturation with
+/// its in-kernel rel_next firings.
 struct Workload {
   Manager m;
   std::vector<Bdd> vars;
@@ -48,12 +46,6 @@ struct Workload {
       (void)f.disjoint_with(vars[2] ^ vars[4]);
       (void)(vars[0] & vars[2]).implies(vars[0] | vars[4]);
     }
-    // Permute (its own memo).
-    std::vector<Var> perm(m.var_count());
-    for (Var v = 0; v < perm.size(); ++v) perm[v] = v;
-    perm[0] = 2;
-    perm[2] = 0;
-    (void)m.permute(f, perm);
     // REACH: token moves around the ring; every rule i moves the token
     // from position i to i + 1 (mod pairs).
     std::vector<ReachRelation> rules;
@@ -75,10 +67,12 @@ TEST(Profile, CacheGroupsPartitionAggregate) {
   Workload w(4);
   w.run_all_ops();
   const ManagerStats s = w.m.stats();
-  // Every group saw traffic in this workload.
+  // Every live group saw traffic in this workload; the retired permute
+  // group never does.
   EXPECT_GT(s.binary_cache_lookups, 0u);
   EXPECT_GT(s.reach_cache_lookups, 0u);
-  EXPECT_GT(s.permute_cache_lookups, 0u);
+  EXPECT_EQ(s.permute_cache_lookups, 0u);
+  EXPECT_EQ(s.permute_cache_hits, 0u);
   // The partition law: the groups sum to exactly the aggregate.
   EXPECT_EQ(s.binary_cache_lookups + s.reach_cache_lookups +
                 s.permute_cache_lookups,
@@ -87,8 +81,7 @@ TEST(Profile, CacheGroupsPartitionAggregate) {
             s.cache_hits);
   // Group rates are rates.
   for (const double rate :
-       {s.binary_cache_hit_rate(), s.reach_cache_hit_rate(),
-        s.permute_cache_hit_rate()}) {
+       {s.binary_cache_hit_rate(), s.reach_cache_hit_rate()}) {
     EXPECT_GE(rate, 0.0);
     EXPECT_LE(rate, 1.0);
   }
@@ -104,7 +97,6 @@ TEST(Profile, PerOpCallCountsAreUnconditional) {
   EXPECT_GT(prof.op(OpKind::kAnd).calls, 0u);
   EXPECT_GT(prof.op(OpKind::kIte).calls, 0u);
   EXPECT_GT(prof.op(OpKind::kExists).calls, 0u);
-  EXPECT_GT(prof.op(OpKind::kPermute).calls, 0u);
   EXPECT_GT(prof.op(OpKind::kReach).calls, 0u);
   // ...including the in-saturation rule firings on the rel_next slot,
   // even though the public rel_next wrapper never ran.
@@ -116,6 +108,12 @@ TEST(Profile, PerOpCallCountsAreUnconditional) {
   }
   EXPECT_EQ(prof.gc_seconds, 0.0);
   EXPECT_EQ(prof.sift_seconds, 0.0);
+  // The retired slots count nothing.
+  for (const OpKind kind :
+       {OpKind::kRestrict, OpKind::kPermute, OpKind::kAndExistsMulti}) {
+    EXPECT_EQ(prof.op(kind).calls, 0u) << to_string(kind);
+    EXPECT_EQ(prof.op(kind).cache_lookups, 0u) << to_string(kind);
+  }
 }
 
 TEST(Profile, ArmedTimingsAccumulate) {
@@ -150,10 +148,12 @@ TEST(Profile, OpKindNamesAreStable) {
   EXPECT_STREQ(to_string(OpKind::kAnd), "and");
   EXPECT_STREQ(to_string(OpKind::kRelNext), "rel_next");
   EXPECT_STREQ(to_string(OpKind::kReach), "reach");
-  EXPECT_STREQ(to_string(OpKind::kPermute), "permute");
-  // Retired slot: kept for the benchmark's per-layer schema, never counted.
-  EXPECT_STREQ(to_string(OpKind::kAndExistsMulti), "and_exists_multi");
   EXPECT_STREQ(to_string(OpKind::kDisjoint), "disjoint");
+  // Retired slots: kept for the benchmark's per-layer schema, never
+  // counted.
+  EXPECT_STREQ(to_string(OpKind::kRestrict), "restrict");
+  EXPECT_STREQ(to_string(OpKind::kPermute), "permute");
+  EXPECT_STREQ(to_string(OpKind::kAndExistsMulti), "and_exists_multi");
 }
 
 TEST(Profile, DisjointTrafficCountsInBinaryGroup) {
@@ -172,8 +172,7 @@ TEST(Profile, DisjointTrafficCountsInBinaryGroup) {
   std::size_t binary_hits = 0;
   for (const OpKind kind : {OpKind::kAnd, OpKind::kXor, OpKind::kIte,
                             OpKind::kExists, OpKind::kAndExists,
-                            OpKind::kCofactor, OpKind::kRestrict,
-                            OpKind::kDisjoint}) {
+                            OpKind::kCofactor, OpKind::kDisjoint}) {
     binary_lookups += prof.op(kind).cache_lookups;
     binary_hits += prof.op(kind).cache_hits;
   }

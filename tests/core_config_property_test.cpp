@@ -267,6 +267,52 @@ TEST(CheckConfigProperty, BadValuesAreRejected) {
   EXPECT_THROW(CheckConfig::from_args({"--arbitrate", ",b"}), ModelError);
 }
 
+TEST(CheckConfigProperty, OutOfRangeIntegersAreRejectedOnBothPaths) {
+  // 1e30 and 2^64 have no size_t value (the cast would be undefined), and
+  // 2^31 + 1 initial nodes is past the node table's limit. Each must fail
+  // as a ModelError naming the key or flag; none may reach a manager.
+  // `name` is the JSON key when `text` is an object, else the flag.
+  const auto rejects = [](const std::string& text, const std::string& name,
+                          const std::string& named = "") {
+    try {
+      (void)(text.front() == '{' ? CheckConfig::from_json(Value::parse(text))
+                                 : CheckConfig::from_args({name, text}));
+      ADD_FAILURE() << "expected ModelError for " << name << " " << text;
+    } catch (const ModelError& e) {
+      EXPECT_NE(std::string(e.what()).find(named.empty() ? name : named),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const char* number : {"1e30", "18446744073709551616", "2147483649"}) {
+    rejects("{\"initial_nodes\": " + std::string(number) + "}",
+            "initial_nodes");
+  }
+  rejects("18446744073709551616", "--initial-nodes");
+  // The node limit is checked once, in validate(), which names the key on
+  // both paths.
+  rejects("2147483649", "--initial-nodes", "initial_nodes");
+  for (const char* key : {"max_live_nodes", "max_steps"}) {
+    rejects(std::string("{\"") + key + "\": 1e30}", key);
+    rejects(std::string("{\"") + key + "\": 18446744073709551616}", key);
+  }
+  for (const char* flag : {"--max-live-nodes", "--max-steps"}) {
+    rejects("18446744073709551616", flag);
+  }
+  // The flag path reads decimal integers only, so 1e30 is malformed there.
+  EXPECT_THROW(CheckConfig::from_args({"--initial-nodes", "1e30"}),
+               ModelError);
+  // The limit itself and the largest count a double holds below 2^64 are
+  // still valid values.
+  EXPECT_EQ(CheckConfig::from_args({"--initial-nodes", "2147483648"})
+                .initial_nodes,
+            std::size_t{1} << 31);
+  EXPECT_EQ(CheckConfig::from_json(
+                Value::parse("{\"max_steps\": 18446744073709549568}"))
+                .limits.max_steps,
+            std::size_t{18446744073709549568u});
+}
+
 TEST(CheckConfigProperty, FlagSpellingMatchesWireSpelling) {
   // The same names work dashed on the CLI and underscored on the wire.
   const CheckConfig from_flags = CheckConfig::from_args(

@@ -10,6 +10,7 @@
 #include "core/relation.hpp"
 #include "core/saturation.hpp"
 #include "core/traversal.hpp"
+#include "example_nets.hpp"
 #include "stg/astg_io.hpp"
 #include "stg/generators.hpp"
 #include "util/error.hpp"
@@ -18,58 +19,6 @@ namespace stgcheck::core {
 namespace {
 
 using bdd::Bdd;
-
-TEST(Permute, RenamesVariables) {
-  bdd::Manager m;
-  Bdd a = m.new_var("a");
-  Bdd ap = m.new_var("a'");
-  Bdd b = m.new_var("b");
-  Bdd bp = m.new_var("b'");
-  std::vector<bdd::Var> to_primed{1, 1, 3, 3};
-  Bdd f = a & !b;
-  EXPECT_EQ(m.permute(f, to_primed), ap & !bp);
-  std::vector<bdd::Var> from_primed{0, 0, 2, 2};
-  EXPECT_EQ(m.permute(m.permute(f, to_primed), from_primed), f);
-}
-
-TEST(Permute, WorksOnAnyVariableOrder) {
-  bdd::Manager m;
-  Bdd a = m.new_var("a");
-  Bdd b = m.new_var("b");
-  // Swapping a and b is not monotone in the order; the level-aware rename
-  // handles it anyway.
-  std::vector<bdd::Var> swap{1, 0};
-  EXPECT_EQ(m.permute(a & !b, swap), b & !a);
-  EXPECT_EQ(m.permute(m.permute(a & !b, swap), swap), a & !b);
-  // Incomplete maps still throw.
-  EXPECT_THROW(m.permute(a & b, std::vector<bdd::Var>{0}), ModelError);
-}
-
-TEST(Permute, CrossCallMemoServesRepeatedCalls) {
-  bdd::Manager m;
-  Bdd a = m.new_var("a");
-  Bdd ap = m.new_var("a'");
-  Bdd b = m.new_var("b");
-  Bdd bp = m.new_var("b'");
-  std::vector<bdd::Var> to_primed{1, 1, 3, 3};
-  const Bdd f = a & !b;
-  const Bdd first = m.permute(f, to_primed);
-  EXPECT_EQ(first, ap & !bp);
-
-  // The second identical call must be served by the cross-call memo: one
-  // lookup, one hit, no recursion underneath.
-  const std::size_t lookups = m.stats().cache_lookups;
-  const std::size_t hits = m.stats().cache_hits;
-  EXPECT_EQ(m.permute(f, to_primed), first);
-  EXPECT_EQ(m.stats().cache_lookups, lookups + 1);
-  EXPECT_EQ(m.stats().cache_hits, hits + 1);
-
-  // A different map over the same operand is a different key: the full-key
-  // compare must not serve the memoized result for it.
-  std::vector<bdd::Var> swap{2, 3, 0, 1};
-  EXPECT_EQ(m.permute(f, swap), b & !a);
-  m.check_invariants();
-}
 
 TEST(Relation, RequiresPrimedEncoding) {
   stg::Stg s = stg::examples::pulse_cycle();
@@ -107,27 +56,6 @@ class RelationAgainstPipeline : public ::testing::TestWithParam<int> {
   std::unique_ptr<MonolithicRelationEngine> engine;
   TraversalResult traversal;
 };
-
-TEST_P(RelationAgainstPipeline, PerTransitionImagesAgree) {
-  // Each full relation, applied alone, images exactly what the cofactor
-  // pipeline does.
-  bdd::Manager& m = sym->manager();
-  for (pn::TransitionId t = 0; t < net->net().transition_count(); ++t) {
-    const Bdd next_primed = m.and_exists(
-        traversal.reached, build_full_relation(*sym, t), sym->state_cube());
-    EXPECT_EQ(m.permute(next_primed, sym->from_primed()),
-              sym->image(traversal.reached, t))
-        << net->format_label(t);
-  }
-}
-
-TEST_P(RelationAgainstPipeline, MonolithicImageIsTheUnion) {
-  Bdd expected = sym->manager().bdd_false();
-  for (pn::TransitionId t = 0; t < net->net().transition_count(); ++t) {
-    expected |= sym->image(traversal.reached, t);
-  }
-  EXPECT_EQ(engine->image_unit(traversal.reached, 0), expected);
-}
 
 TEST_P(RelationAgainstPipeline, RelationalTraversalMatches) {
   TraversalResult r = traverse(*engine);
@@ -180,9 +108,10 @@ TEST(FiringRule, RelationAndClosedSetCubesComeFromTheGuard) {
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
     // The sparse relation is the fire guard and the post cube on the
     // primed twins, nothing else.
-    const Bdd post = m.cube(sym.firing_literals(t, true));
+    bdd::CubeLiterals post = sym.firing_literals(t, true);
+    for (bdd::Literal& l : post) l.var = sym.to_primed()[l.var];
     EXPECT_EQ(build_sparse_relation(sym, t).rel,
-              sym.fire_guard(t) & m.permute(post, sym.to_primed()))
+              sym.fire_guard(t) & m.cube(post))
         << s.format_label(t);
 
     // One safeness cube E(t) & p per postset-only place p; a read place
@@ -237,6 +166,56 @@ TEST(FiringRule, RelationAndClosedSetCubesComeFromTheGuard) {
     EXPECT_TRUE(cube.implies(plus ? sym.signal(sig) : !sym.signal(sig)));
   }
 }
+
+/// Every example net, and the read-arc + dummy net as the last index.
+class FullRelationsAfterReorder : public ::testing::TestWithParam<int> {};
+
+TEST_P(FullRelationsAfterReorder, RelNextMatchesCofactorImage) {
+  // Each full relation applied alone by the twin-pair product, and the
+  // monolithic engine's image (the same product over their OR), against
+  // the paper's image: on the order the relations were built in, after a
+  // sift, and after a reversal of the (v, v') pairs.
+  const stg::Stg s = GetParam() < testutil::kExampleNetCount
+                         ? testutil::example_net(GetParam())
+                         : read_arc_dummy_net();
+  SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
+                  /*with_primed_vars=*/true);
+  bdd::Manager& m = sym.manager();
+  const pn::TransitionId n = s.net().transition_count();
+  const Bdd reached = traverse(sym).reached;
+  MonolithicRelationEngine engine(sym);
+  std::vector<Bdd> full;
+  for (pn::TransitionId t = 0; t < n; ++t) {
+    full.push_back(build_full_relation(sym, t));
+  }
+  const auto check = [&](const char* when) {
+    Bdd expected = m.bdd_false();
+    for (pn::TransitionId t = 0; t < n; ++t) {
+      const Bdd image = sym.image(reached, t);
+      EXPECT_EQ(m.rel_next(reached, full[t], sym.state_cube()), image)
+          << when << ", " << s.format_label(t);
+      expected |= image;
+    }
+    EXPECT_EQ(engine.image_unit(reached, 0), expected) << when;
+  };
+  check("as built");
+  m.sift();
+  check("after sift");
+  // Every variable is half of a (v, v') group, so the order is a list of
+  // adjacent pairs; reverse the list, keeping each pair intact.
+  const std::vector<bdd::Var> order = m.current_order();
+  std::vector<bdd::Var> reversed;
+  for (std::size_t i = order.size(); i >= 2; i -= 2) {
+    reversed.push_back(order[i - 2]);
+    reversed.push_back(order[i - 1]);
+  }
+  m.reorder(reversed);
+  check("after the pair reversal");
+  m.check_invariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(ExampleNets, FullRelationsAfterReorder,
+                         ::testing::Range(0, testutil::kExampleNetCount + 1));
 
 TEST(Relation, CountsUnaffectedByPrimedVars) {
   stg::Stg s = stg::mutex_arbiter(3);
