@@ -23,21 +23,24 @@
 // Each row records the verdict, states, passes, image calls, sift runs,
 // the session's peak live nodes, the seconds of every phase
 // (ImplementabilityReport::times) and the session's wall time ("seconds",
-// encoding build included). Counts and peaks are deterministic; the
-// seconds are the median of --repeat runs, whose counts must agree, after
-// one untimed warm-up check.
+// encoding build included). A completed row also records the traversal
+// layer: the manager's peak when the traversal ended
+// ("traversal_peak_live_nodes", read from the session's traversal_done
+// event) and the reached set's peak and final BDD size. Counts and peaks
+// are deterministic; the seconds are the median of --repeat runs, whose
+// counts must agree, after one untimed warm-up check.
 // Every default row must equal its saturation row in everything but
 // seconds; the bench exits 1 if one does not.
 //
 // Usage: bench_check [--family NAME]... [--repeat N] [--out FILE]
 //   --family  run only the named family or mutation; repeatable. The CI
-//             bench-smoke gate runs muller16, mutex12, muller64, mread8
-//             and muller64-extra-token.
+//             bench-smoke gate runs muller16, mutex12, muller64, mread8,
+//             mutex24 and muller64-extra-token.
 //   --repeat  runs per row (default 3); the median run's seconds are kept.
 //   --out     output path (default BENCH_check.json, or
 //             BENCH_check.partial.json when --family is given).
-// The output is checked with scripts/check_bench_regression.py like
-// BENCH_traversal.json.
+// The output is checked against BENCH_check.json with
+// scripts/check_bench_regression.py.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -75,6 +78,10 @@ struct Row {
   std::size_t images = 0;
   std::size_t reorders = 0;  // sift runs
   std::size_t peak_live = 0;
+  // The traversal layer; 0 in a row whose budget tripped (not written).
+  std::size_t traversal_peak_live = 0;
+  std::size_t peak_reached = 0;
+  std::size_t final_reached = 0;
   core::PhaseTimes times;
   double seconds = 0;
 
@@ -83,7 +90,9 @@ struct Row {
   bool same_counts(const Row& o) const {
     return level == o.level && limit == o.limit &&
            states == o.states && passes == o.passes && images == o.images &&
-           reorders == o.reorders && peak_live == o.peak_live;
+           reorders == o.reorders && peak_live == o.peak_live &&
+           traversal_peak_live == o.traversal_peak_live &&
+           peak_reached == o.peak_reached && final_reached == o.final_reached;
   }
 };
 
@@ -122,6 +131,18 @@ std::vector<Net> roster() {
   return nets;
 }
 
+/// The manager's peak live nodes when the traversal ended: the
+/// peak_live_nodes metric of the session's traversal_done record.
+std::size_t traversal_peak(const core::EventLog& events) {
+  for (const core::EventRecord& r : events.records()) {
+    if (r.kind != core::EventKind::kTraversalDone) continue;
+    for (const auto& [name, value] : r.metrics) {
+      if (name == "peak_live_nodes") return static_cast<std::size_t>(value);
+    }
+  }
+  return 0;
+}
+
 Row run_once(const Net& net, const std::string& arm) {
   core::SessionOptions options;
   options.check = net.options;
@@ -150,6 +171,11 @@ Row run_once(const Net& net, const std::string& arm) {
   row.reorders = session.encoding()->manager().profile().sift_runs;
   row.peak_live = session.encoding()->manager().peak_live_nodes();
   row.times = report.times;
+  if (!session.trip()) {
+    row.traversal_peak_live = traversal_peak(session.events());
+    row.peak_reached = report.traversal.stats.peak_reached_nodes;
+    row.final_reached = report.traversal.stats.final_reached_nodes;
+  }
   return row;
 }
 
@@ -203,6 +229,11 @@ json::Value to_json(const Row& r) {
   obj.set("images", Value(r.images));
   obj.set("reorders", Value(r.reorders));
   obj.set("peak_live_nodes", Value(r.peak_live));
+  if (r.limit.empty()) {
+    obj.set("traversal_peak_live_nodes", Value(r.traversal_peak_live));
+    obj.set("peak_reached_nodes", Value(r.peak_reached));
+    obj.set("final_reached_nodes", Value(r.final_reached));
+  }
   obj.set("phase_seconds", std::move(phases));
   obj.set("seconds", Value(r.seconds));
   return obj;

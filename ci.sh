@@ -6,12 +6,11 @@
 #   --fast   run only the `unit` ctest label (skips the property and
 #            integration suites; the CI sanitize job always runs everything)
 #   --bench  instead of the tests, the bench-smoke gate (CI's bench-smoke
-#            job runs exactly this): Release bench_traversal_strategies
-#            and bench_check runs on the smoke families into
-#            build-bench/bench_smoke.json and bench_check_smoke.json, and
-#            the whole bench_ordering_ablation into bench_ordering.json,
-#            checked against BENCH_traversal.json, BENCH_check.json and
-#            BENCH_ordering.json
+#            job runs exactly this): a Release build, the whole
+#            bench_ordering_ablation into build-bench/bench_ordering.json
+#            and bench_check on the smoke families into
+#            build-bench/bench_check_smoke.json, checked against
+#            BENCH_ordering.json and BENCH_check.json
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -37,15 +36,7 @@ if [[ "$BENCH" == 1 ]]; then
   cmake -B "$BENCH_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DSTGCHECK_WERROR=ON \
     "${CMAKE_EXTRA[@]}"
   cmake --build "$BENCH_DIR" -j "$(nproc)" \
-    --target bench_traversal_strategies bench_check bench_ordering_ablation
-  timeout 600 "./$BENCH_DIR/bench_traversal_strategies" \
-    --family muller16 --family mutex12 --family muller64 \
-    --family mread8 --out "$BENCH_DIR/bench_smoke.json"
-  python3 scripts/check_bench_regression.py \
-    BENCH_traversal.json "$BENCH_DIR/bench_smoke.json" \
-    --time-threshold 4.0 --min-seconds 1.0 \
-    --require-arm saturation \
-    --exact-sequential-peaks
+    --target bench_check bench_ordering_ablation
   timeout 600 "./$BENCH_DIR/bench_ordering_ablation" \
     --out "$BENCH_DIR/bench_ordering.json"
   python3 scripts/check_bench_regression.py \
@@ -60,7 +51,8 @@ if [[ "$BENCH" == 1 ]]; then
   exec python3 scripts/check_bench_regression.py \
     BENCH_check.json "$BENCH_DIR/bench_check_smoke.json" \
     --time-threshold 4.0 --min-seconds 1.0 \
-    --require-arm default \
+    --require-arm default --require-arm cofactor \
+    --require-arm monolithic --require-arm saturation \
     --exact-sequential-peaks
 fi
 

@@ -4,12 +4,13 @@
 Usage:
     check_bench_regression.py BASELINE.json FRESH.json [options]
 
-Reads either baseline: bench_traversal_strategies' BENCH_traversal.json
-or bench_check's BENCH_check.json (whole checks). Compares every
+Reads bench_check's BENCH_check.json (whole checks) or
+bench_ordering_ablation's BENCH_ordering.json. Compares every
 (family, arm, sift) row present in both files:
 
-  * states must be finite in every row of either file (an overflowed
-    count is a wrong answer, however equal it compares), and must match
+  * states must be a finite number in every row of either file (an
+    overflowed count is a wrong answer, however equal it compares; the
+    JSON writer spells a non-finite number null), and must match
     exactly -- a drifting state count is a correctness bug, not a perf
     regression, and fails regardless of thresholds;
   * peak_live_nodes may grow by at most --peak-threshold (default 25%).
@@ -20,16 +21,14 @@ or bench_check's BENCH_check.json (whole checks). Compares every
     percentage budget even then: its peak is the cap plus however many
     nodes the kernel made before its next budget poll, which any change
     to node creation order moves either way;
-  * peak_intermediate_nodes (the worst transient live-node overhead of a
-    single image step, where and_exists intermediates live) follows the
-    same rules; rows missing the field on either side (older baselines)
-    are skipped;
   * with --exact-sequential-peaks, the traversal's shape must match the
-    baseline exactly too: passes, images, units, relation_nodes and
-    reorders, each one the baseline row records (the counts are as
-    deterministic as the peaks, and a drift in any of them means the
-    traversal or the sift did different work); a field the baseline has
-    and the fresh row lacks fails;
+    baseline exactly too: passes, images, reorders, the traversal's own
+    peak (traversal_peak_live_nodes) and the reached set's peak and final
+    sizes (peak_reached_nodes, final_reached_nodes), each one the
+    baseline row records (the counts are as deterministic as the peaks,
+    and a drift in any of them means the traversal or the sift did
+    different work); a field the baseline has and the fresh row lacks
+    fails;
   * a whole-check row's outcome -- level, tripped and limit, where the
     baseline records them -- must match exactly, regardless of flags: a
     changed verdict or budget trip is a different answer, not a cost;
@@ -45,10 +44,9 @@ instead of shrinking the comparison. Fresh rows without a baseline are
 reported but do not fail.
 
 --require-arm NAME (repeatable) fails the gate unless the fresh run
-contains at least one row whose arm is NAME or NAME+suffix (e.g.
-"saturation" matches "saturation" and "saturation+sift"): it pins the
-bench's arm roster, so an arm silently dropped from both the bench binary
-and the baseline still trips CI.
+contains at least one row whose arm is exactly NAME: it pins the bench's
+arm roster, so an arm silently dropped from both the bench binary and
+the baseline still trips CI.
 
 Exit status: 0 when every compared row is within budget, 1 otherwise.
 To see the gate trip, inflate any peak_live_nodes value in the baseline's
@@ -79,9 +77,17 @@ def fmt(key):
 
 
 # Counts that --exact-sequential-peaks holds to the baseline.
-EXACT_COUNTS = ("passes", "images", "units", "relation_nodes", "reorders")
+EXACT_COUNTS = ("passes", "images", "reorders", "traversal_peak_live_nodes",
+                "peak_reached_nodes", "final_reached_nodes")
 # Whole-check outcomes (BENCH_check.json), always held to the baseline.
 EXACT_OUTCOMES = ("level", "tripped", "limit")
+
+
+def is_finite_number(value):
+    """True for a JSON number that is finite (null, a string or a bool is
+    not a count)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def direction(base, cur):
@@ -106,12 +112,12 @@ def main():
     parser.add_argument("--require-arm", action="append", default=[],
                         metavar="NAME",
                         help="fail unless the fresh run has a row for this "
-                             "arm (prefix match, so NAME covers NAME+sift)")
+                             "arm (exact match)")
     parser.add_argument("--exact-sequential-peaks", action="store_true",
                         help="require bit-identical peak node counts "
                              "instead of the percentage budget, and "
-                             "identical passes, images, units, "
-                             "relation_nodes and reorders (the "
+                             "identical passes, images, reorders, "
+                             "traversal peak and reached sizes (the "
                              "sequential kernel is deterministic; any "
                              "drift is a recursion-order change, not "
                              "noise); a row whose baseline tripped its "
@@ -122,11 +128,12 @@ def main():
     baseline = load_rows(args.baseline)
     fresh = load_rows(args.fresh)
 
-    non_finite = [f"{path}: {fmt(key)} has states {row['states']}"
+    non_finite = [f"{path}: {fmt(key)} has states "
+                  f"{json.dumps(row['states'])}"
                   for path, table in ((args.baseline, baseline),
                                       (args.fresh, fresh))
                   for key, row in sorted(table.items())
-                  if not math.isfinite(row["states"])]
+                  if not is_finite_number(row["states"])]
     if non_finite:
         print("error: non-finite state count(s):")
         for line in non_finite:
@@ -134,8 +141,7 @@ def main():
         return 1
 
     missing_arms = [name for name in args.require_arm
-                    if not any(arm.startswith(name)
-                               for _, arm, _ in fresh)]
+                    if not any(arm == name for _, arm, _ in fresh)]
     if missing_arms:
         print("error: required arm(s) missing from the fresh run: "
               + ", ".join(missing_arms))
@@ -193,21 +199,6 @@ def main():
                 failures.append(
                     f"{fmt(key)}: peak_live_nodes {b_peak} -> {c_peak} "
                     f"(+{peak_ratio - 1.0:.1%})")
-
-        if "peak_intermediate_nodes" in base and "peak_intermediate_nodes" in cur:
-            b_inter = base["peak_intermediate_nodes"]
-            c_inter = cur["peak_intermediate_nodes"]
-            if args.exact_sequential_peaks and b_inter != c_inter:
-                failures.append(
-                    f"{fmt(key)}: peak_intermediate_nodes {b_inter} -> "
-                    f"{c_inter} ({direction(b_inter, c_inter)}; must be "
-                    f"bit-identical)")
-            else:
-                inter_ratio = c_inter / b_inter if b_inter else 1.0
-                if inter_ratio > 1.0 + args.peak_threshold:
-                    failures.append(
-                        f"{fmt(key)}: peak_intermediate_nodes {b_inter} -> "
-                        f"{c_inter} (+{inter_ratio - 1.0:.1%})")
 
         if args.exact_sequential_peaks:
             for field in EXACT_COUNTS:

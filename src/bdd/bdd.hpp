@@ -216,7 +216,6 @@ struct ManagerStats {
   /// schema (perfbench) still reads them, so they stay until it drops them.
   std::size_t permute_cache_lookups = 0;
   std::size_t permute_cache_hits = 0;
-  std::size_t bucket_count = 0;  ///< unique-table buckets (for load factor)
   std::size_t var_count = 0;
 
   /// Computed-cache hit rate in [0, 1]; 0 when no lookups happened.
@@ -225,24 +224,6 @@ struct ManagerStats {
                ? 0.0
                : static_cast<double>(cache_hits) /
                      static_cast<double>(cache_lookups);
-  }
-  static double hit_rate(std::size_t hits, std::size_t lookups) {
-    return lookups == 0
-               ? 0.0
-               : static_cast<double>(hits) / static_cast<double>(lookups);
-  }
-  double binary_cache_hit_rate() const {
-    return hit_rate(binary_cache_hits, binary_cache_lookups);
-  }
-  double reach_cache_hit_rate() const {
-    return hit_rate(reach_cache_hits, reach_cache_lookups);
-  }
-  /// Unique-table load factor: nodes per bucket.
-  double unique_load_factor() const {
-    return bucket_count == 0
-               ? 0.0
-               : static_cast<double>(node_count) /
-                     static_cast<double>(bucket_count);
   }
 };
 
@@ -531,15 +512,10 @@ class Manager {
 
   std::size_t live_nodes() const { return node_count_ - dead_count_; }
   std::size_t peak_live_nodes() const { return peak_live_; }
-  /// Resets the step-local live-node watermark to the current live count.
-  /// Unlike peak_live_nodes() -- a monotone manager-lifetime high-water
-  /// mark -- the window watermark can be rearmed around a single operation
-  /// (an image step, one relational product) to measure its transient
-  /// intermediates in isolation.
-  void reset_peak_window() { window_peak_live_ = live_nodes(); }
-  /// High-water mark of live nodes since the last reset_peak_window().
+  /// High-water mark of live nodes since the last reset_peak_stats() or,
+  /// if later, the start of the last sift (whose trace span reports it).
   std::size_t window_peak_live() const { return window_peak_live_; }
-  /// Rearms the lifetime peak-live gauge (and the step window) to the
+  /// Rearms the lifetime peak-live gauge (and the window) to the
   /// current live count. peak_live_nodes() is otherwise a monotone
   /// manager-lifetime high-water mark, which is the wrong scope for a
   /// manager reused across checks: without the reset, every row of a
@@ -752,7 +728,7 @@ class Manager {
   std::size_t node_count_ = 0;  // nodes in table (live + dead)
   std::size_t dead_count_ = 0;
   std::size_t peak_live_ = 0;
-  std::size_t window_peak_live_ = 0;  // reset_peak_window()
+  std::size_t window_peak_live_ = 0;  // window_peak_live()
   std::size_t gc_runs_ = 0;
   std::vector<std::uint32_t> free_stack_;  // free_dead()'s cascade, reused
 

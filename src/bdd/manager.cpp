@@ -479,7 +479,6 @@ ManagerStats Manager::stats() const {
     *hits += k_hits;
     *lookups += k_lookups;
   }
-  s.bucket_count = buckets_.size();
   s.var_count = var2level_.size();
   return s;
 }

@@ -124,15 +124,12 @@ std::size_t Manager::sift(double max_growth) {
   const std::vector<Var> order_before = level2var_;
 
   // The span reports the sift's own peak: the window restarts at the
-  // post-GC live count, and the caller's window resumes as if it had
-  // watched the sift itself.
-  const std::size_t caller_window = window_peak_live_;
+  // post-GC live count.
   window_peak_live_ = live_nodes();
   span.arg("live_nodes_before", static_cast<double>(live_nodes()));
   const auto close_window = [&] {
     span.arg("peak_live_nodes", static_cast<double>(window_peak_live_));
     span.arg("live_nodes", static_cast<double>(live_nodes()));
-    window_peak_live_ = std::max(window_peak_live_, caller_window);
   };
 
   // One block per group plus one per ungrouped variable, sifted in

@@ -20,7 +20,7 @@
 // (transition_persistency_witness, signal_persistency_witness), and then
 // only the one picked state that witness needs, through the cofactor
 // image (SymbolicStg::image). The CSC-reducibility closure steps through
-// SymbolicStg::image / preimage.
+// SymbolicStg::fresh_image / fresh_preimage.
 #pragma once
 
 #include <string>

@@ -58,7 +58,7 @@ struct CheckConfig {
   /// util/budget.hpp). Armed on the session's manager around the check.
   ResourceBudget limits;
   /// When non-empty, the session records Chrome trace_event spans and
-  /// writes the document here when the session is destroyed.
+  /// writes the document here before CheckSession::run returns.
   std::string trace_path;
   /// Arms kernel wall-clock profiling (per-op/GC/sift timings in
   /// Manager::profile()). Off by default: the disarmed kernel reads no

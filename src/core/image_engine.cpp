@@ -1,6 +1,5 @@
 #include "core/image_engine.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 #include "core/relation.hpp"
@@ -53,38 +52,12 @@ std::string valid_engine_kind_names() {
 // ---------------------------------------------------------------------------
 
 ImageEngine::ImageEngine(SymbolicStg& sym)
-    : sym_(sym),
-      transitions_(sym.stg().net().transition_count()),
-      order_epoch_(sym.manager().reorder_epoch()) {
+    : sym_(sym), transitions_(sym.stg().net().transition_count()) {
   std::iota(transitions_.begin(), transitions_.end(), pn::TransitionId{0});
-  stats_.units = transitions_.size();
-}
-
-void ImageEngine::sync_with_order() {
-  const std::size_t epoch = sym_.manager().reorder_epoch();
-  if (epoch != order_epoch_) {
-    order_epoch_ = epoch;
-    on_reorder();
-  }
-}
-
-ImageEngine::StepGauge::StepGauge(ImageEngine& engine) : engine_(engine) {
-  bdd::Manager& m = engine_.sym_.manager();
-  live_before_ = m.live_nodes();
-  m.reset_peak_window();
-}
-
-ImageEngine::StepGauge::~StepGauge() {
-  const std::size_t peak = engine_.sym_.manager().window_peak_live();
-  if (peak > live_before_) {
-    engine_.stats_.peak_intermediate_nodes =
-        std::max(engine_.stats_.peak_intermediate_nodes, peak - live_before_);
-  }
 }
 
 Bdd ImageEngine::image_unit(const Bdd& states, std::size_t u) {
   ++stats_.image_calls;
-  StepGauge gauge(*this);
   return sym_.image(states, static_cast<pn::TransitionId>(u));
 }
 
@@ -96,7 +69,6 @@ Bdd ImageEngine::fresh_unit(const Bdd& states, std::size_t u,
 Bdd CofactorEngine::fresh_unit(const Bdd& states, std::size_t u,
                                const Bdd& known) {
   ++stats_.image_calls;
-  StepGauge gauge(*this);
   return sym_.fresh_image(states, static_cast<pn::TransitionId>(u), known);
 }
 
@@ -117,20 +89,11 @@ MonolithicRelationEngine::MonolithicRelationEngine(SymbolicStg& sym)
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
     monolithic_ |= build_full_relation(sym, t);
   }
-  stats_.units = 1;
   stats_.relation_nodes = sym.manager().count_nodes(monolithic_);
 }
 
-void MonolithicRelationEngine::on_reorder() {
-  // The relation handle survives a reorder (sifting rewrites nodes in
-  // place), but its node count -- reported by the benches -- does not.
-  stats_.relation_nodes = sym_.manager().count_nodes(monolithic_);
-}
-
 Bdd MonolithicRelationEngine::image_unit(const Bdd& states, std::size_t) {
-  sync_with_order();
   ++stats_.image_calls;
-  StepGauge gauge(*this);
   return sym_.manager().rel_next(states, monolithic_, sym_.state_cube());
 }
 

@@ -64,14 +64,8 @@ struct EngineOptions {};
 
 struct ImageEngineStats {
   std::size_t image_calls = 0;     ///< image_unit / reach_fixpoint calls
-  std::size_t relation_nodes = 0;  ///< BDD size of the backend's relations (0 for cofactor)
-  std::size_t units = 0;           ///< firing units the backend exposes
-  /// Worst transient overhead of a single image step: the live-node
-  /// high-water mark inside the step minus the live count entering it,
-  /// maximized over all steps. This is where a relational product's
-  /// intermediates show up (the reached set and the relations are part of
-  /// the entering count, so they do not pollute it).
-  std::size_t peak_intermediate_nodes = 0;
+  std::size_t relation_nodes = 0;  ///< BDD size of the backend's relations
+                                   ///< at construction (0 for cofactor)
 };
 
 /// Abstract traversal substrate over one SymbolicStg encoding.
@@ -121,39 +115,10 @@ class ImageEngine {
  protected:
   explicit ImageEngine(SymbolicStg& sym);
 
-  /// Call at the top of an image computation: when the manager's
-  /// variable order changed since the last call (Manager::reorder_epoch),
-  /// lets the backend refresh order-dependent metadata via on_reorder().
-  /// The relation BDDs themselves survive a reorder -- sifting rewrites
-  /// nodes in place, preserving every external handle -- but anything
-  /// derived from the *shape* of the order (node-count statistics) goes
-  /// stale.
-  void sync_with_order();
-  /// Backend hook invoked by sync_with_order() after a reorder.
-  virtual void on_reorder() {}
-
-  /// RAII gauge around one image step: rearms the manager's step-local
-  /// live-node watermark on entry and folds (peak - live at entry) into
-  /// stats_.peak_intermediate_nodes on exit.
-  class StepGauge {
-   public:
-    explicit StepGauge(ImageEngine& engine);
-    ~StepGauge();
-    StepGauge(const StepGauge&) = delete;
-    StepGauge& operator=(const StepGauge&) = delete;
-
-   private:
-    ImageEngine& engine_;
-    std::size_t live_before_ = 0;
-  };
-
   SymbolicStg& sym_;
   ImageEngineStats stats_;
   /// Every transition id in order: the storage unit_transitions() views.
   std::vector<pn::TransitionId> transitions_;
-
- private:
-  std::size_t order_epoch_;
 };
 
 /// The paper's engine: one flip_image walk per transition, one unit per
@@ -189,9 +154,6 @@ class MonolithicRelationEngine final : public ImageEngine {
   /// rel_next(states, T, state_cube), which quantifies every state
   /// variable and renames every twin back in one recursion.
   bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
-
- protected:
-  void on_reorder() override;
 
  private:
   bdd::Bdd monolithic_;

@@ -11,38 +11,24 @@ SaturationEngine::SaturationEngine(SymbolicStg& sym) : ImageEngine(sym) {
   // nodes) would dominate the whole fixpoint's footprint.
   sparse_.reserve(transitions_.size());
   reach_operands_.reserve(transitions_.size());
+  std::vector<Bdd> rels;
+  rels.reserve(transitions_.size());
   for (const pn::TransitionId t : transitions_) {
     const SparseRelation& r = sparse_.emplace_back(build_sparse_relation(sym, t));
     reach_operands_.push_back(bdd::ReachRelation{r.rel, r.quant_cube});
+    rels.push_back(r.rel);
   }
-  refresh_node_stats();
-}
-
-void SaturationEngine::refresh_node_stats() {
-  std::vector<Bdd> rels;
-  rels.reserve(sparse_.size());
-  for (const SparseRelation& r : sparse_) rels.push_back(r.rel);
-  stats_.relation_nodes = sym_.manager().count_nodes(rels);
-}
-
-void SaturationEngine::on_reorder() {
-  // The node-count statistics are shaped by the order; the relation
-  // handles themselves survive the reorder.
-  refresh_node_stats();
+  stats_.relation_nodes = sym.manager().count_nodes(rels);
 }
 
 Bdd SaturationEngine::reach_fixpoint(const Bdd& from) {
-  sync_with_order();
   ++stats_.image_calls;
   ++reach_calls_;
-  StepGauge gauge(*this);
   return sym_.manager().reach(from, reach_operands_);
 }
 
 Bdd SaturationEngine::image_unit(const Bdd& states, std::size_t u) {
-  sync_with_order();
   ++stats_.image_calls;
-  StepGauge gauge(*this);
   const SparseRelation& r = sparse_[u];
   return sym_.manager().rel_next(states, r.rel, r.quant_cube);
 }

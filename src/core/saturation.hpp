@@ -56,12 +56,7 @@ class SaturationEngine final : public ImageEngine {
   /// Completed kernel reach() calls.
   std::size_t reach_calls() const { return reach_calls_; }
 
- protected:
-  void on_reorder() override;
-
  private:
-  void refresh_node_stats();
-
   std::vector<SparseRelation> sparse_;  // indexed by transition
   /// The relations as kernel reach operands, in transition order
   /// (Manager::reach sorts its rules by top support level itself).

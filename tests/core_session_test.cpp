@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/events.hpp"
+#include "core/image_engine.hpp"
 #include "core/session.hpp"
+#include "core/traversal.hpp"
 #include "stg/generators.hpp"
 #include "util/error.hpp"
 
@@ -179,6 +182,54 @@ TEST(CheckSession, DefaultConfigSaturatesInOnePass) {
   EXPECT_TRUE(session.encoding()->has_primed_vars());
   EXPECT_EQ(report.traversal.stats.passes, 1u);
   EXPECT_EQ(report.level, ImplementabilityLevel::kGateImplementable);
+}
+
+TEST(CheckSession, TraversalRecordIsTheTraversalLayer) {
+  // bench_check reads the traversal layer off the session's
+  // traversal_done record: its peak_live_nodes must be the peak of a bare
+  // traversal on an encoding built the way CheckSession::run builds it,
+  // and its reached-set sizes the report's.
+  const auto metric = [](const EventRecord& r, const std::string& name) {
+    for (const auto& [key, value] : r.metrics) {
+      if (key == name) return value;
+    }
+    ADD_FAILURE() << "no metric " << name;
+    return -1.0;
+  };
+  for (const char* family : {"muller16", "mutex12", "select24"}) {
+    const stg::Stg net = stg::make_family_instance(family);
+    for (const EngineKind kind :
+         {EngineKind::kSaturation, EngineKind::kCofactor,
+          EngineKind::kMonolithicRelation}) {
+      SCOPED_TRACE(std::string(family) + " / " + to_string(kind));
+      SessionOptions options;
+      options.check.engine = kind;
+      CheckSession session(net, options);
+      const ImplementabilityReport& report = session.run();
+      const EventRecord* done = nullptr;
+      for (const EventRecord& r : session.events().records()) {
+        if (r.kind == EventKind::kTraversalDone) done = &r;
+      }
+      ASSERT_NE(done, nullptr);
+
+      SymbolicStg sym(net, options.check.ordering, options.initial_nodes,
+                      /*with_primed_vars=*/kind != EngineKind::kCofactor);
+      sym.manager().reset_peak_stats();
+      const std::unique_ptr<ImageEngine> engine = make_engine(kind, sym);
+      TraversalOptions topt;
+      topt.engine = kind;
+      traverse(*engine, topt);
+
+      const double peak = metric(*done, "peak_live_nodes");
+      EXPECT_EQ(peak, static_cast<double>(sym.manager().peak_live_nodes()));
+      EXPECT_LE(peak, static_cast<double>(
+                          session.encoding()->manager().peak_live_nodes()));
+      EXPECT_EQ(metric(*done, "peak_reached_nodes"),
+                static_cast<double>(report.traversal.stats.peak_reached_nodes));
+      EXPECT_EQ(metric(*done, "final_reached_nodes"),
+                static_cast<double>(report.traversal.stats.final_reached_nodes));
+    }
+  }
 }
 
 TEST(CheckSession, OptionsAreResolvedPerSession) {
