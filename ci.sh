@@ -10,7 +10,10 @@
 #            bench_ordering_ablation into build-bench/bench_ordering.json
 #            and bench_check on the smoke families into
 #            build-bench/bench_check_smoke.json, checked against
-#            BENCH_ordering.json and BENCH_check.json
+#            BENCH_ordering.json and BENCH_check.json; then the benchmark
+#            harness's traced replica (perfbench/run.py --trace 1) on
+#            scaled-saturation and on table1-cofactor, the paper's
+#            method, each of which must report every check correct
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -48,12 +51,22 @@ if [[ "$BENCH" == 1 ]]; then
     --family muller16 --family mutex12 --family muller64 \
     --family mread8 --family mutex24 --family muller64-extra-token \
     --out "$BENCH_DIR/bench_check_smoke.json"
-  exec python3 scripts/check_bench_regression.py \
+  python3 scripts/check_bench_regression.py \
     BENCH_check.json "$BENCH_DIR/bench_check_smoke.json" \
     --time-threshold 4.0 --min-seconds 1.0 \
     --require-arm default --require-arm cofactor \
     --require-arm monolithic --require-arm saturation \
     --exact-sequential-peaks
+  # The harness rebuilds check_implementability from each layer's public
+  # calls; --trace 1 runs that replica, whose guard exits 3 when its
+  # level, states or peak drift from CheckSession::run.
+  for workload in scaled-saturation table1-cofactor; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 5 --trace 1 | tee "$BENCH_DIR/perfbench_$workload.out"
+    tail -n 1 "$BENCH_DIR/perfbench_$workload.out" | python3 -c \
+      'import json, sys; r = json.loads(sys.stdin.read()); assert r["correct"] is True, r'
+  done
+  exit 0
 fi
 
 cmake -B "$BUILD_DIR" -S . -DSTGCHECK_WERROR=ON "${CMAKE_EXTRA[@]}"

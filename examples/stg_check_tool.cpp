@@ -208,13 +208,8 @@ int main(int argc, char** argv) {
         std::puts("(--explain skipped: net too large for the explicit engine)");
       } else {
         sg::PersistencyOptions popts;
-        for (const auto& [a, b] : session.options().check.arbitration_pairs) {
-          const stg::SignalId sa = spec.find_signal(a);
-          const stg::SignalId sb = spec.find_signal(b);
-          if (sa != stg::kNoSignal && sb != stg::kNoSignal) {
-            popts.arbitration_pairs.push_back({sa, sb});
-          }
-        }
+        popts.arbitration_pairs = core::resolve_arbitration_pairs(
+            spec, session.options().check.arbitration_pairs);
         for (const auto& w : sg::explain_persistency_violations(graph, popts)) {
           std::fputs(w.pretty(spec).c_str(), stdout);
         }

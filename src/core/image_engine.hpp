@@ -1,34 +1,32 @@
-// The pluggable traversal layer: one interface, three backends.
+// The traversal layer: one engine class over three image backends.
 //
 // An ImageEngine computes the reached set and nothing else: traverse()
-// (core/traversal.hpp) drives it unit by unit, or in one call for a
-// backend that computes the whole fixpoint. Everything after the
-// traversal -- the implementability checks, witnesses, the
-// CSC-reducibility closure -- works on the encoding alone, through
-// SymbolicStg's cofactor image and fire guards. That keeps the paper's
-// central claim (the per-transition cofactor image beats transition
-// relations) a swappable, benchmarkable choice for the traversal.
+// (core/traversal.hpp) drives it unit by unit, or in one call under
+// saturation. Everything after the traversal -- the implementability
+// checks, witnesses, the CSC-reducibility closure -- works on the
+// encoding alone, through SymbolicStg's cofactor image and fire guards.
+// That keeps the paper's central claim (the per-transition cofactor image
+// beats transition relations) a selectable, benchmarkable choice for the
+// traversal. The engine's EngineKind picks the backend:
 //
-//   * CofactorEngine           -- the paper's delta_N (Sec. 4) as one
-//                                 flip_image walk per transition
-//                                 (SymbolicStg::image), fired straight
-//                                 into the unreached states
-//                                 (fresh_unit); no relation ever built.
-//   * MonolithicRelationEngine -- the textbook baseline: one relation
-//                                 T(V, V') = OR_t T_t, applied by one
-//                                 twin-pair product (rel_next) per step.
-//   * SaturationEngine         -- the in-kernel fixpoint (saturation.hpp)
-//                                 over one sparse relation per transition.
-//                                 traverse() detects it
-//                                 (computes_global_fixpoint) and replaces
-//                                 its pass loop with reach_fixpoint calls.
+//   * kCofactor           -- the paper's delta_N (Sec. 4) as one
+//                            flip_image walk per transition, fired
+//                            straight into the unreached states
+//                            (SymbolicStg::fresh_image); no relation is
+//                            ever built.
+//   * kMonolithicRelation -- the textbook baseline: one relation
+//                            T(V, V') = OR_t T_t, applied by one twin-pair
+//                            product (rel_next) per step.
+//   * kSaturation         -- the in-kernel fixpoint (Manager::reach, after
+//                            Brand-Baeck-Laarman, arXiv:2212.03684) over
+//                            one sparse relation per transition.
+//                            traverse() replaces its pass loop with one
+//                            reach_fixpoint call.
 //
-// traverse() fires "units", the indivisible steps a backend offers: by
-// default unit u is transition u, imaged by one flip_image walk (the
-// paper's Fig. 5 inner loop); saturation images it by its relation, and
-// the monolithic backend offers one unit for all transitions. Chaining
+// traverse() fires "units": unit u is transition u, except under the
+// monolithic relation, whose one unit fires every transition. Chaining
 // asks a unit only for the states it adds (fresh_unit), and it and lazy
-// binding run unchanged on every backend.
+// binding run unchanged on every kind.
 #pragma once
 
 #include <memory>
@@ -47,7 +45,7 @@ enum class EngineKind {
   kCofactor,            ///< the paper's delta_N, one flip_image walk
   kMonolithicRelation,  ///< one relation over (V, V')
   kSaturation,          ///< in-kernel REACH fixpoint over per-transition
-                        ///< sparse relations (core/saturation.hpp)
+                        ///< sparse relations (core/relation.hpp)
 };
 
 const char* to_string(EngineKind kind);
@@ -63,104 +61,58 @@ std::string valid_engine_kind_names();
 struct EngineOptions {};
 
 struct ImageEngineStats {
-  std::size_t image_calls = 0;     ///< image_unit / reach_fixpoint calls
-  std::size_t relation_nodes = 0;  ///< BDD size of the backend's relations
-                                   ///< at construction (0 for cofactor)
+  std::size_t image_calls = 0;     ///< fresh_unit / reach_fixpoint calls
+  std::size_t relation_nodes = 0;  ///< BDD size of the relations built at
+                                   ///< construction (0 for cofactor)
 };
 
-/// Abstract traversal substrate over one SymbolicStg encoding.
+/// The traversal substrate over one SymbolicStg encoding.
 class ImageEngine {
  public:
-  virtual ~ImageEngine() = default;
+  /// Builds what `kind` needs: nothing for cofactor, the monolithic
+  /// relation, or one REACH rule per transition for saturation. The
+  /// relational kinds throw ModelError unless `sym` was built with
+  /// primed variables.
+  ImageEngine(EngineKind kind, SymbolicStg& sym);
 
-  virtual const char* name() const = 0;
-  virtual EngineKind kind() const = 0;
+  EngineKind kind() const { return kind_; }
 
-  // ---- Firing units (traversal granularity) -------------------------------
-  // Default: one unit per transition, unit u = {u}.
+  /// Firing units: one per transition, or one for every transition under
+  /// the monolithic relation.
+  std::size_t unit_count() const;
+  /// The transitions unit `u` fires (for lazy binding in the traversal).
+  std::span<const pn::TransitionId> unit_transitions(std::size_t u) const;
+  /// The successors of `states` under every transition of unit `u`, minus
+  /// `known`: the fresh states a chained firing adds. The cofactor kind
+  /// fires into the complement of `known` in one walk; the relational
+  /// kinds build the image by rel_next and subtract.
+  bdd::Bdd fresh_unit(const bdd::Bdd& states, std::size_t u,
+                      const bdd::Bdd& known);
 
-  virtual std::size_t unit_count() const { return transitions_.size(); }
-  /// The transitions unit `u` fires (for lazy binding and safeness
-  /// attribution in the traversal).
-  virtual std::span<const pn::TransitionId> unit_transitions(std::size_t u) const {
-    return {&transitions_[u], 1};
-  }
-  /// Successors of `states` under every transition of unit `u`. The
-  /// default is the encoding's image of transition u (SymbolicStg::image,
-  /// one flip_image walk).
-  virtual bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u);
-  /// image_unit(states, u) minus `known`: the fresh states a chained
-  /// firing adds. The default builds the image and subtracts; the
-  /// cofactor engine fires into the complement of `known` in one walk.
-  virtual bdd::Bdd fresh_unit(const bdd::Bdd& states, std::size_t u,
-                              const bdd::Bdd& known);
-
-  // ---- Whole-space fixpoints ----------------------------------------------
-
-  /// True when the backend computes the whole reachability least fixpoint
-  /// in one in-kernel operation (SaturationEngine). traverse() then
-  /// replaces its pass/unit loop with a single reach_fixpoint call --
-  /// but only when no lazy initial-value binding remains after the
-  /// initial-state pass (binding needs the temporal order of first
+  /// The least fixpoint of `from` under every transition, in one kernel
+  /// reach() call. Saturation only; the other kinds throw ModelError.
+  /// traverse() calls it only when no lazy initial-value binding remains
+  /// after the initial state (binding needs the order of first
   /// enablings, which a closed set has erased); a net with an undeclared,
   /// not-initially-enabled signal runs the step-wise unit loop instead.
-  virtual bool computes_global_fixpoint() const { return false; }
-  /// The least fixpoint of `from` under every transition. Engines that
-  /// return true above must override; the default throws ModelError.
-  virtual bdd::Bdd reach_fixpoint(const bdd::Bdd& from);
+  bdd::Bdd reach_fixpoint(const bdd::Bdd& from);
 
   SymbolicStg& sym() { return sym_; }
   const ImageEngineStats& stats() const { return stats_; }
 
- protected:
-  explicit ImageEngine(SymbolicStg& sym);
-
+ private:
+  EngineKind kind_;
   SymbolicStg& sym_;
   ImageEngineStats stats_;
   /// Every transition id in order: the storage unit_transitions() views.
   std::vector<pn::TransitionId> transitions_;
+  bdd::Bdd monolithic_;  ///< kMonolithicRelation: OR of the full relations
+  /// kSaturation: one sparse relation per transition, in transition order
+  /// (Manager::reach sorts its rules by top support level itself).
+  std::vector<bdd::ReachRelation> rules_;
 };
 
-/// The paper's engine: one flip_image walk per transition, one unit per
-/// transition, no relations. Works on any encoding (primed or not).
-class CofactorEngine final : public ImageEngine {
- public:
-  explicit CofactorEngine(SymbolicStg& sym) : ImageEngine(sym) {}
-
-  const char* name() const override { return "cofactor"; }
-  EngineKind kind() const override { return EngineKind::kCofactor; }
-
-  /// SymbolicStg::fresh_image of transition u: the successor set is never
-  /// built.
-  bdd::Bdd fresh_unit(const bdd::Bdd& states, std::size_t u,
-                      const bdd::Bdd& known) override;
-};
-
-/// The textbook baseline: full-frame per-transition relations ORed into
-/// one monolithic relation; one rel_next over every state variable per
-/// step. Requires an encoding with primed variables.
-class MonolithicRelationEngine final : public ImageEngine {
- public:
-  explicit MonolithicRelationEngine(SymbolicStg& sym);
-
-  const char* name() const override { return "monolithic"; }
-  EngineKind kind() const override { return EngineKind::kMonolithicRelation; }
-
-  std::size_t unit_count() const override { return 1; }
-  std::span<const pn::TransitionId> unit_transitions(std::size_t) const override {
-    return transitions_;
-  }
-  /// Successors of `states` under every transition:
-  /// rel_next(states, T, state_cube), which quantifies every state
-  /// variable and renames every twin back in one recursion.
-  bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
-
- private:
-  bdd::Bdd monolithic_;
-};
-
-/// Builds the requested backend. The relational backends throw ModelError
-/// unless `sym` was built with primed variables.
+/// Builds the engine of `kind` on `sym` (see the constructor).
 std::unique_ptr<ImageEngine> make_engine(EngineKind kind, SymbolicStg& sym,
                                          const EngineOptions& options = {});
 

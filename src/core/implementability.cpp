@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "petri/structural.hpp"
+#include "util/error.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 #include "util/trace.hpp"
@@ -23,6 +24,72 @@ std::string to_string(ImplementabilityLevel level) {
   return "?";
 }
 
+const char* to_string(ViolationList list) {
+  switch (list) {
+    case ViolationList::kConsistency: return "consistency";
+    case ViolationList::kPersistency: return "persistency";
+    case ViolationList::kFakeConflicts: return "fake_conflicts";
+    case ViolationList::kCscConflicts: return "csc_conflicts";
+    case ViolationList::kIrreducible: return "irreducible";
+    case ViolationList::kUnboundSignals: return "unbound_signals";
+  }
+  return "?";
+}
+
+std::vector<std::pair<stg::SignalId, stg::SignalId>> resolve_arbitration_pairs(
+    const stg::Stg& stg,
+    const std::vector<std::pair<std::string, std::string>>& pairs) {
+  const auto resolve = [&](const std::string& name) {
+    const stg::SignalId s = stg.find_signal(name);
+    if (s == stg::kNoSignal) {
+      throw ModelError("arbitrate: no signal '" + name + "' in net '" +
+                       stg.name() + "'");
+    }
+    return s;
+  };
+  std::vector<std::pair<stg::SignalId, stg::SignalId>> ids;
+  for (const auto& [n1, n2] : pairs) ids.emplace_back(resolve(n1), resolve(n2));
+  return ids;
+}
+
+std::vector<std::string> ImplementabilityReport::violation_list(
+    const stg::Stg& stg, ViolationList list) const {
+  std::vector<std::string> out;
+  const auto names = [&](const std::vector<stg::SignalId>& signals) {
+    for (const stg::SignalId s : signals) out.push_back(stg.signal_name(s));
+  };
+  switch (list) {
+    case ViolationList::kConsistency:
+      out = traversal.consistency_violations;
+      break;
+    case ViolationList::kPersistency:
+      for (const auto& v : persistency_violations) {
+        out.push_back(stg.signal_name(v.victim) + " disabled by " +
+                      stg.format_label(v.disabler));
+      }
+      break;
+    case ViolationList::kFakeConflicts:
+      for (const auto& f : fake_freedom.offending) {
+        out.push_back(stg.format_label(f.t1) + " vs " +
+                      stg.format_label(f.t2) +
+                      (f.symmetric_fake() ? " (symmetric)" : " (asymmetric)"));
+      }
+      break;
+    case ViolationList::kCscConflicts:
+      for (const auto& c : csc_result.conflicts) {
+        out.push_back(stg.signal_name(c.signal));
+      }
+      break;
+    case ViolationList::kIrreducible:
+      names(reducibility.irreducible_signals);
+      break;
+    case ViolationList::kUnboundSignals:
+      names(traversal.unbound_signals);
+      break;
+  }
+  return out;
+}
+
 ImplementabilityReport check_implementability(SymbolicStg& sym,
                                               const CheckOptions& options) {
   ImplementabilityReport report;
@@ -31,6 +98,10 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
   const stg::Stg& stg = sym.stg();
   // Only the traversal reorders (its auto-sift); the checks never do.
   const std::size_t sift_runs_before = sym.manager().profile().sift_runs;
+  // A misspelled arbitration name fails the check before anything runs.
+  SymPersistencyOptions popts;
+  popts.arbitration_pairs =
+      resolve_arbitration_pairs(stg, options.arbitration_pairs);
   Stopwatch total;
   Stopwatch phase;
 
@@ -43,6 +114,13 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
   EventLog* events = options.events;
   const auto verdict = [&](const char* check, bool ok, std::string detail = {}) {
     if (events != nullptr) events->verdict(check, ok, std::move(detail));
+  };
+  // A verdict whose detail is its violation list, "; "-joined.
+  const auto list_verdict = [&](const char* check, bool ok,
+                                ViolationList list) {
+    if (events != nullptr) {
+      verdict(check, ok, join(report.violation_list(stg, list), "; "));
+    }
   };
   // Phase boundaries double as trace spans: the phases are contiguous, so
   // each span runs from the previous boundary to this one on the
@@ -70,14 +148,7 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
   report.sift_runs = sym.manager().profile().sift_runs - sift_runs_before;
   phase_done("traversal", report.times.traversal_consistency);
   verdict("safe", report.safe, report.traversal.safeness_detail);
-  {
-    std::string detail;
-    for (const std::string& v : report.traversal.consistency_violations) {
-      if (!detail.empty()) detail += "; ";
-      detail += v;
-    }
-    verdict("consistent", report.consistent, std::move(detail));
-  }
+  list_verdict("consistent", report.consistent, ViolationList::kConsistency);
 
   if (!report.traversal.ok()) {
     // Unsafe or inconsistent: the encoding of further checks would be
@@ -106,29 +177,14 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
   const bool skip_persistency =
       options.exploit_marked_graphs && pn::conflict_places(stg.net()).empty();
   if (!skip_persistency) {
-    SymPersistencyOptions popts;
-    for (const auto& [n1, n2] : options.arbitration_pairs) {
-      const stg::SignalId s1 = stg.find_signal(n1);
-      const stg::SignalId s2 = stg.find_signal(n2);
-      if (s1 != stg::kNoSignal && s2 != stg::kNoSignal) {
-        popts.arbitration_pairs.push_back({s1, s2});
-      }
-    }
     report.persistency_violations = signal_persistency(sym, reached, popts);
     report.transition_conflicts = transition_persistency(sym, reached);
   }
   report.signal_persistent = report.persistency_violations.empty();
   report.times.persistency = phase.restart();
   phase_done("persistency", report.times.persistency);
-  {
-    std::string detail;
-    for (const auto& v : report.persistency_violations) {
-      if (!detail.empty()) detail += "; ";
-      detail += stg.signal_name(v.victim) + " disabled by " +
-                stg.format_label(v.disabler);
-    }
-    verdict("persistent", report.signal_persistent, std::move(detail));
-  }
+  list_verdict("persistent", report.signal_persistent,
+               ViolationList::kPersistency);
 
   // ---- Phase 3: determinism + commutativity via fake conflicts ------------
   report.deterministic = determinism_violations(sym, reached).is_false();
@@ -137,15 +193,7 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
   report.times.commutativity = phase.restart();
   phase_done("commutativity", report.times.commutativity);
   verdict("deterministic", report.deterministic);
-  {
-    std::string detail;
-    for (const auto& f : report.fake_freedom.offending) {
-      if (!detail.empty()) detail += "; ";
-      detail += stg.format_label(f.t1) + " vs " + stg.format_label(f.t2) +
-                (f.symmetric_fake() ? " (symmetric)" : " (asymmetric)");
-    }
-    verdict("fake_free", report.fake_free, std::move(detail));
-  }
+  list_verdict("fake_free", report.fake_free, ViolationList::kFakeConflicts);
 
   // ---- Phase 4: CSC + reducibility ----------------------------------------
   report.csc_result = check_csc(sym, reached);
@@ -162,21 +210,10 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
   report.times.total = total.seconds();
   phase_done("csc", report.times.csc);
   verdict("usc", report.usc);
-  {
-    std::string detail;
-    for (const auto& c : report.csc_result.conflicts) {
-      if (!detail.empty()) detail += "; ";
-      detail += stg.signal_name(c.signal);
-    }
-    verdict("csc", report.csc, std::move(detail));
-  }
+  list_verdict("csc", report.csc, ViolationList::kCscConflicts);
   if (!report.csc) {
-    std::string detail;
-    for (stg::SignalId s : report.reducibility.irreducible_signals) {
-      if (!detail.empty()) detail += "; ";
-      detail += stg.signal_name(s);
-    }
-    verdict("csc_reducible", report.csc_reducible, std::move(detail));
+    list_verdict("csc_reducible", report.csc_reducible,
+                 ViolationList::kIrreducible);
   }
 
   // ---- Verdict -------------------------------------------------------------
@@ -219,39 +256,29 @@ std::string ImplementabilityReport::summary(const stg::Stg& stg) const {
   out << "  safe:              " << yesno(safe);
   if (!safe) out << "  [" << traversal.safeness_detail << "]";
   out << "\n";
+  // Each entry of `list` in brackets, then the end of the line.
+  const auto entries = [&](ViolationList list, const char* suffix = "") {
+    for (const std::string& v : violation_list(stg, list)) {
+      out << "  [" << v << suffix << "]";
+    }
+    out << "\n";
+  };
   out << "  consistent:        " << yesno(consistent);
-  for (const std::string& v : traversal.consistency_violations) {
-    out << "  [" << v << "]";
-  }
-  out << "\n";
+  entries(ViolationList::kConsistency);
   if (safe && consistent) {
     out << "  deadlock-free:     " << yesno(deadlock_free) << "\n";
     out << "  persistent:        " << yesno(signal_persistent);
-    for (const auto& v : persistency_violations) {
-      out << "  [" << stg.signal_name(v.victim) << " disabled by "
-          << stg.format_label(v.disabler) << "]";
-    }
-    out << "\n";
+    entries(ViolationList::kPersistency);
     out << "  deterministic:     " << yesno(deterministic) << "\n";
     out << "  fake-free:         " << yesno(fake_free);
-    for (const auto& f : fake_freedom.offending) {
-      out << "  [" << stg.format_label(f.t1) << " vs " << stg.format_label(f.t2)
-          << (f.symmetric_fake() ? " symmetric" : " asymmetric") << "]";
-    }
-    out << "\n";
+    entries(ViolationList::kFakeConflicts);
     out << "  USC:               " << yesno(usc) << "\n";
     out << "  CSC:               " << yesno(csc);
-    for (const auto& c : csc_result.conflicts) {
-      out << "  [" << stg.signal_name(c.signal) << "]";
-    }
-    out << "\n";
+    entries(ViolationList::kCscConflicts);
     if (!csc) {
       out << "  CSC-reducible:     " << yesno(csc_reducible);
-      for (stg::SignalId s : reducibility.irreducible_signals) {
-        out << "  [" << stg.signal_name(s)
-            << ": mutually complementary input sequences]";
-      }
-      out << "\n";
+      entries(ViolationList::kIrreducible,
+              ": mutually complementary input sequences");
     }
   }
   char buf[160];

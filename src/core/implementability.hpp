@@ -21,6 +21,8 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/checks.hpp"
 #include "core/encoding.hpp"
@@ -54,7 +56,8 @@ struct CheckOptions {
   EngineKind engine = EngineKind::kSaturation;
   EngineOptions engine_options;
   /// Arbitration points by signal name (e.g. {"g1","g2"} for an ME
-  /// element); resolved against the STG at check time.
+  /// element); resolved against the STG before the check starts
+  /// (resolve_arbitration_pairs), so a name the net lacks fails it.
   std::vector<std::pair<std::string, std::string>> arbitration_pairs;
   /// Skip the persistency pass when the net is structurally conflict-free
   /// (marked graphs are persistent by construction; the paper notes the
@@ -69,6 +72,30 @@ struct CheckOptions {
   /// hands the recorder to the traversal (util/trace.hpp). Not owned.
   TraceRecorder* trace = nullptr;
 };
+
+/// The lists of individual violations a report carries. The verdict
+/// events, ImplementabilityReport::summary() and the JSON report
+/// (server::report_to_json) all render a list from
+/// ImplementabilityReport::violation_list, so the three agree entry for
+/// entry.
+enum class ViolationList {
+  kConsistency,     ///< "a+ enabled while a = 1"
+  kPersistency,     ///< "victim disabled by disabler-label"
+  kFakeConflicts,   ///< "t1 vs t2 (symmetric|asymmetric)"
+  kCscConflicts,    ///< signal names
+  kIrreducible,     ///< signal names
+  kUnboundSignals,  ///< signal names
+};
+
+/// Every list, in the order the JSON report writes them.
+inline constexpr ViolationList kViolationLists[] = {
+    ViolationList::kConsistency,   ViolationList::kPersistency,
+    ViolationList::kFakeConflicts, ViolationList::kCscConflicts,
+    ViolationList::kIrreducible,   ViolationList::kUnboundSignals,
+};
+
+/// The list's key in the JSON report's "violations" object.
+const char* to_string(ViolationList list);
 
 struct PhaseTimes {
   double traversal_consistency = 0;  ///< "T+C" of Table 1
@@ -114,9 +141,20 @@ struct ImplementabilityReport {
 
   PhaseTimes times;
 
+  /// One display string per entry of `list`, in report order.
+  std::vector<std::string> violation_list(const stg::Stg& stg,
+                                          ViolationList list) const;
+
   /// Multi-line human-readable summary.
   std::string summary(const stg::Stg& stg) const;
 };
+
+/// `pairs` (CheckOptions::arbitration_pairs) as signal ids of `stg`.
+/// Throws ModelError naming the signal and the net for a name `stg`
+/// lacks.
+std::vector<std::pair<stg::SignalId, stg::SignalId>> resolve_arbitration_pairs(
+    const stg::Stg& stg,
+    const std::vector<std::pair<std::string, std::string>>& pairs);
 
 /// Runs the complete pipeline on `sym`'s STG.
 ImplementabilityReport check_implementability(SymbolicStg& sym,

@@ -1,5 +1,6 @@
 // Transition-relation construction over (V, V') variable pairs: the raw
-// material for the relational ImageEngine backends (core/image_engine.hpp).
+// material for the ImageEngine's relational kinds, monolithic and
+// saturation (core/image_engine.hpp).
 //
 // The paper's image operator never builds a relation -- delta_N is four
 // cube steps over the transition's own support, which the kernel runs as
@@ -18,8 +19,9 @@
 //             image quantifies and renames only that support, and
 //             untouched variables flow through S unchanged, which is the
 //             frame condition for free. The sparse record carries the
-//             cube the image and the kernel's REACH quantify; the
-//             saturation engine keeps one per transition.
+//             cube the image and the kernel's REACH quantify; under
+//             saturation the engine keeps one per transition as a REACH
+//             rule.
 //
 //   * full:   the sparse cube /\ a frame v <-> v' over *every* untouched
 //             state variable. ORing these yields the monolithic engine's

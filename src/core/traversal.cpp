@@ -144,7 +144,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
   // signals enabled in the very first state are already bound by the
   // preamble above; anything still unbound routes to the step-wise loop
   // below, which runs correctly on this engine's per-transition units.
-  if (engine.computes_global_fixpoint() && binder.unbound().empty()) {
+  if (engine.kind() == EngineKind::kSaturation && binder.unbound().empty()) {
     // One pass, always: the whole closure is a single kernel operation.
     ++result.stats.passes;
     sym.manager().count_budget_step();

@@ -187,51 +187,12 @@ json::Value report_to_json(const stg::Stg& stg,
   if (!report.traversal.safeness_detail.empty()) {
     violations.set("safeness", Value(report.traversal.safeness_detail));
   }
-  if (!report.traversal.consistency_violations.empty()) {
+  for (const core::ViolationList kind : core::kViolationLists) {
+    const std::vector<std::string> entries = report.violation_list(stg, kind);
+    if (entries.empty()) continue;
     Value list = Value::array();
-    for (const std::string& v : report.traversal.consistency_violations) {
-      list.push_back(Value(v));
-    }
-    violations.set("consistency", std::move(list));
-  }
-  if (!report.persistency_violations.empty()) {
-    Value list = Value::array();
-    for (const auto& v : report.persistency_violations) {
-      list.push_back(Value(stg.signal_name(v.victim) + " disabled by " +
-                           stg.format_label(v.disabler)));
-    }
-    violations.set("persistency", std::move(list));
-  }
-  if (!report.fake_freedom.offending.empty()) {
-    Value list = Value::array();
-    for (const auto& f : report.fake_freedom.offending) {
-      list.push_back(Value(stg.format_label(f.t1) + " vs " +
-                           stg.format_label(f.t2) +
-                           (f.symmetric_fake() ? " (symmetric)"
-                                               : " (asymmetric)")));
-    }
-    violations.set("fake_conflicts", std::move(list));
-  }
-  if (!report.csc_result.conflicts.empty()) {
-    Value list = Value::array();
-    for (const auto& c : report.csc_result.conflicts) {
-      list.push_back(Value(stg.signal_name(c.signal)));
-    }
-    violations.set("csc_conflicts", std::move(list));
-  }
-  if (!report.reducibility.irreducible_signals.empty()) {
-    Value list = Value::array();
-    for (const stg::SignalId s : report.reducibility.irreducible_signals) {
-      list.push_back(Value(stg.signal_name(s)));
-    }
-    violations.set("irreducible", std::move(list));
-  }
-  if (!report.traversal.unbound_signals.empty()) {
-    Value list = Value::array();
-    for (const stg::SignalId s : report.traversal.unbound_signals) {
-      list.push_back(Value(stg.signal_name(s)));
-    }
-    violations.set("unbound_signals", std::move(list));
+    for (const std::string& v : entries) list.push_back(Value(v));
+    violations.set(core::to_string(kind), std::move(list));
   }
   obj.set("violations", std::move(violations));
 

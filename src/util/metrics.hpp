@@ -10,9 +10,6 @@
 //     (inclusive, Prometheus "le" semantics, implicit +inf last), one
 //     count per bucket plus a total count and sum, so snapshots carry
 //     count/sum/mean.
-//   * ScopedTimer -- RAII: measures its own lifetime on a Stopwatch and,
-//     at destruction, observes the elapsed seconds into a Histogram
-//     and/or adds elapsed nanoseconds to a Counter.
 //
 // Registration (name -> metric) takes the registry mutex once; the
 // returned references stay valid for the registry's lifetime (deque
@@ -33,7 +30,6 @@
 #include <vector>
 
 #include "util/json.hpp"
-#include "util/stopwatch.hpp"
 
 namespace stgcheck::metrics {
 
@@ -158,26 +154,6 @@ class MetricsRegistry {
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
   std::vector<Entry> entries_;  // registration order, linear lookup
-};
-
-/// RAII timer: at destruction observes elapsed seconds into `seconds`
-/// (when set) and adds elapsed nanoseconds to `nanos` (when set).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* seconds, Counter* nanos = nullptr)
-      : seconds_(seconds), nanos_(nanos) {}
-  ~ScopedTimer() {
-    const double s = watch_.seconds();
-    if (seconds_ != nullptr) seconds_->observe(s);
-    if (nanos_ != nullptr) nanos_->add(static_cast<std::uint64_t>(s * 1e9));
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* seconds_;
-  Counter* nanos_;
-  Stopwatch watch_;
 };
 
 }  // namespace stgcheck::metrics

@@ -6,6 +6,15 @@
 
 namespace stgcheck {
 
+std::string join(const std::vector<std::string>& parts, std::string_view sep) {
+  std::string out;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) out += sep;
+    out += parts[i];
+  }
+  return out;
+}
+
 std::vector<std::string> split_ws(std::string_view text) {
   std::vector<std::string> tokens;
   std::size_t i = 0;

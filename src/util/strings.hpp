@@ -21,6 +21,9 @@ bool starts_with(std::string_view text, std::string_view prefix);
 /// against the canonical to_string names with.
 bool names_equal_dashed(std::string_view a, std::string_view b);
 
+/// `parts` with `sep` between consecutive entries ("" for no parts).
+std::string join(const std::vector<std::string>& parts, std::string_view sep);
+
 /// Formats `value` with thousands separators ("1234567" -> "1,234,567").
 std::string with_commas(unsigned long long value);
 

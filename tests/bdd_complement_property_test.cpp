@@ -290,7 +290,7 @@ TEST_P(ComplementEdgeStg, ReachedSetsMatchOracleAndStayCanonical) {
   Rng rng{GetParam()};
   const stg::Stg s = testutil::random_stg(rng);
   core::SymbolicStg sym(s);
-  core::CofactorEngine engine(sym);
+  core::ImageEngine engine(core::EngineKind::kCofactor, sym);
   core::TraversalOptions options;
   options.auto_sift = true;
   const core::TraversalResult r = core::traverse(engine, options);

@@ -205,7 +205,7 @@ class EngineCrossValidation
     sym = std::make_unique<SymbolicStg>(*net, Ordering::kInterleaved, 1 << 14,
                                         /*with_primed_vars=*/true);
     engine = make_engine(std::get<1>(GetParam()), *sym);
-    reference = std::make_unique<CofactorEngine>(*sym);
+    reference = make_engine(EngineKind::kCofactor, *sym);
 
     traversal = traverse(*engine);
     ref_traversal = traverse(*reference);
@@ -214,7 +214,7 @@ class EngineCrossValidation
   std::unique_ptr<stg::Stg> net;
   std::unique_ptr<SymbolicStg> sym;
   std::unique_ptr<ImageEngine> engine;
-  std::unique_ptr<CofactorEngine> reference;
+  std::unique_ptr<ImageEngine> reference;
   TraversalResult traversal;
   TraversalResult ref_traversal;
 };

@@ -8,8 +8,9 @@
 //     with S ranging over the reached set, `reached & E(ti)` and random
 //     cube unions of the whole space (unsafe and inconsistent states
 //     included), and P over E(tk), enabled_signal and enabled_signal_any;
-//   * the saturation engine's per-transition image_unit equals
-//     SymbolicStg::image on the same sets;
+//   * the saturation engine's per-transition fresh_unit from nothing
+//     known equals SymbolicStg::image on the same sets, before and after
+//     a sift;
 //   * check_csc's two-product conflict code sets equal the four-region
 //     formula (ER(a+) & QR(a-)) | (ER(a-) & QR(a+)) as BDD handles, on
 //     reached sets and on arbitrary state sets alike.
@@ -21,7 +22,7 @@
 #include <vector>
 
 #include "core/checks.hpp"
-#include "core/saturation.hpp"
+#include "core/image_engine.hpp"
 #include "core/traversal.hpp"
 #include "example_nets.hpp"
 #include "random_stg.hpp"
@@ -115,13 +116,15 @@ TEST_P(FireGuardProperties, GuardFormsAgreeWithImages) {
     sets.push_back(s);
   }
   const std::vector<Bdd> ps = predicates();
-  SaturationEngine saturation(*sym);
+  const Bdd none = sym->manager().bdd_false();
+  const std::unique_ptr<ImageEngine> saturation =
+      make_engine(EngineKind::kSaturation, *sym);
   for (pn::TransitionId t = 0; t < transitions(); ++t) {
     const Bdd& guard = sym->fire_guard(t);
     for (std::size_t i = 0; i < sets.size(); ++i) {
       const Bdd& s = sets[i];
       const Bdd image = sym->image(s, t);
-      EXPECT_EQ(saturation.image_unit(s, t), image)
+      EXPECT_EQ(saturation->fresh_unit(s, t, none), image)
           << net->format_label(t) << " set " << i;
       for (std::size_t j = 0; j < ps.size(); ++j) {
         const Bdd& p = ps[j];
@@ -131,6 +134,14 @@ TEST_P(FireGuardProperties, GuardFormsAgreeWithImages) {
         EXPECT_EQ(image.disjoint_with(p), s.disjoint_with(guard & after))
             << net->format_label(t) << " set " << i << " predicate " << j;
       }
+    }
+  }
+  sym->manager().sift();
+  for (pn::TransitionId t = 0; t < transitions(); ++t) {
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      EXPECT_EQ(saturation->fresh_unit(sets[i], t, none),
+                sym->image(sets[i], t))
+          << "after sift: " << net->format_label(t) << " set " << i;
     }
   }
 }

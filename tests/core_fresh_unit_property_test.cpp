@@ -1,5 +1,6 @@
 // ImageEngine::fresh_unit, the step chaining fires, against its
-// definition image_unit(S, u) minus known, under every engine, on every
+// definition -- the OR of SymbolicStg::image over the unit's transitions,
+// minus known -- under every engine, before and after a sift, on every
 // example net, a net whose transitions read and refill a place (one of
 // them a dummy), random ring STGs and random free-choice STGs, in plain
 // and primed encodings. The cofactor engine answers from one kernel walk
@@ -94,27 +95,38 @@ class FreshUnit : public ::testing::TestWithParam<std::tuple<int, bool>> {
   std::vector<Bdd> knowns;
 };
 
-TEST_P(FreshUnit, EqualsImageUnitMinusKnown) {
+TEST_P(FreshUnit, EqualsUnitImagesMinusKnown) {
   std::vector<EngineKind> kinds = {EngineKind::kCofactor};
   if (primed) {
     kinds.push_back(EngineKind::kMonolithicRelation);
     kinds.push_back(EngineKind::kSaturation);
   }
+  bdd::Manager& m = sym->manager();
   for (const EngineKind kind : kinds) {
     const std::unique_ptr<ImageEngine> engine = make_engine(kind, *sym);
-    for (std::size_t u = 0; u < engine->unit_count(); ++u) {
-      for (std::size_t i = 0; i < states.size(); ++i) {
-        for (std::size_t k = 0; k < knowns.size(); ++k) {
-          const std::size_t calls = engine->stats().image_calls;
-          const Bdd fresh = engine->fresh_unit(states[i], u, knowns[k]);
-          // Every engine counts a fresh unit as one image.
-          EXPECT_EQ(engine->stats().image_calls, calls + 1) << to_string(kind);
-          EXPECT_EQ(fresh, engine->image_unit(states[i], u).minus(knowns[k]))
-              << to_string(kind) << " unit " << u << " set " << i
-              << " known " << k;
+    const auto check = [&](const char* when) {
+      for (std::size_t u = 0; u < engine->unit_count(); ++u) {
+        for (std::size_t i = 0; i < states.size(); ++i) {
+          Bdd image = m.bdd_false();
+          for (const pn::TransitionId t : engine->unit_transitions(u)) {
+            image |= sym->image(states[i], t);
+          }
+          for (std::size_t k = 0; k < knowns.size(); ++k) {
+            const std::size_t calls = engine->stats().image_calls;
+            const Bdd fresh = engine->fresh_unit(states[i], u, knowns[k]);
+            // Every engine counts a fresh unit as one image.
+            EXPECT_EQ(engine->stats().image_calls, calls + 1)
+                << to_string(kind);
+            EXPECT_EQ(fresh, image.minus(knowns[k]))
+                << to_string(kind) << " " << when << " unit " << u
+                << " set " << i << " known " << k;
+          }
         }
       }
-    }
+    };
+    check("as built");
+    m.sift();
+    check("after sift");
   }
 }
 

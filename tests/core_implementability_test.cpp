@@ -46,6 +46,30 @@ TEST(Implementability, MutexNeedsArbitrationDeclared) {
   EXPECT_EQ(relaxed.level, ImplementabilityLevel::kGateImplementable);
 }
 
+TEST(Implementability, UnknownArbitrationSignalFailsTheCheck) {
+  // A misspelled name must not silently drop its pair (which would leave
+  // the grant conflict standing and report "not implementable").
+  CheckOptions options;
+  options.arbitration_pairs.push_back({"g1", "gX"});
+  try {
+    check_implementability(stg::examples::mutex2(), options);
+    ADD_FAILURE() << "no ModelError";
+  } catch (const ModelError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'gX'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + stg::examples::mutex2().name() + "'"),
+              std::string::npos)
+        << what;
+  }
+  // Resolution is all or nothing, and order-preserving when it succeeds.
+  const stg::Stg s = stg::examples::mutex2();
+  EXPECT_THROW(resolve_arbitration_pairs(s, {{"gX", "g2"}}), ModelError);
+  const auto ids = resolve_arbitration_pairs(s, {{"g2", "g1"}});
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_EQ(ids[0].first, s.find_signal("g2"));
+  EXPECT_EQ(ids[0].second, s.find_signal("g1"));
+}
+
 TEST(Implementability, OutputCycleIsIoImplementable) {
   // CSC fails but is reducible: an I/O-equivalent circuit exists after
   // inserting an internal signal (output_cycle_resolved proves it).

@@ -98,9 +98,10 @@ class EngineReorder : public ::testing::TestWithParam<std::tuple<int, EngineKind
 
 /// Successors of `states` under every unit of the engine: one full step.
 Bdd full_step(ImageEngine& engine, const Bdd& states) {
-  Bdd result = engine.sym().manager().bdd_false();
+  const Bdd none = engine.sym().manager().bdd_false();
+  Bdd result = none;
   for (std::size_t u = 0; u < engine.unit_count(); ++u) {
-    result |= engine.image_unit(states, u);
+    result |= engine.fresh_unit(states, u, none);
   }
   return result;
 }
@@ -132,7 +133,9 @@ TEST_P(EngineReorder, ImagesSurviveSiftingAndManualReorder) {
     for (const pn::TransitionId t : engine->unit_transitions(u)) {
       unit_image |= sym->image(reached, t);
     }
-    EXPECT_EQ(engine->image_unit(reached, u), unit_image) << "unit " << u;
+    EXPECT_EQ(engine->fresh_unit(reached, u, sym->manager().bdd_false()),
+              unit_image)
+        << "unit " << u;
     expected |= unit_image;
   }
   EXPECT_EQ(image_before, expected);

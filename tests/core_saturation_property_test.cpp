@@ -1,6 +1,7 @@
 // The saturation backend: reach_fixpoint against an explicit BFS closure
 // on random STGs (with kernel invariants checked after every reach call),
-// the per-transition rel_next image against the paper's cofactor image,
+// the per-transition rel_next image against the paper's cofactor image
+// (before and after a sift),
 // full-traversal agreement with the cofactor reference, and the same
 // fixpoint after a reorder.
 #include <gtest/gtest.h>
@@ -8,7 +9,7 @@
 #include <algorithm>
 #include <memory>
 
-#include "core/saturation.hpp"
+#include "core/image_engine.hpp"
 #include "core/traversal.hpp"
 #include "random_stg.hpp"
 #include "stg/generators.hpp"
@@ -45,7 +46,7 @@ TEST(SaturationProperty, ReachFixpointEqualsBfsClosureOnRandomStgs) {
     stg::Stg s = testutil::random_stg(rng);
     SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                     /*with_primed_vars=*/true);
-    SaturationEngine sat(sym);
+    ImageEngine sat(EngineKind::kSaturation, sym);
 
     const Bdd init = sym.initial_state();
     const Bdd closed = sat.reach_fixpoint(init);
@@ -65,17 +66,24 @@ TEST(SaturationProperty, RelNextImageMatchesCofactorImage) {
     stg::Stg s = testutil::random_stg(rng);
     SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                     /*with_primed_vars=*/true);
-    SaturationEngine sat(sym);  // image_unit runs rel_next
+    // Its step-wise fresh_unit runs rel_next on one sparse relation.
+    ImageEngine sat(EngineKind::kSaturation, sym);
+    const Bdd none = sym.manager().bdd_false();
+    // The sparse relation's product against the relation-free image.
+    const auto check = [&](const Bdd& states, const char* when) {
+      for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
+        EXPECT_EQ(sat.fresh_unit(states, t, none), sym.image(states, t))
+            << "trial " << trial << " " << when << " t " << t;
+      }
+    };
     // Walk a few frontier steps so the compared state sets are nontrivial.
     Bdd states = sym.initial_state();
     for (int step = 0; step < 3; ++step) {
-      for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
-        // The sparse relation's product against the relation-free image.
-        EXPECT_EQ(sat.image_unit(states, t), sym.image(states, t))
-            << "trial " << trial << " step " << step << " t " << t;
-      }
+      check(states, "before sift");
       states |= cofactor_step(sym, states);
     }
+    sym.manager().sift();
+    check(states, "after sift");
     sym.manager().check_invariants();
   }
 }
@@ -86,8 +94,8 @@ TEST(SaturationProperty, TraversalAgreesWithCofactorOnRandomStgs) {
     stg::Stg s = testutil::random_stg(rng);
     SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                     /*with_primed_vars=*/true);
-    SaturationEngine sat(sym);
-    CofactorEngine reference(sym);
+    ImageEngine sat(EngineKind::kSaturation, sym);
+    ImageEngine reference(EngineKind::kCofactor, sym);
     const TraversalResult a = traverse(sat);
     sym.manager().check_invariants();
     const TraversalResult b = traverse(reference);
@@ -123,10 +131,11 @@ TEST(SaturationProperty, LazyBindingNetsRouteStepWiseAndStillAgree) {
 
   SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                   /*with_primed_vars=*/true);
-  SaturationEngine sat(sym);
-  CofactorEngine reference(sym);
+  ImageEngine sat(EngineKind::kSaturation, sym);
+  ImageEngine reference(EngineKind::kCofactor, sym);
   const TraversalResult x = traverse(sat);
-  EXPECT_EQ(sat.reach_calls(), 0u);  // the step-wise route was taken
+  // The step-wise route was taken: the kernel's REACH never ran.
+  EXPECT_EQ(sym.manager().profile().op(bdd::OpKind::kReach).calls, 0u);
   const TraversalResult y = traverse(reference);
   EXPECT_EQ(x.reached, y.reached);
   EXPECT_DOUBLE_EQ(x.stats.states, y.stats.states);
@@ -143,7 +152,7 @@ TEST(SaturationReorder, SameFixpointAfterBlockReversal) {
   stg::Stg s = stg::muller_pipeline(4);
   SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                   /*with_primed_vars=*/true);
-  SaturationEngine eng(sym);
+  ImageEngine eng(EngineKind::kSaturation, sym);
   const Bdd init = sym.initial_state();
   const Bdd closed = eng.reach_fixpoint(init);
 

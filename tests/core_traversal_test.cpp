@@ -35,7 +35,7 @@ TEST(Traversal, ChainingPassesHaveClosedForm) {
   for (const std::size_t n : {4u, 8u, 16u}) {
     stg::Stg s = stg::muller_pipeline(n);
     SymbolicStg sym(s);
-    CofactorEngine engine(sym);
+    ImageEngine engine(EngineKind::kCofactor, sym);
     TraversalResult r = traverse(engine);
     EXPECT_TRUE(r.ok()) << n;
     EXPECT_EQ(r.stats.passes, n + 2) << n;

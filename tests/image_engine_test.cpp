@@ -1,8 +1,7 @@
-// The relational backends: each sparse relation record quantifies exactly
-// the variables its transition touches, and the saturation engine's
-// per-transition images and the monolithic step agree with the cofactor
-// pipeline -- including on random STGs far from the hand-built generator
-// families.
+// The relational kinds: each sparse relation record quantifies exactly
+// the variables its transition touches, and every engine kind's units
+// agree with the cofactor image, before and after a sift -- including on
+// random STGs far from the hand-built generator families.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,10 +9,11 @@
 #include <vector>
 
 #include "core/image_engine.hpp"
-#include "core/saturation.hpp"
+#include "core/relation.hpp"
 #include "core/traversal.hpp"
 #include "random_stg.hpp"
 #include "stg/generators.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace stgcheck::core {
@@ -48,13 +48,11 @@ TEST(SparseRelations, SupportAndQuantCubeAreTheTouchedVariables) {
   for (const stg::Stg& s : {stg::muller_pipeline(5), stg::master_read(3),
                             stg::mutex_arbiter(3), stg::select_chain(3)}) {
     auto sym = primed_encoding(s);
-    SaturationEngine engine(*sym);
-    ASSERT_EQ(engine.relations().size(), s.net().transition_count());
     for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
       // The image step of transition t may quantify exactly the variables
       // t touches: quantifying any other would lose the state set's own
       // constraint on it; leaving one out would keep its old value.
-      const SparseRelation& r = engine.relations()[t];
+      const SparseRelation r = build_sparse_relation(*sym, t);
       const std::vector<Var> touched = touched_vars(*sym, t);
       EXPECT_EQ(r.support, touched) << s.name() << " " << s.format_label(t);
       EXPECT_EQ(r.quant_cube, sym->manager().positive_cube(touched))
@@ -69,11 +67,10 @@ TEST(SparseRelations, QuantifyLessThanTheMonolithicStep) {
   // only its own support.
   const stg::Stg s = stg::select_chain(4);
   auto sym = primed_encoding(s);
-  SaturationEngine engine(*sym);
   const std::size_t state_vars =
       sym->place_var_list().size() + sym->signal_var_list().size();
-  for (const SparseRelation& r : engine.relations()) {
-    EXPECT_LT(r.support.size(), state_vars);
+  for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
+    EXPECT_LT(build_sparse_relation(*sym, t).support.size(), state_vars);
   }
 }
 
@@ -86,41 +83,73 @@ TEST(RandomStgs, SaturationMatchesMonolithicAndCofactor) {
   for (int trial = 0; trial < 12; ++trial) {
     const stg::Stg s = testutil::random_stg(rng);
     auto sym = primed_encoding(s);
-    CofactorEngine cofactor(*sym);
-    MonolithicRelationEngine monolithic(*sym);
-    SaturationEngine saturation(*sym);
+    bdd::Manager& m = sym->manager();
+    std::vector<std::unique_ptr<ImageEngine>> engines;
+    for (EngineKind kind :
+         {EngineKind::kCofactor, EngineKind::kMonolithicRelation,
+          EngineKind::kSaturation}) {
+      engines.push_back(make_engine(kind, *sym));
+    }
 
     // Random rings may be inconsistent STGs; images must agree regardless.
-    const TraversalResult ref = traverse(cofactor);
+    const TraversalResult ref = traverse(*engines[0]);
 
-    Bdd all_transitions = sym->manager().bdd_false();
-    for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
-      const Bdd next = sym->image(ref.reached, t);
-      EXPECT_EQ(saturation.image_unit(ref.reached, t), next)
-          << "trial " << trial << " " << s.format_label(t);
-      all_transitions |= next;
-    }
-    EXPECT_EQ(monolithic.image_unit(ref.reached, 0), all_transitions)
-        << "trial " << trial;
+    // Each unit's fresh states from nothing known are the OR of the
+    // cofactor images of its transitions.
+    const auto check_units = [&](const char* when) {
+      for (const auto& engine : engines) {
+        for (std::size_t u = 0; u < engine->unit_count(); ++u) {
+          Bdd expected = m.bdd_false();
+          for (const pn::TransitionId t : engine->unit_transitions(u)) {
+            expected |= sym->image(ref.reached, t);
+          }
+          EXPECT_EQ(engine->fresh_unit(ref.reached, u, m.bdd_false()),
+                    expected)
+              << "trial " << trial << " " << to_string(engine->kind()) << " "
+              << when << " unit " << u;
+        }
+      }
+    };
+    check_units("as built");
+    m.sift();
+    check_units("after sift");
 
-    const TraversalResult mono_r = traverse(monolithic);
-    const TraversalResult sat_r = traverse(saturation);
-    EXPECT_EQ(mono_r.reached, ref.reached) << "trial " << trial;
-    EXPECT_EQ(sat_r.reached, ref.reached) << "trial " << trial;
+    EXPECT_EQ(traverse(*engines[1]).reached, ref.reached) << "trial " << trial;
+    EXPECT_EQ(traverse(*engines[2]).reached, ref.reached) << "trial " << trial;
   }
 }
 
 TEST(EngineFactory, BuildsEveryKind) {
   const stg::Stg s = stg::examples::vme_read();
   auto sym = primed_encoding(s);
+  const pn::TransitionId n = s.net().transition_count();
   for (EngineKind kind :
        {EngineKind::kCofactor, EngineKind::kMonolithicRelation,
         EngineKind::kSaturation}) {
     const std::unique_ptr<ImageEngine> engine = make_engine(kind, *sym);
     EXPECT_EQ(engine->kind(), kind);
-    EXPECT_STREQ(engine->name(), to_string(kind));
-    EXPECT_GT(engine->unit_count(), 0u);
+    const bool monolithic = kind == EngineKind::kMonolithicRelation;
+    EXPECT_EQ(engine->unit_count(), monolithic ? 1u : n);
+    EXPECT_EQ(engine->unit_transitions(0).size(), monolithic ? n : 1u);
+    EXPECT_EQ(engine->stats().relation_nodes == 0,
+              kind == EngineKind::kCofactor);
   }
+}
+
+TEST(EngineFactory, OnlySaturationComputesTheFixpoint) {
+  const stg::Stg s = stg::examples::vme_read();
+  auto sym = primed_encoding(s);
+  const Bdd init = sym->initial_state();
+  for (EngineKind kind :
+       {EngineKind::kCofactor, EngineKind::kMonolithicRelation}) {
+    const std::unique_ptr<ImageEngine> engine = make_engine(kind, *sym);
+    EXPECT_THROW(engine->reach_fixpoint(init), ModelError) << to_string(kind);
+    EXPECT_EQ(engine->stats().image_calls, 0u) << to_string(kind);
+  }
+  const std::unique_ptr<ImageEngine> saturation =
+      make_engine(EngineKind::kSaturation, *sym);
+  EXPECT_EQ(saturation->reach_fixpoint(init), traverse(*sym).reached);
+  EXPECT_EQ(saturation->stats().image_calls, 1u);
 }
 
 }  // namespace

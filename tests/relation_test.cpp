@@ -8,7 +8,6 @@
 
 #include "core/image_engine.hpp"
 #include "core/relation.hpp"
-#include "core/saturation.hpp"
 #include "core/traversal.hpp"
 #include "example_nets.hpp"
 #include "stg/astg_io.hpp"
@@ -23,8 +22,8 @@ using bdd::Bdd;
 TEST(Relation, RequiresPrimedEncoding) {
   stg::Stg s = stg::examples::pulse_cycle();
   SymbolicStg sym(s);  // no primed vars
-  EXPECT_THROW(MonolithicRelationEngine engine(sym), ModelError);
-  EXPECT_THROW(SaturationEngine engine(sym), ModelError);
+  EXPECT_THROW(make_engine(EngineKind::kMonolithicRelation, sym), ModelError);
+  EXPECT_THROW(make_engine(EngineKind::kSaturation, sym), ModelError);
   EXPECT_THROW(build_full_relation(sym, 0), ModelError);
   EXPECT_THROW(build_sparse_relation(sym, 0), ModelError);
 }
@@ -46,14 +45,14 @@ class RelationAgainstPipeline : public ::testing::TestWithParam<int> {
     net = std::make_unique<stg::Stg>(make(GetParam()));
     sym = std::make_unique<SymbolicStg>(*net, Ordering::kInterleaved, 1 << 14,
                                         /*with_primed_vars=*/true);
-    engine = std::make_unique<MonolithicRelationEngine>(*sym);
+    engine = make_engine(EngineKind::kMonolithicRelation, *sym);
     traversal = traverse(*sym);
     ASSERT_TRUE(traversal.ok());
   }
 
   std::unique_ptr<stg::Stg> net;
   std::unique_ptr<SymbolicStg> sym;
-  std::unique_ptr<MonolithicRelationEngine> engine;
+  std::unique_ptr<ImageEngine> engine;
   TraversalResult traversal;
 };
 
@@ -183,7 +182,8 @@ TEST_P(FullRelationsAfterReorder, RelNextMatchesCofactorImage) {
   bdd::Manager& m = sym.manager();
   const pn::TransitionId n = s.net().transition_count();
   const Bdd reached = traverse(sym).reached;
-  MonolithicRelationEngine engine(sym);
+  const std::unique_ptr<ImageEngine> engine =
+      make_engine(EngineKind::kMonolithicRelation, sym);
   std::vector<Bdd> full;
   for (pn::TransitionId t = 0; t < n; ++t) {
     full.push_back(build_full_relation(sym, t));
@@ -196,7 +196,7 @@ TEST_P(FullRelationsAfterReorder, RelNextMatchesCofactorImage) {
           << when << ", " << s.format_label(t);
       expected |= image;
     }
-    EXPECT_EQ(engine.image_unit(reached, 0), expected) << when;
+    EXPECT_EQ(engine->fresh_unit(reached, 0, m.bdd_false()), expected) << when;
   };
   check("as built");
   m.sift();

@@ -24,6 +24,7 @@
 #include "stg/generators.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace stgcheck::server {
 namespace {
@@ -176,6 +177,55 @@ TEST(ServerProtocol, ReportToJsonStatesTheEffectiveConfiguration) {
                 .at("engine")
                 .as_string(),
             "saturation");
+}
+
+TEST(ServerProtocol, VerdictsSummaryAndJsonListTheSameViolations) {
+  // The three renderings of one report: each list-carrying verdict event's
+  // detail is its JSON list joined by "; ", and the summary shows every
+  // entry in brackets.
+  const std::pair<const char*, const char*> verdict_to_list[] = {
+      {"consistent", "consistency"},  {"persistent", "persistency"},
+      {"fake_free", "fake_conflicts"}, {"csc", "csc_conflicts"},
+      {"csc_reducible", "irreducible"},
+  };
+  for (const stg::Stg& net :
+       {stg::examples::fig3_d1(), stg::examples::fake_asymmetric(true),
+        stg::examples::mutex2(), stg::examples::vme_read(),
+        stg::examples::inconsistent_rise_rise(),
+        stg::examples::unsafe_two_token_ring()}) {
+    core::EventLog events;
+    core::CheckOptions options;
+    options.events = &events;
+    const core::ImplementabilityReport report =
+        core::check_implementability(net, options);
+    const Value violations = report_to_json(net, report).at("violations");
+    const std::string summary = report.summary(net);
+
+    std::size_t entries = 0;
+    for (const core::EventRecord& record : events.records()) {
+      if (record.kind != core::EventKind::kVerdict) continue;
+      for (const auto& [verdict, key] : verdict_to_list) {
+        if (record.label != verdict) continue;
+        std::vector<std::string> list;
+        if (const Value* json = violations.find(key)) {
+          for (const Value& v : json->as_array()) list.push_back(v.as_string());
+        }
+        EXPECT_EQ(record.detail, join(list, "; ")) << net.name() << " " << key;
+        for (const std::string& entry : list) {
+          const std::string suffix =
+              std::string(key) == "irreducible"
+                  ? ": mutually complementary input sequences]"
+                  : "]";
+          EXPECT_NE(summary.find("[" + entry + suffix), std::string::npos)
+              << net.name() << " " << key << " " << entry << "\n"
+              << summary;
+        }
+        entries += list.size();
+      }
+    }
+    // The safeness failure has no list; every other net lists something.
+    if (report.safe) EXPECT_GT(entries, 0u) << net.name();
+  }
 }
 
 TEST(ServerProtocol, EventLineRoundTrips) {
@@ -569,6 +619,37 @@ TEST(ServerDaemon, RemovedConfigKeyIsAnErrorAndTheDaemonKeepsServing) {
   line = reader.next();
   ASSERT_TRUE(line.has_value());
   EXPECT_EQ(Value::parse(*line).at("reply").as_string(), "pong");
+
+  ::close(fd);
+  server.stop();
+  server.wait();
+}
+
+TEST(ServerDaemon, UnknownArbitrationSignalIsAFailedCheck) {
+  ServerOptions options;
+  options.socket_path = test_socket_path("arbitrate");
+  options.threads = 1;
+  CheckServer server(options);
+  server.start();
+
+  const int fd = connect_client(options.socket_path);
+  LineReader reader(fd);
+  Value pair = Value::array();
+  pair.push_back(Value("g1"));
+  pair.push_back(Value("gX"));
+  Value arbitrate = Value::array();
+  arbitrate.push_back(std::move(pair));
+  Value opts = Value::object();
+  opts.set("arbitrate", std::move(arbitrate));
+  Value request = Value::object();
+  request.set("op", Value("check"));
+  request.set("id", Value("typo"));
+  request.set("net", Value(stg::write_astg_string(stg::examples::mutex2())));
+  request.set("options", std::move(opts));
+  const Value result = run_to_end(fd, reader, request);
+  EXPECT_EQ(result.at("code").as_string(), "session_failed");
+  EXPECT_NE(result.at("error").as_string().find("'gX'"), std::string::npos);
+  EXPECT_EQ(result.find("report"), nullptr);
 
   ::close(fd);
   server.stop();

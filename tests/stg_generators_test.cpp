@@ -6,7 +6,7 @@
 #include <set>
 #include <string>
 
-#include "core/saturation.hpp"
+#include "core/image_engine.hpp"
 #include "core/traversal.hpp"
 #include "petri/reachability.hpp"
 #include "petri/structural.hpp"
@@ -182,7 +182,7 @@ TEST(FamilyRoster, ScaledStateCountsMatchClosedForms) {
     Stg s = make_family_instance(row.name);
     core::SymbolicStg sym(s, core::Ordering::kInterleaved, 1 << 14,
                           /*with_primed_vars=*/true);
-    core::SaturationEngine engine(sym);
+    core::ImageEngine engine(core::EngineKind::kSaturation, sym);
     const core::TraversalResult r = core::traverse(engine);
     ASSERT_TRUE(r.ok()) << row.name;
     EXPECT_DOUBLE_EQ(r.stats.states, row.states) << row.name;
@@ -199,7 +199,7 @@ TEST(FamilyRoster, Select96DeadlockVerdictMatchesAcrossEngines) {
   // engine's (a finite zero), not 0 x 2^vars.
   const Stg s = make_family_instance("select96");
   core::SymbolicStg plain(s);
-  core::CofactorEngine cofactor(plain);
+  core::ImageEngine cofactor(core::EngineKind::kCofactor, plain);
   core::TraversalOptions no_sift;
   no_sift.auto_sift = false;
   const core::TraversalResult ref = core::traverse(cofactor, no_sift);
@@ -210,7 +210,7 @@ TEST(FamilyRoster, Select96DeadlockVerdictMatchesAcrossEngines) {
   core::SymbolicStg primed(s, core::Ordering::kInterleaved, 1 << 14,
                            /*with_primed_vars=*/true);
   ASSERT_GT(primed.manager().var_count(), 1023u);
-  core::SaturationEngine saturation(primed);
+  core::ImageEngine saturation(core::EngineKind::kSaturation, primed);
   const core::TraversalResult r = core::traverse(saturation);
   ASSERT_TRUE(r.ok());
   const double deadlocks =
